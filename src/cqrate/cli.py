@@ -177,8 +177,7 @@ def cmd_idelta(args) -> int:
     }
     if args.emit_channels:
         channels = []
-        for d in curve.deltas:
-            res = idelta.optimize_idelta(src, d, opts)
+        for d, res in zip(curve.deltas, curve.results):
             mat = None
             if res.param is not None:
                 mat = [[[float(z.real), float(z.imag)] for z in row]

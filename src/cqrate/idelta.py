@@ -9,8 +9,6 @@ brute-force oracle for tiny dimensions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +34,6 @@ class OptimizerOptions:
     iters_per_stage: int = 60
     step_init: float = 0.4
     tol_feas: float = TOL_FEAS
-    threads: int | None = None  # None: CQRATE_THREADS env var, default 1
-
-    def resolved_threads(self) -> int:
-        if self.threads is not None:
-            return max(int(self.threads), 1)
-        return max(int(os.environ.get("CQRATE_THREADS", "1")), 1)
 
 
 @dataclass(frozen=True)
@@ -80,6 +72,7 @@ class IdeltaCurve:
     raw_values: tuple[float, ...]
     monotonized: bool = True
     warnings: tuple[str, ...] = ()
+    results: tuple[IdeltaResult, ...] = ()  # per delta, with the channel found
 
 
 # ---------------------------------------------------------------------------
@@ -134,61 +127,71 @@ class _Ensemble:
 
 class _Evaluator:
     """Computes the information quantities of sigma = (id ⊗ T) omega for a
-    Stinespring matrix V: B -> C⊗W, reusing per-block reductions."""
+    stack of Stinespring matrices V: B -> C⊗W, reusing per-block reductions."""
 
     def __init__(self, ens: _Ensemble, c_dim: int, w_dim: int, want_c: bool = False):
         self.ens = ens
         self.c = c_dim
         self.w = w_dim
         self.want_c = want_c
-        self.dim_v_in = ens.dim_b
         self.dim_v_out = c_dim * w_dim
 
-    def informations(self, v: np.ndarray) -> dict[str, float]:
-        """Returns ixw = I(X:W), irwx = I(R:W|X) and, when requested,
-        icw = I(C:W) and icx = I(C:X)."""
+    def informations(self, v: np.ndarray) -> dict[str, np.ndarray]:
+        """For a stack v of shape (n, |C||W|, |B|), returns per matrix
+        ixw = I(X:W), irwx = I(R:W|X) and, when requested, icw = I(C:W) and
+        icx = I(C:X), each as an array of length n."""
         ens, c, w, r = self.ens, self.c, self.w, self.ens.dim_r
-        sigma_w = np.zeros((w, w), dtype=complex)
-        sigma_c = np.zeros((c, c), dtype=complex)
-        sigma_cw = np.zeros((c * w, c * w), dtype=complex)
-        hol_w = 0.0   # sum_x p S(W)_x
-        hol_c = 0.0
+        n = v.shape[0]
+        rho_w, rho_wr, rho_c, rho_cw = [], [], [], []  # per block, each a stack
+        if ens.pure_mats is not None:
+            for m in ens.pure_mats:
+                o = (v @ m).reshape(n, c, w, r)
+                rho_w.append(np.einsum("ncwr,ncvr->nwv", o, o.conj()))
+                rho_c.append(np.einsum("ncwr,ndwr->ncd", o, o.conj()))
+                if self.want_c:
+                    rho_cw.append(np.einsum("ncwr,ndvr->ncwdv", o, o.conj())
+                                  .reshape(n, c * w, c * w))
+            rho_wr = rho_c  # block pure: S(WR) = S(C)
+        else:
+            # kron(V, 1_R) of every matrix, laid out as np.kron does
+            k = (v[:, :, np.newaxis, :, np.newaxis] * np.eye(r)[:, np.newaxis, :]) \
+                .reshape(n, c * w * r, ens.dim_b * r)
+            k_dag = k.conj().swapaxes(-1, -2)
+            dims = (c, w, r)
+            for rho in ens.mixed_rhos:
+                rho_out = k @ rho @ k_dag  # on C⊗W⊗R
+                rho_w.append(qcore.reduced_density_from_mat(rho_out, dims, [1]))
+                rho_wr.append(qcore.reduced_density_from_mat(rho_out, dims, [1, 2]))
+                rho_c.append(qcore.reduced_density_from_mat(rho_out, dims, [0]))
+                if self.want_c:
+                    rho_cw.append(qcore.reduced_density_from_mat(rho_out, dims, [0, 1]))
+
+        def average(blocks: list[np.ndarray]) -> np.ndarray:
+            avg = np.zeros(blocks[0].shape, dtype=complex)
+            for p, blk in zip(ens.probs, blocks):
+                avg += p * blk
+            return avg
+
+        def holevo(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+            """S(sum_x p rho_x) - sum_x p S(rho_x), floored at 0, and the
+            entropies S(rho_x) followed by S(sum_x p rho_x)."""
+            s = qcore.entropy_of_stack(np.stack(blocks + [average(blocks)]))
+            hol = 0.0
+            for p, s_x in zip(ens.probs, s):
+                hol += p * s_x
+            return np.maximum(s[-1] - hol, 0.0), s
+
+        out = {}
+        out["ixw"], s_w = holevo(rho_w)
+        s_wr = qcore.entropy_of_stack(np.stack(rho_wr))
         irwx = 0.0
-        k = None if ens.pure_mats is not None else np.kron(v, np.eye(r))
-        for i, p in enumerate(ens.probs):
-            rho_cw = None
-            if ens.pure_mats is not None:
-                o = (v @ ens.pure_mats[i]).reshape(c, w, r)
-                rho_w = np.einsum("cwr,cvr->wv", o, o.conj())
-                rho_c = np.einsum("cwr,dwr->cd", o, o.conj())
-                s_w = qcore.entropy_of_mat(rho_w)
-                s_wr = qcore.entropy_of_mat(rho_c)  # block pure: S(WR) = S(C)
-                if self.want_c:
-                    rho_cw = np.einsum("cwr,dvr->cwdv", o, o.conj()).reshape(c * w, c * w)
-            else:
-                rho_out = k @ ens.mixed_rhos[i] @ k.conj().T  # on C⊗W⊗R
-                rho_w = qcore.reduced_density_from_mat(rho_out, (c, w, r), [1])
-                rho_wr = qcore.reduced_density_from_mat(rho_out, (c, w, r), [1, 2])
-                rho_c = qcore.reduced_density_from_mat(rho_out, (c, w, r), [0])
-                s_w = qcore.entropy_of_mat(rho_w)
-                s_wr = qcore.entropy_of_mat(rho_wr)
-                if self.want_c:
-                    rho_cw = qcore.reduced_density_from_mat(rho_out, (c, w, r), [0, 1])
-            irwx += p * max(s_w + ens.s_r[i] - s_wr, 0.0)
-            hol_w += p * s_w
-            sigma_w += p * rho_w
-            if self.want_c:
-                hol_c += p * qcore.entropy_of_mat(rho_c)
-                sigma_c += p * rho_c
-                sigma_cw += p * rho_cw
-        out = {
-            "ixw": max(qcore.entropy_of_mat(sigma_w) - hol_w, 0.0),
-            "irwx": irwx,
-        }
+        for p, s_w_x, s_r_x, s_wr_x in zip(ens.probs, s_w, ens.s_r, s_wr):
+            irwx += p * np.maximum(s_w_x + s_r_x - s_wr_x, 0.0)
+        out["irwx"] = irwx
         if self.want_c:
-            out["icx"] = max(qcore.entropy_of_mat(sigma_c) - hol_c, 0.0)
-            out["icw"] = max(qcore.entropy_of_mat(sigma_c) + qcore.entropy_of_mat(sigma_w)
-                             - qcore.entropy_of_mat(sigma_cw), 0.0)
+            out["icx"], s_c = holevo(rho_c)
+            s_cw = qcore.entropy_of_stack(average(rho_cw))
+            out["icw"] = np.maximum(s_c[-1] + s_w[-1] - s_cw, 0.0)
         return out
 
 
@@ -210,14 +213,14 @@ def apply_channel(src: CqSource, param: ChannelParam) -> tuple[DensityOperator, 
         mat[s:s + w * r, s:s + w * r] = src.probs[x] * blk
     sigma = DensityOperator(mat, DimsSpec([("X", nx), ("W", w), ("R", r)]))
     ev = _Evaluator(_Ensemble.from_source(src), c, w)
-    info = ev.informations(v)
-    return sigma, info["ixw"], info["irwx"]
+    info = ev.informations(v[np.newaxis])
+    return sigma, float(info["ixw"][0]), float(info["irwx"][0])
 
 
 def channel_marginal_informations(src: CqSource, param: ChannelParam) -> dict[str, float]:
     """All four marginal informations (ixw, irwx, icw, icx) of sigma^{XCWR}."""
     ev = _Evaluator(_Ensemble.from_source(src), param.c_dim, param.w_dim, want_c=True)
-    return ev.informations(param.mat)
+    return {k: float(val[0]) for k, val in ev.informations(param.mat[np.newaxis]).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +228,17 @@ def channel_marginal_informations(src: CqSource, param: ChannelParam) -> dict[st
 # ---------------------------------------------------------------------------
 
 def _qr_retract(v: np.ndarray) -> np.ndarray:
-    """Project back onto the isometry manifold (QR with positive diagonal)."""
+    """Project each matrix of a stack back onto the isometry manifold (QR
+    with positive diagonal)."""
     q, r = np.linalg.qr(v)
-    d = np.diag(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     d = np.where(np.abs(d) < 1e-14, 1.0, d)
-    return q * (d / np.abs(d))[np.newaxis, :]
+    return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
 def _random_direction(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Random anti-Hermitian generator; half the time a random 2-plane
-    rotation, otherwise dense."""
+    """Random anti-Hermitian generator, not yet normalized; half the time a
+    random 2-plane rotation, otherwise dense."""
     if d > 2 and rng.random() < 0.5:
         a = np.zeros((d, d), dtype=complex)
         i, j = rng.choice(d, size=2, replace=False)
@@ -246,7 +250,7 @@ def _random_direction(rng: np.random.Generator, d: int) -> np.ndarray:
     else:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         a = (g - g.conj().T) / 2.0
-    return a / max(qcore.operator_norm(a), 1e-12)
+    return a
 
 
 def _start_points(dim_b: int, c_dim: int, w_dim: int) -> list[np.ndarray]:
@@ -283,10 +287,18 @@ def _dims_menu(dim_b: int) -> list[tuple[int, int]]:
 
 
 def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
-           rng: np.random.Generator,
-           extra_feas=None) -> tuple[float, float, np.ndarray] | None:
-    """One restart: penalized ascent from v0; returns the best strictly
-    feasible visited point as (value, constraint, V), or None."""
+           rngs: list[np.random.Generator],
+           extra_feas=None) -> list[tuple[float, float, np.ndarray] | None]:
+    """The restarts of one dimension split, in lockstep: restart i is a
+    penalized ascent from v0[i] with directions drawn from rngs[i].  Returns
+    per restart the best strictly feasible visited point as (value,
+    constraint, V), or None.
+
+    Each step retracts and evaluates the three candidates of every restart
+    as one stack.  A restart then takes its candidates in order and stops at
+    the first accepted one; the later ones change neither `best` nor the
+    step size, exactly as if they had not been evaluated, so a restart's
+    result does not depend on the other restarts in the stack."""
 
     def feasible(info) -> bool:
         if info["irwx"] > delta + opts.tol_feas:
@@ -299,27 +311,38 @@ def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
             pen += mu * max(info["icw"] - info["icx"], 0.0) ** 2
         return info["ixw"] - pen
 
-    d = ev.dim_v_out
-    v = v0
-    info = ev.informations(v)
-    best = (info["ixw"], info["irwx"], v) if feasible(info) else None
+    def per_matrix(stacked: dict[str, np.ndarray]) -> list[dict[str, float]]:
+        cols = {k: a.tolist() for k, a in stacked.items()}
+        return [dict(zip(cols, vals)) for vals in zip(*cols.values())]
+
+    n, d = len(rngs), ev.dim_v_out
+    v = v0.copy()  # row i: restart i's current point, updated in place
+    info = per_matrix(ev.informations(v))
+    best = [(inf["ixw"], inf["irwx"], v[i].copy()) if feasible(inf) else None
+            for i, inf in enumerate(info)]
     for mu in opts.penalty_schedule:
-        f = penalty(info, mu)
-        step = opts.step_init
+        f = [penalty(inf, mu) for inf in info]
+        step = [opts.step_init] * n
         for _ in range(opts.iters_per_stage):
-            a = _random_direction(rng, d)
-            improved = False
-            for eps in (step, step / 4.0, -step):
-                cand = _qr_retract(v + eps * (a @ v))
-                cinfo = ev.informations(cand)
-                cf = penalty(cinfo, mu)
-                if feasible(cinfo) and (best is None or cinfo["ixw"] > best[0]):
-                    best = (cinfo["ixw"], cinfo["irwx"], cand)
-                if cf > f + 1e-12:
-                    v, info, f = cand, cinfo, cf
-                    improved = True
-                    break
-            step = min(step * 1.3, 1.0) if improved else max(step * 0.6, 1e-4)
+            a = np.stack([_random_direction(rng, d) for rng in rngs])
+            # unit operator norm, from one SVD call for all restarts
+            a /= np.maximum(np.linalg.svd(a, compute_uv=False)[:, 0],
+                            1e-12)[:, np.newaxis, np.newaxis]
+            eps = np.array([(s, s / 4.0, -s) for s in step])
+            cands = _qr_retract((v[:, np.newaxis] + eps[:, :, np.newaxis, np.newaxis]
+                                 * (a @ v)[:, np.newaxis]).reshape(3 * n, d, -1))
+            cinfo = per_matrix(ev.informations(cands))
+            for i in range(n):
+                improved = False
+                for j in range(3 * i, 3 * i + 3):
+                    cf = penalty(cinfo[j], mu)
+                    if feasible(cinfo[j]) and (best[i] is None or cinfo[j]["ixw"] > best[i][0]):
+                        best[i] = (cinfo[j]["ixw"], cinfo[j]["irwx"], cands[j].copy())
+                    if cf > f[i] + 1e-12:
+                        v[i], info[i], f[i] = cands[j], cinfo[j], cf
+                        improved = True
+                        break
+                step[i] = min(step[i] * 1.3, 1.0) if improved else max(step[i] * 0.6, 1e-4)
     return best
 
 
@@ -341,31 +364,18 @@ def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
             raise ValueError(
                 f"no isometry B -> C⊗W with |C||W| = {c_dim * w_dim} < |B| = {dim_b}")
 
-    tasks = []  # (menu index, restart index, c, w, seed, start or None)
+    results = []  # (menu index, restart index, c, w, climb outcome)
     for mi, (c_dim, w_dim) in enumerate(menu):
         starts = _start_points(dim_b, c_dim, w_dim)
         n_restarts = max(opts.restarts, len(starts))
         seeds = np.random.SeedSequence(entropy=opts.seed, spawn_key=(mi,)).spawn(n_restarts)
-        for i in range(n_restarts):
-            tasks.append((mi, i, c_dim, w_dim, seeds[i],
-                          starts[i] if i < len(starts) else None))
-
-    evaluators = {(c, w): _Evaluator(ens, c, w, want_c=want_c or extra_feas is not None)
-                  for c, w in set(menu)}
-
-    def run(task):
-        mi, i, c_dim, w_dim, seed, start = task
-        rng = np.random.default_rng(seed)
-        v0 = start if start is not None else qcore.random_isometry(c_dim * w_dim, dim_b, rng)
-        out = _climb(evaluators[(c_dim, w_dim)], v0, delta, opts, rng, extra_feas=extra_feas)
-        return (mi, i, c_dim, w_dim, out)
-
-    threads = opts.resolved_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        v0 = np.stack([starts[i] if i < len(starts)
+                       else qcore.random_isometry(c_dim * w_dim, dim_b, rng)
+                       for i, rng in enumerate(rngs)])
+        ev = _Evaluator(ens, c_dim, w_dim, want_c=want_c or extra_feas is not None)
+        outs = _climb(ev, v0, delta, opts, rngs, extra_feas=extra_feas)
+        results += [(mi, i, c_dim, w_dim, out) for i, out in enumerate(outs)]
 
     feasibles = [r for r in results if r[4] is not None]
     candidates = tuple((r[4][0], r[4][1]) for r in feasibles)
@@ -375,8 +385,8 @@ def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
             feasibles, key=lambda r: (r[4][0], -r[0], -r[1]))
         param = make_channel_param(v, dim_b, c_dim, w_dim)
         return IdeltaResult(delta, float(val), float(cons), param,
-                            len(tasks), True, candidates)
-    return IdeltaResult(delta, 0.0, math.inf, None, len(tasks), False, candidates)
+                            len(results), True, candidates)
+    return IdeltaResult(delta, 0.0, math.inf, None, len(results), False, candidates)
 
 
 def optimize_idelta(src: CqSource, delta: float,
@@ -400,7 +410,8 @@ def idelta_curve(src: CqSource, deltas,
         raise ValueError("delta grid must be non-empty")
     if any(d < 0 for d in deltas) or sorted(deltas) != deltas:
         raise ValueError("delta grid must be sorted ascending and >= 0")
-    raw = [optimize_idelta(src, d, opts).value for d in deltas]
+    results = tuple(optimize_idelta(src, d, opts) for d in deltas)
+    raw = [res.value for res in results]
     mono = list(np.maximum.accumulate(raw))
     warnings = []
     # concavity violations beyond TOL_OPT indicate optimizer failures
@@ -413,7 +424,8 @@ def idelta_curve(src: CqSource, deltas,
                 warnings.append(
                     f"concavity violation at delta={d1:g}: value {mono[i]:.4f} "
                     f"below chord {chord:.4f} (optimizer failure, not a curve feature)")
-    return IdeltaCurve(tuple(deltas), tuple(mono), tuple(raw), True, tuple(warnings))
+    return IdeltaCurve(tuple(deltas), tuple(mono), tuple(raw), True, tuple(warnings),
+                       results)
 
 
 @dataclass(frozen=True)
@@ -494,15 +506,15 @@ def oracle_grid(src: CqSource, delta: float, c_dim: int = 2, w_dim: int = 2,
         return best
     if c_dim == 1:
         ev = _Evaluator(ens, 1, w_dim)
-        info = ev.informations(np.eye(2, dtype=complex))
-        return info["ixw"] if info["irwx"] <= delta + tol_feas else best
+        info = ev.informations(np.eye(2, dtype=complex)[np.newaxis])
+        return float(info["ixw"][0]) if info["irwx"][0] <= delta + tol_feas else best
 
-    ev = _Evaluator(ens, 2, 2)
     thetas = np.linspace(0.0, math.pi, resolution)
     phis = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
     alphas = np.linspace(0.0, math.pi, resolution)
     ket0 = np.array([1.0, 0.0], dtype=complex)
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    net = []
     for th in thetas:
         for ph in phis:
             uin = _rz(ph) @ _ry(th)
@@ -514,8 +526,7 @@ def oracle_grid(src: CqSource, delta: float, c_dim: int = 2, w_dim: int = 2,
                 base = cry @ emb  # output legs (qubit, anc)
                 for w_is_qubit in (True, False):
                     # evaluator reads output legs as (C, W)
-                    v = swap @ base if w_is_qubit else base
-                    info = ev.informations(v)
-                    if info["irwx"] <= delta + tol_feas and info["ixw"] > best:
-                        best = info["ixw"]
-    return best
+                    net.append(swap @ base if w_is_qubit else base)
+    info = _Evaluator(ens, 2, 2).informations(np.stack(net))
+    feasible = info["ixw"][info["irwx"] <= delta + tol_feas]
+    return max(best, float(feasible.max())) if feasible.size else best

@@ -202,7 +202,8 @@ def _renormalize(mat: np.ndarray) -> np.ndarray:
 
 def reduced_density_from_mat(mat: np.ndarray, dims: Sequence[int],
                              keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a square matrix over the factors not in `keep`."""
+    """Partial trace of a square matrix, or of each matrix of a stack
+    (..., d, d), over the factors not in `keep`."""
     n = len(dims)
     keep = sorted(keep)
     letters = string.ascii_letters
@@ -214,10 +215,11 @@ def reduced_density_from_mat(mat: np.ndarray, dims: Sequence[int],
         if i not in keep:
             col[i] = row[i]
     out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    expr = "".join(row) + "".join(col) + "->" + out
-    resh = mat.reshape(tuple(dims) * 2)
+    expr = "..." + "".join(row) + "".join(col) + "->..." + out
+    stack = mat.shape[:-2]
+    resh = mat.reshape(stack + tuple(dims) * 2)
     d_keep = int(np.prod([dims[i] for i in keep], dtype=np.int64)) if keep else 1
-    return np.einsum(expr, resh).reshape(d_keep, d_keep)
+    return np.einsum(expr, resh).reshape(stack + (d_keep, d_keep))
 
 
 def reduced_density_from_vec(vec: np.ndarray, dims: Sequence[int],
@@ -323,6 +325,29 @@ def entropy_from_eigvals(vals: np.ndarray, tol_psd: float = TOL_PSD) -> float:
 
 def entropy_of_mat(mat: np.ndarray) -> float:
     return entropy_from_eigvals(np.linalg.eigvalsh(mat))
+
+
+def entropy_of_stack(mats: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
+    """Entropies (bits) of a stack (..., n, n) of Hermitian matrices from one
+    `eigvalsh` call; each equals `entropy_of_mat` of its matrix bit for bit."""
+    vals = np.linalg.eigvalsh(mats)
+    n = vals.shape[-1]
+    rows = vals.reshape(-1, n)
+    lo = rows.min(axis=-1)
+    below = lo < -tol_psd * max(n, 1)
+    if below.any():
+        raise ValueError(f"eigenvalue {lo[below][0]} below PSD tolerance")
+    rows = np.clip(rows, 0.0, None)
+    # eigvalsh sorts ascending, so a row's k positive eigenvalues are its last
+    # k; summing exactly those, rows grouped by k, keeps the summation order
+    # of entropy_from_eigvals
+    k = np.count_nonzero(rows > 0.0, axis=-1)
+    out = np.zeros(len(rows))
+    for kk in set(k[k > 0].tolist()):
+        sel = k == kk
+        nz = rows[sel, n - kk:]
+        out[sel] = -(nz * np.log2(nz)).sum(axis=-1)
+    return (np.maximum(out, 0.0) + 0.0).reshape(vals.shape[:-1])  # kill negative zero
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqrate import idelta, source
+from cqrate import idelta, qcore, source
 from cqrate.idelta import OptimizerOptions
 
 I_XB_B = 0.3112781244591328  # I(X:B) of SRC-B
@@ -84,14 +84,35 @@ def test_optimize_deterministic(src_b):
     assert np.array_equal(r1.param.mat, r2.param.mat)
 
 
-def test_optimize_threaded_matches_serial(src_b):
-    serial = OptimizerOptions(seed=3, restarts=4, iters_per_stage=15, threads=1)
-    threaded = OptimizerOptions(seed=3, restarts=4, iters_per_stage=15, threads=3)
-    r1 = idelta.optimize_idelta(src_b, 0.05, serial)
-    r2 = idelta.optimize_idelta(src_b, 0.05, threaded)
-    assert r1.value == r2.value
-    assert r1.candidates == r2.candidates
-    assert np.array_equal(r1.param.mat, r2.param.mat)
+def test_lockstep_restarts_are_independent(src_b, src_c):
+    opts = OptimizerOptions(seed=3, restarts=4, iters_per_stage=15)
+    for src, (c, w), extra in ((src_b, (2, 2), None), (src_c, (2, 2), None),
+                               (src_b, (2, 2), lambda info: info["icw"] <= info["icx"])):
+        ev = idelta._Evaluator(idelta._Ensemble.from_source(src), c, w,
+                               want_c=extra is not None)
+        seeds = np.random.SeedSequence(7).spawn(4)
+        v0 = np.stack([qcore.random_isometry(c * w, src.dim_b, np.random.default_rng(s))
+                       for s in seeds])
+        stacked = idelta._climb(ev, v0, 0.05, opts,
+                                [np.random.default_rng(s) for s in seeds], extra)
+        assert any(out is not None for out in stacked)
+        for i, seed in enumerate(seeds):
+            alone = idelta._climb(ev, v0[i:i + 1], 0.05, opts,
+                                  [np.random.default_rng(seed)], extra)[0]
+            if alone is None:
+                assert stacked[i] is None
+                continue
+            assert alone[:2] == stacked[i][:2]
+            assert alone[2].tobytes() == stacked[i][2].tobytes()
+
+
+def test_fewer_restarts_give_the_first_restarts_results(src_b):
+    for c, w in idelta._dims_menu(src_b.dim_b):
+        few, many = (idelta.optimize_idelta(
+            src_b, 1.0, OptimizerOptions(seed=3, restarts=n, iters_per_stage=15,
+                                          c_dim=c, w_dim=w)) for n in (3, 6))
+        assert few.candidates
+        assert few.candidates == many.candidates[:len(few.candidates)]
 
 
 def test_data_processing_ceiling(src_a, src_b, light_opts):

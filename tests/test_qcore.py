@@ -177,6 +177,52 @@ def test_entropy_unitary_invariance():
         assert abs(s1 - s2) < 1e-10
 
 
+def _random_stack(rng, count, dim, rank):
+    g = rng.standard_normal((count, dim, rank)) + 1j * rng.standard_normal((count, dim, rank))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def test_entropy_of_stack_matches_entropy_of_mat_bitwise():
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3, 4, 8, 9, 16):
+        # rank-deficient stacks have zero or slightly negative eigenvalues first
+        stacks = [_random_stack(rng, 20, dim, rank) for rank in sorted({1, (dim + 1) // 2, dim})]
+        exact = np.zeros((3, dim, dim), dtype=complex)  # exact zeros in the spectrum
+        exact[0, 0, 0] = 1.0
+        exact[1] = np.eye(dim) / dim
+        exact[2, :, :] = 1.0 / dim
+        mixed_ranks = np.concatenate(stacks + [exact])
+        for mats in stacks + [exact, mixed_ranks]:
+            got = qcore.entropy_of_stack(mats)
+            want = np.array([qcore.entropy_of_mat(m) for m in mats])
+            assert got.tobytes() == want.tobytes()
+        got = qcore.entropy_of_stack(mixed_ranks[:12].reshape(3, 4, dim, dim))
+        assert got.shape == (3, 4)
+        assert got.reshape(-1).tobytes() == np.array(
+            [qcore.entropy_of_mat(m) for m in mixed_ranks[:12]]).tobytes()
+
+
+def test_entropy_of_stack_psd_tolerance():
+    ok = np.diag([1.0 + 1e-12, -1e-12])  # within TOL_PSD * n
+    bad = np.diag([1.0 + 1e-6, -1e-6])
+    assert qcore.entropy_of_stack(ok[np.newaxis])[0] == qcore.entropy_of_mat(ok)
+    with pytest.raises(ValueError) as single:
+        qcore.entropy_of_mat(bad)
+    with pytest.raises(ValueError) as stacked:
+        qcore.entropy_of_stack(np.stack([ok, bad, ok]))
+    assert str(stacked.value) == str(single.value)
+
+
+def test_partial_trace_of_stack_matches_each_matrix():
+    rng = np.random.default_rng(12)
+    mats = _random_stack(rng, 5, 8, 8)
+    for keep in ([0], [1, 2], [0, 2], []):
+        got = qcore.reduced_density_from_mat(mats, (2, 2, 2), keep)
+        want = np.stack([qcore.reduced_density_from_mat(m, (2, 2, 2), keep) for m in mats])
+        assert got.tobytes() == want.tobytes()
+
+
 def test_uhlmann_identity_case():
     rng = np.random.default_rng(13)
     rho = dm(qcore.random_density(2, rng), [("A", 2)])

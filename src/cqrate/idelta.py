@@ -335,11 +335,12 @@ def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
             for i in range(n):
                 improved = False
                 for j in range(3 * i, 3 * i + 3):
-                    cf = penalty(cinfo[j], mu)
-                    if feasible(cinfo[j]) and (best[i] is None or cinfo[j]["ixw"] > best[i][0]):
-                        best[i] = (cinfo[j]["ixw"], cinfo[j]["irwx"], cands[j].copy())
+                    ci = cinfo[j]
+                    cf = penalty(ci, mu)
+                    if feasible(ci) and (best[i] is None or ci["ixw"] > best[i][0]):
+                        best[i] = (ci["ixw"], ci["irwx"], cands[j].copy())
                     if cf > f[i] + 1e-12:
-                        v[i], info[i], f[i] = cands[j], cinfo[j], cf
+                        v[i], info[i], f[i] = cands[j], ci, cf
                         improved = True
                         break
                 step[i] = min(step[i] * 1.3, 1.0) if improved else max(step[i] * 0.6, 1e-4)

@@ -327,14 +327,14 @@ def entropy_of_mat(mat: np.ndarray) -> float:
     return entropy_from_eigvals(np.linalg.eigvalsh(mat))
 
 
-def entropy_of_stack(mats: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
+def entropy_of_stack(mats: np.ndarray) -> np.ndarray:
     """Entropies (bits) of a stack (..., n, n) of Hermitian matrices from one
     `eigvalsh` call; each equals `entropy_of_mat` of its matrix bit for bit."""
     vals = np.linalg.eigvalsh(mats)
     n = vals.shape[-1]
     rows = vals.reshape(-1, n)
     lo = rows.min(axis=-1)
-    below = lo < -tol_psd * max(n, 1)
+    below = lo < -TOL_PSD * max(n, 1)
     if below.any():
         raise ValueError(f"eigenvalue {lo[below][0]} below PSD tolerance")
     rows = np.clip(rows, 0.0, None)

@@ -86,12 +86,14 @@ def test_optimize_deterministic(src_b):
 
 def test_lockstep_restarts_are_independent(src_b, src_c):
     opts = OptimizerOptions(seed=3, restarts=4, iters_per_stage=15)
-    for src, (c, w), extra in ((src_b, (2, 2), None), (src_c, (2, 2), None),
-                               (src_b, (2, 2), lambda info: info["icw"] <= info["icx"])):
-        ev = idelta._Evaluator(idelta._Ensemble.from_source(src), c, w,
-                               want_c=extra is not None)
+    pure_b, pure_c = idelta._Ensemble.from_source(src_b), idelta._Ensemble.from_source(src_c)
+    mixed = idelta._Ensemble.conditioned(src_b, np.array([[0.7, 0.2], [0.3, 0.8]]))
+    for ens, extra in ((pure_b, None), (pure_c, None), (mixed, None),
+                       (pure_b, lambda info: info["icw"] <= info["icx"])):
+        c = w = 2
+        ev = idelta._Evaluator(ens, c, w, want_c=extra is not None)
         seeds = np.random.SeedSequence(7).spawn(4)
-        v0 = np.stack([qcore.random_isometry(c * w, src.dim_b, np.random.default_rng(s))
+        v0 = np.stack([qcore.random_isometry(c * w, ens.dim_b, np.random.default_rng(s))
                        for s in seeds])
         stacked = idelta._climb(ev, v0, 0.05, opts,
                                 [np.random.default_rng(s) for s in seeds], extra)

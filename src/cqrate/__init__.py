@@ -44,7 +44,7 @@ from .qcore import (  # noqa: F401
     uhlmann_isometry,
     von_neumann_entropy,
 )
-from .reference import reference_source, source_a, source_b, source_c  # noqa: F401
+from .reference import source_a, source_b, source_c  # noqa: F401
 from .region import (  # noqa: F401
     HalfPlane,
     RatePoint,

@@ -21,7 +21,7 @@ import numpy as np
 from . import qcore
 from .errors import DimensionCapError, SpecError
 from .qcore import DimsSpec, Isometry, LabeledVector
-from .source import CqSource, cq_state_xb
+from .source import CqSource, _parse_complex_matrix, cq_state_xb, sequence_index, sequence_state
 
 XI_AMPLITUDE_CAP = 2 ** 16
 MAX_BLOCK_LENGTH = 2
@@ -145,18 +145,6 @@ def _check_cap(src: CqSource, n: int, wx: int, l: int, wb: int, wd: int):
 # exact evaluation
 # ---------------------------------------------------------------------------
 
-def _psi_xn(src: CqSource, xs: tuple[int, ...]) -> np.ndarray:
-    """|psi_{x^n}> with legs grouped as (B^n, R^n)."""
-    db, dr = src.dim_b, src.dim_r
-    vec = np.ones(1, dtype=complex)
-    for x in xs:
-        vec = np.kron(vec, src.states[x].vec)
-    n = len(xs)
-    t = vec.reshape([db, dr] * n)
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return t.transpose(perm).reshape(-1)
-
-
 def _max_entangled(k: int) -> np.ndarray:
     phi = np.zeros(k * k, dtype=complex)
     for i in range(k):
@@ -182,13 +170,10 @@ def coded_outputs(src: CqSource, code: BlockCode):
     phi_k = _max_entangled(code.k)
     for xs in itertools.product(range(src.alphabet_size), repeat=n):
         p = float(np.prod([src.probs[x] for x in xs]))
-        xi = 0
-        for x in xs:
-            xi = xi * src.alphabet_size + x
         ket_x = np.zeros(nxn, dtype=complex)
-        ket_x[xi] = 1.0
+        ket_x[sequence_index(xs, src.alphabet_size)] = 1.0
         lv = LabeledVector(ket_x, [("Xn", nxn)])
-        lv = lv.tensor(LabeledVector(_psi_xn(src, xs), [("Bn", dbn), ("Rn", drn)]))
+        lv = lv.tensor(LabeledVector(sequence_state(src, xs), [("Bn", dbn), ("Rn", drn)]))
         lv = lv.tensor(LabeledVector(phi_k, [("B0", code.k), ("D0", code.k)]))
         lv = lv.apply_isometry(code.u_x.mat, ["Xn"],
                                [("CX", code.u_x.out_dims.dims[0]), ("WX", wx)])
@@ -213,13 +198,11 @@ def average_fidelity(src: CqSource, code: BlockCode) -> FidelityReport:
     for xs, p, lv in coded_outputs(src, code):
         rho = lv.reduced(["Xhat", "Bhat", "D0p", "B0p", "Rn"])
         # kept registers in lv order: Xhat, Bhat, D0p, B0p, Rn
-        xi = 0
-        for x in xs:
-            xi = xi * src.alphabet_size + x
         ket_x = np.zeros(nxn, dtype=complex)
-        ket_x[xi] = 1.0
+        ket_x[sequence_index(xs, src.alphabet_size)] = 1.0
         target = LabeledVector(ket_x, [("Xhat", nxn)])
-        target = target.tensor(LabeledVector(_psi_xn(src, xs), [("Bhat", dbn), ("Rn", drn)]))
+        target = target.tensor(LabeledVector(sequence_state(src, xs),
+                                             [("Bhat", dbn), ("Rn", drn)]))
         target = target.tensor(LabeledVector(phi_l, [("B0p", code.l), ("D0p", code.l)]))
         t = target.reorder(["Xhat", "Bhat", "D0p", "B0p", "Rn"]).vec
         f2 = float(np.real(np.vdot(t, rho @ t)))
@@ -231,10 +214,6 @@ def average_fidelity(src: CqSource, code: BlockCode) -> FidelityReport:
         avg += p * f
     avg = min(avg, 1.0)
     return FidelityReport(avg, tuple(rows), 1.0 - avg)
-
-
-def binary_entropy_clamped(x: float) -> float:
-    return qcore.binary_entropy(min(max(x, 0.0), 1.0))
 
 
 def delta_n_eps(n: int, eps: float, dim_x: int, dim_b: int) -> float:
@@ -252,7 +231,7 @@ def delta_n_eps(n: int, eps: float, dim_x: int, dim_b: int) -> float:
         warnings.warn(f"epsilon {eps} outside [0, 1/6]: binary entropy argument clamped",
                       RuntimeWarning, stacklevel=2)
     return float(4.0 * root * np.log2(dim_x * dim_b)
-                 + (2.0 / n) * binary_entropy_clamped(root))
+                 + (2.0 / n) * qcore.binary_entropy(min(max(root, 0.0), 1.0)))
 
 
 def decoupling_cmi(src: CqSource, code: BlockCode) -> DecouplingReport:
@@ -279,16 +258,6 @@ def decoupling_cmi(src: CqSource, code: BlockCode) -> DecouplingReport:
 # code-spec documents
 # ---------------------------------------------------------------------------
 
-def _parse_matrix(rows) -> np.ndarray:
-    def scalar(v):
-        if isinstance(v, (int, float, complex)):
-            return complex(v)
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(float(v[0]), float(v[1]))
-        raise SpecError(f"cannot parse complex entry {v!r}")
-    return np.array([[scalar(v) for v in row] for row in rows], dtype=complex)
-
-
 def load_code(doc: dict, src: CqSource) -> BlockCode:
     """Build a code from a spec document.
 
@@ -300,10 +269,11 @@ def load_code(doc: dict, src: CqSource) -> BlockCode:
     """
     if not isinstance(doc, dict):
         raise SpecError("code spec must be a mapping")
-    try:
-        n = int(doc.get("n", 1))
-    except (TypeError, ValueError):
-        raise SpecError("block length n must be an integer") from None
+    n = _int_field(doc.get("n", 1), "n")
+    if n < 1:
+        raise SpecError(f"block length n must be >= 1, got {n}")
+    # the smallest code of length n must fit, checked before any |X|^n
+    _check_cap(src, n, wx=1, l=1, wb=1, wd=1)
     if "builder" in doc:
         name = doc["builder"]
         if name == "identity":
@@ -311,18 +281,18 @@ def load_code(doc: dict, src: CqSource) -> BlockCode:
         if name == "truncation":
             if "rank" not in doc:
                 raise SpecError("truncation builder needs field rank")
-            return truncation_code(src, n, int(doc["rank"]))
+            return truncation_code(src, n, _int_field(doc["rank"], "rank"))
         raise SpecError(f"unknown code builder {name!r}")
-    k = int(doc.get("K", 1))
-    l = int(doc.get("L", 1))
+    k = _int_field(doc.get("K", 1), "K")
+    l = _int_field(doc.get("L", 1), "L")
     mode = str(doc.get("mode", "unassisted"))
     nxn, dbn = src.alphabet_size ** n, src.dim_b ** n
     try:
-        ux_m = _parse_matrix(doc["U_X"]["matrix"])
+        ux_m = _parse_complex_matrix(doc["U_X"]["matrix"])
         ux_d = doc["U_X"]["dims"]
-        ub_m = _parse_matrix(doc["U_B"]["matrix"])
+        ub_m = _parse_complex_matrix(doc["U_B"]["matrix"])
         ub_d = doc["U_B"]["dims"]
-        v_m = _parse_matrix(doc["V"]["matrix"])
+        v_m = _parse_complex_matrix(doc["V"]["matrix"])
         v_d = doc["V"]["dims"]
         u_x = _iso(ux_m, [("Xn", nxn)], [("CX", int(ux_d["C_X"])), ("WX", int(ux_d["W_X"]))])
         u_b = _iso(ub_m, [("Bn", dbn), ("B0", k)],
@@ -331,6 +301,15 @@ def load_code(doc: dict, src: CqSource) -> BlockCode:
                  [("Xhat", nxn), ("Bhat", dbn), ("D0p", l), ("WD", int(v_d["W_D"]))])
     except KeyError as exc:
         raise SpecError(f"code spec missing field {exc.args[0]!r}") from None
+    except (TypeError, OverflowError) as exc:
+        raise SpecError(f"malformed code spec: {exc}") from exc
     except ValueError as exc:
         raise SpecError(f"invalid code matrices: {exc}") from exc
     return BlockCode(n, u_x, u_b, v, k, l, mode)
+
+
+def _int_field(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(f"code spec field {name} must be an integer, got {value!r}") from None

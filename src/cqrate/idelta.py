@@ -166,31 +166,16 @@ class _Evaluator:
                 if self.want_c:
                     rho_cw.append(qcore.reduced_density_from_mat(rho_out, dims, [0, 1]))
 
-        def average(blocks: list[np.ndarray]) -> np.ndarray:
-            avg = np.zeros(blocks[0].shape, dtype=complex)
-            for p, blk in zip(ens.probs, blocks):
-                avg += p * blk
-            return avg
-
-        def holevo(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-            """S(sum_x p rho_x) - sum_x p S(rho_x), floored at 0, and the
-            entropies S(rho_x) followed by S(sum_x p rho_x)."""
-            s = qcore.entropy_of_stack(np.stack(blocks + [average(blocks)]))
-            hol = 0.0
-            for p, s_x in zip(ens.probs, s):
-                hol += p * s_x
-            return np.maximum(s[-1] - hol, 0.0), s
-
         out = {}
-        out["ixw"], s_w = holevo(rho_w)
+        out["ixw"], s_w = qcore.holevo_of_stack(ens.probs, rho_w)
         s_wr = qcore.entropy_of_stack(np.stack(rho_wr))
         irwx = 0.0
         for p, s_w_x, s_r_x, s_wr_x in zip(ens.probs, s_w, ens.s_r, s_wr):
             irwx += p * np.maximum(s_w_x + s_r_x - s_wr_x, 0.0)
         out["irwx"] = irwx
         if self.want_c:
-            out["icx"], s_c = holevo(rho_c)
-            s_cw = qcore.entropy_of_stack(average(rho_cw))
+            out["icx"], s_c = qcore.holevo_of_stack(ens.probs, rho_c)
+            s_cw = qcore.entropy_of_stack(qcore.weighted_average(ens.probs, rho_cw))
             out["icw"] = np.maximum(s_c[-1] + s_w[-1] - s_cw, 0.0)
         return out
 
@@ -205,13 +190,12 @@ def apply_channel(src: CqSource, param: ChannelParam) -> tuple[DensityOperator, 
                          f"!= source |B| = {src.dim_b}")
     nx, c, w, r = src.alphabet_size, param.c_dim, param.w_dim, src.dim_r
     v = param.mat
-    mat = np.zeros((nx * w * r, nx * w * r), dtype=complex)
+    blocks = []
     for x in range(nx):
         o = (v @ src.state_matrix(x)).reshape(c, w, r)
-        blk = np.einsum("cwr,cvs->wrvs", o, o.conj()).reshape(w * r, w * r)
-        s = x * w * r
-        mat[s:s + w * r, s:s + w * r] = src.probs[x] * blk
-    sigma = DensityOperator(mat, DimsSpec([("X", nx), ("W", w), ("R", r)]))
+        blocks.append(np.einsum("cwr,cvs->wrvs", o, o.conj()).reshape(w * r, w * r))
+    sigma = DensityOperator(qcore.block_diagonal(src.probs, blocks),
+                            DimsSpec([("X", nx), ("W", w), ("R", r)]))
     ev = _Evaluator(_Ensemble.from_source(src), c, w)
     info = ev.informations(v[np.newaxis])
     return sigma, float(info["ixw"][0]), float(info["irwx"][0])

@@ -181,6 +181,8 @@ class Isometry:
         if mat.shape != (out_dims.total_dim, in_dims.total_dim):
             raise ValueError(
                 f"isometry shape {mat.shape} != ({out_dims.total_dim}, {in_dims.total_dim})")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("non-finite entries in isometry")
         if out_dims.total_dim < in_dims.total_dim:
             raise ValueError("isometry codomain smaller than domain")
         gram = mat.conj().T @ mat
@@ -222,6 +224,15 @@ def reduced_density_from_mat(mat: np.ndarray, dims: Sequence[int],
     return np.einsum(expr, resh).reshape(stack + (d_keep, d_keep))
 
 
+def block_diagonal(probs: Sequence[float], blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Matrix of the cq operator sum_x p(x) |x><x| ⊗ blocks[x]."""
+    d = blocks[0].shape[0]
+    mat = np.zeros((len(blocks) * d, len(blocks) * d), dtype=complex)
+    for x, (p, blk) in enumerate(zip(probs, blocks)):
+        mat[x * d:(x + 1) * d, x * d:(x + 1) * d] = p * blk
+    return mat
+
+
 def reduced_density_from_vec(vec: np.ndarray, dims: Sequence[int],
                              keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix of a pure state vector, tracing the rest."""
@@ -237,27 +248,6 @@ def reduced_density_from_vec(vec: np.ndarray, dims: Sequence[int],
     t = vec.reshape(tuple(dims))
     d_keep = int(np.prod([dims[i] for i in keep], dtype=np.int64)) if keep else 1
     return np.einsum(expr, t, t.conj()).reshape(d_keep, d_keep)
-
-
-def apply_to_factors(vec: np.ndarray, dims: Sequence[int], mat: np.ndarray,
-                     acting: Sequence[int], out_dims: Sequence[int]) -> tuple[np.ndarray, list[int]]:
-    """Apply `mat` to the tensor factors `acting` of a state vector.
-
-    Returns the new vector together with its factor dimensions; the acted
-    factors are replaced in place of the first acted position by the factors
-    of `out_dims`, remaining factors keep their original order.
-    """
-    dims = list(dims)
-    n = len(dims)
-    acting = list(acting)
-    rest = [i for i in range(n) if i not in acting]
-    perm = acting + rest
-    t = vec.reshape(dims).transpose(perm)
-    d_act = int(np.prod([dims[i] for i in acting], dtype=np.int64))
-    d_rest = int(np.prod([dims[i] for i in rest], dtype=np.int64)) if rest else 1
-    y = mat @ t.reshape(d_act, d_rest)
-    new_dims = list(out_dims) + [dims[i] for i in rest]
-    return y.reshape(-1), new_dims
 
 
 class LabeledVector:
@@ -286,12 +276,17 @@ class LabeledVector:
 
     def apply_isometry(self, mat: np.ndarray, in_labels: Sequence[str],
                        out_pairs: Sequence[tuple[str, int]]) -> "LabeledVector":
-        """Consume registers `in_labels`, producing registers `out_pairs`."""
+        """Consume registers `in_labels`, producing registers `out_pairs`.
+
+        The produced registers come first, the remaining registers follow in
+        their original order."""
         acting = self._positions(in_labels)
-        out_dims = [d for _, d in out_pairs]
-        vec, _ = apply_to_factors(self.vec, [d for _, d in self.dims], mat, acting, out_dims)
-        rest = [self.dims[i] for i in range(len(self.dims)) if i not in acting]
-        return LabeledVector(vec, list(out_pairs) + rest)
+        rest = [i for i in range(len(self.dims)) if i not in acting]
+        dims = [d for _, d in self.dims]
+        t = self.vec.reshape(dims).transpose(acting + rest)
+        d_act = int(np.prod([dims[i] for i in acting], dtype=np.int64))
+        y = mat @ t.reshape(d_act, -1)
+        return LabeledVector(y.reshape(-1), list(out_pairs) + [self.dims[i] for i in rest])
 
     def tensor(self, other: "LabeledVector") -> "LabeledVector":
         return LabeledVector(np.kron(self.vec, other.vec), self.dims + other.dims)
@@ -348,6 +343,26 @@ def entropy_of_stack(mats: np.ndarray) -> np.ndarray:
         nz = rows[sel, n - kk:]
         out[sel] = -(nz * np.log2(nz)).sum(axis=-1)
     return (np.maximum(out, 0.0) + 0.0).reshape(vals.shape[:-1])  # kill negative zero
+
+
+def weighted_average(probs: Sequence[float], mats: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_x p(x) mats[x], accumulated in the order of x."""
+    avg = np.zeros(mats[0].shape, dtype=complex)
+    for p, m in zip(probs, mats):
+        avg += p * m
+    return avg
+
+
+def holevo_of_stack(probs: Sequence[float],
+                    blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Holevo quantity S(sum_x p rho_x) - sum_x p S(rho_x), floored at 0, of
+    blocks rho_x that are matrices or equally shaped stacks (..., d, d); also
+    returns the entropies S(rho_x) followed by S(sum_x p rho_x)."""
+    s = entropy_of_stack(np.stack(list(blocks) + [weighted_average(probs, blocks)]))
+    hol = 0.0
+    for p, s_x in zip(probs, s):
+        hol += p * s_x
+    return np.maximum(s[-1] - hol, 0.0), s
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -599,12 +614,6 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_isometry(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.ndarray:

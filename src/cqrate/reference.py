@@ -31,13 +31,3 @@ def source_c() -> CqSource:
         vecs.append(amp.reshape(-1))  # B = (B', B'') grouped, then R
     return make_source([0.5, 0.5], vecs, dim_b=4, dim_r=2, name="SRC-C")
 
-
-_BUILDERS = {"SRC-A": source_a, "SRC-B": source_b, "SRC-C": source_c}
-
-
-def reference_source(name: str) -> CqSource:
-    try:
-        return _BUILDERS[name.upper()]()
-    except KeyError:
-        raise KeyError(f"unknown reference source {name!r}; "
-                       f"choose from {sorted(_BUILDERS)}") from None

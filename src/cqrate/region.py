@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import idelta as idelta_mod
+from . import qcore
 from .idelta import IdeltaResult, OptimizerOptions, _Ensemble, _optimize_ensemble
-from .qcore import entropy_of_mat
 from .source import CqSource, EntropicProfile, entropic_profile
 
 VERTEX_TOL = 1e-9
@@ -199,11 +199,6 @@ def inner_bound_region(profile: EntropicProfile, i0: float) -> RateRegion2D:
 # Markov-chain interpolation between DW and QSR
 # ---------------------------------------------------------------------------
 
-def _holevo(probs: np.ndarray, rhos: list[np.ndarray]) -> float:
-    avg = sum(p * r for p, r in zip(probs, rhos))
-    return max(entropy_of_mat(avg) - sum(p * entropy_of_mat(r) for p, r in zip(probs, rhos)), 0.0)
-
-
 def markov_interpolation(src: CqSource, y_dim: int,
                          opts: OptimizerOptions = OptimizerOptions(),
                          n_random_maps: int = 4) -> list[RatePoint]:
@@ -239,12 +234,9 @@ def markov_interpolation(src: CqSource, y_dim: int,
     points: list[RatePoint] = []
     for cond in maps:
         ens = _Ensemble.conditioned(src, cond)
-        rhos_b = []
-        d = src.dim_b
-        for rho in ens.mixed_rhos:
-            rhos_b.append(rho.reshape(d, src.dim_r, d, src.dim_r)
-                          .trace(axis1=1, axis2=3))
-        iyb = _holevo(ens.probs, rhos_b)
+        rhos_b = [qcore.reduced_density_from_mat(rho, (src.dim_b, src.dim_r), [0])
+                  for rho in ens.mixed_rhos]
+        iyb = float(qcore.holevo_of_stack(ens.probs, rhos_b)[0])
         res = _optimize_ensemble(ens, 0.0, opts)
         iyw = res.value if res.converged else 0.0
         points.append(RatePoint(profile.s_x_given_b + iyb,

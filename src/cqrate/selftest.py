@@ -144,7 +144,7 @@ def suite_purify(seed: int, count: int = 1000) -> SuiteResult:
         if qcore.trace_distance(back, rho) > 1e-10:
             bad.append(f"instance {i}: purify round trip error")
             continue
-        u = qcore.random_unitary(d, rng)
+        u = qcore.random_isometry(d, d, rng)
         rot = DensityOperator(u @ m @ u.conj().T, rho.dims)
         if abs(qcore.von_neumann_entropy(rot) - qcore.von_neumann_entropy(rho)) > 1e-10:
             bad.append(f"instance {i}: entropy not unitarily invariant")

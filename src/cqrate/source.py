@@ -64,14 +64,6 @@ class CqSource:
         return m @ m.conj().T
 
 
-def _phase_fix_vec(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    nz = np.nonzero(np.abs(vec) > tol)[0]
-    if len(nz) == 0:
-        return vec
-    ph = vec[nz[0]] / abs(vec[nz[0]])
-    return vec * ph.conjugate()
-
-
 def make_source(probs, vectors, dim_b: int, dim_r: int, name: str = "") -> CqSource:
     """Build a CqSource from raw amplitude vectors on B⊗R (phase-fixed)."""
     states = []
@@ -82,7 +74,8 @@ def make_source(probs, vectors, dim_b: int, dim_r: int, name: str = "") -> CqSou
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > qcore.TOL_NORM:
             raise SpecError(f"state norm {nrm} != 1")
-        states.append(PureState(_phase_fix_vec(v), DimsSpec([("B", dim_b), ("R", dim_r)])))
+        v = qcore._phase_fix_columns(v[:, np.newaxis])[:, 0]
+        states.append(PureState(v, DimsSpec([("B", dim_b), ("R", dim_r)])))
     return CqSource(np.asarray(probs, dtype=float), tuple(states), name)
 
 
@@ -140,7 +133,7 @@ def load_source(doc: dict) -> CqSource:
             try:
                 db = int(entry["dims"]["B"])
                 dr = int(entry["dims"]["R"])
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SpecError("amplitude state needs dims {B, R}") from exc
             amp = _parse_complex_vector(entry["amplitudes"])
             if amp.shape[0] != db * dr:
@@ -151,7 +144,7 @@ def load_source(doc: dict) -> CqSource:
         elif "density" in entry:
             try:
                 db = int(entry["dim"])
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SpecError("density state needs field dim") from exc
             mat = _parse_complex_matrix(entry["density"])
             try:
@@ -192,25 +185,31 @@ def source_doc(src: CqSource) -> dict:
 # ensemble states
 # ---------------------------------------------------------------------------
 
-def cq_state(src: CqSource) -> DensityOperator:
-    """omega on X⊗B⊗R = sum_x p(x) |x><x| ⊗ |psi_x><psi_x|."""
-    nx, db, dr = src.alphabet_size, src.dim_b, src.dim_r
-    mat = np.zeros((nx * db * dr, nx * db * dr), dtype=complex)
-    for x in range(nx):
-        blk = np.outer(src.states[x].vec, src.states[x].vec.conj())
-        s = x * db * dr
-        mat[s:s + db * dr, s:s + db * dr] = src.probs[x] * blk
-    return DensityOperator(mat, DimsSpec([("X", nx), ("B", db), ("R", dr)]))
-
-
 def cq_state_xb(src: CqSource) -> DensityOperator:
     """omega on X⊗B (reference traced out)."""
-    nx, db = src.alphabet_size, src.dim_b
-    mat = np.zeros((nx * db, nx * db), dtype=complex)
-    for x in range(nx):
-        s = x * db
-        mat[s:s + db, s:s + db] = src.probs[x] * src.reduced_b(x)
-    return DensityOperator(mat, DimsSpec([("X", nx), ("B", db)]))
+    nx = src.alphabet_size
+    mat = qcore.block_diagonal(src.probs, [src.reduced_b(x) for x in range(nx)])
+    return DensityOperator(mat, DimsSpec([("X", nx), ("B", src.dim_b)]))
+
+
+def sequence_index(xs, nx: int) -> int:
+    """Index of the sequence x^n in the basis of X^n (x_1 most significant)."""
+    xi = 0
+    for x in xs:
+        xi = xi * nx + x
+    return xi
+
+
+def sequence_state(src: CqSource, xs) -> np.ndarray:
+    """|psi_{x^n}> = |psi_{x_1}> ⊗ ... ⊗ |psi_{x_n}> with its legs regrouped
+    from (B_1 R_1 B_2 R_2 ...) into (B^n, R^n)."""
+    vec = np.ones(1, dtype=complex)
+    for x in xs:
+        vec = np.kron(vec, src.states[x].vec)
+    n = len(xs)
+    t = vec.reshape([src.dim_b, src.dim_r] * n)
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return t.transpose(perm).reshape(-1)
 
 
 def extended_state(src: CqSource, n: int) -> DensityOperator:
@@ -231,16 +230,8 @@ def extended_state(src: CqSource, n: int) -> DensityOperator:
     dims = DimsSpec([("X", nxn), ("Xp", nxn), ("B", dbn), ("R", drn)])
     for xs in np.ndindex(*([nx] * n)):
         p = float(np.prod([src.probs[x] for x in xs]))
-        vec = np.ones(1, dtype=complex)
-        for x in xs:
-            vec = np.kron(vec, src.states[x].vec)
-        # regroup legs (B1 R1 B2 R2 ...) into (B1 B2 ... R1 R2 ...)
-        t = vec.reshape([db, dr] * n)
-        perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        bvec = t.transpose(perm).reshape(-1)
-        xi = 0
-        for x in xs:
-            xi = xi * nx + x
+        bvec = sequence_state(src, xs)
+        xi = sequence_index(xs, nx)
         idx = (xi * nxn + xi) * dbn * drn
         blk = p * np.outer(bvec, bvec.conj())
         mat[idx:idx + dbn * drn, idx:idx + dbn * drn] += blk

@@ -1,13 +1,30 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cqrate import source
+from cqrate import cli, source
 from cqrate.reference import source_a, source_b
 
 H14 = 0.8112781244591328
+SRC_B_SPEC = str(Path(__file__).resolve().parent.parent / "specs" / "src_b.json")
+# the identity code on specs/src_b.json at n = 1, written out as matrices
+EXPLICIT_IDENTITY = {
+    "n": 1, "K": 1, "L": 1, "mode": "unassisted",
+    "U_X": {"matrix": np.eye(2).tolist(), "dims": {"C_X": 2, "W_X": 1}},
+    "U_B": {"matrix": np.eye(2).tolist(), "dims": {"C_B": 2, "W_B": 1}},
+    "V": {"matrix": np.eye(4).tolist(), "dims": {"W_D": 1}},
+}
+TRUNCATION = {"builder": "truncation", "n": 1, "rank": 1}
 
 
 def run_cli(*args):
@@ -166,3 +183,82 @@ def test_out_file_matches_stdout(spec_paths, tmp_path):
     target = tmp_path / "doc.json"
     out = run_cli("analyze", "--source", spec_paths["a"], "--out", str(target))
     assert target.read_text() == out.stdout
+
+
+def _with(doc: dict, path: tuple[str, ...], value) -> dict:
+    doc = copy.deepcopy(doc)
+    *outer, key = path
+    target = doc
+    for k in outer:
+        target = target[k]
+    target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _with(EXPLICIT_IDENTITY, ("U_X", "matrix"), 5),
+    _with(TRUNCATION, ("rank",), [1]),
+    _with(EXPLICIT_IDENTITY, ("K",), [1]),
+    _with(EXPLICIT_IDENTITY, ("U_X", "dims"), 3),
+    {"builder": "identity", "n": -1},
+    _with(TRUNCATION, ("n",), 0),
+], ids=["matrix-int", "rank-list", "K-list", "dims-int", "n-negative", "truncation-n0"])
+def test_verify_code_malformed_spec_exit_2(doc, tmp_path):
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(doc))
+    out = run_cli("verify-code", "--source", SRC_B_SPEC, "--code", str(code))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+
+
+@pytest.mark.filterwarnings("ignore:epsilon .* outside:RuntimeWarning")
+@pytest.mark.parametrize("doc", [EXPLICIT_IDENTITY, TRUNCATION], ids=["explicit", "truncation"])
+def test_fuzz_base_code_specs_are_valid(doc, tmp_path):
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(doc))
+    assert cli.main(["verify-code", "--source", SRC_B_SPEC, "--code", str(code)]) == 0
+
+
+
+def _non_finite_identity(pos_value) -> list:
+    m = np.eye(2).tolist()
+    m[pos_value[0] // 2][pos_value[0] % 2] = pos_value[1]
+    return m
+
+
+# values that are not a valid replacement for any code-spec field: n = 3 or
+# more is over the block-length cap, everything else is malformed
+JUNK = st.one_of(
+    st.tuples(st.integers(0, 3), st.sampled_from([math.nan, math.inf, -math.inf]))
+    .map(_non_finite_identity),
+    st.none(),
+    st.text(max_size=4),
+    st.integers(max_value=0),
+    st.integers(min_value=3, max_value=2 ** 80),
+    st.floats(max_value=0.99, allow_nan=False),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.one_of(st.none(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.none(), st.text(max_size=2)),
+                    max_size=2),
+)
+FIELDS = [(EXPLICIT_IDENTITY, (reg, part)) for reg in ("U_X", "U_B", "V")
+          for part in ("matrix", "dims")]
+FIELDS += [(EXPLICIT_IDENTITY, (key,)) for key in ("n", "K", "L")]
+FIELDS += [(TRUNCATION, (key,)) for key in ("n", "rank", "builder")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_code_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "code.json"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field=st.sampled_from(FIELDS), junk=JUNK)
+def test_verify_code_junk_field_exits_2_or_3(fuzz_code_path, field, junk):
+    base, path = field
+    fuzz_code_path.write_text(json.dumps(_with(base, path, junk)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["verify-code", "--source", SRC_B_SPEC, "--code", str(fuzz_code_path)])
+    assert rc in (2, 3), err.getvalue()
+    assert err.getvalue().startswith("error:")

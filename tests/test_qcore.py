@@ -171,7 +171,7 @@ def test_entropy_unitary_invariance():
     rng = np.random.default_rng(9)
     for _ in range(50):
         m = qcore.random_density(4, rng)
-        u = qcore.random_unitary(4, rng)
+        u = qcore.random_isometry(4, 4, rng)
         s1 = qcore.entropy_of_mat(m)
         s2 = qcore.entropy_of_mat(u @ m @ u.conj().T)
         assert abs(s1 - s2) < 1e-10
@@ -238,7 +238,7 @@ def test_uhlmann_same_marginal():
     rho = dm(qcore.random_density(2, rng), [("A", 2)])
     p1 = qcore.purify(rho, ref_label="B")
     # a second purification: rotate the reference
-    u = qcore.random_unitary(2, rng)
+    u = qcore.random_isometry(2, 2, rng)
     p2 = PureState((np.kron(np.eye(2), u) @ p1.vec), DimsSpec([("A", 2), ("C", 2)]))
     _, ach = qcore.uhlmann_isometry(p1, p2, ["A"])
     assert ach == pytest.approx(1.0, abs=1e-9)

@@ -219,7 +219,6 @@ def test_fuzz_base_code_specs_are_valid(doc, tmp_path):
     assert cli.main(["verify-code", "--source", SRC_B_SPEC, "--code", str(code)]) == 0
 
 
-
 def _non_finite_identity(pos_value) -> list:
     m = np.eye(2).tolist()
     m[pos_value[0] // 2][pos_value[0] % 2] = pos_value[1]
@@ -232,7 +231,7 @@ JUNK = st.one_of(
     st.tuples(st.integers(0, 3), st.sampled_from([math.nan, math.inf, -math.inf]))
     .map(_non_finite_identity),
     st.none(),
-    st.text(max_size=4),
+    st.text(alphabet="aZ _-.", max_size=4),
     st.integers(max_value=0),
     st.integers(min_value=3, max_value=2 ** 80),
     st.floats(max_value=0.99, allow_nan=False),

@@ -270,6 +270,12 @@ def _dims_menu(dim_b: int) -> list[tuple[int, int]]:
     return menu
 
 
+def _feasible(info, delta: float, opts: OptimizerOptions, extra_feas) -> bool:
+    if info["irwx"] > delta + opts.tol_feas:
+        return False
+    return extra_feas(info) if extra_feas is not None else True
+
+
 def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
            rngs: list[np.random.Generator],
            extra_feas=None) -> list[tuple[float, float, np.ndarray] | None]:
@@ -285,9 +291,7 @@ def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
     result does not depend on the other restarts in the stack."""
 
     def feasible(info) -> bool:
-        if info["irwx"] > delta + opts.tol_feas:
-            return False
-        return extra_feas(info) if extra_feas is not None else True
+        return _feasible(info, delta, opts, extra_feas)
 
     def penalty(info, mu: float) -> float:
         pen = mu * max(info["irwx"] - delta, 0.0) ** 2
@@ -349,16 +353,26 @@ def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
             raise ValueError(
                 f"no isometry B -> C⊗W with |C||W| = {c_dim * w_dim} < |B| = {dim_b}")
 
-    results = []  # (menu index, restart index, c, w, climb outcome)
+    results = []  # (menu index, restart index, c, w, outcome)
     for mi, (c_dim, w_dim) in enumerate(menu):
         starts = _start_points(dim_b, c_dim, w_dim)
+        ev = _Evaluator(ens, c_dim, w_dim, want_c=want_c or extra_feas is not None)
+        if c_dim == 1 or w_dim == 1:
+            # T is an isometry into W (|C| = 1) or traces B out (|W| = 1), so
+            # every channel of this split gives the same informations: the
+            # identity embedding is evaluated once instead of climbed
+            v = starts[0]
+            info = {k: float(a[0]) for k, a in ev.informations(v[np.newaxis]).items()}
+            out = ((info["ixw"], info["irwx"], v)
+                   if _feasible(info, delta, opts, extra_feas) else None)
+            results.append((mi, 0, c_dim, w_dim, out))
+            continue
         n_restarts = max(opts.restarts, len(starts))
         seeds = np.random.SeedSequence(entropy=opts.seed, spawn_key=(mi,)).spawn(n_restarts)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         v0 = np.stack([starts[i] if i < len(starts)
                        else qcore.random_isometry(c_dim * w_dim, dim_b, rng)
                        for i, rng in enumerate(rngs)])
-        ev = _Evaluator(ens, c_dim, w_dim, want_c=want_c or extra_feas is not None)
         outs = _climb(ev, v0, delta, opts, rngs, extra_feas=extra_feas)
         results += [(mi, i, c_dim, w_dim, out) for i, out in enumerate(outs)]
 

@@ -1,10 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqrate import idelta, qcore, source
 from cqrate.idelta import OptimizerOptions
 
 I_XB_B = 0.3112781244591328  # I(X:B) of SRC-B
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_apply_channel_trivial_w(src_b):
@@ -115,6 +121,72 @@ def test_fewer_restarts_give_the_first_restarts_results(src_b):
                                           c_dim=c, w_dim=w)) for n in (3, 6))
         assert few.candidates
         assert few.candidates == many.candidates[:len(few.candidates)]
+
+
+# --- closed-form degenerate splits -------------------------------------------
+
+@pytest.fixture(scope="module")
+def ensembles(src_a, src_b, src_c):
+    """The pure blocks of SRC-A/B/C and a mixed Y-conditioned ensemble."""
+    mixed = idelta._Ensemble.conditioned(src_b, np.array([[0.7, 0.2], [0.3, 0.8]]))
+    return [idelta._Ensemble.from_source(s) for s in (src_a, src_b, src_c)] + [mixed]
+
+
+def _unassisted(info) -> bool:
+    return info["icw"] - info["icx"] <= idelta.TOL_FEAS
+
+
+def test_closed_form_splits_match_a_climb(ensembles):
+    for ens in ensembles:
+        db = ens.dim_b
+        for c, w in ((1, db), (db, 1)):
+            opts = OptimizerOptions(seed=5, restarts=3, iters_per_stage=10, c_dim=c, w_dim=w)
+            for extra in (None, _unassisted):
+                ev = idelta._Evaluator(ens, c, w, want_c=extra is not None)
+                for delta in (0.0, 0.01, 0.1):
+                    closed = idelta._optimize_ensemble(ens, delta, opts, extra_feas=extra)
+                    assert closed.restarts_used == 1
+                    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(3)]
+                    v0 = np.stack([np.eye(c * w, db, dtype=complex)]
+                                  + [qcore.random_isometry(c * w, db, rng) for rng in rngs[1:]])
+                    climbed = [out for out in idelta._climb(ev, v0, delta, opts, rngs, extra)
+                               if out is not None]
+                    assert closed.converged == bool(climbed)
+                    for value, constraint, _ in climbed:
+                        assert value == pytest.approx(closed.value, abs=1e-9)
+                        assert constraint == pytest.approx(closed.constraint, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(which=st.integers(0, 3), trivial_w=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_degenerate_split_informations_do_not_depend_on_the_isometry(
+        ensembles, which, trivial_w, seed):
+    ens = ensembles[which]
+    db = ens.dim_b
+    c, w = (db, 1) if trivial_w else (1, db)
+    ev = idelta._Evaluator(ens, c, w, want_c=True)
+    v = qcore.random_isometry(c * w, db, np.random.default_rng(seed))
+    at_v = ev.informations(v[np.newaxis])
+    at_identity = ev.informations(np.eye(c * w, db, dtype=complex)[np.newaxis])
+    for key in ("ixw", "irwx", "icw", "icx"):
+        assert abs(at_v[key][0] - at_identity[key][0]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("name", ["src_a", "src_b", "src_c", "mixed_example"])
+def test_returned_channels_are_certified_by_apply_channel(name, light_opts):
+    with open(SPECS / f"{name}.json") as fh:
+        src = source.load_source(json.load(fh))
+    results = [idelta.optimize_idelta(src, d, light_opts) for d in (0.0, 0.01, 0.1)]
+    results.append(idelta.optimize_I0_minus(src, light_opts))
+    for res in results:
+        assert res.param is not None
+        sigma, ixw, irwx = idelta.apply_channel(src, res.param)
+        assert abs(ixw - res.value) <= idelta.TOL_FEAS
+        assert abs(irwx - res.constraint) <= idelta.TOL_FEAS
+        # and from the entropies of sigma^{XWR} itself
+        assert abs(qcore.mutual_information(sigma, ["X"], ["W"]) - res.value) <= idelta.TOL_FEAS
+        assert abs(qcore.conditional_mutual_information(sigma, ["R"], ["W"], ["X"])
+                   - res.constraint) <= idelta.TOL_FEAS
 
 
 def test_data_processing_ceiling(src_a, src_b, light_opts):

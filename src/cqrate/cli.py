@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # errors.InternalError, or a failure nobody foresaw
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,8 @@ import numpy as np
 from . import qcore
 from .errors import DimensionCapError, SpecError
 from .qcore import DimsSpec, Isometry, LabeledVector
-from .source import CqSource, _parse_complex_matrix, cq_state_xb, sequence_index, sequence_state
+from .source import (CqSource, _parse_complex_matrix, _parse_int, cq_state_xb, sequence_index,
+                     sequence_state)
 
 XI_AMPLITUDE_CAP = 2 ** 16
 MAX_BLOCK_LENGTH = 2
@@ -90,8 +91,8 @@ def _iso(mat: np.ndarray, in_pairs, out_pairs) -> Isometry:
 
 def identity_code(src: CqSource, n: int) -> BlockCode:
     """Zero-error reference code: both registers pass through unchanged."""
-    nxn, dbn = src.alphabet_size ** n, src.dim_b ** n
     _check_cap(src, n, wx=1, l=1, wb=1, wd=1)
+    nxn, dbn = src.alphabet_size ** n, src.dim_b ** n
     u_x = _iso(np.eye(nxn), [("Xn", nxn)], [("CX", nxn), ("WX", 1)])
     u_b = _iso(np.eye(dbn), [("Bn", dbn), ("B0", 1)], [("CB", dbn), ("B0p", 1), ("WB", 1)])
     v = _iso(np.eye(nxn * dbn), [("CX", nxn), ("CB", dbn), ("D0", 1)],
@@ -103,6 +104,7 @@ def truncation_code(src: CqSource, n: int, rank: int) -> BlockCode:
     """Schumacher-style projection of B^n onto the top-`rank` eigenspace of
     (omega^B)^{⊗n}, completed to an isometry: the discarded subspace is
     routed to W_B under an orthogonal flag dimension."""
+    _check_cap(src, n, wx=1, l=1, wb=1, wd=1)  # before any |B|^n is formed
     dbn = src.dim_b ** n
     if rank < 1 or rank > dbn:
         raise SpecError(f"truncation rank must be in [1, |B|^n = {dbn}]")
@@ -131,6 +133,8 @@ def truncation_code(src: CqSource, n: int, rank: int) -> BlockCode:
 
 
 def _check_cap(src: CqSource, n: int, wx: int, l: int, wb: int, wd: int):
+    if n < 1:
+        raise SpecError(f"block length n must be >= 1, got {n}")
     if n > MAX_BLOCK_LENGTH:
         raise DimensionCapError(
             f"block length {n} > {MAX_BLOCK_LENGTH}: exact dense evaluation is capped")
@@ -270,9 +274,7 @@ def load_code(doc: dict, src: CqSource) -> BlockCode:
     if not isinstance(doc, dict):
         raise SpecError("code spec must be a mapping")
     n = _int_field(doc.get("n", 1), "n")
-    if n < 1:
-        raise SpecError(f"block length n must be >= 1, got {n}")
-    # the smallest code of length n must fit, checked before any |X|^n
+    # n >= 1 and the smallest code of length n must fit, checked before any |X|^n
     _check_cap(src, n, wx=1, l=1, wb=1, wd=1)
     if "builder" in doc:
         name = doc["builder"]
@@ -294,13 +296,17 @@ def load_code(doc: dict, src: CqSource) -> BlockCode:
         ub_d = doc["U_B"]["dims"]
         v_m = _parse_complex_matrix(doc["V"]["matrix"])
         v_d = doc["V"]["dims"]
-        u_x = _iso(ux_m, [("Xn", nxn)], [("CX", int(ux_d["C_X"])), ("WX", int(ux_d["W_X"]))])
-        u_b = _iso(ub_m, [("Bn", dbn), ("B0", k)],
-                   [("CB", int(ub_d["C_B"])), ("B0p", l), ("WB", int(ub_d["W_B"]))])
-        v = _iso(v_m, [("CX", int(ux_d["C_X"])), ("CB", int(ub_d["C_B"])), ("D0", k)],
-                 [("Xhat", nxn), ("Bhat", dbn), ("D0p", l), ("WD", int(v_d["W_D"]))])
+        cx, wx = _int_field(ux_d["C_X"], "C_X"), _int_field(ux_d["W_X"], "W_X")
+        cb, wb = _int_field(ub_d["C_B"], "C_B"), _int_field(ub_d["W_B"], "W_B")
+        wd = _int_field(v_d["W_D"], "W_D")
+        u_x = _iso(ux_m, [("Xn", nxn)], [("CX", cx), ("WX", wx)])
+        u_b = _iso(ub_m, [("Bn", dbn), ("B0", k)], [("CB", cb), ("B0p", l), ("WB", wb)])
+        v = _iso(v_m, [("CX", cx), ("CB", cb), ("D0", k)],
+                 [("Xhat", nxn), ("Bhat", dbn), ("D0p", l), ("WD", wd)])
     except KeyError as exc:
         raise SpecError(f"code spec missing field {exc.args[0]!r}") from None
+    except SpecError:
+        raise
     except (TypeError, OverflowError) as exc:
         raise SpecError(f"malformed code spec: {exc}") from exc
     except ValueError as exc:
@@ -310,6 +316,6 @@ def load_code(doc: dict, src: CqSource) -> BlockCode:
 
 def _int_field(value, name: str) -> int:
     try:
-        return int(value)
+        return _parse_int(value)
     except (TypeError, ValueError, OverflowError):
         raise SpecError(f"code spec field {name} must be an integer, got {value!r}") from None

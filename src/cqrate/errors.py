@@ -7,3 +7,7 @@ class SpecError(ValueError):
 
 class DimensionCapError(RuntimeError):
     """Requested exact computation exceeds the dense-dimension cap."""
+
+
+class InternalError(RuntimeError):
+    """A computed quantity broke an identity that holds for every valid input."""

@@ -13,6 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import InternalError
+
 # Numerical cutoffs. The math is exact; doubles need explicit tolerances.
 TOL_HERM = 1e-8
 TOL_TRACE = 1e-8
@@ -418,7 +420,8 @@ def conditional_mutual_information(rho: DensityOperator, a: Sequence[str],
            - _entropy_of_subsystems(rho, list(a) + list(b) + list(c))
            - (_entropy_of_subsystems(rho, c) if c else 0.0))
     if cmi < -tol_ssa:
-        raise ValueError(f"conditional mutual information {cmi} violates strong subadditivity")
+        raise InternalError(
+            f"conditional mutual information {cmi} violates strong subadditivity")
     return cmi
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import idelta, qcore, region, source
+from .errors import InternalError
 from .idelta import OptimizerOptions
 from .qcore import DensityOperator, DimsSpec
 from .reference import source_a, source_b, source_c
@@ -122,7 +123,7 @@ def suite_ssa(seed: int, count: int = 1000) -> SuiteResult:
         rho = DensityOperator(m, DimsSpec([("A", 2), ("B", 2), ("C", 2)]))
         try:
             cmi = qcore.conditional_mutual_information(rho, ["A"], ["B"], ["C"])
-        except ValueError as exc:
+        except InternalError as exc:
             bad.append(f"instance {i}: {exc}")
             continue
         if cmi < -1e-8:

@@ -79,6 +79,14 @@ def make_source(probs, vectors, dim_b: int, dim_r: int, name: str = "") -> CqSou
     return CqSource(np.asarray(probs, dtype=float), tuple(states), name)
 
 
+def _parse_int(v) -> int:
+    """int(v) for an integer field; a float must be integral (2.0, not 1.9)."""
+    n = int(v)
+    if isinstance(v, float) and n != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return n
+
+
 def _parse_scalar(v) -> complex:
     if isinstance(v, (int, float, complex)):
         return complex(v)
@@ -131,10 +139,10 @@ def load_source(doc: dict) -> CqSource:
             raise SpecError("each state must be a mapping")
         if "amplitudes" in entry:
             try:
-                db = int(entry["dims"]["B"])
-                dr = int(entry["dims"]["R"])
+                db = _parse_int(entry["dims"]["B"])
+                dr = _parse_int(entry["dims"]["R"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise SpecError("amplitude state needs dims {B, R}") from exc
+                raise SpecError("amplitude state needs integer dims {B, R}") from exc
             amp = _parse_complex_vector(entry["amplitudes"])
             if amp.shape[0] != db * dr:
                 raise SpecError(f"amplitudes length {amp.shape[0]} != |B||R| = {db * dr}")
@@ -143,9 +151,9 @@ def load_source(doc: dict) -> CqSource:
             parsed.append((amp, db, dr))
         elif "density" in entry:
             try:
-                db = int(entry["dim"])
+                db = _parse_int(entry["dim"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise SpecError("density state needs field dim") from exc
+                raise SpecError("density state needs an integer field dim") from exc
             mat = _parse_complex_matrix(entry["density"])
             try:
                 rho = DensityOperator(mat, DimsSpec([("B", db)]))

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqrate import cli, source
+from cqrate import cli, qcore, source
+from cqrate.qcore import DensityOperator, DimsSpec
 from cqrate.reference import source_a, source_b
 
 H14 = 0.8112781244591328
@@ -202,7 +203,11 @@ def _with(doc: dict, path: tuple[str, ...], value) -> dict:
     _with(EXPLICIT_IDENTITY, ("U_X", "dims"), 3),
     {"builder": "identity", "n": -1},
     _with(TRUNCATION, ("n",), 0),
-], ids=["matrix-int", "rank-list", "K-list", "dims-int", "n-negative", "truncation-n0"])
+    {"builder": "identity", "n": 1.9},
+    _with(TRUNCATION, ("rank",), 1.5),
+    _with(EXPLICIT_IDENTITY, ("U_X", "dims", "C_X"), 2.5),
+], ids=["matrix-int", "rank-list", "K-list", "dims-int", "n-negative", "truncation-n0",
+        "n-fraction", "rank-fraction", "dims-fraction"])
 def test_verify_code_malformed_spec_exit_2(doc, tmp_path):
     code = tmp_path / "code.json"
     code.write_text(json.dumps(doc))
@@ -261,3 +266,61 @@ def test_verify_code_junk_field_exits_2_or_3(fuzz_code_path, field, junk):
         rc = cli.main(["verify-code", "--source", SRC_B_SPEC, "--code", str(fuzz_code_path)])
     assert rc in (2, 3), err.getvalue()
     assert err.getvalue().startswith("error:")
+
+
+def _doc_of_source_b_with(path: tuple, value) -> dict:
+    with open(SRC_B_SPEC) as fh:
+        return _with(json.load(fh), path, value)
+
+
+@pytest.mark.parametrize("doc", [
+    _doc_of_source_b_with(("states", 0, "dims", "B"), 2.5),
+    _doc_of_source_b_with(("states", 0, "dims", "R"), 2.5),
+    {"probs": [1.0], "states": [{"density": [[0.5, 0], [0, 0.5]], "dim": 2.5}]},
+], ids=["B", "R", "density-dim"])
+def test_source_non_integral_dims_exit_2(doc, tmp_path):
+    spec = tmp_path / "src.json"
+    spec.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["analyze", "--source", str(spec)]) == 2
+    assert err.getvalue().startswith("error:")
+
+
+def test_integral_floats_are_accepted(tmp_path):
+    def verify(code_doc: dict, src_doc: dict) -> str:
+        (tmp_path / "code.json").write_text(json.dumps(code_doc))
+        (tmp_path / "src.json").write_text(json.dumps(src_doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["verify-code", "--source", str(tmp_path / "src.json"),
+                             "--code", str(tmp_path / "code.json")]) == 0
+        return out.getvalue()
+
+    with open(SRC_B_SPEC) as fh:
+        plain = json.load(fh)
+    floats = _doc_of_source_b_with(("states", 0, "dims", "B"), 2.0)
+    assert verify({"builder": "identity", "n": 2.0}, floats) == \
+        verify({"builder": "identity", "n": 2}, plain)
+
+
+def test_ssa_violation_is_an_internal_error_exit_1(monkeypatch):
+    """A broken identity is the program's fault, not the input's: exit 1."""
+    entropy = qcore._entropy_of_subsystems
+
+    def inflated(rho, labels):  # S(ABC) one bit too large breaks I(A:B|C) >= 0
+        return entropy(rho, labels) + (1.0 if len(labels) == 3 else 0.0)
+
+    def profile_with_cmi(src):
+        rho = DensityOperator(qcore.random_density(8, np.random.default_rng(0)),
+                              DimsSpec([("A", 2), ("B", 2), ("C", 2)]))
+        qcore.conditional_mutual_information(rho, ["A"], ["B"], ["C"])
+
+    monkeypatch.setattr(qcore, "_entropy_of_subsystems", inflated)
+    monkeypatch.setattr(source, "entropic_profile", profile_with_cmi)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["analyze", "--source", SRC_B_SPEC])
+    assert rc == 1
+    assert err.getvalue().startswith("internal error:")
+    assert "strong subadditivity" in err.getvalue()

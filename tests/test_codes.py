@@ -159,3 +159,14 @@ def test_load_code_explicit_validation(src_a):
            "V": {"matrix": np.eye(4).tolist(), "dims": {"W_D": 1}}}
     with pytest.raises(SpecError, match="isometry|invalid"):
         codes.load_code(bad, src_a)
+
+
+def test_builders_check_the_block_length_before_forming_it(src_b):
+    for build in (codes.identity_code, lambda src, n: codes.truncation_code(src, n, 1)):
+        for n in (0, -1):
+            with pytest.raises(SpecError, match="block length"):
+                build(src_b, n)
+        with pytest.raises(DimensionCapError):
+            build(src_b, 3)
+        with pytest.raises(DimensionCapError):
+            build(src_b, 10 ** 18)  # no |B|^n or |X|^n is formed

@@ -1,6 +1,7 @@
 import pytest
 
-from cqrate import selftest
+from cqrate import qcore, selftest
+from cqrate.errors import InternalError
 
 
 def test_run_selftest_unknown_suite():
@@ -27,3 +28,13 @@ def test_run_selftest_subset():
     results = selftest.run_selftest(seed=0, suites=["fannes", "ssa"], count=30)
     assert [r.name for r in results] == ["fannes", "ssa"]
     assert all(r.passed for r in results)
+
+
+def test_suite_ssa_reports_an_internal_error_as_a_violation(monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalError("conditional mutual information -1 violates strong subadditivity")
+
+    monkeypatch.setattr(qcore, "conditional_mutual_information", broken)
+    res = selftest.suite_ssa(seed=0, count=3)
+    assert res.violations == 3
+    assert "strong subadditivity" in res.details[0]

@@ -60,7 +60,7 @@ class IdeltaResult:
     value: float            # achieved I(X:W), bits
     constraint: float       # achieved I(R:W|X), bits
     param: ChannelParam | None
-    restarts_used: int
+    restarts_used: int      # climbed restarts, plus 1 per closed-form split
     converged: bool
     candidates: tuple[tuple[float, float], ...] = ()  # feasible per-restart finals
 

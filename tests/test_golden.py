@@ -3,7 +3,7 @@
 The files under `tests/golden/` are the documents that the runs below
 produced; a change that alters any byte of them changes cqrate's numbers.
 The optimizer runs cover the pure-block search (`region`, `idelta
---emit-channels`), the I(C:W) <= I(C:X) path behind the QSR point (`region`)
+--emit-channels` with and without delta = 0 in the grid), the I(C:W) <= I(C:X) path behind the QSR point (`region`)
 and the mixed Y-conditioned blocks (`markov_interpolation`).  The exact runs
 cover the entropic profile (`analyze`), the code evaluation at block lengths
 1 and 2 (`verify-code`, the n = 2 code specs are written to a temporary
@@ -73,6 +73,9 @@ DOCUMENTS = {
                                                   "--delta-grid", "0.01,0.1",
                                                   "--emit-channels", *BUDGET))
        for s in ("src_b", "src_c")},
+    "idelta_src_b_grid0.json": lambda tmp: _cli("idelta", "--source", _spec("src_b"),
+                                                "--delta-grid", "0,0.01,0.1",
+                                                "--emit-channels", *BUDGET),
     **{f"markov_{s}.json": (lambda tmp, s=s: _markov(s)) for s in ("src_b", "mixed_example")},
     **{f"analyze_{s}.json": (lambda tmp, s=s: _cli("analyze", "--source", _spec(s)))
        for s in SOURCES},

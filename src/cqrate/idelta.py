@@ -80,49 +80,38 @@ class IdeltaCurve:
 # ---------------------------------------------------------------------------
 
 class _Ensemble:
-    """Blocks {p(y), state on B⊗R}; pure blocks enable the S(WR) = S(C)
-    shortcut, mixed blocks (from classical post-processing of X) do not."""
+    """Blocks {p(y), pure state on B⊗R⊗E}, each held as its dB x (dR dE)
+    matrix; all blocks share |E|.  The blocks of a source have |E| = 1, and a
+    Y-conditioned (mixed) BR state is purified on a copy E of X."""
 
-    def __init__(self, probs: np.ndarray, dim_b: int, dim_r: int,
-                 pure_mats: list[np.ndarray] | None = None,
-                 mixed_rhos: list[np.ndarray] | None = None):
+    def __init__(self, probs: np.ndarray, dim_b: int, dim_r: int, mats: list[np.ndarray]):
         self.probs = np.asarray(probs, dtype=float)
         self.dim_b = dim_b
         self.dim_r = dim_r
-        self.pure_mats = pure_mats    # each dB x dR
-        self.mixed_rhos = mixed_rhos  # each (dB dR) x (dB dR)
-        self.s_r = []                 # per-block S(R), channel independent
-        if pure_mats is not None:
-            for m in pure_mats:
-                self.s_r.append(qcore.entropy_of_mat(m.conj().T @ m))
-        else:
-            for rho in mixed_rhos:
-                rr = qcore.reduced_density_from_mat(rho, (dim_b, dim_r), [1])
-                self.s_r.append(qcore.entropy_of_mat(rr))
+        self.dim_e = mats[0].shape[1] // dim_r
+        self.mats = mats
+        # per-block S(R), channel independent
+        self.s_r = [qcore.entropy_of_mat(h.conj().T @ h) for h in
+                    (m.reshape(dim_b, dim_r, self.dim_e).swapaxes(1, 2).reshape(-1, dim_r)
+                     for m in mats)]
 
     @classmethod
     def from_source(cls, src: CqSource) -> "_Ensemble":
         mats = [src.state_matrix(x) for x in range(src.alphabet_size)]
-        return cls(src.probs, src.dim_b, src.dim_r, pure_mats=mats)
+        return cls(src.probs, src.dim_b, src.dim_r, mats)
 
     @classmethod
     def conditioned(cls, src: CqSource, cond: np.ndarray) -> "_Ensemble":
-        """Ensemble of Y-conditioned BR states for a stochastic map cond[y, x]."""
-        ny = cond.shape[0]
+        """Ensemble of Y-conditioned BR states for a stochastic map cond[y, x],
+        purified as m_y[b, (r, x)] = sqrt(p(x) cond[y, x] / p(y)) psi_x[b, r];
+        a symbol with p(y) = 0 gets the zero block."""
         py = cond @ src.probs
-        rhos = []
-        d = src.dim_b * src.dim_r
-        for y in range(ny):
-            rho = np.zeros((d, d), dtype=complex)
-            for x in range(src.alphabet_size):
-                w = src.probs[x] * cond[y, x]
-                if w > 0:
-                    v = src.states[x].vec
-                    rho += (w / max(py[y], 1e-300)) * np.outer(v, v.conj())
-            if py[y] <= 1e-12:
-                rho = np.eye(d, dtype=complex) / d  # dead symbol, weight ~0
-            rhos.append(rho)
-        return cls(py, src.dim_b, src.dim_r, mixed_rhos=rhos)
+        psi = np.stack([src.state_matrix(x) for x in range(src.alphabet_size)], axis=-1)
+        mats = []
+        for y, p in enumerate(py):
+            amp = np.sqrt(src.probs * cond[y] / p) if p > 0 else np.zeros(src.alphabet_size)
+            mats.append((psi * amp).reshape(src.dim_b, -1))
+        return cls(py, src.dim_b, src.dim_r, mats)
 
 
 class _Evaluator:
@@ -140,35 +129,26 @@ class _Evaluator:
         """For a stack v of shape (n, |C||W|, |B|), returns per matrix
         ixw = I(X:W), irwx = I(R:W|X) and, when requested, icw = I(C:W) and
         icx = I(C:X), each as an array of length n."""
-        ens, c, w, r = self.ens, self.c, self.w, self.ens.dim_r
+        ens, c, w, r, e = self.ens, self.c, self.w, self.ens.dim_r, self.ens.dim_e
         n = v.shape[0]
-        rho_w, rho_wr, rho_c, rho_cw = [], [], [], []  # per block, each a stack
-        if ens.pure_mats is not None:
-            for m in ens.pure_mats:
-                o = (v @ m).reshape(n, c, w, r)
-                rho_w.append(np.einsum("ncwr,ncvr->nwv", o, o.conj()))
-                rho_c.append(np.einsum("ncwr,ndwr->ncd", o, o.conj()))
-                if self.want_c:
-                    rho_cw.append(np.einsum("ncwr,ndvr->ncwdv", o, o.conj())
-                                  .reshape(n, c * w, c * w))
-            rho_wr = rho_c  # block pure: S(WR) = S(C)
-        else:
-            # kron(V, 1_R) of every matrix, laid out as np.kron does
-            k = (v[:, :, np.newaxis, :, np.newaxis] * np.eye(r)[:, np.newaxis, :]) \
-                .reshape(n, c * w * r, ens.dim_b * r)
-            k_dag = k.conj().swapaxes(-1, -2)
-            dims = (c, w, r)
-            for rho in ens.mixed_rhos:
-                rho_out = k @ rho @ k_dag  # on C⊗W⊗R
-                rho_w.append(qcore.reduced_density_from_mat(rho_out, dims, [1]))
-                rho_wr.append(qcore.reduced_density_from_mat(rho_out, dims, [1, 2]))
-                rho_c.append(qcore.reduced_density_from_mat(rho_out, dims, [0]))
-                if self.want_c:
-                    rho_cw.append(qcore.reduced_density_from_mat(rho_out, dims, [0, 1]))
+        rho_w, rho_c, rho_ce, rho_cw = [], [], [], []  # per block, each a stack
+        for m in ens.mats:
+            o = (v @ m).reshape(n, c, w, -1)  # k = (r, e)
+            rho_w.append(np.einsum("ncwk,ncvk->nwv", o, o.conj()))
+            rho_c.append(np.einsum("ncwk,ndwk->ncd", o, o.conj()))
+            if e == 1:
+                rho_ce.append(rho_c[-1])
+            else:
+                o_e = o.reshape(n, c, w, r, e)
+                rho_ce.append(np.einsum("ncwre,ndwrf->ncedf", o_e, o_e.conj())
+                              .reshape(n, c * e, c * e))
+            if self.want_c:
+                rho_cw.append(np.einsum("ncwk,ndvk->ncwdv", o, o.conj())
+                              .reshape(n, c * w, c * w))
 
         out = {}
         out["ixw"], s_w = qcore.holevo_of_stack(ens.probs, rho_w)
-        s_wr = qcore.entropy_of_stack(np.stack(rho_wr))
+        s_wr = qcore.entropy_of_stack(np.stack(rho_ce))  # block pure on CWRE: S(WR) = S(CE)
         irwx = 0.0
         for p, s_w_x, s_r_x, s_wr_x in zip(ens.probs, s_w, ens.s_r, s_wr):
             irwx += p * np.maximum(s_w_x + s_r_x - s_wr_x, 0.0)

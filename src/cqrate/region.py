@@ -234,8 +234,7 @@ def markov_interpolation(src: CqSource, y_dim: int,
     points: list[RatePoint] = []
     for cond in maps:
         ens = _Ensemble.conditioned(src, cond)
-        rhos_b = [qcore.reduced_density_from_mat(rho, (src.dim_b, src.dim_r), [0])
-                  for rho in ens.mixed_rhos]
+        rhos_b = [m @ m.conj().T for m in ens.mats]
         iyb = float(qcore.holevo_of_stack(ens.probs, rhos_b)[0])
         res = _optimize_ensemble(ens, 0.0, opts)
         iyw = res.value if res.converged else 0.0

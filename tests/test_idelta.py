@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cqrate import idelta, qcore, source
@@ -11,6 +11,11 @@ from cqrate.idelta import OptimizerOptions
 
 I_XB_B = 0.3112781244591328  # I(X:B) of SRC-B
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _load(name: str) -> source.CqSource:
+    with open(SPECS / f"{name}.json") as fh:
+        return source.load_source(json.load(fh))
 
 
 def test_apply_channel_trivial_w(src_b):
@@ -174,8 +179,7 @@ def test_degenerate_split_informations_do_not_depend_on_the_isometry(
 
 @pytest.mark.parametrize("name", ["src_a", "src_b", "src_c", "mixed_example"])
 def test_returned_channels_are_certified_by_apply_channel(name, light_opts):
-    with open(SPECS / f"{name}.json") as fh:
-        src = source.load_source(json.load(fh))
+    src = _load(name)
     results = [idelta.optimize_idelta(src, d, light_opts) for d in (0.0, 0.01, 0.1)]
     results.append(idelta.optimize_I0_minus(src, light_opts))
     for res in results:
@@ -187,6 +191,64 @@ def test_returned_channels_are_certified_by_apply_channel(name, light_opts):
         assert abs(qcore.mutual_information(sigma, ["X"], ["W"]) - res.value) <= idelta.TOL_FEAS
         assert abs(qcore.conditional_mutual_information(sigma, ["R"], ["W"], ["X"])
                    - res.constraint) <= idelta.TOL_FEAS
+
+
+# --- Y-conditioned ensembles -------------------------------------------------
+
+def _maps(nx: int) -> list[np.ndarray]:
+    """cond[y, x]: the constant map (whose other rows have p(y) = 0), the
+    identity map and a noisy identity."""
+    const = np.zeros((nx, nx))
+    const[0] = 1.0
+    return [const, np.eye(nx), 0.6 * np.eye(nx) + 0.4 / nx]
+
+
+def _sigma_ycwr(src, cond: np.ndarray, v: np.ndarray, c: int, w: int) -> qcore.DensityOperator:
+    """sigma^{YCWR} = sum_y p(y) |y><y| ⊗ (V ⊗ 1_R) rho_y (V ⊗ 1_R)†, with
+    rho_y = sum_x p(x) cond[y, x] |psi_x><psi_x| / p(y) on B⊗R."""
+    py = cond @ src.probs
+    k = np.kron(v, np.eye(src.dim_r))
+    blocks = []
+    for y, p in enumerate(py):
+        rho = sum(src.probs[x] * cond[y, x] * np.outer(state.vec, state.vec.conj())
+                  for x, state in enumerate(src.states))
+        blocks.append(k @ (rho / p if p > 0 else rho) @ k.conj().T)
+    dims = qcore.DimsSpec([("Y", len(py)), ("C", c), ("W", w), ("R", src.dim_r)])
+    return qcore.DensityOperator(qcore.block_diagonal(py, blocks), dims)
+
+
+@pytest.mark.parametrize("name", ["src_b", "mixed_example"])
+def test_conditioned_informations_match_an_explicit_state(name):
+    src = _load(name)
+    rng = np.random.default_rng(11)
+    for cond in _maps(src.alphabet_size):
+        ens = idelta._Ensemble.conditioned(src, cond)
+        for c, w in ((2, 2), (1, 2), (2, 1)):
+            v = np.stack([qcore.random_isometry(c * w, src.dim_b, rng) for _ in range(3)])
+            info = idelta._Evaluator(ens, c, w, want_c=True).informations(v)
+            for i in range(len(v)):
+                sigma = _sigma_ycwr(src, cond, v[i], c, w)
+                ref = {"ixw": qcore.mutual_information(sigma, ["Y"], ["W"]),
+                       "irwx": qcore.conditional_mutual_information(sigma, ["R"], ["W"], ["Y"]),
+                       "icw": qcore.mutual_information(sigma, ["C"], ["W"]),
+                       "icx": qcore.mutual_information(sigma, ["C"], ["Y"])}
+                for key, val in ref.items():
+                    assert abs(info[key][i] - val) <= 1e-10, (key, c, w)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["src_a", "src_b", "src_c", "mixed_example"]),
+       c=st.integers(1, 4), w=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_source_ensemble_equals_its_identity_conditioning(name, c, w, seed):
+    src = _load(name)
+    assume(c * w >= src.dim_b)
+    v = qcore.random_isometry(c * w, src.dim_b, np.random.default_rng(seed))[np.newaxis]
+    direct = idelta._Evaluator(idelta._Ensemble.from_source(src), c, w, want_c=True)
+    copied = idelta._Evaluator(idelta._Ensemble.conditioned(src, np.eye(src.alphabet_size)),
+                               c, w, want_c=True)
+    at_direct, at_copied = direct.informations(v), copied.informations(v)
+    for key in ("ixw", "irwx", "icw", "icx"):
+        assert abs(at_direct[key][0] - at_copied[key][0]) <= 1e-12, key
 
 
 def test_data_processing_ceiling(src_a, src_b, light_opts):

@@ -160,12 +160,8 @@ def cmd_idelta(args) -> int:
         raise SpecError(f"bad --delta-grid: {exc}") from exc
     if not grid:
         raise SpecError("empty --delta-grid")
-    opts = _optimizer_options(args)
-    curve = idelta.idelta_curve(src, grid, opts)
-    res0 = idelta.optimize_idelta(src, 0.0, opts) if 0.0 not in grid else None
-    i0 = res0.value if res0 is not None else curve.raw_values[grid.index(0.0)]
-    positive = [v for d, v in zip(curve.deltas, curve.values) if d > 0]
-    i0t = max(positive[0] if positive else i0, i0)
+    est = idelta.estimate_I0_tilde(src, _optimizer_options(args), grid)
+    curve = est.curve
     doc = {
         "provenance": _provenance(args, "idelta"),
         "source": {"name": src.name},
@@ -173,7 +169,7 @@ def cmd_idelta(args) -> int:
                   "raw_values": list(curve.raw_values),
                   "monotonized": curve.monotonized,
                   "warnings": list(curve.warnings)},
-        "estimates": {"I0": i0, "I0_tilde": i0t, "gap": i0t - i0},
+        "estimates": {"I0": est.i0, "I0_tilde": est.i0_tilde, "gap": est.gap},
     }
     if args.emit_channels:
         channels = []

@@ -392,7 +392,9 @@ def idelta_curve(src: CqSource, deltas,
     results = tuple(optimize_idelta(src, d, opts) for d in deltas)
     raw = [res.value for res in results]
     mono = list(np.maximum.accumulate(raw))
-    warnings = []
+    warnings = [f"monotonicity violation at delta={d:g}: raw value {r:.6g} is {m - r:.3g} "
+                f"below the running maximum {m:.6g} (optimizer failure, not a curve feature)"
+                for d, r, m in zip(deltas, raw, mono) if r < m]
     # concavity violations beyond TOL_OPT indicate optimizer failures
     for i in range(1, len(mono) - 1):
         d0, d1, d2 = deltas[i - 1], deltas[i], deltas[i + 1]
@@ -419,16 +421,20 @@ class I0Estimates:
 def estimate_I0_tilde(src: CqSource,
                       opts: OptimizerOptions = OptimizerOptions(),
                       grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)) -> I0Estimates:
-    """I_0 estimate (optimization at delta = 0) and the limit estimate
-    I~_0 (last-value extrapolation of the curve on a geometric grid).
+    """I_0 estimate (optimization at delta = 0, taken from the curve when the
+    grid holds 0) and the limit estimate I~_0 (the curve's value at the
+    smallest positive delta of the grid, a last-value extrapolation toward
+    delta -> 0).
 
     Both are lower bounds; since I~_0 >= I_0 holds exactly, the reported
     I~_0 estimate is floored at the I_0 estimate.
     """
-    res0 = optimize_idelta(src, 0.0, opts)
     curve = idelta_curve(src, sorted(grid), opts)
+    res0 = (curve.results[curve.deltas.index(0.0)] if 0.0 in curve.deltas
+            else optimize_idelta(src, 0.0, opts))
     i0 = res0.value
-    i0t = max(curve.values[0], i0)  # last value toward delta -> 0
+    positive = [v for d, v in zip(curve.deltas, curve.values) if d > 0]
+    i0t = max(positive[0] if positive else i0, i0)
     return I0Estimates(i0, i0t, i0t - i0, res0, curve)
 
 

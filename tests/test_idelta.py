@@ -305,6 +305,40 @@ def test_curve_grid_validation(src_a, light_opts):
         idelta.idelta_curve(src_a, [0.2, 0.1], light_opts)
 
 
+def _fake_optimizer(monkeypatch, values: dict[float, float]) -> list[float]:
+    """Replace optimize_idelta by a lookup in `values`; returns the deltas it
+    is called with."""
+    calls = []
+
+    def fake(src, delta, opts):
+        calls.append(delta)
+        return idelta.IdeltaResult(delta, values[delta], 0.0, None, 1, True)
+    monkeypatch.setattr(idelta, "optimize_idelta", fake)
+    return calls
+
+
+def test_curve_warns_when_a_raw_value_drops(monkeypatch, src_b):
+    _fake_optimizer(monkeypatch, {0.0: 0.3, 0.05: 0.2, 0.1: 0.25})
+    curve = idelta.idelta_curve(src_b, [0.0, 0.05, 0.1])
+    assert curve.raw_values == (0.3, 0.2, 0.25)
+    assert curve.values == (0.3, 0.3, 0.3)
+    assert [w.split(":")[0] for w in curve.warnings] == [
+        "monotonicity violation at delta=0.05", "monotonicity violation at delta=0.1"]
+
+
+def test_estimates_take_I0_from_a_grid_that_holds_zero(monkeypatch, src_b):
+    calls = _fake_optimizer(monkeypatch, {0.0: 0.1, 0.05: 0.3, 0.1: 0.2})
+    est = idelta.estimate_I0_tilde(src_b, grid=(0.1, 0.0, 0.05))
+    assert calls == [0.0, 0.05, 0.1]
+    assert (est.i0, est.i0_tilde, est.i0_result.delta) == (0.1, 0.3, 0.0)
+    del calls[:]
+    est = idelta.estimate_I0_tilde(src_b, grid=(0.1, 0.05))
+    assert calls == [0.05, 0.1, 0.0]
+    assert (est.i0, est.i0_tilde, est.i0_result.delta) == (0.1, 0.3, 0.0)
+    est = idelta.estimate_I0_tilde(src_b, grid=(0.0,))
+    assert (est.i0, est.i0_tilde) == (0.1, 0.1)
+
+
 def test_estimates_src_a(src_a, light_opts):
     est = idelta.estimate_I0_tilde(src_a, light_opts)
     assert est.i0 == pytest.approx(1.0, abs=idelta.TOL_OPT)

@@ -90,10 +90,10 @@ class _Ensemble:
         self.dim_r = dim_r
         self.dim_e = mats[0].shape[1] // dim_r
         self.mats = mats
-        # per-block S(R), channel independent
-        self.s_r = [qcore.entropy_of_mat(h.conj().T @ h) for h in
-                    (m.reshape(dim_b, dim_r, self.dim_e).swapaxes(1, 2).reshape(-1, dim_r)
-                     for m in mats)]
+        self.s_r = []  # per-block S(R), channel independent
+        for m in mats:
+            h = m.reshape(dim_b, dim_r, self.dim_e).swapaxes(1, 2).reshape(-1, dim_r)
+            self.s_r.append(qcore.entropy_of_mat(h.conj().T @ h))
 
     @classmethod
     def from_source(cls, src: CqSource) -> "_Ensemble":
@@ -136,6 +136,7 @@ class _Evaluator:
             o = (v @ m).reshape(n, c, w, -1)  # k = (r, e)
             rho_w.append(np.einsum("ncwk,ncvk->nwv", o, o.conj()))
             rho_c.append(np.einsum("ncwk,ndwk->ncd", o, o.conj()))
+            # the block is pure on C⊗W⊗R⊗E, so S(WR) = S(CE), and CE is C when |E| = 1
             if e == 1:
                 rho_ce.append(rho_c[-1])
             else:
@@ -148,7 +149,7 @@ class _Evaluator:
 
         out = {}
         out["ixw"], s_w = qcore.holevo_of_stack(ens.probs, rho_w)
-        s_wr = qcore.entropy_of_stack(np.stack(rho_ce))  # block pure on CWRE: S(WR) = S(CE)
+        s_wr = qcore.entropy_of_stack(np.stack(rho_ce))
         irwx = 0.0
         for p, s_w_x, s_r_x, s_wr_x in zip(ens.probs, s_w, ens.s_r, s_wr):
             irwx += p * np.maximum(s_w_x + s_r_x - s_wr_x, 0.0)

@@ -3,8 +3,9 @@
 The files under `tests/golden/` are the documents that the runs below
 produced; a change that alters any byte of them changes cqrate's numbers.
 The optimizer runs cover the pure-block search (`region`, `idelta
---emit-channels` with and without delta = 0 in the grid), the I(C:W) <= I(C:X) path behind the QSR point (`region`)
-and the mixed Y-conditioned blocks (`markov_interpolation`).  The exact runs
+--emit-channels` with and without delta = 0 in the grid), the I(C:W) <=
+I(C:X) path behind the QSR point (`region`) and the purified Y-conditioned
+blocks (`markov_interpolation`).  The exact runs
 cover the entropic profile (`analyze`), the code evaluation at block lengths
 1 and 2 (`verify-code`, the n = 2 code specs are written to a temporary
 directory) and the region geometry from given estimates (`region --i0

@@ -331,7 +331,7 @@ def test_estimates_take_I0_from_a_grid_that_holds_zero(monkeypatch, src_b):
     est = idelta.estimate_I0_tilde(src_b, grid=(0.1, 0.0, 0.05))
     assert calls == [0.0, 0.05, 0.1]
     assert (est.i0, est.i0_tilde, est.i0_result.delta) == (0.1, 0.3, 0.0)
-    del calls[:]
+    calls.clear()
     est = idelta.estimate_I0_tilde(src_b, grid=(0.1, 0.05))
     assert calls == [0.05, 0.1, 0.0]
     assert (est.i0, est.i0_tilde, est.i0_result.delta) == (0.1, 0.3, 0.0)

@@ -4,8 +4,9 @@ The files under `tests/golden/` are the documents that the runs below
 produced; a change that alters any byte of them changes cqrate's numbers.
 The optimizer runs cover the pure-block search (`region`, `idelta
 --emit-channels` with and without delta = 0 in the grid), the I(C:W) <=
-I(C:X) path behind the QSR point (`region`) and the purified Y-conditioned
-blocks (`markov_interpolation`).  The exact runs
+I(C:X) path behind the QSR point (`region`), the purified Y-conditioned
+blocks (`markov_interpolation`), the unassisted climb (`optimize_I0_minus`)
+and the brute-force oracle (`oracle_grid`).  The exact runs
 cover the entropic profile (`analyze`), the code evaluation at block lengths
 1 and 2 (`verify-code`, the n = 2 code specs are written to a temporary
 directory) and the region geometry from given estimates (`region --i0
@@ -24,12 +25,13 @@ from pathlib import Path
 
 import pytest
 
-from cqrate import cli, region, source
+from cqrate import cli, idelta, region, source
 from cqrate.idelta import OptimizerOptions
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 BUDGET = ("--seed", "0", "--restarts", "2", "--iters", "10")
+BUDGET_OPTS = OptimizerOptions(seed=0, restarts=2, iters_per_stage=10)
 MARKOV_OPTS = OptimizerOptions(seed=0, restarts=2, iters_per_stage=4)
 SOURCES = ("src_a", "src_b", "src_c", "mixed_example")
 # code specs written to the temporary directory next to the shipped ones
@@ -58,26 +60,50 @@ def _code(name: str, tmp: Path) -> str:
     return str(path)
 
 
-def _markov(name: str) -> str:
+def _load(name: str) -> source.CqSource:
     with open(_spec(name)) as fh:
-        src = source.load_source(json.load(fh))
-    points = region.markov_interpolation(src, 2, MARKOV_OPTS)
+        return source.load_source(json.load(fh))
+
+
+def _markov(name: str) -> str:
+    points = region.markov_interpolation(_load(name), 2, MARKOV_OPTS)
     return json.dumps([p.as_dict() for p in points], indent=2, sort_keys=True) + "\n"
+
+
+def _unassisted_oracle() -> str:
+    """optimize_I0_minus on every source at the golden budget, with its
+    channel, and oracle_grid on the |B| = 2 sources."""
+    doc = {"I0_minus": {}, "oracle": {}}
+    for s in SOURCES:
+        src = _load(s)
+        res = idelta.optimize_I0_minus(src, BUDGET_OPTS)
+        doc["I0_minus"][s] = {
+            "value": res.value, "constraint": res.constraint,
+            "restarts_used": res.restarts_used, "candidates": res.candidates,
+            "c_dim": res.param.c_dim if res.param else None,
+            "w_dim": res.param.w_dim if res.param else None,
+            "stinespring": None if res.param is None else
+            [[[float(z.real), float(z.imag)] for z in row] for row in res.param.mat]}
+        if src.dim_b == 2:
+            doc["oracle"][s] = [[d, idelta.oracle_grid(src, d)] for d in (0.0, 0.1, 1.0)]
+    return cli._dump(doc)
 
 
 FIXED = ("--i0", "0", "--i0-tilde", "0")
 
 DOCUMENTS = {
     **{f"region_{s}.json": (lambda tmp, s=s: _cli("region", "--source", _spec(s), *BUDGET))
-       for s in ("src_a", "src_b", "src_c")},
+       for s in SOURCES},
     **{f"idelta_{s}.json": (lambda tmp, s=s: _cli("idelta", "--source", _spec(s),
                                                   "--delta-grid", "0.01,0.1",
                                                   "--emit-channels", *BUDGET))
-       for s in ("src_b", "src_c")},
-    "idelta_src_b_grid0.json": lambda tmp: _cli("idelta", "--source", _spec("src_b"),
-                                                "--delta-grid", "0,0.01,0.1",
-                                                "--emit-channels", *BUDGET),
+       for s in ("src_a", "src_b", "src_c")},
+    **{name: (lambda tmp, s=s: _cli("idelta", "--source", _spec(s),
+                                    "--delta-grid", "0,0.01,0.1", "--emit-channels", *BUDGET))
+       for name, s in (("idelta_src_b_grid0.json", "src_b"),
+                       ("idelta_mixed_example.json", "mixed_example"))},
     **{f"markov_{s}.json": (lambda tmp, s=s: _markov(s)) for s in ("src_b", "mixed_example")},
+    "unassisted_oracle.json": lambda tmp: _unassisted_oracle(),
     **{f"analyze_{s}.json": (lambda tmp, s=s: _cli("analyze", "--source", _spec(s)))
        for s in SOURCES},
     **{f"verify_{s}_{c}.json": (lambda tmp, s=s, c=c: _cli("verify-code", "--source", _spec(s),

@@ -20,20 +20,21 @@ from .source import CqSource, delta_prime
 TOL_FEAS = 1e-4
 TOL_OPT = 0.02
 DIM_CAP_FACTOR = 2  # |C|, |W| <= |B|^DIM_CAP_FACTOR by default
+PENALTY_SCHEDULE = (1e1, 1e2, 1e3, 1e4)  # penalty weight of each climb stage
+STEP_INIT = 0.4  # step size at the start of each stage
+ORACLE_STEPS = 12  # angles per circuit parameter in the oracle's net
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs of the penalized isometry search; fully determined by `seed`."""
+    """Budget and output dimensions of the penalized isometry search; the
+    result is fully determined by them."""
 
     seed: int = 0
     restarts: int = 64
     c_dim: int | None = None  # default: |B|
     w_dim: int | None = None  # default: |B|
-    penalty_schedule: tuple[float, ...] = (1e1, 1e2, 1e3, 1e4)
     iters_per_stage: int = 60
-    step_init: float = 0.4
-    tol_feas: float = TOL_FEAS
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,9 @@ class _Evaluator:
 def apply_channel(src: CqSource, param: ChannelParam) -> tuple[DensityOperator, float, float]:
     """sigma^{XWR} = (id_{XR} ⊗ T) omega for T = Tr_C(V . V†).
 
-    Returns (sigma, I(X:W)_sigma, I(R:W|X)_sigma).
+    Returns (sigma, I(X:W)_sigma, I(R:W|X)_sigma), the informations taken
+    from the entropies of sigma itself, so they certify the optimizer's
+    values independently of its evaluator.
     """
     if param.isometry.in_dims.total_dim != src.dim_b:
         raise ValueError(f"channel input dim {param.isometry.in_dims.total_dim} "
@@ -177,9 +180,8 @@ def apply_channel(src: CqSource, param: ChannelParam) -> tuple[DensityOperator, 
         blocks.append(np.einsum("cwr,cvs->wrvs", o, o.conj()).reshape(w * r, w * r))
     sigma = DensityOperator(qcore.block_diagonal(src.probs, blocks),
                             DimsSpec([("X", nx), ("W", w), ("R", r)]))
-    ev = _Evaluator(_Ensemble.from_source(src), c, w)
-    info = ev.informations(v[np.newaxis])
-    return sigma, float(info["ixw"][0]), float(info["irwx"][0])
+    return (sigma, qcore.mutual_information(sigma, ["X"], ["W"]),
+            qcore.conditional_mutual_information(sigma, ["R"], ["W"], ["X"]))
 
 
 def channel_marginal_informations(src: CqSource, param: ChannelParam) -> dict[str, float]:
@@ -219,25 +221,17 @@ def _random_direction(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _start_points(dim_b: int, c_dim: int, w_dim: int) -> list[np.ndarray]:
-    """Deterministic starts: the computational-basis embedding, plus embed
-    B into W (identity channel to W) and into C (trivial W) when they fit."""
+    """Deterministic starts: the computational-basis embedding (c = 0, w = b
+    when B fits into W, the identity channel to W), plus the embedding of B
+    into C (trivial W) when it fits and differs from the first."""
     d = c_dim * w_dim
     starts = [np.eye(d, dtype=complex)[:, :dim_b]]
-    if w_dim >= dim_b:
-        v = np.zeros((d, dim_b), dtype=complex)
-        for b in range(dim_b):
-            v[b, b] = 1.0  # c = 0, w = b
-        starts.append(v)
-    if c_dim >= dim_b:
+    if w_dim > 1 and 1 < dim_b <= c_dim:
         v = np.zeros((d, dim_b), dtype=complex)
         for b in range(dim_b):
             v[b * w_dim, b] = 1.0  # c = b, w = 0
         starts.append(v)
-    uniq = []
-    for s in starts:
-        if not any(np.array_equal(s, u) for u in uniq):
-            uniq.append(s)
-    return uniq
+    return starts
 
 
 def _dims_menu(dim_b: int) -> list[tuple[int, int]]:
@@ -251,19 +245,21 @@ def _dims_menu(dim_b: int) -> list[tuple[int, int]]:
     return menu
 
 
-def _feasible(info, delta: float, opts: OptimizerOptions, extra_feas) -> bool:
-    if info["irwx"] > delta + opts.tol_feas:
+def _feasible(info, delta: float, unassisted: bool) -> bool:
+    """I(R:W|X) <= delta and, for the unassisted variant, I(C:W) <= I(C:X),
+    each within TOL_FEAS."""
+    if info["irwx"] > delta + TOL_FEAS:
         return False
-    return extra_feas(info) if extra_feas is not None else True
+    return not unassisted or info["icw"] - info["icx"] <= TOL_FEAS
 
 
 def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
-           rngs: list[np.random.Generator],
-           extra_feas=None) -> list[tuple[float, float, np.ndarray] | None]:
+           rngs: list[np.random.Generator]) -> list[tuple[float, float, np.ndarray] | None]:
     """The restarts of one dimension split, in lockstep: restart i is a
     penalized ascent from v0[i] with directions drawn from rngs[i].  Returns
     per restart the best strictly feasible visited point as (value,
-    constraint, V), or None.
+    constraint, V), or None.  An evaluator that computes I(C:W) and I(C:X)
+    (`ev.want_c`) climbs the unassisted variant.
 
     Each step retracts and evaluates the three candidates of every restart
     as one stack.  A restart then takes its candidates in order and stops at
@@ -271,12 +267,14 @@ def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
     step size, exactly as if they had not been evaluated, so a restart's
     result does not depend on the other restarts in the stack."""
 
+    unassisted = ev.want_c
+
     def feasible(info) -> bool:
-        return _feasible(info, delta, opts, extra_feas)
+        return _feasible(info, delta, unassisted)
 
     def penalty(info, mu: float) -> float:
         pen = mu * max(info["irwx"] - delta, 0.0) ** 2
-        if extra_feas is not None:
+        if unassisted:
             pen += mu * max(info["icw"] - info["icx"], 0.0) ** 2
         return info["ixw"] - pen
 
@@ -289,9 +287,9 @@ def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
     info = per_matrix(ev.informations(v))
     best = [(inf["ixw"], inf["irwx"], v[i].copy()) if feasible(inf) else None
             for i, inf in enumerate(info)]
-    for mu in opts.penalty_schedule:
+    for mu in PENALTY_SCHEDULE:
         f = [penalty(inf, mu) for inf in info]
-        step = [opts.step_init] * n
+        step = [STEP_INIT] * n
         for _ in range(opts.iters_per_stage):
             a = np.stack([_random_direction(rng, d) for rng in rngs])
             # unit operator norm, from one SVD call for all restarts
@@ -317,8 +315,7 @@ def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
 
 
 def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
-                       want_c: bool = False,
-                       extra_feas=None) -> IdeltaResult:
+                       unassisted: bool = False) -> IdeltaResult:
     dim_b = ens.dim_b
     if opts.c_dim is not None or opts.w_dim is not None:
         menu = [(opts.c_dim if opts.c_dim is not None else dim_b,
@@ -337,7 +334,7 @@ def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
     results = []  # (menu index, restart index, c, w, outcome)
     for mi, (c_dim, w_dim) in enumerate(menu):
         starts = _start_points(dim_b, c_dim, w_dim)
-        ev = _Evaluator(ens, c_dim, w_dim, want_c=want_c or extra_feas is not None)
+        ev = _Evaluator(ens, c_dim, w_dim, want_c=unassisted)
         if c_dim == 1 or w_dim == 1:
             # T is an isometry into W (|C| = 1) or traces B out (|W| = 1), so
             # every channel of this split gives the same informations: the
@@ -345,7 +342,7 @@ def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
             v = starts[0]
             info = {k: float(a[0]) for k, a in ev.informations(v[np.newaxis]).items()}
             out = ((info["ixw"], info["irwx"], v)
-                   if _feasible(info, delta, opts, extra_feas) else None)
+                   if _feasible(info, delta, unassisted) else None)
             results.append((mi, 0, c_dim, w_dim, out))
             continue
         n_restarts = max(opts.restarts, len(starts))
@@ -354,7 +351,7 @@ def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
         v0 = np.stack([starts[i] if i < len(starts)
                        else qcore.random_isometry(c_dim * w_dim, dim_b, rng)
                        for i, rng in enumerate(rngs)])
-        outs = _climb(ev, v0, delta, opts, rngs, extra_feas=extra_feas)
+        outs = _climb(ev, v0, delta, opts, rngs)
         results += [(mi, i, c_dim, w_dim, out) for i, out in enumerate(outs)]
 
     feasibles = [r for r in results if r[4] is not None]
@@ -451,11 +448,8 @@ def collapse_bound(src: CqSource, delta: float) -> float:
 def optimize_I0_minus(src: CqSource,
                       opts: OptimizerOptions = OptimizerOptions()) -> IdeltaResult:
     """Unassisted variant: maximize I(X:W) over isometries B -> C⊗W subject
-    to I(R:W|X) <= tol and I(C:W) - I(C:X) <= tol."""
-    def extra(info) -> bool:
-        return info["icw"] - info["icx"] <= opts.tol_feas
-    return _optimize_ensemble(_Ensemble.from_source(src), 0.0, opts,
-                              want_c=True, extra_feas=extra)
+    to I(R:W|X) <= TOL_FEAS and I(C:W) - I(C:X) <= TOL_FEAS."""
+    return _optimize_ensemble(_Ensemble.from_source(src), 0.0, opts, unassisted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -471,33 +465,23 @@ def _rz(t: float) -> np.ndarray:
     return np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
 
 
-def oracle_grid(src: CqSource, delta: float, c_dim: int = 2, w_dim: int = 2,
-                resolution: int = 12, tol_feas: float = TOL_FEAS) -> float:
-    """Ground-truth lower bound: exhaustive net of isometries B -> C⊗W.
+def oracle_grid(src: CqSource, delta: float) -> float:
+    """Ground-truth lower bound: exhaustive net of isometries B -> C⊗W with
+    |C| = |W| = 2, for |B| <= 2.
 
-    Only for |B| <= 2 and |C|, |W| <= 2.  The net is a circuit family
-    (input rotation, controlled-Ry entangler, role swap) whose angles are
-    discretized; it contains the identity-to-W and trivial-W channels
-    exactly.
+    The net is a circuit family (input rotation, controlled-Ry entangler,
+    role swap) whose angles are discretized into ORACLE_STEPS values each;
+    it contains the identity-to-W and trivial-W channels exactly.
     """
-    if src.dim_b > 2 or c_dim > 2 or w_dim > 2:
-        raise ValueError("oracle_grid requires |B| <= 2 and |C|, |W| <= 2")
-    if resolution > 24:
-        raise ValueError("resolution capped at 24 steps per angle")
-    if c_dim * w_dim < src.dim_b:
-        raise ValueError("|C||W| must be at least |B|")
-    ens = _Ensemble.from_source(src)
+    if src.dim_b > 2:
+        raise ValueError("oracle_grid requires |B| <= 2")
     best = 0.0  # trivial channel is always feasible
-    if w_dim == 1 or src.dim_b == 1:
+    if src.dim_b == 1:
         return best
-    if c_dim == 1:
-        ev = _Evaluator(ens, 1, w_dim)
-        info = ev.informations(np.eye(2, dtype=complex)[np.newaxis])
-        return float(info["ixw"][0]) if info["irwx"][0] <= delta + tol_feas else best
 
-    thetas = np.linspace(0.0, math.pi, resolution)
-    phis = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
-    alphas = np.linspace(0.0, math.pi, resolution)
+    thetas = np.linspace(0.0, math.pi, ORACLE_STEPS)
+    phis = np.linspace(0.0, 2 * math.pi, ORACLE_STEPS, endpoint=False)
+    alphas = np.linspace(0.0, math.pi, ORACLE_STEPS)
     ket0 = np.array([1.0, 0.0], dtype=complex)
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     net = []
@@ -513,6 +497,6 @@ def oracle_grid(src: CqSource, delta: float, c_dim: int = 2, w_dim: int = 2,
                 for w_is_qubit in (True, False):
                     # evaluator reads output legs as (C, W)
                     net.append(swap @ base if w_is_qubit else base)
-    info = _Evaluator(ens, 2, 2).informations(np.stack(net))
-    feasible = info["ixw"][info["irwx"] <= delta + tol_feas]
+    info = _Evaluator(_Ensemble.from_source(src), 2, 2).informations(np.stack(net))
+    feasible = info["ixw"][info["irwx"] <= delta + TOL_FEAS]
     return max(best, float(feasible.max())) if feasible.size else best

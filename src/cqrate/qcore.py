@@ -115,8 +115,7 @@ class DensityOperator:
     mat: np.ndarray
     dims: DimsSpec
 
-    def __init__(self, mat, dims, tol_herm: float = TOL_HERM, tol_trace: float = TOL_TRACE,
-                 tol_psd: float = TOL_PSD):
+    def __init__(self, mat, dims):
         mat = np.asarray(mat, dtype=complex)
         dims = _as_dims(dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -125,13 +124,13 @@ class DensityOperator:
             raise ValueError(f"matrix dim {mat.shape[0]} != product of {dims}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("non-finite entries in density matrix")
-        if np.max(np.abs(mat - mat.conj().T)) > tol_herm:
+        if np.max(np.abs(mat - mat.conj().T)) > TOL_HERM:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > tol_trace:
+        if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"density matrix trace {tr} != 1 within tolerance")
         lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)))
-        if lo < -tol_psd:
+        if lo < -TOL_PSD:
             raise ValueError(f"density matrix has negative eigenvalue {lo}")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
@@ -144,7 +143,7 @@ class PureState:
     vec: np.ndarray
     dims: DimsSpec
 
-    def __init__(self, vec, dims, tol_norm: float = TOL_NORM):
+    def __init__(self, vec, dims):
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         dims = _as_dims(dims)
         if vec.shape[0] != dims.total_dim:
@@ -152,7 +151,7 @@ class PureState:
         if not np.all(np.isfinite(vec)):
             raise ValueError("non-finite amplitudes")
         nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > tol_norm:
+        if abs(nrm - 1.0) > TOL_NORM:
             raise ValueError(f"state norm {nrm} != 1 within tolerance")
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "dims", dims)
@@ -176,7 +175,7 @@ class Isometry:
     in_dims: DimsSpec
     out_dims: DimsSpec
 
-    def __init__(self, mat, in_dims, out_dims, tol_iso: float = TOL_ISO):
+    def __init__(self, mat, in_dims, out_dims):
         mat = np.asarray(mat, dtype=complex)
         in_dims = _as_dims(in_dims)
         out_dims = _as_dims(out_dims)
@@ -188,7 +187,7 @@ class Isometry:
         if out_dims.total_dim < in_dims.total_dim:
             raise ValueError("isometry codomain smaller than domain")
         gram = mat.conj().T @ mat
-        if np.max(np.abs(gram - np.eye(in_dims.total_dim))) > tol_iso:
+        if np.max(np.abs(gram - np.eye(in_dims.total_dim))) > TOL_ISO:
             raise ValueError("matrix is not an isometry within tolerance")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "in_dims", in_dims)
@@ -310,10 +309,10 @@ class LabeledVector:
 # entropies and distances
 # ---------------------------------------------------------------------------
 
-def entropy_from_eigvals(vals: np.ndarray, tol_psd: float = TOL_PSD) -> float:
+def entropy_from_eigvals(vals: np.ndarray) -> float:
     """Shannon entropy (bits) of an eigenvalue vector, 0·log 0 := 0."""
     vals = np.asarray(vals, dtype=float)
-    if np.min(vals) < -tol_psd * max(len(vals), 1):
+    if np.min(vals) < -TOL_PSD * max(len(vals), 1):
         raise ValueError(f"eigenvalue {np.min(vals)} below PSD tolerance")
     vals = np.clip(vals, 0.0, None)
     nz = vals[vals > 0.0]
@@ -411,15 +410,14 @@ def mutual_information(rho: DensityOperator, a: Sequence[str], b: Sequence[str])
 
 
 def conditional_mutual_information(rho: DensityOperator, a: Sequence[str],
-                                   b: Sequence[str], c: Sequence[str],
-                                   tol_ssa: float = TOL_SSA) -> float:
+                                   b: Sequence[str], c: Sequence[str]) -> float:
     """I(A:B|C) = S(A|C) - S(A|BC); strong subadditivity enforced."""
     _check_disjoint(a, b, c)
     cmi = (_entropy_of_subsystems(rho, list(a) + list(c))
            + _entropy_of_subsystems(rho, list(b) + list(c))
            - _entropy_of_subsystems(rho, list(a) + list(b) + list(c))
            - (_entropy_of_subsystems(rho, c) if c else 0.0))
-    if cmi < -tol_ssa:
+    if cmi < -TOL_SSA:
         raise InternalError(
             f"conditional mutual information {cmi} violates strong subadditivity")
     return cmi
@@ -512,12 +510,13 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 # purification and Uhlmann isometries
 # ---------------------------------------------------------------------------
 
-def _phase_fix_columns(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Make the first non-negligible component of each column real positive."""
+def _phase_fix_columns(vecs: np.ndarray) -> np.ndarray:
+    """Make the first component of each column above 1e-12 in modulus real
+    positive."""
     out = vecs.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        nz = np.nonzero(np.abs(col) > tol)[0]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
         if len(nz):
             ph = col[nz[0]] / abs(col[nz[0]])
             out[:, j] = col * ph.conjugate()
@@ -531,12 +530,11 @@ def sorted_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], _phase_fix_columns(vecs[:, order])
 
 
-def purify(rho: DensityOperator, ref_label: str = "R",
-           tol_rank: float = TOL_RANK) -> PureState:
+def purify(rho: DensityOperator, ref_label: str = "R") -> PureState:
     """Canonical purification sum_i sqrt(l_i) |e_i>|i>, reference dim = rank."""
     vals, vecs = sorted_eigh(rho.mat)
     vals = np.clip(vals, 0.0, None)
-    rank = max(int(np.sum(vals > tol_rank)), 1)
+    rank = max(int(np.sum(vals > TOL_RANK)), 1)
     vals = vals[:rank] / vals[:rank].sum()
     amp = (vecs[:, :rank] * np.sqrt(vals)).reshape(-1)  # index (system, ref)
     if ref_label in rho.dims.labels:

@@ -299,22 +299,21 @@ class GenericityReport:
                 "lambda0": self.lambda0, "is_generic": self.is_generic, "tol": self.tol}
 
 
-def genericity_report(src: CqSource, tol: float = TOL_GENERIC) -> GenericityReport:
+def genericity_report(src: CqSource) -> GenericityReport:
     mins = []
     for x in range(src.alphabet_size):
         vals = np.linalg.eigvalsh(src.reduced_b(x))
         mins.append(float(max(vals[0], 0.0)))
     witness = int(np.argmax(mins))
     lam0 = mins[witness]
-    return GenericityReport(tuple(mins), witness, lam0, lam0 > tol, tol)
+    return GenericityReport(tuple(mins), witness, lam0, lam0 > TOL_GENERIC)
 
 
 # ---------------------------------------------------------------------------
 # full-support transfer operator
 # ---------------------------------------------------------------------------
 
-def transfer_operator(src: CqSource, x0: int, x: int,
-                      tol_generic: float = TOL_GENERIC) -> np.ndarray:
+def transfer_operator(src: CqSource, x0: int, x: int) -> np.ndarray:
     """Operator T on R with (1_B ⊗ T)|psi_x0> = |psi_x>, for a witness x0
     whose reduced state has full support on B.
 
@@ -325,7 +324,7 @@ def transfer_operator(src: CqSource, x0: int, x: int,
     db, dr = src.dim_b, src.dim_r
     m0 = src.state_matrix(x0)
     lam, evecs = qcore.sorted_eigh(m0 @ m0.conj().T)
-    if lam[-1] <= tol_generic:
+    if lam[-1] <= TOL_GENERIC:
         raise ValueError(f"witness state {x0} does not have full support on B "
                          f"(min eigenvalue {lam[-1]})")
     if x == x0:
@@ -388,10 +387,10 @@ def mix_with_maximally_mixed(src: CqSource, eps: float) -> CqSource:
 
 
 def random_source(rng: np.random.Generator, nx: int = 2, dim_b: int = 2,
-                  dim_r: int = 2, min_prob: float = 0.1) -> CqSource:
-    """Random cq source with probabilities bounded away from zero."""
+                  dim_r: int = 2) -> CqSource:
+    """Random cq source with every probability at least 0.1."""
     probs = rng.dirichlet(np.ones(nx))
-    probs = (1.0 - nx * min_prob) * probs + min_prob
+    probs = (1.0 - nx * 0.1) * probs + 0.1
     vecs = [qcore.random_pure(dim_b * dim_r, rng) for _ in range(nx)]
     return make_source(probs, vecs, dim_b, dim_r, name="random")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cqrate import idelta, qcore, source
+from cqrate import cli, idelta, qcore, source
 from cqrate.idelta import OptimizerOptions
 
 I_XB_B = 0.3112781244591328  # I(X:B) of SRC-B
@@ -36,6 +37,16 @@ def test_apply_channel_identity_to_w(src_b):
 def test_apply_channel_src_c_keep_second_factor(src_c):
     param = idelta.make_channel_param(np.eye(4, dtype=complex), 4, 2, 2)
     _, ixw, irwx = idelta.apply_channel(src_c, param)
+    assert ixw == pytest.approx(1.0, abs=1e-9)
+    assert irwx == pytest.approx(0.0, abs=1e-9)
+
+
+def test_apply_channel_certifies_from_sigma_not_the_evaluator(monkeypatch, src_a):
+    def garbage(self, v):
+        return {key: np.full(len(v), 7.5) for key in ("ixw", "irwx", "icw", "icx")}
+    monkeypatch.setattr(idelta._Evaluator, "informations", garbage)
+    param = idelta.make_channel_param(np.eye(2, dtype=complex), 2, 1, 2)
+    _, ixw, irwx = idelta.apply_channel(src_a, param)
     assert ixw == pytest.approx(1.0, abs=1e-9)
     assert irwx == pytest.approx(0.0, abs=1e-9)
 
@@ -86,6 +97,16 @@ def test_optimize_dims_validation(src_b):
         idelta.optimize_idelta(src_b, 0.0, OptimizerOptions(c_dim=1, w_dim=1, restarts=1))
 
 
+def test_option_surface_is_what_the_cli_sets():
+    names = {f.name for f in dataclasses.fields(OptimizerOptions)}
+    assert names == {"seed", "restarts", "c_dim", "w_dim", "iters_per_stage"}
+    args = cli.build_parser().parse_args(
+        ["idelta", "--source", "s.json", "--delta-grid", "0", "--seed", "5",
+         "--restarts", "3", "--iters", "7", "--cdim", "2", "--wdim", "4"])
+    assert cli._optimizer_options(args) == OptimizerOptions(
+        seed=5, restarts=3, c_dim=2, w_dim=4, iters_per_stage=7)
+
+
 def test_optimize_deterministic(src_b):
     opts = OptimizerOptions(seed=3, restarts=3, iters_per_stage=15)
     r1 = idelta.optimize_idelta(src_b, 0.05, opts)
@@ -99,24 +120,40 @@ def test_lockstep_restarts_are_independent(src_b, src_c):
     opts = OptimizerOptions(seed=3, restarts=4, iters_per_stage=15)
     pure_b, pure_c = idelta._Ensemble.from_source(src_b), idelta._Ensemble.from_source(src_c)
     mixed = idelta._Ensemble.conditioned(src_b, np.array([[0.7, 0.2], [0.3, 0.8]]))
-    for ens, extra in ((pure_b, None), (pure_c, None), (mixed, None),
-                       (pure_b, lambda info: info["icw"] <= info["icx"])):
+    for ens, unassisted in ((pure_b, False), (pure_c, False), (mixed, False), (pure_b, True)):
         c = w = 2
-        ev = idelta._Evaluator(ens, c, w, want_c=extra is not None)
+        ev = idelta._Evaluator(ens, c, w, want_c=unassisted)
         seeds = np.random.SeedSequence(7).spawn(4)
         v0 = np.stack([qcore.random_isometry(c * w, ens.dim_b, np.random.default_rng(s))
                        for s in seeds])
         stacked = idelta._climb(ev, v0, 0.05, opts,
-                                [np.random.default_rng(s) for s in seeds], extra)
+                                [np.random.default_rng(s) for s in seeds])
         assert any(out is not None for out in stacked)
         for i, seed in enumerate(seeds):
             alone = idelta._climb(ev, v0[i:i + 1], 0.05, opts,
-                                  [np.random.default_rng(seed)], extra)[0]
+                                  [np.random.default_rng(seed)])[0]
             if alone is None:
                 assert stacked[i] is None
                 continue
             assert alone[:2] == stacked[i][:2]
             assert alone[2].tobytes() == stacked[i][2].tobytes()
+
+
+def test_start_points_are_distinct_and_hold_both_embeddings():
+    for dim_b in range(1, 5):
+        for c in range(1, 6):
+            for w in range(1, 6):
+                if c * w < dim_b:
+                    continue
+                starts = idelta._start_points(dim_b, c, w)
+                # the basis embedding, which is B into W (c = 0) when B fits
+                assert np.array_equal(starts[0], np.eye(c * w, dim_b))
+                if c >= dim_b:  # B into C, trivial W
+                    into_c = np.zeros((c * w, dim_b))
+                    into_c[np.arange(dim_b) * w, np.arange(dim_b)] = 1.0
+                    assert any(np.array_equal(s, into_c) for s in starts)
+                for i, s in enumerate(starts):
+                    assert not any(np.array_equal(s, t) for t in starts[:i])
 
 
 def test_fewer_restarts_give_the_first_restarts_results(src_b):
@@ -137,24 +174,20 @@ def ensembles(src_a, src_b, src_c):
     return [idelta._Ensemble.from_source(s) for s in (src_a, src_b, src_c)] + [mixed]
 
 
-def _unassisted(info) -> bool:
-    return info["icw"] - info["icx"] <= idelta.TOL_FEAS
-
-
 def test_closed_form_splits_match_a_climb(ensembles):
     for ens in ensembles:
         db = ens.dim_b
         for c, w in ((1, db), (db, 1)):
             opts = OptimizerOptions(seed=5, restarts=3, iters_per_stage=10, c_dim=c, w_dim=w)
-            for extra in (None, _unassisted):
-                ev = idelta._Evaluator(ens, c, w, want_c=extra is not None)
+            for unassisted in (False, True):
+                ev = idelta._Evaluator(ens, c, w, want_c=unassisted)
                 for delta in (0.0, 0.01, 0.1):
-                    closed = idelta._optimize_ensemble(ens, delta, opts, extra_feas=extra)
+                    closed = idelta._optimize_ensemble(ens, delta, opts, unassisted=unassisted)
                     assert closed.restarts_used == 1
                     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(3)]
                     v0 = np.stack([np.eye(c * w, db, dtype=complex)]
                                   + [qcore.random_isometry(c * w, db, rng) for rng in rngs[1:]])
-                    climbed = [out for out in idelta._climb(ev, v0, delta, opts, rngs, extra)
+                    climbed = [out for out in idelta._climb(ev, v0, delta, opts, rngs)
                                if out is not None]
                     assert closed.converged == bool(climbed)
                     for value, constraint, _ in climbed:
@@ -261,11 +294,9 @@ def test_data_processing_ceiling(src_a, src_b, light_opts):
 
 # --- oracle -----------------------------------------------------------------
 
-def test_oracle_validation(src_c, src_b):
+def test_oracle_validation(src_c):
     with pytest.raises(ValueError):
         idelta.oracle_grid(src_c, 0.0)  # |B| = 4
-    with pytest.raises(ValueError):
-        idelta.oracle_grid(src_b, 0.0, resolution=25)
 
 
 def test_oracle_src_a(src_a):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cqrate import idelta, region, source
+from cqrate.errors import InternalError
 from cqrate.idelta import OptimizerOptions
 from cqrate.region import HalfPlane, RatePoint
 
@@ -52,7 +53,7 @@ def test_qsr_point_trivial_channel_is_merging(src_b):
 def test_qsr_point_rejects_infeasible(src_b):
     prof = source.entropic_profile(src_b)
     res = idelta.IdeltaResult(0.0, 0.3, 0.8, None, 1, False)
-    with pytest.raises(ValueError, match="feasible"):
+    with pytest.raises(InternalError, match="feasible"):
         region.qsr_point(prof, src_b, res)
 
 

@@ -191,8 +191,8 @@ def cmd_idelta(args) -> int:
 def cmd_verify_code(args) -> int:
     src = source.load_source(_load_json(args.source))
     code = codes.load_code(_load_json(args.code), src)
-    fid = codes.average_fidelity(src, code)
     dec = codes.decoupling_cmi(src, code)
+    fid = dec.fidelity
     doc = {
         "provenance": _provenance(args, "verify-code"),
         "source": {"name": src.name},
@@ -205,7 +205,7 @@ def cmd_verify_code(args) -> int:
                              for xs, w, f in fid.per_sequence],
         },
         "decoupling": {"cmi": dec.cmi, "bound": dec.bound,
-                       "pass": dec.passed, "epsilon_used": dec.epsilon_used},
+                       "pass": dec.passed, "epsilon_used": fid.epsilon},
     }
     _emit(_dump(doc), args.out)
     return 0 if dec.passed else 1

@@ -78,7 +78,7 @@ class DecouplingReport:
     cmi: float
     bound: float  # n * delta(n, epsilon)
     passed: bool
-    epsilon_used: float
+    fidelity: FidelityReport  # the walk that measured the cmi also measured eps
 
 
 # ---------------------------------------------------------------------------
@@ -189,35 +189,45 @@ def coded_outputs(src: CqSource, code: BlockCode):
         yield xs, p, lv
 
 
-def average_fidelity(src: CqSource, code: BlockCode) -> FidelityReport:
-    """Exact average fidelity: per-sequence fidelity between the ideal state
-    (with the reference spectated and the target entanglement appended in
-    assisted mode) and the coded output, weighted by p(x^n)."""
-    n = code.n
-    nxn = src.alphabet_size ** n
-    dbn, drn = src.dim_b ** n, src.dim_r ** n
+def _evaluate(src: CqSource, code: BlockCode) -> tuple[FidelityReport, float]:
+    """One walk over the coded outputs: the exact average fidelity and the
+    decoupling CMI.
+
+    Sequence x^n's fidelity compares the ideal state t (reference spectated,
+    target entanglement appended in assisted mode) with the coded output.
+    F^2 = <t|rho|t> = <t|M M^dag|t>, where M is the output vector with t's
+    registers as rows and W_D W_B W_X as columns, so rho is never formed.
+
+    The output state is block diagonal in the classical copy and each block
+    is pure, so the CMI is the p(x^n)-weighted sum of I(env : rest) = 2 S(env).
+    """
+    nxn = src.alphabet_size ** code.n
     phi_l = _max_entangled(code.l)
     rows = []
-    avg = 0.0
+    avg = cmi = 0.0
     for xs, p, lv in coded_outputs(src, code):
-        rho = lv.reduced(["Xhat", "Bhat", "D0p", "B0p", "Rn"])
-        # kept registers in lv order: Xhat, Bhat, D0p, B0p, Rn
         ket_x = np.zeros(nxn, dtype=complex)
         ket_x[sequence_index(xs, src.alphabet_size)] = 1.0
-        target = LabeledVector(ket_x, [("Xhat", nxn)])
-        target = target.tensor(LabeledVector(sequence_state(src, xs),
-                                             [("Bhat", dbn), ("Rn", drn)]))
-        target = target.tensor(LabeledVector(phi_l, [("B0p", code.l), ("D0p", code.l)]))
-        t = target.reorder(["Xhat", "Bhat", "D0p", "B0p", "Rn"]).vec
-        f2 = float(np.real(np.vdot(t, rho @ t)))
+        t = np.kron(np.kron(ket_x, sequence_state(src, xs)), phi_l)  # Xhat Bhat Rn B0p D0p
+        m = lv.reorder(["Xhat", "Bhat", "Rn", "B0p", "D0p", "WD", "WB", "WX"]).vec
+        m = m.reshape(t.size, -1)
+        f2 = float(np.real(np.vdot(t, m @ (m.conj().T @ t))))
         f2 = min(max(f2, 0.0), 1.0)
         if f2 > 1.0 - 1e-12:  # snap float noise so perfect codes report 1 exactly
             f2 = 1.0
         f = float(np.sqrt(f2))
         rows.append((xs, p, f))
         avg += p * f
+        rho_env = lv.reduced(["WX", "WB", "WD", "B0p", "D0p"])
+        rho_env = rho_env / np.trace(rho_env).real
+        cmi += p * 2.0 * qcore.entropy_of_mat(rho_env)
     avg = min(avg, 1.0)
-    return FidelityReport(avg, tuple(rows), 1.0 - avg)
+    return FidelityReport(avg, tuple(rows), 1.0 - avg), cmi
+
+
+def average_fidelity(src: CqSource, code: BlockCode) -> FidelityReport:
+    """Exact average fidelity over the source sequences, weighted by p(x^n)."""
+    return _evaluate(src, code)[0]
 
 
 def delta_n_eps(n: int, eps: float, dim_x: int, dim_b: int) -> float:
@@ -242,20 +252,10 @@ def decoupling_cmi(src: CqSource, code: BlockCode) -> DecouplingReport:
     """Conditional mutual information between the protocol environments plus
     entanglement outputs and the decoded systems plus reference, given the
     classical copy; compared against n·delta(n, eps) with eps measured from
-    the same code's average fidelity.
-
-    The full output state is block diagonal in the classical copy, so the
-    CMI is the weighted sum of per-sequence block terms; each block is pure,
-    giving I(env : rest) = 2 S(env).
-    """
-    eps = average_fidelity(src, code).epsilon
-    cmi = 0.0
-    for xs, p, lv in coded_outputs(src, code):
-        rho_env = lv.reduced(["WX", "WB", "WD", "B0p", "D0p"])
-        rho_env = rho_env / np.trace(rho_env).real
-        cmi += p * 2.0 * qcore.entropy_of_mat(rho_env)
-    bound = code.n * delta_n_eps(code.n, eps, src.alphabet_size, src.dim_b)
-    return DecouplingReport(cmi, bound, cmi <= bound + 1e-8, eps)
+    the same code's average fidelity, in the same walk."""
+    fid, cmi = _evaluate(src, code)
+    bound = code.n * delta_n_eps(code.n, fid.epsilon, src.alphabet_size, src.dim_b)
+    return DecouplingReport(cmi, bound, cmi <= bound + 1e-8, fid)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,7 @@ def cmd_verify_code(args) -> int:
         },
         "decoupling": {"cmi": dec.cmi, "bound": dec.bound,
                        "pass": dec.passed, "epsilon_used": fid.epsilon},
+        "warnings": list(dec.warnings),
     }
     _emit(_dump(doc), args.out)
     return 0 if dec.passed else 1

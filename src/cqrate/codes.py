@@ -13,7 +13,6 @@ with |B0| = |D0| = K and |B0'| = |D0'| = L (K = L = 1 in unassisted mode).
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +78,7 @@ class DecouplingReport:
     bound: float  # n * delta(n, epsilon)
     passed: bool
     fidelity: FidelityReport  # the walk that measured the cmi also measured eps
+    warnings: tuple[str, ...]  # eps outside the domain of delta(n, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +233,14 @@ def average_fidelity(src: CqSource, code: BlockCode) -> FidelityReport:
 def delta_n_eps(n: int, eps: float, dim_x: int, dim_b: int) -> float:
     """The decoupling-bound rate: 4 sqrt(6 eps) log(|X||B|) + (2/n) h(sqrt(6 eps)).
 
-    Defined for eps in [0, 1/6]; larger eps is reported with the binary
-    entropy argument clamped to 1 and a domain warning.
+    Defined for eps in [0, 1/6]; for larger eps the binary entropy argument
+    is clamped to 1 (`decoupling_cmi` records this in its report).
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
     if eps < 0:
         raise ValueError("epsilon must be >= 0")
     root = np.sqrt(6.0 * eps)
-    if eps > 1.0 / 6.0:
-        warnings.warn(f"epsilon {eps} outside [0, 1/6]: binary entropy argument clamped",
-                      RuntimeWarning, stacklevel=2)
     return float(4.0 * root * np.log2(dim_x * dim_b)
                  + (2.0 / n) * qcore.binary_entropy(min(max(root, 0.0), 1.0)))
 
@@ -254,8 +251,12 @@ def decoupling_cmi(src: CqSource, code: BlockCode) -> DecouplingReport:
     classical copy; compared against n·delta(n, eps) with eps measured from
     the same code's average fidelity, in the same walk."""
     fid, cmi = _evaluate(src, code)
-    bound = code.n * delta_n_eps(code.n, fid.epsilon, src.alphabet_size, src.dim_b)
-    return DecouplingReport(cmi, bound, cmi <= bound + 1e-8, fid)
+    eps = fid.epsilon
+    bound = code.n * delta_n_eps(code.n, eps, src.alphabet_size, src.dim_b)
+    notes = ()
+    if eps > 1.0 / 6.0:
+        notes = (f"epsilon {eps} outside [0, 1/6]: binary entropy argument clamped",)
+    return DecouplingReport(cmi, bound, cmi <= bound + 1e-8, fid, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import json
 import subprocess
 import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -137,21 +136,19 @@ def test_criterion_5_definition_properties():
 
 def test_criterion_6_decoupling():
     with criterion(6, "decoupling condition"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for src in (source_a(), source_b()):
-                for n in (1, 2):
-                    code = codes.identity_code(src, n)
-                    rep = codes.average_fidelity(src, code)
-                    dec = codes.decoupling_cmi(src, code)
-                    assert rep.epsilon == 0.0
-                    assert dec.cmi == 0.0
-                    assert dec.cmi <= dec.bound + 1e-8
-                    for rank in {1, src.dim_b ** n - 1}:
-                        tcode = codes.truncation_code(src, n, rank)
-                        tdec = codes.decoupling_cmi(src, tcode)
-                        assert tdec.cmi <= tdec.bound + 1e-8, \
-                            f"{src.name} n={n} r={rank}: cmi {tdec.cmi} > {tdec.bound}"
+        for src in (source_a(), source_b()):
+            for n in (1, 2):
+                code = codes.identity_code(src, n)
+                rep = codes.average_fidelity(src, code)
+                dec = codes.decoupling_cmi(src, code)
+                assert rep.epsilon == 0.0
+                assert dec.cmi == 0.0
+                assert dec.cmi <= dec.bound + 1e-8
+                for rank in {1, src.dim_b ** n - 1}:
+                    tcode = codes.truncation_code(src, n, rank)
+                    tdec = codes.decoupling_cmi(src, tcode)
+                    assert tdec.cmi <= tdec.bound + 1e-8, \
+                        f"{src.name} n={n} r={rank}: cmi {tdec.cmi} > {tdec.bound}"
 
 
 def test_criterion_7_inequality_suites():

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqrate import cli, qcore, source
+from cqrate import cli, codes, qcore, source
 from cqrate.qcore import DensityOperator, DimsSpec
 from cqrate.reference import source_a, source_b
 
 H14 = 0.8112781244591328
-SRC_B_SPEC = str(Path(__file__).resolve().parent.parent / "specs" / "src_b.json")
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+SRC_B_SPEC = str(SPECS / "src_b.json")
 # the identity code on specs/src_b.json at n = 1, written out as matrices
 EXPLICIT_IDENTITY = {
     "n": 1, "K": 1, "L": 1, "mode": "unassisted",
@@ -95,6 +96,7 @@ def test_verify_code_identity(spec_paths):
     assert doc["fidelity"]["epsilon"] == 0.0
     assert doc["decoupling"]["cmi"] == 0.0
     assert doc["decoupling"]["pass"] is True
+    assert doc["warnings"] == []
 
 
 def test_verify_code_truncation(spec_paths):
@@ -103,6 +105,32 @@ def test_verify_code_truncation(spec_paths):
     doc = json.loads(out.stdout)
     assert doc["fidelity"]["avg_fidelity"] == pytest.approx(0.75, abs=1e-9)
     assert doc["decoupling"]["pass"] is True
+
+
+def test_verify_code_records_the_epsilon_clamp():
+    """eps = 0.25 is outside the [0, 1/6] domain of delta(n, eps): the
+    document says so, and nothing is printed to stderr."""
+    out = run_cli("verify-code", "--source", SRC_B_SPEC, "--code", str(SPECS / "code_trunc1.json"))
+    assert out.returncode == 0
+    assert out.stderr == ""
+    doc = json.loads(out.stdout)
+    assert doc["decoupling"]["epsilon_used"] == 0.25
+    assert doc["warnings"] == ["epsilon 0.25 outside [0, 1/6]: binary entropy argument clamped"]
+
+
+def test_verify_code_walks_the_coded_outputs_once(monkeypatch):
+    walks = []
+    walk = codes.coded_outputs
+
+    def counted(src, code):
+        walks.append(code.n)
+        return walk(src, code)
+
+    monkeypatch.setattr(codes, "coded_outputs", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify-code", "--source", SRC_B_SPEC,
+                         "--code", str(SPECS / "code_identity.json")]) == 0
+    assert len(walks) == 1
 
 
 def test_verify_code_cap_exit_3(spec_paths):
@@ -216,7 +244,6 @@ def test_verify_code_malformed_spec_exit_2(doc, tmp_path):
     assert out.stderr.startswith("error:")
 
 
-@pytest.mark.filterwarnings("ignore:epsilon .* outside:RuntimeWarning")
 @pytest.mark.parametrize("doc", [EXPLICIT_IDENTITY, TRUNCATION], ids=["explicit", "truncation"])
 def test_fuzz_base_code_specs_are_valid(doc, tmp_path):
     code = tmp_path / "code.json"
@@ -285,6 +312,41 @@ def test_source_non_integral_dims_exit_2(doc, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert cli.main(["analyze", "--source", str(spec)]) == 2
     assert err.getvalue().startswith("error:")
+
+
+def _spec_doc(name: str) -> dict:
+    with open(SPECS / f"{name}.json") as fh:
+        return json.load(fh)
+
+
+# junk in place of each source-spec field, on a pure (amplitudes) and a mixed
+# (density) spec; every run must end in a document or a clean input error
+SOURCE_FIELDS = [(_spec_doc("src_b"), path) for path in (
+    ("probs",), ("states",), ("states", 0, "amplitudes"), ("states", 1, "amplitudes"),
+    ("states", 0, "dims", "B"), ("states", 1, "dims", "R"), ("states", 0, "dims"),
+    ("name",))]
+SOURCE_FIELDS += [(_spec_doc("mixed_example"), path) for path in (
+    ("probs",), ("states", 0, "density"), ("states", 1, "density"), ("states", 0, "dim"),
+    ("states", 1), ("name",))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_source_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "src.json"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field=st.sampled_from(SOURCE_FIELDS), junk=JUNK)
+def test_source_junk_field_exits_0_or_2(fuzz_source_path, field, junk):
+    base, path = field
+    fuzz_source_path.write_text(json.dumps(_with(base, path, junk)))
+    for command, *flags in (["analyze"], ["region", "--i0", "0", "--i0-tilde", "0"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main([command, "--source", str(fuzz_source_path), *flags])
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert (rc == 2) == err.getvalue().startswith("error:"), err.getvalue()
 
 
 def test_integral_floats_are_accepted(tmp_path):

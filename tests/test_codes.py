@@ -1,8 +1,16 @@
+import json
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cqrate import codes
+from cqrate import codes, qcore, source
 from cqrate.errors import DimensionCapError, SpecError
+from cqrate.qcore import DensityOperator, DimsSpec, Isometry, LabeledVector, PureState
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_identity_code_exact(src_a, src_b):
@@ -48,12 +56,13 @@ def test_truncation_rank_validation(src_b):
 
 
 def test_per_sequence_sum_matches_average(src_b):
-    with pytest.warns(RuntimeWarning):
-        code = codes.truncation_code(src_b, 2, 2)
-        rep = codes.average_fidelity(src_b, code)
-        total = sum(w * f for _, w, f in rep.per_sequence)
-        assert rep.avg_fidelity == pytest.approx(total, abs=1e-10)
-        codes.decoupling_cmi(src_b, code)  # warning from eps > 1/6 domain
+    code = codes.truncation_code(src_b, 2, 2)
+    rep = codes.average_fidelity(src_b, code)
+    total = sum(w * f for _, w, f in rep.per_sequence)
+    assert rep.avg_fidelity == pytest.approx(total, abs=1e-10)
+    dec = codes.decoupling_cmi(src_b, code)
+    assert dec.fidelity == rep
+    assert dec.warnings == (_clamp_note(rep.epsilon),)  # eps > 1/6
 
 
 def test_truncation_fidelity_monotone_in_rank(src_b):
@@ -76,18 +85,31 @@ def test_delta_n_eps_values():
     assert d1 - first == pytest.approx(2 * (d2 - first), abs=1e-12)
 
 
-def test_delta_n_eps_domain_warning():
-    with pytest.warns(RuntimeWarning):
+def _clamp_note(eps: float) -> str:
+    return f"epsilon {eps} outside [0, 1/6]: binary entropy argument clamped"
+
+
+def test_delta_n_eps_domain_warning(src_b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         val = codes.delta_n_eps(1, 0.25, 2, 2)
+        dec = codes.decoupling_cmi(src_b, codes.truncation_code(src_b, 1, 1))
     assert val == pytest.approx(4 * np.sqrt(1.5) * 2, abs=1e-12)  # h clamped to h(1) = 0
+    assert dec.fidelity.epsilon == pytest.approx(0.25, abs=1e-12)
+    assert dec.bound == codes.delta_n_eps(1, dec.fidelity.epsilon, 2, 2)
+    assert dec.warnings == (_clamp_note(dec.fidelity.epsilon),)
 
 
 def test_decoupling_truncation_passes(src_a, src_b):
-    with pytest.warns(RuntimeWarning):
-        for src, n, r in [(src_a, 1, 1), (src_b, 1, 1), (src_b, 2, 1), (src_b, 2, 3)]:
-            code = codes.truncation_code(src, n, r)
-            dec = codes.decoupling_cmi(src, code)
-            assert dec.cmi <= dec.bound + 1e-8
+    clamped = 0
+    for src, n, r in [(src_a, 1, 1), (src_b, 1, 1), (src_b, 2, 1), (src_b, 2, 3)]:
+        code = codes.truncation_code(src, n, r)
+        dec = codes.decoupling_cmi(src, code)
+        assert dec.cmi <= dec.bound + 1e-8
+        eps = dec.fidelity.epsilon
+        assert dec.warnings == ((_clamp_note(eps),) if eps > 1 / 6 else ())
+        clamped += bool(dec.warnings)
+    assert clamped > 0
 
 
 def test_decoupling_adversarial_replace_code(src_a):
@@ -102,8 +124,8 @@ def test_decoupling_adversarial_replace_code(src_a):
     code = codes.load_code(doc, src_a)
     rep = codes.average_fidelity(src_a, code)
     assert rep.avg_fidelity == pytest.approx(0.5, abs=1e-12)
-    with pytest.warns(RuntimeWarning):
-        dec = codes.decoupling_cmi(src_a, code)
+    dec = codes.decoupling_cmi(src_a, code)
+    assert dec.warnings == (_clamp_note(rep.epsilon),)
     assert dec.passed
     assert dec.bound > dec.cmi + 1.0  # bound grows much faster than the CMI
 
@@ -170,3 +192,67 @@ def test_builders_check_the_block_length_before_forming_it(src_b):
             build(src_b, 3)
         with pytest.raises(DimensionCapError):
             build(src_b, 10 ** 18)  # no |B|^n or |X|^n is formed
+
+
+def _random_code(src, n: int, assisted: bool, rng: np.random.Generator) -> codes.BlockCode:
+    """An explicit code with Haar-random isometries: U_X a unitary on X^n,
+    U_B compressing B^n by half, V decoding back with |W_D| just large
+    enough for an isometry; K = L = 2 when assisted."""
+    k = l = 2 if assisted else 1
+    nxn, dbn = src.alphabet_size ** n, src.dim_b ** n
+    cb = max(dbn // 2, 1)
+    wb = -(-dbn * k // (cb * l))
+    wd = -(-cb * k // (dbn * l))
+
+    def iso(in_pairs, out_pairs):
+        ins, outs = DimsSpec(in_pairs), DimsSpec(out_pairs)
+        mat = qcore.random_isometry(outs.total_dim, ins.total_dim, rng)
+        return Isometry(mat, ins, outs)
+
+    u_x = iso([("Xn", nxn)], [("CX", nxn), ("WX", 1)])
+    u_b = iso([("Bn", dbn), ("B0", k)], [("CB", cb), ("B0p", l), ("WB", wb)])
+    v = iso([("CX", nxn), ("CB", cb), ("D0", k)],
+            [("Xhat", nxn), ("Bhat", dbn), ("D0p", l), ("WD", wd)])
+    return codes.BlockCode(n, u_x, u_b, v, k, l, "assisted" if assisted else "unassisted")
+
+
+@pytest.mark.parametrize("assisted", [False, True], ids=["unassisted", "assisted-k2"])
+def test_fidelity_matches_the_dense_reference(src_b, assisted):
+    """Each per-sequence fidelity equals F(t, rho) with rho the dense reduced
+    state of the kept registers."""
+    with open(SPECS / "mixed_example.json") as fh:
+        mixed = source.load_source(json.load(fh))
+    rng = np.random.default_rng(3)
+    kept = ["Xhat", "Bhat", "D0p", "B0p", "Rn"]  # in coded-output order
+    for src in (src_b, mixed):
+        for n in (1, 2):
+            code = _random_code(src, n, assisted, rng)
+            rep = codes.average_fidelity(src, code)
+            outputs = list(codes.coded_outputs(src, code))
+            assert [xs for xs, _, _ in rep.per_sequence] == [xs for xs, _, _ in outputs]
+            nxn, dbn, drn = (d ** n for d in (src.alphabet_size, src.dim_b, src.dim_r))
+            phi_l = np.eye(code.l, dtype=complex).reshape(-1) / np.sqrt(code.l)
+            for (xs, _, f), (_, _, lv) in zip(rep.per_sequence, outputs):
+                rho = DensityOperator(lv.reduced(kept),
+                                      [(lbl, d) for lbl, d in lv.dims if lbl in kept])
+                ket_x = np.zeros(nxn, dtype=complex)
+                ket_x[source.sequence_index(xs, src.alphabet_size)] = 1.0
+                target = LabeledVector(ket_x, [("Xhat", nxn)]).tensor(
+                    LabeledVector(source.sequence_state(src, xs), [("Bhat", dbn), ("Rn", drn)])
+                ).tensor(LabeledVector(phi_l, [("B0p", code.l), ("D0p", code.l)]))
+                t = target.reorder(kept)
+                ref = qcore.fidelity(PureState(t.vec, t.dims), rho)
+                assert abs(f - ref) <= 1e-12, (src.name, n, xs)
+
+
+def test_decoupling_cmi_memory_peak(src_c):
+    """The kept registers of src_c at n = 2, K = L = 2 span 1024 dimensions;
+    the evaluation must not form their density matrix."""
+    code = _random_code(src_c, 2, True, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        codes.decoupling_cmi(src_c, code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -13,6 +13,10 @@ from cqrate.qcore import DensityOperator, DimsSpec, Isometry, LabeledVector, Pur
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
+def _clamp_note(eps: float) -> str:
+    return f"epsilon {eps} outside [0, 1/6]: binary entropy argument clamped"
+
+
 def test_identity_code_exact(src_a, src_b):
     for src, n in [(src_a, 1), (src_a, 2), (src_b, 1), (src_b, 2)]:
         code = codes.identity_code(src, n)
@@ -83,10 +87,6 @@ def test_delta_n_eps_values():
     d2 = codes.delta_n_eps(2, 0.1, 2, 2)
     first = 4 * np.sqrt(0.6) * 2
     assert d1 - first == pytest.approx(2 * (d2 - first), abs=1e-12)
-
-
-def _clamp_note(eps: float) -> str:
-    return f"epsilon {eps} outside [0, 1/6]: binary entropy argument clamped"
 
 
 def test_delta_n_eps_domain_warning(src_b):

@@ -107,6 +107,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_region(args) -> int:
+    for flag, value in (("--i0", args.i0), ("--i0-tilde", args.i0_tilde)):
+        if value is not None and not math.isfinite(value):
+            raise SpecError(f"{flag} must be finite, got {value}")
     src = source.load_source(_load_json(args.source))
     prof = source.entropic_profile(src)
     gen = source.genericity_report(src)

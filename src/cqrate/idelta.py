@@ -253,26 +253,28 @@ def _feasible(info, delta: float, unassisted: bool) -> bool:
     return not unassisted or info["icw"] - info["icx"] <= TOL_FEAS
 
 
-def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
-           rngs: list[np.random.Generator]) -> list[tuple[float, float, np.ndarray] | None]:
-    """The restarts of one dimension split, in lockstep: restart i is a
-    penalized ascent from v0[i] with directions drawn from rngs[i].  Returns
-    per restart the best strictly feasible visited point as (value,
-    constraint, V), or None.  An evaluator that computes I(C:W) and I(C:X)
-    (`ev.want_c`) climbs the unassisted variant.
+def _climb(ev: _Evaluator, v0: np.ndarray, deltas: list[float], opts: OptimizerOptions,
+           rngs: list[np.random.Generator]) -> list[list[tuple[float, float, np.ndarray] | None]]:
+    """The restarts of one dimension split at every delta of `deltas`, in
+    lockstep: at each delta, restart i is a penalized ascent from v0[i] with
+    directions drawn from rngs[i].  Returns per delta, per restart, the best
+    strictly feasible visited point as (value, constraint, V), or None.  An
+    evaluator that computes I(C:W) and I(C:X) (`ev.want_c`) climbs the
+    unassisted variant.
 
-    Each step retracts and evaluates the three candidates of every restart
-    as one stack.  A restart then takes its candidates in order and stops at
-    the first accepted one; the later ones change neither `best` nor the
-    step size, exactly as if they had not been evaluated, so a restart's
-    result does not depend on the other restarts in the stack."""
+    The starts and the directions do not depend on delta, so v0 is evaluated
+    once and each step draws one direction per restart for the whole grid.
+    The three candidates of every (delta, restart) are then retracted and
+    evaluated as one stack, once per distinct (restart, point, step size):
+    deltas whose climbs have made the same moves share them.  A (delta,
+    restart) takes its candidates in order and stops at the first accepted
+    one; the later ones change neither `best` nor the step size, exactly as
+    if they had not been evaluated, so its result depends neither on the
+    other restarts nor on the other deltas."""
 
     unassisted = ev.want_c
 
-    def feasible(info) -> bool:
-        return _feasible(info, delta, unassisted)
-
-    def penalty(info, mu: float) -> float:
+    def penalty(info, mu: float, delta: float) -> float:
         pen = mu * max(info["irwx"] - delta, 0.0) ** 2
         if unassisted:
             pen += mu * max(info["icw"] - info["icx"], 0.0) ** 2
@@ -283,39 +285,67 @@ def _climb(ev: _Evaluator, v0: np.ndarray, delta: float, opts: OptimizerOptions,
         return [dict(zip(cols, vals)) for vals in zip(*cols.values())]
 
     n, d = len(rngs), ev.dim_v_out
-    v = v0.copy()  # row i: restart i's current point, updated in place
-    info = per_matrix(ev.informations(v))
-    best = [(inf["ixw"], inf["irwx"], v[i].copy()) if feasible(inf) else None
-            for i, inf in enumerate(info)]
+    info0 = per_matrix(ev.informations(v0))
+    v = np.repeat(v0[np.newaxis], len(deltas), axis=0)  # v[g, i], updated in place
+    info = [list(info0) for _ in deltas]
+    best = [[(inf["ixw"], inf["irwx"], v0[i].copy())
+             if _feasible(inf, delta, unassisted) else None
+             for i, inf in enumerate(info0)] for delta in deltas]
     for mu in PENALTY_SCHEDULE:
-        f = [penalty(inf, mu) for inf in info]
-        step = [STEP_INIT] * n
+        f = [[penalty(inf, mu, delta) for inf in row] for row, delta in zip(info, deltas)]
+        step = [[STEP_INIT] * n for _ in deltas]
         for _ in range(opts.iters_per_stage):
             a = np.stack([_random_direction(rng, d) for rng in rngs])
             # unit operator norm, from one SVD call for all restarts
             a /= np.maximum(np.linalg.svd(a, compute_uv=False)[:, 0],
                             1e-12)[:, np.newaxis, np.newaxis]
-            eps = np.array([(s, s / 4.0, -s) for s in step])
-            cands = _qr_retract((v[:, np.newaxis] + eps[:, :, np.newaxis, np.newaxis]
-                                 * (a @ v)[:, np.newaxis]).reshape(3 * n, d, -1))
+            # (delta, restart) pairs at the same point with the same step size
+            # have the same candidates, so each distinct state is stepped once;
+            # slot[g][i] indexes the state of pair (g, i) in `states`
+            index, states, slot = {}, [], []
+            for g in range(len(deltas)):
+                slot.append([])
+                for i in range(n):
+                    key = (i, step[g][i], v[g, i].tobytes())
+                    if key not in index:
+                        index[key] = len(states)
+                        states.append((g, i))
+                    slot[g].append(index[key])
+            gs, rs = np.array(states).T
+            pts = v[gs, rs]
+            eps = np.array([(step[g][i], step[g][i] / 4.0, -step[g][i]) for g, i in states])
+            cands = _qr_retract((pts[:, np.newaxis] + eps[:, :, np.newaxis, np.newaxis]
+                                 * (a[rs] @ pts)[:, np.newaxis]).reshape(-1, d, pts.shape[-1]))
             cinfo = per_matrix(ev.informations(cands))
-            for i in range(n):
-                improved = False
-                for j in range(3 * i, 3 * i + 3):
-                    ci = cinfo[j]
-                    cf = penalty(ci, mu)
-                    if feasible(ci) and (best[i] is None or ci["ixw"] > best[i][0]):
-                        best[i] = (ci["ixw"], ci["irwx"], cands[j].copy())
-                    if cf > f[i] + 1e-12:
-                        v[i], info[i], f[i] = cands[j], ci, cf
-                        improved = True
-                        break
-                step[i] = min(step[i] * 1.3, 1.0) if improved else max(step[i] * 0.6, 1e-4)
+            for g, delta in enumerate(deltas):
+                for i in range(n):
+                    improved = False
+                    for j in range(3 * slot[g][i], 3 * slot[g][i] + 3):
+                        ci = cinfo[j]
+                        cf = penalty(ci, mu, delta)
+                        if _feasible(ci, delta, unassisted) and \
+                                (best[g][i] is None or ci["ixw"] > best[g][i][0]):
+                            best[g][i] = (ci["ixw"], ci["irwx"], cands[j].copy())
+                        if cf > f[g][i] + 1e-12:
+                            v[g, i], info[g][i], f[g][i] = cands[j], ci, cf
+                            improved = True
+                            break
+                    step[g][i] = (min(step[g][i] * 1.3, 1.0) if improved
+                                  else max(step[g][i] * 0.6, 1e-4))
     return best
 
 
-def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
-                       unassisted: bool = False) -> IdeltaResult:
+def _optimize_ensemble(ens: _Ensemble, deltas: list[float], opts: OptimizerOptions,
+                       unassisted: bool = False) -> list[IdeltaResult]:
+    """Best feasible lower bound at each delta of `deltas`, from one climb
+    per dimension split for the whole list; each result equals that of a
+    one-delta list at its delta, bit for bit."""
+    deltas = [float(d) for d in deltas]
+    for delta in deltas:
+        if not math.isfinite(delta):
+            raise ValueError(f"delta must be finite, got {delta}")
+        if delta < 0:
+            raise ValueError("delta must be >= 0")
     dim_b = ens.dim_b
     if opts.c_dim is not None or opts.w_dim is not None:
         menu = [(opts.c_dim if opts.c_dim is not None else dim_b,
@@ -331,7 +361,7 @@ def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
             raise ValueError(
                 f"no isometry B -> C⊗W with |C||W| = {c_dim * w_dim} < |B| = {dim_b}")
 
-    results = []  # (menu index, restart index, c, w, outcome)
+    results = [[] for _ in deltas]  # per delta: (menu index, restart index, c, w, outcome)
     for mi, (c_dim, w_dim) in enumerate(menu):
         starts = _start_points(dim_b, c_dim, w_dim)
         ev = _Evaluator(ens, c_dim, w_dim, want_c=unassisted)
@@ -341,9 +371,10 @@ def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
             # identity embedding is evaluated once instead of climbed
             v = starts[0]
             info = {k: float(a[0]) for k, a in ev.informations(v[np.newaxis]).items()}
-            out = ((info["ixw"], info["irwx"], v)
-                   if _feasible(info, delta, unassisted) else None)
-            results.append((mi, 0, c_dim, w_dim, out))
+            for row, delta in zip(results, deltas):
+                out = ((info["ixw"], info["irwx"], v)
+                       if _feasible(info, delta, unassisted) else None)
+                row.append((mi, 0, c_dim, w_dim, out))
             continue
         n_restarts = max(opts.restarts, len(starts))
         seeds = np.random.SeedSequence(entropy=opts.seed, spawn_key=(mi,)).spawn(n_restarts)
@@ -351,9 +382,12 @@ def _optimize_ensemble(ens: _Ensemble, delta: float, opts: OptimizerOptions,
         v0 = np.stack([starts[i] if i < len(starts)
                        else qcore.random_isometry(c_dim * w_dim, dim_b, rng)
                        for i, rng in enumerate(rngs)])
-        outs = _climb(ev, v0, delta, opts, rngs)
-        results += [(mi, i, c_dim, w_dim, out) for i, out in enumerate(outs)]
+        for row, outs in zip(results, _climb(ev, v0, deltas, opts, rngs)):
+            row += [(mi, i, c_dim, w_dim, out) for i, out in enumerate(outs)]
+    return [_best_result(delta, dim_b, row) for delta, row in zip(deltas, results)]
 
+
+def _best_result(delta: float, dim_b: int, results: list) -> IdeltaResult:
     feasibles = [r for r in results if r[4] is not None]
     candidates = tuple((r[4][0], r[4][1]) for r in feasibles)
     if feasibles:
@@ -374,20 +408,20 @@ def optimize_idelta(src: CqSource, delta: float,
     The supremum in the definition ranges over unbounded W; with the finite
     dims used here every output is a lower bound.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    return _optimize_ensemble(_Ensemble.from_source(src), delta, opts)
+    return _optimize_ensemble(_Ensemble.from_source(src), [delta], opts)[0]
 
 
-def idelta_curve(src: CqSource, deltas,
-                 opts: OptimizerOptions = OptimizerOptions()) -> IdeltaCurve:
-    """Per-delta lower bounds, monotonized by running maximum."""
+def _check_grid(deltas) -> list[float]:
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ValueError("delta grid must be non-empty")
-    if any(d < 0 for d in deltas) or sorted(deltas) != deltas:
-        raise ValueError("delta grid must be sorted ascending and >= 0")
-    results = tuple(optimize_idelta(src, d, opts) for d in deltas)
+    if sorted(deltas) != deltas:
+        raise ValueError("delta grid must be sorted ascending")
+    return deltas
+
+
+def _curve(deltas: list[float], results: list[IdeltaResult]) -> IdeltaCurve:
+    """The curve of per-delta results, monotonized by running maximum."""
     raw = [res.value for res in results]
     mono = list(np.maximum.accumulate(raw))
     warnings = [f"monotonicity violation at delta={d:g}: raw value {r:.6g} is {m - r:.3g} "
@@ -404,7 +438,15 @@ def idelta_curve(src: CqSource, deltas,
                     f"concavity violation at delta={d1:g}: value {mono[i]:.4f} "
                     f"below chord {chord:.4f} (optimizer failure, not a curve feature)")
     return IdeltaCurve(tuple(deltas), tuple(mono), tuple(raw), True, tuple(warnings),
-                       results)
+                       tuple(results))
+
+
+def idelta_curve(src: CqSource, deltas,
+                 opts: OptimizerOptions = OptimizerOptions()) -> IdeltaCurve:
+    """Per-delta lower bounds from one climb over the whole grid, monotonized
+    by running maximum."""
+    deltas = _check_grid(deltas)
+    return _curve(deltas, _optimize_ensemble(_Ensemble.from_source(src), deltas, opts))
 
 
 @dataclass(frozen=True)
@@ -419,17 +461,19 @@ class I0Estimates:
 def estimate_I0_tilde(src: CqSource,
                       opts: OptimizerOptions = OptimizerOptions(),
                       grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)) -> I0Estimates:
-    """I_0 estimate (optimization at delta = 0, taken from the curve when the
-    grid holds 0) and the limit estimate I~_0 (the curve's value at the
-    smallest positive delta of the grid, a last-value extrapolation toward
-    delta -> 0).
+    """I_0 estimate (optimization at delta = 0, the curve's own result when
+    the grid holds 0, otherwise an extra delta climbed in the curve's stack)
+    and the limit estimate I~_0 (the curve's value at the smallest positive
+    delta of the grid, a last-value extrapolation toward delta -> 0).
 
     Both are lower bounds; since I~_0 >= I_0 holds exactly, the reported
     I~_0 estimate is floored at the I_0 estimate.
     """
-    curve = idelta_curve(src, sorted(grid), opts)
-    res0 = (curve.results[curve.deltas.index(0.0)] if 0.0 in curve.deltas
-            else optimize_idelta(src, 0.0, opts))
+    deltas = _check_grid(sorted(grid))
+    stack = deltas if 0.0 in deltas else deltas + [0.0]  # delta = 0 rides in the stack
+    results = _optimize_ensemble(_Ensemble.from_source(src), stack, opts)
+    curve = _curve(deltas, results[:len(deltas)])
+    res0 = results[stack.index(0.0)]
     i0 = res0.value
     positive = [v for d, v in zip(curve.deltas, curve.values) if d > 0]
     i0t = max(positive[0] if positive else i0, i0)
@@ -449,7 +493,7 @@ def optimize_I0_minus(src: CqSource,
                       opts: OptimizerOptions = OptimizerOptions()) -> IdeltaResult:
     """Unassisted variant: maximize I(X:W) over isometries B -> C⊗W subject
     to I(R:W|X) <= TOL_FEAS and I(C:W) - I(C:X) <= TOL_FEAS."""
-    return _optimize_ensemble(_Ensemble.from_source(src), 0.0, opts, unassisted=True)
+    return _optimize_ensemble(_Ensemble.from_source(src), [0.0], opts, unassisted=True)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def markov_interpolation(src: CqSource, y_dim: int,
         ens = _Ensemble.conditioned(src, cond)
         rhos_b = [m @ m.conj().T for m in ens.mats]
         iyb = float(qcore.holevo_of_stack(ens.probs, rhos_b)[0])
-        res = _optimize_ensemble(ens, 0.0, opts)
+        res = _optimize_ensemble(ens, [0.0], opts)[0]
         iyw = res.value if res.converged else 0.0
         points.append(RatePoint(profile.s_x_given_b + iyb,
                                 profile.s_b - 0.5 * (iyb + iyw)))

@@ -189,9 +189,9 @@ def suite_oracle(seed: int, count: int | None = None) -> SuiteResult:
     checks = 0
     for src in (source_a(), source_b()):
         ixb = source.entropic_profile(src).i_x_b
-        for delta in (0.0, 0.1, 1.0):
+        curve = idelta.idelta_curve(src, (0.0, 0.1, 1.0), opts)
+        for delta, res in zip(curve.deltas, curve.results):
             checks += 1
-            res = idelta.optimize_idelta(src, delta, opts)
             ora = idelta.oracle_grid(src, delta)
             if res.value < ora - idelta.TOL_OPT:
                 bad.append(f"{src.name} delta={delta}: optimizer {res.value} < oracle {ora}")

@@ -184,6 +184,35 @@ def test_idelta_empty_grid(spec_paths):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("grid", ["nan", "inf", "1e400", "0,nan"])
+def test_idelta_non_finite_delta_exit_2(grid):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["idelta", "--source", SRC_B_SPEC, "--delta-grid", grid,
+                       "--restarts", "1", "--iters", "1"])
+    assert rc == 2
+    assert err.getvalue().startswith("error:") and "finite" in err.getvalue()
+
+
+@pytest.mark.parametrize("i0, i0_tilde", [("nan", "nan"), ("inf", "0"), ("0", "-inf")])
+def test_region_non_finite_estimates_exit_2(i0, i0_tilde):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["region", "--source", SRC_B_SPEC, f"--i0={i0}",
+                       f"--i0-tilde={i0_tilde}"])
+    assert rc == 2
+    assert err.getvalue().startswith("error:") and "finite" in err.getvalue()
+
+
+def test_region_clamps_finite_out_of_range_estimates():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["region", "--source", SRC_B_SPEC, "--i0=5", "--i0-tilde=-1"]) == 0
+    estimates = json.loads(out.getvalue())["estimates"]
+    i_x_b = json.loads(out.getvalue())["profile"]["I_X_B"]
+    assert (estimates["I0"], estimates["I0_tilde"]) == (i_x_b, i_x_b)
+
+
 def test_idelta_emit_channels(spec_paths):
     out = run_cli("idelta", "--source", spec_paths["a"], "--delta-grid", "0",
                   "--restarts", "2", "--iters", "10", "--emit-channels")

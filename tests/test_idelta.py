@@ -126,17 +126,140 @@ def test_lockstep_restarts_are_independent(src_b, src_c):
         seeds = np.random.SeedSequence(7).spawn(4)
         v0 = np.stack([qcore.random_isometry(c * w, ens.dim_b, np.random.default_rng(s))
                        for s in seeds])
-        stacked = idelta._climb(ev, v0, 0.05, opts,
-                                [np.random.default_rng(s) for s in seeds])
+        stacked = idelta._climb(ev, v0, [0.05], opts,
+                                [np.random.default_rng(s) for s in seeds])[0]
         assert any(out is not None for out in stacked)
         for i, seed in enumerate(seeds):
-            alone = idelta._climb(ev, v0[i:i + 1], 0.05, opts,
-                                  [np.random.default_rng(seed)])[0]
+            alone = idelta._climb(ev, v0[i:i + 1], [0.05], opts,
+                                  [np.random.default_rng(seed)])[0][0]
             if alone is None:
                 assert stacked[i] is None
                 continue
             assert alone[:2] == stacked[i][:2]
             assert alone[2].tobytes() == stacked[i][2].tobytes()
+
+
+# --- one climb per delta grid -------------------------------------------------
+
+def _assert_same_result(batched: idelta.IdeltaResult, alone: idelta.IdeltaResult):
+    """Equal bit for bit: value, constraint, V, candidates, restarts_used and
+    converged."""
+    assert batched.delta == alone.delta
+    assert batched.value == alone.value
+    assert batched.constraint == alone.constraint
+    assert batched.candidates == alone.candidates
+    assert (batched.restarts_used, batched.converged) == (alone.restarts_used, alone.converged)
+    if alone.param is None:
+        assert batched.param is None
+    else:
+        assert (batched.param.c_dim, batched.param.w_dim) == \
+            (alone.param.c_dim, alone.param.w_dim)
+        assert batched.param.mat.tobytes() == alone.param.mat.tobytes()
+
+
+@pytest.mark.parametrize("name", ["src_a", "src_b", "src_c", "mixed_example"])
+def test_a_batched_grid_gives_each_delta_its_lone_result(name):
+    src = _load(name)
+    ens = idelta._Ensemble.from_source(src)
+    for dims in ({}, {"c_dim": 2, "w_dim": 2}, {"c_dim": 1, "w_dim": src.dim_b}):
+        opts = OptimizerOptions(seed=2, restarts=3, iters_per_stage=6, **dims)
+        for grid in ([0.0, 0.01, 0.1], [1e-3, 0.05]):
+            curve = idelta.idelta_curve(src, grid, opts)
+            assert len(curve.results) == len(grid)
+            for delta, res in zip(grid, curve.results):
+                _assert_same_result(res, idelta.optimize_idelta(src, delta, opts))
+        unassisted = idelta._optimize_ensemble(ens, [0.0, 0.1], opts, unassisted=True)
+        for delta, res in zip([0.0, 0.1], unassisted):
+            _assert_same_result(
+                res, idelta._optimize_ensemble(ens, [delta], opts, unassisted=True)[0])
+
+
+@pytest.mark.parametrize("name", ["src_a", "src_b", "src_c", "mixed_example"])
+def test_estimates_give_the_lone_results_at_zero_and_on_the_grid(name):
+    src = _load(name)
+    opts = OptimizerOptions(seed=4, restarts=3, iters_per_stage=6)
+    est = idelta.estimate_I0_tilde(src, opts)
+    _assert_same_result(est.i0_result, idelta.optimize_idelta(src, 0.0, opts))
+    curve = idelta.idelta_curve(src, (1e-4, 1e-3, 1e-2, 1e-1), opts)
+    assert (est.curve.deltas, est.curve.values, est.curve.raw_values, est.curve.warnings) == \
+        (curve.deltas, curve.values, curve.raw_values, curve.warnings)
+    for batched, alone in zip(est.curve.results, curve.results):
+        _assert_same_result(batched, alone)
+
+
+def test_estimates_draw_each_direction_once_for_the_whole_grid(monkeypatch, src_c):
+    opts = OptimizerOptions(seed=1, restarts=3, iters_per_stage=5)
+    drawn = []
+    draw = idelta._random_direction
+
+    def counted(rng, d):
+        drawn.append(d)
+        return draw(rng, d)
+
+    monkeypatch.setattr(idelta, "_random_direction", counted)
+    idelta.estimate_I0_tilde(src_c, opts)  # four grid deltas and delta = 0
+    db = src_c.dim_b
+    restarts = [max(opts.restarts, len(idelta._start_points(db, c, w)))
+                for c, w in idelta._dims_menu(db) if c > 1 and w > 1]
+    assert len(restarts) == 2  # (4, 4) and (2, 2); the other splits are closed form
+    assert len(drawn) == sum(restarts) * len(idelta.PENALTY_SCHEDULE) * opts.iters_per_stage
+
+
+def test_deltas_on_the_same_path_share_their_candidates(monkeypatch, src_b):
+    rows = []
+    retract = idelta._qr_retract
+
+    def counted(v):
+        rows.append(len(v))
+        return retract(v)
+
+    monkeypatch.setattr(idelta, "_qr_retract", counted)
+    opts = OptimizerOptions(seed=1, restarts=3, iters_per_stage=5, c_dim=2, w_dim=2)
+    once, twice = idelta._optimize_ensemble(idelta._Ensemble.from_source(src_b),
+                                            [0.05, 0.05], opts)
+    assert rows == [3 * opts.restarts] * (len(idelta.PENALTY_SCHEDULE) * opts.iters_per_stage)
+    _assert_same_result(once, twice)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("1e400")],
+                         ids=["nan", "inf", "1e400"])
+def test_non_finite_deltas_are_rejected(src_b, bad):
+    opts = OptimizerOptions(restarts=1, iters_per_stage=1)
+    with pytest.raises(ValueError, match="finite"):
+        idelta.optimize_idelta(src_b, bad, opts)
+    with pytest.raises(ValueError, match="finite"):
+        idelta.idelta_curve(src_b, [0.0, bad], opts)
+    with pytest.raises(ValueError, match="finite"):
+        idelta.estimate_I0_tilde(src_b, opts, grid=(0.1, bad))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(which=st.integers(0, 3), c=st.integers(1, 4), w=st.integers(1, 4),
+       want_c=st.booleans(), rows=st.sampled_from([1, 3, 30, 90]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_retraction_and_evaluation_act_row_by_row(
+        ensembles, which, c, w, want_c, rows, seed):
+    """The invariants the batched climb relies on, on stacks as large as
+    G·3R (G deltas, R restarts): each row is retracted and evaluated as if
+    alone."""
+    ens = ensembles[which]
+    assume(c * w >= ens.dim_b)
+    d = c * w
+    rng = np.random.default_rng(seed)
+    v = np.stack([qcore.random_isometry(d, ens.dim_b, rng) for _ in range(rows)])
+    g = rng.standard_normal((rows, d, d)) + 1j * rng.standard_normal((rows, d, d))
+    stepped = v + 0.3 * ((g - g.conj().swapaxes(-1, -2)) / 2.0) @ v  # as a climb step
+    q = idelta._qr_retract(stepped)
+    gram = q.conj().swapaxes(-1, -2) @ q
+    assert np.abs(gram - np.eye(ens.dim_b)).max() <= 1e-12
+    ev = idelta._Evaluator(ens, c, w, want_c=want_c)
+    stacked = ev.informations(q)
+    assert set(stacked) == ({"ixw", "irwx", "icw", "icx"} if want_c else {"ixw", "irwx"})
+    for i in range(rows):
+        assert idelta._qr_retract(stepped[i:i + 1]).tobytes() == q[i:i + 1].tobytes()
+        alone = ev.informations(q[i:i + 1])
+        for key, vals in stacked.items():
+            assert vals[i:i + 1].tobytes() == alone[key].tobytes(), key
 
 
 def test_start_points_are_distinct_and_hold_both_embeddings():
@@ -182,12 +305,13 @@ def test_closed_form_splits_match_a_climb(ensembles):
             for unassisted in (False, True):
                 ev = idelta._Evaluator(ens, c, w, want_c=unassisted)
                 for delta in (0.0, 0.01, 0.1):
-                    closed = idelta._optimize_ensemble(ens, delta, opts, unassisted=unassisted)
+                    closed, = idelta._optimize_ensemble(ens, [delta], opts,
+                                                        unassisted=unassisted)
                     assert closed.restarts_used == 1
                     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(3)]
                     v0 = np.stack([np.eye(c * w, db, dtype=complex)]
                                   + [qcore.random_isometry(c * w, db, rng) for rng in rngs[1:]])
-                    climbed = [out for out in idelta._climb(ev, v0, delta, opts, rngs)
+                    climbed = [out for out in idelta._climb(ev, v0, [delta], opts, rngs)[0]
                                if out is not None]
                     assert closed.converged == bool(climbed)
                     for value, constraint, _ in climbed:
@@ -336,15 +460,15 @@ def test_curve_grid_validation(src_a, light_opts):
         idelta.idelta_curve(src_a, [0.2, 0.1], light_opts)
 
 
-def _fake_optimizer(monkeypatch, values: dict[float, float]) -> list[float]:
-    """Replace optimize_idelta by a lookup in `values`; returns the deltas it
-    is called with."""
+def _fake_optimizer(monkeypatch, values: dict[float, float]) -> list[list[float]]:
+    """Replace the batched optimizer by a lookup in `values`; returns the
+    delta lists it is called with."""
     calls = []
 
-    def fake(src, delta, opts):
-        calls.append(delta)
-        return idelta.IdeltaResult(delta, values[delta], 0.0, None, 1, True)
-    monkeypatch.setattr(idelta, "optimize_idelta", fake)
+    def fake(ens, deltas, opts, unassisted=False):
+        calls.append(list(deltas))
+        return [idelta.IdeltaResult(d, values[d], 0.0, None, 1, True) for d in deltas]
+    monkeypatch.setattr(idelta, "_optimize_ensemble", fake)
     return calls
 
 
@@ -360,11 +484,11 @@ def test_curve_warns_when_a_raw_value_drops(monkeypatch, src_b):
 def test_estimates_take_I0_from_a_grid_that_holds_zero(monkeypatch, src_b):
     calls = _fake_optimizer(monkeypatch, {0.0: 0.1, 0.05: 0.3, 0.1: 0.2})
     est = idelta.estimate_I0_tilde(src_b, grid=(0.1, 0.0, 0.05))
-    assert calls == [0.0, 0.05, 0.1]
+    assert calls == [[0.0, 0.05, 0.1]]
     assert (est.i0, est.i0_tilde, est.i0_result.delta) == (0.1, 0.3, 0.0)
     calls.clear()
     est = idelta.estimate_I0_tilde(src_b, grid=(0.1, 0.05))
-    assert calls == [0.05, 0.1, 0.0]
+    assert calls == [[0.05, 0.1, 0.0]]
     assert (est.i0, est.i0_tilde, est.i0_result.delta) == (0.1, 0.3, 0.0)
     est = idelta.estimate_I0_tilde(src_b, grid=(0.0,))
     assert (est.i0, est.i0_tilde) == (0.1, 0.1)

@@ -340,7 +340,6 @@ def _optimize_ensemble(ens: _Ensemble, deltas: list[float], opts: OptimizerOptio
     """Best feasible lower bound at each delta of `deltas`, from one climb
     per dimension split for the whole list; each result equals that of a
     one-delta list at its delta, bit for bit."""
-    deltas = [float(d) for d in deltas]
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"delta must be finite, got {delta}")

@@ -16,7 +16,6 @@ from .codes import (  # noqa: F401
     truncation_code,
 )
 from .idelta import (  # noqa: F401
-    ChannelParam,
     IdeltaCurve,
     IdeltaResult,
     OptimizerOptions,

@@ -25,7 +25,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, float) and not math.isfinite(obj):  # strict JSON
@@ -177,14 +177,14 @@ def cmd_idelta(args) -> int:
     if args.emit_channels:
         channels = []
         for d, res in zip(curve.deltas, curve.results):
-            mat = None
+            mat = c_dim = w_dim = None
             if res.param is not None:
                 mat = [[[float(z.real), float(z.imag)] for z in row]
                        for row in res.param.mat]
+                c_dim, w_dim = res.param.out_dims.dims
             channels.append({"delta": d, "value": res.value,
                              "constraint": res.constraint,
-                             "c_dim": res.param.c_dim if res.param else None,
-                             "w_dim": res.param.w_dim if res.param else None,
+                             "c_dim": c_dim, "w_dim": w_dim,
                              "stinespring": mat})
         doc["channels"] = channels
     _emit(_dump(doc), args.out)
@@ -301,10 +301,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SpecError, ValueError) as exc:
+    except (FileNotFoundError, SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DimensionCapError as exc:

@@ -37,22 +37,9 @@ class OptimizerOptions:
     iters_per_stage: int = 60
 
 
-@dataclass(frozen=True)
-class ChannelParam:
+def make_channel_param(v: np.ndarray, dim_b: int, c_dim: int, w_dim: int) -> Isometry:
     """Stinespring isometry B -> C⊗W of a test channel T = Tr_C(V . V†)."""
-
-    isometry: Isometry
-    c_dim: int
-    w_dim: int
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.isometry.mat
-
-
-def make_channel_param(v: np.ndarray, dim_b: int, c_dim: int, w_dim: int) -> ChannelParam:
-    iso = Isometry(v, DimsSpec([("B", dim_b)]), DimsSpec([("C", c_dim), ("W", w_dim)]))
-    return ChannelParam(iso, c_dim, w_dim)
+    return Isometry(v, DimsSpec([("B", dim_b)]), DimsSpec([("C", c_dim), ("W", w_dim)]))
 
 
 @dataclass(frozen=True)
@@ -60,7 +47,7 @@ class IdeltaResult:
     delta: float
     value: float            # achieved I(X:W), bits
     constraint: float       # achieved I(R:W|X), bits
-    param: ChannelParam | None
+    param: Isometry | None  # the channel's B -> C⊗W Stinespring isometry
     restarts_used: int      # climbed restarts, plus 1 per closed-form split
     converged: bool
     candidates: tuple[tuple[float, float], ...] = ()  # feasible per-restart finals
@@ -162,17 +149,18 @@ class _Evaluator:
         return out
 
 
-def apply_channel(src: CqSource, param: ChannelParam) -> tuple[DensityOperator, float, float]:
+def apply_channel(src: CqSource, param: Isometry) -> tuple[DensityOperator, float, float]:
     """sigma^{XWR} = (id_{XR} ⊗ T) omega for T = Tr_C(V . V†).
 
     Returns (sigma, I(X:W)_sigma, I(R:W|X)_sigma), the informations taken
     from the entropies of sigma itself, so they certify the optimizer's
     values independently of its evaluator.
     """
-    if param.isometry.in_dims.total_dim != src.dim_b:
-        raise ValueError(f"channel input dim {param.isometry.in_dims.total_dim} "
+    if param.in_dims.total_dim != src.dim_b:
+        raise ValueError(f"channel input dim {param.in_dims.total_dim} "
                          f"!= source |B| = {src.dim_b}")
-    nx, c, w, r = src.alphabet_size, param.c_dim, param.w_dim, src.dim_r
+    nx, r = src.alphabet_size, src.dim_r
+    c, w = param.out_dims.dims
     v = param.mat
     blocks = []
     for x in range(nx):
@@ -184,9 +172,9 @@ def apply_channel(src: CqSource, param: ChannelParam) -> tuple[DensityOperator, 
             qcore.conditional_mutual_information(sigma, ["R"], ["W"], ["X"]))
 
 
-def channel_marginal_informations(src: CqSource, param: ChannelParam) -> dict[str, float]:
+def channel_marginal_informations(src: CqSource, param: Isometry) -> dict[str, float]:
     """All four marginal informations (ixw, irwx, icw, icx) of sigma^{XCWR}."""
-    ev = _Evaluator(_Ensemble.from_source(src), param.c_dim, param.w_dim, want_c=True)
+    ev = _Evaluator(_Ensemble.from_source(src), *param.out_dims.dims, want_c=True)
     return {k: float(val[0]) for k, val in ev.informations(param.mat[np.newaxis]).items()}
 
 

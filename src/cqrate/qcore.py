@@ -62,10 +62,7 @@ class DimsSpec:
         return out
 
     def dim(self, label: str) -> int:
-        for lbl, d in self._pairs:
-            if lbl == label:
-                return d
-        raise KeyError(f"unknown subsystem label {label!r}")
+        return self._pairs[self.index(label)][1]
 
     def index(self, label: str) -> int:
         for i, (lbl, _) in enumerate(self._pairs):
@@ -76,22 +73,23 @@ class DimsSpec:
     def indices(self, labels: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.index(lbl) for lbl in labels)
 
-    def restrict(self, labels: Iterable[str]) -> "DimsSpec":
-        """Sub-spec with the given labels, kept in this spec's order."""
+    def positions(self, labels: Iterable[str]) -> list[int]:
+        """Positions of a set of labels, in this spec's order."""
         wanted = set(labels)
         missing = wanted - set(self.labels)
         if missing:
             raise KeyError(f"unknown subsystem labels {sorted(missing)}")
-        return DimsSpec([(lbl, d) for lbl, d in self._pairs if lbl in wanted])
+        return [i for i, (lbl, _) in enumerate(self._pairs) if lbl in wanted]
+
+    def restrict(self, labels: Iterable[str]) -> "DimsSpec":
+        """Sub-spec with the given labels, kept in this spec's order."""
+        return DimsSpec([self._pairs[i] for i in self.positions(labels)])
 
     def concat(self, other: "DimsSpec") -> "DimsSpec":
         return DimsSpec(self._pairs + other._pairs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DimsSpec) and self._pairs == other._pairs
-
-    def __hash__(self):
-        return hash(self._pairs)
 
     def __iter__(self):
         return iter(self._pairs)
@@ -161,10 +159,8 @@ class PureState:
 
     def reduced(self, keep: Sequence[str]) -> DensityOperator:
         """Reduced density operator on `keep`, original label order."""
-        keep_spec = self.dims.restrict(keep)
-        mat = reduced_density_from_vec(self.vec, self.dims.dims,
-                                       self.dims.indices(keep_spec.labels))
-        return DensityOperator(_renormalize(mat), keep_spec)
+        mat = reduced_density_from_vec(self.vec, self.dims.dims, self.dims.positions(keep))
+        return DensityOperator(_renormalize(mat), self.dims.restrict(keep))
 
 
 @dataclass(frozen=True)
@@ -257,23 +253,11 @@ class LabeledVector:
 
     __slots__ = ("vec", "dims")
 
-    def __init__(self, vec: np.ndarray, dims: Iterable[tuple[str, int]]):
+    def __init__(self, vec: np.ndarray, dims):
         self.vec = np.asarray(vec, dtype=complex).reshape(-1)
-        self.dims = list((str(l), int(d)) for l, d in dims)
-        total = int(np.prod([d for _, d in self.dims], dtype=np.int64))
-        if total != self.vec.shape[0]:
+        self.dims = _as_dims(dims)
+        if self.dims.total_dim != self.vec.shape[0]:
             raise ValueError(f"vector length {self.vec.shape[0]} != product of dims {self.dims}")
-
-    @property
-    def labels(self) -> list[str]:
-        return [l for l, _ in self.dims]
-
-    def _positions(self, labels: Sequence[str]) -> list[int]:
-        idx = {l: i for i, (l, _) in enumerate(self.dims)}
-        try:
-            return [idx[l] for l in labels]
-        except KeyError as exc:
-            raise KeyError(f"unknown register {exc.args[0]!r}") from None
 
     def apply_isometry(self, mat: np.ndarray, in_labels: Sequence[str],
                        out_pairs: Sequence[tuple[str, int]]) -> "LabeledVector":
@@ -281,28 +265,27 @@ class LabeledVector:
 
         The produced registers come first, the remaining registers follow in
         their original order."""
-        acting = self._positions(in_labels)
+        acting = list(self.dims.indices(in_labels))
         rest = [i for i in range(len(self.dims)) if i not in acting]
-        dims = [d for _, d in self.dims]
+        dims = self.dims.dims
         t = self.vec.reshape(dims).transpose(acting + rest)
         d_act = int(np.prod([dims[i] for i in acting], dtype=np.int64))
         y = mat @ t.reshape(d_act, -1)
-        return LabeledVector(y.reshape(-1), list(out_pairs) + [self.dims[i] for i in rest])
+        return LabeledVector(y.reshape(-1),
+                             list(out_pairs) + [self.dims.pairs[i] for i in rest])
 
     def tensor(self, other: "LabeledVector") -> "LabeledVector":
-        return LabeledVector(np.kron(self.vec, other.vec), self.dims + other.dims)
+        return LabeledVector(np.kron(self.vec, other.vec), self.dims.concat(other.dims))
 
     def reduced(self, keep: Sequence[str]) -> np.ndarray:
-        keep_set = set(keep)
-        pos = [i for i, (l, _) in enumerate(self.dims) if l in keep_set]
-        return reduced_density_from_vec(self.vec, [d for _, d in self.dims], pos)
+        return reduced_density_from_vec(self.vec, self.dims.dims, self.dims.positions(keep))
 
     def reorder(self, labels: Sequence[str]) -> "LabeledVector":
-        perm = self._positions(labels)
+        perm = list(self.dims.indices(labels))
         if sorted(perm) != list(range(len(self.dims))):
             raise ValueError("reorder must list every register exactly once")
-        t = self.vec.reshape([d for _, d in self.dims]).transpose(perm)
-        return LabeledVector(t.reshape(-1), [self.dims[i] for i in perm])
+        t = self.vec.reshape(self.dims.dims).transpose(perm)
+        return LabeledVector(t.reshape(-1), [self.dims.pairs[i] for i in perm])
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +356,14 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 def partial_trace(rho: DensityOperator, keep: Sequence[str]) -> DensityOperator:
     """Reduced state on the subsystems `keep`, in the original label order."""
-    keep_spec = rho.dims.restrict(keep)
-    mat = reduced_density_from_mat(rho.mat, rho.dims.dims, rho.dims.indices(keep_spec.labels))
-    return DensityOperator(_renormalize(mat), keep_spec)
+    mat = reduced_density_from_mat(rho.mat, rho.dims.dims, rho.dims.positions(keep))
+    return DensityOperator(_renormalize(mat), rho.dims.restrict(keep))
 
 
 def _entropy_of_subsystems(rho: DensityOperator, labels: Sequence[str]) -> float:
     if set(labels) == set(rho.dims.labels):
         return von_neumann_entropy(rho)
-    keep = rho.dims.restrict(labels)
-    mat = reduced_density_from_mat(rho.mat, rho.dims.dims, rho.dims.indices(keep.labels))
+    mat = reduced_density_from_mat(rho.mat, rho.dims.dims, rho.dims.positions(labels))
     return entropy_of_mat(mat)
 
 
@@ -592,9 +573,8 @@ def uhlmann_isometry(rho: PureState, sigma: PureState,
 
 def _matricize(state: PureState, a_labels: Sequence[str]) -> np.ndarray:
     """Reshape |psi> on A⊗rest into a (dim A) x (dim rest) matrix."""
-    labels = list(state.dims.labels)
-    a_pos = [labels.index(l) for l in a_labels]
-    rest = [i for i in range(len(labels)) if i not in a_pos]
+    a_pos = list(state.dims.indices(a_labels))
+    rest = state.dims.positions(set(state.dims.labels) - set(a_labels))
     t = state.vec.reshape(state.dims.dims).transpose(a_pos + rest)
     da = int(np.prod([state.dims.dims[i] for i in a_pos], dtype=np.int64))
     return t.reshape(da, -1)

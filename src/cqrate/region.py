@@ -7,7 +7,7 @@ lists; consistency between the two is an invariant, not an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,13 +76,10 @@ def region_contains(region: RateRegion2D, pt: RatePoint, slack: float = VERTEX_T
     return all(hp.contains(pt, slack) for hp in region.half_planes)
 
 
-def region_vertices(region_or_half_planes) -> tuple[RatePoint, ...]:
+def region_vertices(half_planes) -> tuple[RatePoint, ...]:
     """Corner points of the lower boundary: pairwise line intersections that
     satisfy all constraints, sorted lexicographically."""
-    if isinstance(region_or_half_planes, RateRegion2D):
-        hps = list(region_or_half_planes.half_planes)
-    else:
-        hps = list(region_or_half_planes)
+    hps = list(half_planes)
     if not hps:
         raise ValueError("need at least one half-plane")
     pts: list[tuple[float, float]] = []
@@ -101,12 +98,18 @@ def region_vertices(region_or_half_planes) -> tuple[RatePoint, ...]:
         if all(hp.contains(p) for hp in hps):
             feas.append((rx, rb))
     feas = sorted(set((round(rx, 12), round(rb, 12)) for rx, rb in feas))
-    out = []
-    for rx, rb in feas:
-        if not any(abs(rx - ox) < 1e-9 and abs(rb - ob) < 1e-9 for ox, ob in
-                   [(p.rx, p.rb) for p in out]):
-            out.append(RatePoint(rx, rb))
-    return tuple(out)
+    return tuple(_distinct(RatePoint(rx, rb) for rx, rb in feas))
+
+
+def _distinct(points) -> list[RatePoint]:
+    """The points in order, less each one within VERTEX_TOL in both rates of
+    a point kept before it: two such points are one rate point."""
+    out: list[RatePoint] = []
+    for p in points:
+        if not any(abs(p.rx - q.rx) < VERTEX_TOL and abs(p.rb - q.rb) < VERTEX_TOL
+                   for q in out):
+            out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +146,21 @@ def qsr_point(profile: EntropicProfile, src: CqSource,
 # regions
 # ---------------------------------------------------------------------------
 
+def _shared_bounds(profile: EntropicProfile, i: float) -> list[HalfPlane]:
+    """R_X >= S(X|B) and R_B >= (S(B) + S(B|X) - i)/2, the two bounds of
+    every region; i is I0 for the inner region and I~0 for the converse."""
+    return [HalfPlane(1.0, 0.0, profile.s_x_given_b),
+            HalfPlane(0.0, 1.0, 0.5 * (profile.s_b + profile.s_b_given_x - i))]
+
+
 def generic_region(profile: EntropicProfile, is_generic: bool = True) -> RateRegion2D:
-    """The three-inequality region; exact for generic sources, otherwise
-    only its achievability survives and the kind is downgraded to inner."""
-    hps = (
-        HalfPlane(1.0, 0.0, profile.s_x_given_b),
-        HalfPlane(0.0, 1.0, 0.5 * (profile.s_b + profile.s_b_given_x)),
-        HalfPlane(1.0, 2.0, profile.s_b + profile.s_xb),
-    )
-    return RateRegion2D(hps, region_vertices(hps),
-                        "exact" if is_generic else "inner",
-                        provenance="generic three-inequality region"
-                                   + ("" if is_generic else " (non-generic source: inner)"))
+    """The three-inequality region, which is the converse at I~0 = 0; exact
+    for generic sources, otherwise only its achievability survives and the
+    kind is downgraded to inner."""
+    return replace(outer_bound_region(profile, 0.0),
+                   kind="exact" if is_generic else "inner",
+                   provenance="generic three-inequality region"
+                              + ("" if is_generic else " (non-generic source: inner)"))
 
 
 def outer_bound_region(profile: EntropicProfile, i0_tilde: float,
@@ -167,11 +173,8 @@ def outer_bound_region(profile: EntropicProfile, i0_tilde: float,
         raise ValueError(f"I~0 = {i0_tilde} exceeds I(X:B) = {profile.i_x_b}")
     if mode not in ("assisted", "unassisted"):
         raise ValueError(f"unknown mode {mode!r}")
-    hps = [
-        HalfPlane(1.0, 0.0, profile.s_x_given_b),
-        HalfPlane(0.0, 1.0, 0.5 * (profile.s_b + profile.s_b_given_x - i0_tilde)),
-        HalfPlane(1.0, 2.0, profile.s_b + profile.s_xb - i0_tilde),
-    ]
+    hps = _shared_bounds(profile, i0_tilde)
+    hps.append(HalfPlane(1.0, 2.0, profile.s_b + profile.s_xb - i0_tilde))
     if mode == "unassisted":
         hps.append(HalfPlane(1.0, 1.0, profile.s_xb))
     hps = tuple(hps)
@@ -187,11 +190,8 @@ def inner_bound_region(profile: EntropicProfile, i0: float) -> RateRegion2D:
     i0 = min(max(i0, 0.0), profile.i_x_b)
     denom = profile.i_x_b + i0
     alpha = 1.0 if denom <= 0.0 else 2.0 * profile.i_x_b / denom
-    hps = (
-        HalfPlane(1.0, 0.0, profile.s_x_given_b),
-        HalfPlane(0.0, 1.0, 0.5 * (profile.s_b + profile.s_b_given_x - i0)),
-        HalfPlane(1.0, alpha, profile.s_x_given_b + alpha * profile.s_b),
-    )
+    hps = (*_shared_bounds(profile, i0),
+           HalfPlane(1.0, alpha, profile.s_x_given_b + alpha * profile.s_b))
     return RateRegion2D(hps, region_vertices(hps), "inner",
                         provenance=f"DW/QSR hull (I0={i0:.6g}, alpha={alpha:.6g})")
 
@@ -207,18 +207,17 @@ def markov_interpolation(src: CqSource, y_dim: int,
     chain: R_X = S(X|B) + I(Y:B), R_B = S(B) - (I(Y:B) + I(Y:W))/2, with the
     channel optimized under I(W:R|Y) <= tol on the Y-conditioned ensemble.
 
-    The candidates always include the constant map (DW endpoint) and, when
-    |Y| >= |X|, the identity map (QSR endpoint); dominated points are
-    dropped.
+    The first point is the DW endpoint, the constant map's, in closed form:
+    a single Y block makes I(Y:B) = I(Y:W) = 0 for every channel.  When
+    |Y| >= |X| the identity map (QSR endpoint) and noisy and random maps are
+    climbed as well; dominated points are dropped.
     """
     nx = src.alphabet_size
     if y_dim < 1 or y_dim > nx + 1:
         raise ValueError(f"|Y| must be in [1, |X|+1 = {nx + 1}]")
     profile = entropic_profile(src)
+    points = [dw_point(profile)]
     maps: list[np.ndarray] = []
-    const = np.zeros((y_dim, nx))
-    const[0, :] = 1.0
-    maps.append(const)
     if y_dim >= nx:
         ident = np.zeros((y_dim, nx))
         ident[:nx, :nx] = np.eye(nx)
@@ -232,7 +231,6 @@ def markov_interpolation(src: CqSource, y_dim: int,
         for _ in range(n_random_maps):
             maps.append(rng.dirichlet(np.ones(y_dim), size=nx).T)
 
-    points: list[RatePoint] = []
     for cond in maps:
         ens = _Ensemble.conditioned(src, cond)
         rhos_b = [m @ m.conj().T for m in ens.mats]
@@ -253,11 +251,7 @@ def _pareto_filter(points: list[RatePoint]) -> list[RatePoint]:
             for q in points)
         if not dominated:
             out.append(p)
-    uniq = []
-    for p in sorted(out, key=lambda t: (t.rx, t.rb)):
-        if not any(abs(p.rx - q.rx) < 1e-9 and abs(p.rb - q.rb) < 1e-9 for q in uniq):
-            uniq.append(p)
-    return uniq
+    return _distinct(sorted(out, key=lambda t: (t.rx, t.rb)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +317,7 @@ def boundary_hausdorff(r1: RateRegion2D, r2: RateRegion2D) -> float:
         rb0 = lower_boundary(region, flo)
         for t in np.linspace(rb0, top, n // 4):
             pts.append((flo, t))  # vertical edge
-        for x in np.linspace(flo, rx_hi, n):
-            pts.append((x, lower_boundary(region, x)))
+        pts += [(p.rx, p.rb) for p in boundary_samples(region, n, rx_hi)]
         return np.asarray(pts)
 
     c1, c2 = curve(r1), curve(r2)

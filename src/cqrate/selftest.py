@@ -42,114 +42,110 @@ def _rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
-def _random_pair(rng, dim):
-    r1 = qcore.random_density(dim, rng)
-    r2 = qcore.random_density(dim, rng)
-    return r1, r2
+def _random_pair(rng, dims) -> tuple[DensityOperator, DensityOperator]:
+    spec = DimsSpec(dims)
+    d = spec.total_dim
+    return (DensityOperator(qcore.random_density(d, rng), spec),
+            DensityOperator(qcore.random_density(d, rng), spec))
 
 
-def suite_fvdg(seed: int, count: int = 1000) -> SuiteResult:
+def _seeded_suite(name: str, key: int, check):
+    """A suite of `count` instances from one seeded generator: `check(rng)`
+    draws an instance and returns its violation, or None when it holds."""
+
+    def suite(seed: int, count: int = 1000) -> SuiteResult:
+        rng = _rng(seed, key)
+        bad = []
+        for i in range(count):
+            problem = check(rng)
+            if problem is not None:
+                bad.append(f"instance {i}: {problem}")
+        return SuiteResult(name, count, len(bad), tuple(bad[:5]))
+
+    suite.__doc__ = check.__doc__
+    return suite
+
+
+def _check_fvdg(rng) -> str | None:
     """1 - F <= T <= sqrt(1 - F^2) on random state pairs."""
-    rng = _rng(seed, 1)
-    bad = []
-    for i in range(count):
-        d = int(rng.integers(2, 5))
-        m1, m2 = _random_pair(rng, d)
-        spec = DimsSpec([("A", d)])
-        rho, sig = DensityOperator(m1, spec), DensityOperator(m2, spec)
-        f = qcore.fidelity(rho, sig)
-        t = qcore.trace_distance(rho, sig)
-        if not (1.0 - f <= t + SLACK and t <= math.sqrt(max(1.0 - f * f, 0.0)) + SLACK):
-            bad.append(f"instance {i}: F={f}, T={t}")
-    return SuiteResult("fvdg", count, len(bad), tuple(bad[:5]))
+    rho, sig = _random_pair(rng, [("A", int(rng.integers(2, 5)))])
+    f = qcore.fidelity(rho, sig)
+    t = qcore.trace_distance(rho, sig)
+    if not (1.0 - f <= t + SLACK and t <= math.sqrt(max(1.0 - f * f, 0.0)) + SLACK):
+        return f"F={f}, T={t}"
+    return None
 
 
-def suite_pinsker(seed: int, count: int = 1000) -> SuiteResult:
+def _check_pinsker(rng) -> str | None:
     """||rho - sigma||_1 <= sqrt(2 ln2 S(rho||sigma)) on full-rank pairs."""
-    rng = _rng(seed, 2)
-    bad = []
-    for i in range(count):
-        d = int(rng.integers(2, 5))
-        m1, m2 = _random_pair(rng, d)
-        spec = DimsSpec([("A", d)])
-        rho, sig = DensityOperator(m1, spec), DensityOperator(m2, spec)
-        lhs = 2.0 * qcore.trace_distance(rho, sig)
-        rel = qcore.relative_entropy(rho, sig)
-        if lhs > math.sqrt(2.0 * math.log(2.0) * rel) + SLACK:
-            bad.append(f"instance {i}: ||.||_1={lhs}, S(rho||sigma)={rel}")
-    return SuiteResult("pinsker", count, len(bad), tuple(bad[:5]))
+    rho, sig = _random_pair(rng, [("A", int(rng.integers(2, 5)))])
+    lhs = 2.0 * qcore.trace_distance(rho, sig)
+    rel = qcore.relative_entropy(rho, sig)
+    if lhs > math.sqrt(2.0 * math.log(2.0) * rel) + SLACK:
+        return f"||.||_1={lhs}, S(rho||sigma)={rel}"
+    return None
 
 
-def suite_fannes(seed: int, count: int = 1000) -> SuiteResult:
+def _check_fannes(rng) -> str | None:
     """|S(rho) - S(sigma)| <= eps log d + h(eps) with eps the trace distance."""
-    rng = _rng(seed, 3)
-    bad = []
-    for i in range(count):
-        d = int(rng.integers(2, 5))
-        m1, m2 = _random_pair(rng, d)
-        spec = DimsSpec([("A", d)])
-        rho, sig = DensityOperator(m1, spec), DensityOperator(m2, spec)
-        eps = qcore.trace_distance(rho, sig)
-        gap = abs(qcore.von_neumann_entropy(rho) - qcore.von_neumann_entropy(sig))
-        if gap > eps * math.log2(d) + qcore.binary_entropy(min(eps, 1.0)) + SLACK:
-            bad.append(f"instance {i}: gap={gap}, eps={eps}")
-    return SuiteResult("fannes", count, len(bad), tuple(bad[:5]))
+    d = int(rng.integers(2, 5))
+    rho, sig = _random_pair(rng, [("A", d)])
+    eps = qcore.trace_distance(rho, sig)
+    gap = abs(qcore.von_neumann_entropy(rho) - qcore.von_neumann_entropy(sig))
+    if gap > eps * math.log2(d) + qcore.binary_entropy(min(eps, 1.0)) + SLACK:
+        return f"gap={gap}, eps={eps}"
+    return None
 
 
-def suite_afw(seed: int, count: int = 1000) -> SuiteResult:
+def _check_afw(rng) -> str | None:
     """|S(A|B)_rho - S(A|B)_sigma| <= 2 eps log|A| + 2 h(eps)."""
-    rng = _rng(seed, 4)
-    bad = []
-    for i in range(count):
-        da = int(rng.integers(2, 4))
-        db = int(rng.integers(2, 4))
-        m1, m2 = _random_pair(rng, da * db)
-        spec = DimsSpec([("A", da), ("B", db)])
-        rho, sig = DensityOperator(m1, spec), DensityOperator(m2, spec)
-        eps = qcore.trace_distance(rho, sig)
-        gap = abs(qcore.conditional_entropy(rho, ["A"], ["B"])
-                  - qcore.conditional_entropy(sig, ["A"], ["B"]))
-        if gap > 2.0 * eps * math.log2(da) + 2.0 * qcore.binary_entropy(min(eps, 1.0)) + SLACK:
-            bad.append(f"instance {i}: gap={gap}, eps={eps}")
-    return SuiteResult("afw", count, len(bad), tuple(bad[:5]))
+    da = int(rng.integers(2, 4))
+    db = int(rng.integers(2, 4))
+    rho, sig = _random_pair(rng, [("A", da), ("B", db)])
+    eps = qcore.trace_distance(rho, sig)
+    gap = abs(qcore.conditional_entropy(rho, ["A"], ["B"])
+              - qcore.conditional_entropy(sig, ["A"], ["B"]))
+    if gap > 2.0 * eps * math.log2(da) + 2.0 * qcore.binary_entropy(min(eps, 1.0)) + SLACK:
+        return f"gap={gap}, eps={eps}"
+    return None
 
 
-def suite_ssa(seed: int, count: int = 1000) -> SuiteResult:
+def _check_ssa(rng) -> str | None:
     """Strong subadditivity: I(A:B|C) >= -1e-8 on random tripartite states."""
-    rng = _rng(seed, 5)
-    bad = []
-    for i in range(count):
-        m = qcore.random_density(8, rng)
-        rho = DensityOperator(m, DimsSpec([("A", 2), ("B", 2), ("C", 2)]))
-        try:
-            cmi = qcore.conditional_mutual_information(rho, ["A"], ["B"], ["C"])
-        except InternalError as exc:
-            bad.append(f"instance {i}: {exc}")
-            continue
-        if cmi < -1e-8:
-            bad.append(f"instance {i}: cmi={cmi}")
-    return SuiteResult("ssa", count, len(bad), tuple(bad[:5]))
+    m = qcore.random_density(8, rng)
+    rho = DensityOperator(m, DimsSpec([("A", 2), ("B", 2), ("C", 2)]))
+    try:
+        cmi = qcore.conditional_mutual_information(rho, ["A"], ["B"], ["C"])
+    except InternalError as exc:
+        return str(exc)
+    if cmi < -1e-8:
+        return f"cmi={cmi}"
+    return None
 
 
-def suite_purify(seed: int, count: int = 1000) -> SuiteResult:
+def _check_purify(rng) -> str | None:
     """Purification round trip and basis invariance of the entropy."""
-    rng = _rng(seed, 6)
-    bad = []
-    for i in range(count):
-        d = int(rng.integers(2, 5))
-        rank = int(rng.integers(1, d + 1))
-        m = qcore.random_density(d, rng, rank=rank)
-        rho = DensityOperator(m, DimsSpec([("A", d)]))
-        psi = qcore.purify(rho, ref_label="R")
-        back = psi.reduced(["A"])
-        if qcore.trace_distance(back, rho) > 1e-10:
-            bad.append(f"instance {i}: purify round trip error")
-            continue
-        u = qcore.random_isometry(d, d, rng)
-        rot = DensityOperator(u @ m @ u.conj().T, rho.dims)
-        if abs(qcore.von_neumann_entropy(rot) - qcore.von_neumann_entropy(rho)) > 1e-10:
-            bad.append(f"instance {i}: entropy not unitarily invariant")
-    return SuiteResult("purify", count, len(bad), tuple(bad[:5]))
+    d = int(rng.integers(2, 5))
+    rank = int(rng.integers(1, d + 1))
+    m = qcore.random_density(d, rng, rank=rank)
+    rho = DensityOperator(m, DimsSpec([("A", d)]))
+    psi = qcore.purify(rho, ref_label="R")
+    back = psi.reduced(["A"])
+    if qcore.trace_distance(back, rho) > 1e-10:
+        return "purify round trip error"
+    u = qcore.random_isometry(d, d, rng)
+    rot = DensityOperator(u @ m @ u.conj().T, rho.dims)
+    if abs(qcore.von_neumann_entropy(rot) - qcore.von_neumann_entropy(rho)) > 1e-10:
+        return "entropy not unitarily invariant"
+    return None
+
+
+suite_fvdg = _seeded_suite("fvdg", 1, _check_fvdg)
+suite_pinsker = _seeded_suite("pinsker", 2, _check_pinsker)
+suite_fannes = _seeded_suite("fannes", 3, _check_fannes)
+suite_afw = _seeded_suite("afw", 4, _check_afw)
+suite_ssa = _seeded_suite("ssa", 5, _check_ssa)
+suite_purify = _seeded_suite("purify", 6, _check_purify)
 
 
 def suite_transfer(seed: int, count: int = 100) -> SuiteResult:

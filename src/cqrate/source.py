@@ -28,6 +28,8 @@ class CqSource:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or len(probs) == 0:
             raise SpecError("probs must be a non-empty vector")
+        if not np.all(np.isfinite(probs)):
+            raise SpecError(f"probs must be finite, got {probs.tolist()}")
         if np.min(probs) < 0:
             raise SpecError("probs must be non-negative")
         if abs(probs.sum() - 1.0) > 1e-10:
@@ -128,8 +130,6 @@ def load_source(doc: dict) -> CqSource:
         raise SpecError(f"malformed probs: {exc}") from exc
     if probs.ndim != 1 or len(probs) == 0:
         raise SpecError("probs must be a non-empty vector")
-    if np.min(probs) < 0 or abs(probs.sum() - 1.0) > 1e-10:
-        raise SpecError("probs not normalized")
     if not isinstance(entries, (list, tuple)) or len(entries) != len(probs):
         raise SpecError("states must be a list matching probs in length")
 

@@ -204,6 +204,28 @@ def test_region_non_finite_estimates_exit_2(i0, i0_tilde):
     assert err.getvalue().startswith("error:") and "finite" in err.getvalue()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("analyze", []),
+    ("idelta", ["--delta-grid", "0", "--restarts", "1", "--iters", "1"]),
+    ("verify-code", ["--code", str(SPECS / "code_identity.json")]),
+])
+def test_non_finite_probability_exit_2(command, flags, tmp_path):
+    spec = tmp_path / "src.json"
+    spec.write_text(json.dumps(_doc_of_source_b_with(("probs",), [math.nan, 1.0])))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--source", str(spec), *flags])
+    assert rc == 2, out.getvalue()
+    assert err.getvalue().startswith("error:") and "probs" in err.getvalue()
+
+
+def test_dump_writes_strict_json():
+    text = cli._dump({"a": np.float64("nan"), "b": np.float32("inf"), "c": -math.inf,
+                      "d": np.float64(0.5)})
+    assert "NaN" not in text and "Infinity" not in text
+    assert json.loads(text) == {"a": None, "b": None, "c": None, "d": 0.5}
+
+
 def test_region_clamps_finite_out_of_range_estimates():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -351,11 +373,11 @@ def _spec_doc(name: str) -> dict:
 # junk in place of each source-spec field, on a pure (amplitudes) and a mixed
 # (density) spec; every run must end in a document or a clean input error
 SOURCE_FIELDS = [(_spec_doc("src_b"), path) for path in (
-    ("probs",), ("states",), ("states", 0, "amplitudes"), ("states", 1, "amplitudes"),
+    ("probs",), ("probs", 0), ("states",), ("states", 0, "amplitudes"), ("states", 1, "amplitudes"),
     ("states", 0, "dims", "B"), ("states", 1, "dims", "R"), ("states", 0, "dims"),
     ("name",))]
 SOURCE_FIELDS += [(_spec_doc("mixed_example"), path) for path in (
-    ("probs",), ("states", 0, "density"), ("states", 1, "density"), ("states", 0, "dim"),
+    ("probs",), ("probs", 0), ("states", 0, "density"), ("states", 1, "density"), ("states", 0, "dim"),
     ("states", 1), ("name",))]
 
 
@@ -369,7 +391,9 @@ def fuzz_source_path(tmp_path_factory):
 def test_source_junk_field_exits_0_or_2(fuzz_source_path, field, junk):
     base, path = field
     fuzz_source_path.write_text(json.dumps(_with(base, path, junk)))
-    for command, *flags in (["analyze"], ["region", "--i0", "0", "--i0-tilde", "0"]):
+    # verify-code never builds omega^{XB}, so it checks the source on its own path
+    for command, *flags in (["analyze"], ["region", "--i0", "0", "--i0-tilde", "0"],
+                            ["verify-code", "--code", str(SPECS / "code_identity.json")]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = cli.main([command, "--source", str(fuzz_source_path), *flags])

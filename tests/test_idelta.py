@@ -152,8 +152,7 @@ def _assert_same_result(batched: idelta.IdeltaResult, alone: idelta.IdeltaResult
     if alone.param is None:
         assert batched.param is None
     else:
-        assert (batched.param.c_dim, batched.param.w_dim) == \
-            (alone.param.c_dim, alone.param.w_dim)
+        assert batched.param.out_dims.dims == alone.param.out_dims.dims
         assert batched.param.mat.tobytes() == alone.param.mat.tobytes()
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,15 @@ from cqrate.idelta import OptimizerOptions
 from cqrate.region import HalfPlane, RatePoint
 
 H14 = 0.8112781244591328
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _spec_sources() -> list[source.CqSource]:
+    out = []
+    for name in ("src_a", "src_b", "src_c", "mixed_example"):
+        with open(SPECS / f"{name}.json") as fh:
+            out.append(source.load_source(json.load(fh)))
+    return out
 
 
 def test_dw_points(src_a, src_b, src_c):
@@ -82,12 +94,11 @@ def test_dw_saturates_sum_inequality(src_a, src_b, src_c):
         assert dw.rx + 2 * dw.rb == pytest.approx(prof.s_b + prof.s_xb, abs=1e-12)
 
 
-def test_outer_region_zero_i0_equals_generic(src_b):
-    prof = source.entropic_profile(src_b)
-    outer = region.outer_bound_region(prof, 0.0)
-    gen = region.generic_region(prof)
-    for h1, h2 in zip(outer.half_planes, gen.half_planes):
-        assert (h1.ax, h1.ab, h1.b) == (h2.ax, h2.ab, pytest.approx(h2.b, abs=1e-12))
+def test_outer_region_zero_i0_equals_generic():
+    for src in _spec_sources():
+        prof = source.entropic_profile(src)
+        assert region.generic_region(prof).half_planes == \
+            region.outer_bound_region(prof, 0.0).half_planes
 
 
 def test_outer_region_src_c(src_c):
@@ -227,6 +238,25 @@ def test_markov_interior_point_on_or_below_line(src_c, light_opts):
     for p in pts:
         if 0.05 < p.rx < 0.95:
             assert p.rb <= (2.0 - p.rx) + 0.05
+
+
+def test_markov_dw_endpoint_is_exact(light_opts):
+    # on the random source, a climb of the constant map lands 3.4e-16 off DW
+    for src in _spec_sources() + [source.random_source(np.random.default_rng(0), 3, 2, 2)]:
+        pts = region.markov_interpolation(src, 1, light_opts)
+        assert pts[0] == region.dw_point(source.entropic_profile(src))
+
+
+def test_markov_below_alphabet_size_climbs_nothing(monkeypatch, src_b, light_opts):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return idelta._optimize_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(region, "_optimize_ensemble", counting)
+    region.markov_interpolation(src_b, 1, light_opts)
+    assert calls == []
 
 
 def test_markov_y_dim_validation(src_b, light_opts):

@@ -36,6 +36,12 @@ class OptimizerOptions:
     w_dim: int | None = None  # default: |B|
     iters_per_stage: int = 60
 
+    def __post_init__(self):
+        for name, low in (("restarts", 0), ("iters_per_stage", 0), ("c_dim", 1), ("w_dim", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+
 
 def make_channel_param(v: np.ndarray, dim_b: int, c_dim: int, w_dim: int) -> Isometry:
     """Stinespring isometry B -> C⊗W of a test channel T = Tr_C(V . V†)."""
@@ -104,24 +110,50 @@ class _Ensemble:
 
 class _Evaluator:
     """Computes the information quantities of sigma = (id ⊗ T) omega for a
-    stack of Stinespring matrices V: B -> C⊗W, reusing per-block reductions."""
+    stack of Stinespring matrices V: B -> C⊗W, each on one of several
+    ensembles, reusing per-block reductions.  The ensembles share |B|, |R|,
+    |E| and the number of blocks, so the stacks of all of them are reduced
+    and diagonalized together: the markov maps of an interpolation, or the
+    one ensemble of a delta grid, are climbed in one stack."""
 
-    def __init__(self, ens: _Ensemble, c_dim: int, w_dim: int, want_c: bool = False):
-        self.ens = ens
+    def __init__(self, ensembles: list[_Ensemble], c_dim: int, w_dim: int,
+                 want_c: bool = False):
+        shape = {(ens.dim_b, ens.dim_r, ens.dim_e, len(ens.mats)) for ens in ensembles}
+        if len(shape) != 1:
+            raise ValueError(f"stacked ensembles differ in (|B|, |R|, |E|, blocks): {shape}")
+        self.mats = [ens.mats for ens in ensembles]
+        self.dim_r, self.dim_e = ensembles[0].dim_r, ensembles[0].dim_e
+        # per ensemble, the block probabilities and the channel-independent S(R)
+        self.p_sr = np.array([(ens.probs, ens.s_r) for ens in ensembles])
         self.c = c_dim
         self.w = w_dim
         self.want_c = want_c
         self.dim_v_out = c_dim * w_dim
 
-    def informations(self, v: np.ndarray) -> dict[str, np.ndarray]:
-        """For a stack v of shape (n, |C||W|, |B|), returns per matrix
-        ixw = I(X:W), irwx = I(R:W|X) and, when requested, icw = I(C:W) and
-        icx = I(C:X), each as an array of length n."""
-        ens, c, w, r, e = self.ens, self.c, self.w, self.ens.dim_r, self.ens.dim_e
+    def informations(self, v: np.ndarray, g: np.ndarray) -> dict[str, np.ndarray]:
+        """For a stack v of shape (n, |C||W|, |B|) whose row i acts on
+        ensemble g[i], returns per matrix ixw = I(X:W), irwx = I(R:W|X) and,
+        when requested, icw = I(C:W) and icx = I(C:X), each as an array of
+        length n.  Each run of rows on one ensemble is multiplied by that
+        ensemble's blocks in place, so nothing is gathered per row."""
+        c, w, r, e = self.c, self.w, self.dim_r, self.dim_e
         n = v.shape[0]
+        if len(self.mats) == 1:
+            # every row is on the one ensemble: per block one p and one S(R)
+            runs, (probs, s_r) = [(0, n, 0)], self.p_sr[0]
+        else:
+            cuts = [0, *(np.flatnonzero(g[1:] != g[:-1]) + 1).tolist(), n]
+            runs = [(lo, hi, int(g[lo])) for lo, hi in zip(cuts, cuts[1:])]
+            probs, s_r = np.empty(self.p_sr.shape[1:] + (n,))  # per block and row
+            for lo, hi, j in runs:
+                probs[:, lo:hi] = self.p_sr[j, 0][:, np.newaxis]
+                s_r[:, lo:hi] = self.p_sr[j, 1][:, np.newaxis]
         rho_w, rho_c, rho_ce, rho_cw = [], [], [], []  # per block, each a stack
-        for m in ens.mats:
-            o = (v @ m).reshape(n, c, w, -1)  # k = (r, e)
+        for k in range(len(probs)):
+            o = np.empty((n, c * w, self.mats[0][k].shape[1]), dtype=complex)
+            for lo, hi, j in runs:
+                np.matmul(v[lo:hi], self.mats[j][k], out=o[lo:hi])
+            o = o.reshape(n, c, w, -1)  # k = (r, e)
             rho_w.append(np.einsum("ncwk,ncvk->nwv", o, o.conj()))
             rho_c.append(np.einsum("ncwk,ndwk->ncd", o, o.conj()))
             # the block is pure on C⊗W⊗R⊗E, so S(WR) = S(CE), and CE is C when |E| = 1
@@ -136,15 +168,15 @@ class _Evaluator:
                               .reshape(n, c * w, c * w))
 
         out = {}
-        out["ixw"], s_w = qcore.holevo_of_stack(ens.probs, rho_w)
+        out["ixw"], s_w = qcore.holevo_of_stack(probs, rho_w)
         s_wr = qcore.entropy_of_stack(np.stack(rho_ce))
         irwx = 0.0
-        for p, s_w_x, s_r_x, s_wr_x in zip(ens.probs, s_w, ens.s_r, s_wr):
+        for p, s_w_x, s_r_x, s_wr_x in zip(probs, s_w, s_r, s_wr):
             irwx += p * np.maximum(s_w_x + s_r_x - s_wr_x, 0.0)
         out["irwx"] = irwx
         if self.want_c:
-            out["icx"], s_c = qcore.holevo_of_stack(ens.probs, rho_c)
-            s_cw = qcore.entropy_of_stack(qcore.weighted_average(ens.probs, rho_cw))
+            out["icx"], s_c = qcore.holevo_of_stack(probs, rho_c)
+            s_cw = qcore.entropy_of_stack(qcore.weighted_average(probs, rho_cw))
             out["icw"] = np.maximum(s_c[-1] + s_w[-1] - s_cw, 0.0)
         return out
 
@@ -174,8 +206,9 @@ def apply_channel(src: CqSource, param: Isometry) -> tuple[DensityOperator, floa
 
 def channel_marginal_informations(src: CqSource, param: Isometry) -> dict[str, float]:
     """All four marginal informations (ixw, irwx, icw, icx) of sigma^{XCWR}."""
-    ev = _Evaluator(_Ensemble.from_source(src), *param.out_dims.dims, want_c=True)
-    return {k: float(val[0]) for k, val in ev.informations(param.mat[np.newaxis]).items()}
+    ev = _Evaluator([_Ensemble.from_source(src)], *param.out_dims.dims, want_c=True)
+    info = ev.informations(param.mat[np.newaxis], np.zeros(1, dtype=int))
+    return {k: float(val[0]) for k, val in info.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +274,28 @@ def _feasible(info, delta: float, unassisted: bool) -> bool:
     return not unassisted or info["icw"] - info["icx"] <= TOL_FEAS
 
 
-def _climb(ev: _Evaluator, v0: np.ndarray, deltas: list[float], opts: OptimizerOptions,
+def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
+           opts: OptimizerOptions,
            rngs: list[np.random.Generator]) -> list[list[tuple[float, float, np.ndarray] | None]]:
-    """The restarts of one dimension split at every delta of `deltas`, in
-    lockstep: at each delta, restart i is a penalized ascent from v0[i] with
-    directions drawn from rngs[i].  Returns per delta, per restart, the best
-    strictly feasible visited point as (value, constraint, V), or None.  An
-    evaluator that computes I(C:W) and I(C:X) (`ev.want_c`) climbs the
-    unassisted variant.
+    """The restarts of one dimension split for every problem of `problems`,
+    each an (ensemble index into `ev`, delta) pair, in lockstep: for each
+    problem, restart i is a penalized ascent from v0[i] with directions
+    drawn from rngs[i].  Returns per problem, per restart, the best strictly
+    feasible visited point as (value, constraint, V), or None.  An evaluator
+    that computes I(C:W) and I(C:X) (`ev.want_c`) climbs the unassisted
+    variant.
 
-    The starts and the directions do not depend on delta, so v0 is evaluated
-    once and each step draws one direction per restart for the whole grid.
-    The three candidates of every (delta, restart) are then retracted and
-    evaluated as one stack, once per distinct (restart, point, step size):
-    deltas whose climbs have made the same moves share them.  A (delta,
-    restart) takes its candidates in order and stops at the first accepted
-    one; the later ones change neither `best` nor the step size, exactly as
-    if they had not been evaluated, so its result depends neither on the
-    other restarts nor on the other deltas."""
+    The starts and the directions depend neither on the ensemble nor on
+    delta, so v0 is evaluated once per ensemble and each step draws one
+    direction per restart for all problems: the delta grid of a curve and
+    the markov maps of an interpolation are climbed in one stack.  The three
+    candidates of every (problem, restart) are then retracted and evaluated
+    as one stack, once per distinct (ensemble, restart, point, step size):
+    deltas on one ensemble whose climbs have made the same moves share them.
+    A (problem, restart) takes its candidates in order and stops at the
+    first accepted one; the later ones change neither `best` nor the step
+    size, exactly as if they had not been evaluated, so its result depends
+    neither on the other restarts nor on the other problems."""
 
     unassisted = ev.want_c
 
@@ -272,29 +309,32 @@ def _climb(ev: _Evaluator, v0: np.ndarray, deltas: list[float], opts: OptimizerO
         cols = {k: a.tolist() for k, a in stacked.items()}
         return [dict(zip(cols, vals)) for vals in zip(*cols.values())]
 
-    n, d = len(rngs), ev.dim_v_out
-    info0 = per_matrix(ev.informations(v0))
-    v = np.repeat(v0[np.newaxis], len(deltas), axis=0)  # v[g, i], updated in place
-    info = [list(info0) for _ in deltas]
+    n, d, n_ens = len(rngs), ev.dim_v_out, len(ev.mats)
+    ens_of = np.array([j for j, _ in problems])
+    info0 = per_matrix(ev.informations(np.concatenate([v0] * n_ens),
+                                       np.repeat(np.arange(n_ens), n)))
+    info = [info0[j * n:(j + 1) * n] for j in ens_of]
+    v = np.repeat(v0[np.newaxis], len(problems), axis=0)  # v[g, i], updated in place
     best = [[(inf["ixw"], inf["irwx"], v0[i].copy())
              if _feasible(inf, delta, unassisted) else None
-             for i, inf in enumerate(info0)] for delta in deltas]
+             for i, inf in enumerate(row)] for row, (_, delta) in zip(info, problems)]
     for mu in PENALTY_SCHEDULE:
-        f = [[penalty(inf, mu, delta) for inf in row] for row, delta in zip(info, deltas)]
-        step = [[STEP_INIT] * n for _ in deltas]
+        f = [[penalty(inf, mu, delta) for inf in row] for row, (_, delta) in zip(info, problems)]
+        step = [[STEP_INIT] * n for _ in problems]
         for _ in range(opts.iters_per_stage):
             a = np.stack([_random_direction(rng, d) for rng in rngs])
             # unit operator norm, from one SVD call for all restarts
             a /= np.maximum(np.linalg.svd(a, compute_uv=False)[:, 0],
                             1e-12)[:, np.newaxis, np.newaxis]
-            # (delta, restart) pairs at the same point with the same step size
-            # have the same candidates, so each distinct state is stepped once;
-            # slot[g][i] indexes the state of pair (g, i) in `states`
+            # (problem, restart) pairs on one ensemble at the same point with
+            # the same step size have the same candidates, so each distinct
+            # state is stepped once; slot[g][i] indexes the state of pair
+            # (g, i) in `states`
             index, states, slot = {}, [], []
-            for g in range(len(deltas)):
+            for g, (j, _) in enumerate(problems):
                 slot.append([])
                 for i in range(n):
-                    key = (i, step[g][i], v[g, i].tobytes())
+                    key = (j, i, step[g][i], v[g, i].tobytes())
                     if key not in index:
                         index[key] = len(states)
                         states.append((g, i))
@@ -304,18 +344,18 @@ def _climb(ev: _Evaluator, v0: np.ndarray, deltas: list[float], opts: OptimizerO
             eps = np.array([(step[g][i], step[g][i] / 4.0, -step[g][i]) for g, i in states])
             cands = _qr_retract((pts[:, np.newaxis] + eps[:, :, np.newaxis, np.newaxis]
                                  * (a[rs] @ pts)[:, np.newaxis]).reshape(-1, d, pts.shape[-1]))
-            cinfo = per_matrix(ev.informations(cands))
-            for g, delta in enumerate(deltas):
+            cinfo = per_matrix(ev.informations(cands, np.repeat(ens_of[gs], 3)))
+            for g, (_, delta) in enumerate(problems):
                 for i in range(n):
                     improved = False
-                    for j in range(3 * slot[g][i], 3 * slot[g][i] + 3):
-                        ci = cinfo[j]
+                    for k in range(3 * slot[g][i], 3 * slot[g][i] + 3):
+                        ci = cinfo[k]
                         cf = penalty(ci, mu, delta)
                         if _feasible(ci, delta, unassisted) and \
                                 (best[g][i] is None or ci["ixw"] > best[g][i][0]):
-                            best[g][i] = (ci["ixw"], ci["irwx"], cands[j].copy())
+                            best[g][i] = (ci["ixw"], ci["irwx"], cands[k].copy())
                         if cf > f[g][i] + 1e-12:
-                            v[g, i], info[g][i], f[g][i] = cands[j], ci, cf
+                            v[g, i], info[g][i], f[g][i] = cands[k], ci, cf
                             improved = True
                             break
                     step[g][i] = (min(step[g][i] * 1.3, 1.0) if improved
@@ -323,17 +363,24 @@ def _climb(ev: _Evaluator, v0: np.ndarray, deltas: list[float], opts: OptimizerO
     return best
 
 
-def _optimize_ensemble(ens: _Ensemble, deltas: list[float], opts: OptimizerOptions,
+def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerOptions,
                        unassisted: bool = False) -> list[IdeltaResult]:
-    """Best feasible lower bound at each delta of `deltas`, from one climb
-    per dimension split for the whole list; each result equals that of a
-    one-delta list at its delta, bit for bit."""
-    for delta in deltas:
+    """Best feasible lower bound for each (ensemble, delta) problem of
+    `problems`, from one climb per dimension split for the whole list; the
+    ensembles must share |B|, |R|, |E| and the number of blocks.  Each
+    result equals that of a one-problem list, bit for bit."""
+    ensembles: list[_Ensemble] = []  # distinct, in order of first appearance
+    stack: list[tuple[int, float]] = []  # (index into ensembles, delta)
+    for ens, delta in problems:
         if not math.isfinite(delta):
             raise ValueError(f"delta must be finite, got {delta}")
         if delta < 0:
             raise ValueError("delta must be >= 0")
-    dim_b = ens.dim_b
+        j = next((u for u, known in enumerate(ensembles) if known is ens), len(ensembles))
+        if j == len(ensembles):
+            ensembles.append(ens)
+        stack.append((j, delta))
+    dim_b = ensembles[0].dim_b
     if opts.c_dim is not None or opts.w_dim is not None:
         menu = [(opts.c_dim if opts.c_dim is not None else dim_b,
                  opts.w_dim if opts.w_dim is not None else dim_b)]
@@ -348,17 +395,20 @@ def _optimize_ensemble(ens: _Ensemble, deltas: list[float], opts: OptimizerOptio
             raise ValueError(
                 f"no isometry B -> C⊗W with |C||W| = {c_dim * w_dim} < |B| = {dim_b}")
 
-    results = [[] for _ in deltas]  # per delta: (menu index, restart index, c, w, outcome)
+    results = [[] for _ in stack]  # per problem: (menu index, restart index, c, w, outcome)
     for mi, (c_dim, w_dim) in enumerate(menu):
         starts = _start_points(dim_b, c_dim, w_dim)
-        ev = _Evaluator(ens, c_dim, w_dim, want_c=unassisted)
+        ev = _Evaluator(ensembles, c_dim, w_dim, want_c=unassisted)
         if c_dim == 1 or w_dim == 1:
             # T is an isometry into W (|C| = 1) or traces B out (|W| = 1), so
             # every channel of this split gives the same informations: the
-            # identity embedding is evaluated once instead of climbed
+            # identity embedding is evaluated once per ensemble instead of
+            # climbed, all ensembles in one call
             v = starts[0]
-            info = {k: float(a[0]) for k, a in ev.informations(v[np.newaxis]).items()}
-            for row, delta in zip(results, deltas):
+            infos = ev.informations(np.repeat(v[np.newaxis], len(ensembles), axis=0),
+                                    np.arange(len(ensembles)))
+            for row, (j, delta) in zip(results, stack):
+                info = {k: float(a[j]) for k, a in infos.items()}
                 out = ((info["ixw"], info["irwx"], v)
                        if _feasible(info, delta, unassisted) else None)
                 row.append((mi, 0, c_dim, w_dim, out))
@@ -369,9 +419,9 @@ def _optimize_ensemble(ens: _Ensemble, deltas: list[float], opts: OptimizerOptio
         v0 = np.stack([starts[i] if i < len(starts)
                        else qcore.random_isometry(c_dim * w_dim, dim_b, rng)
                        for i, rng in enumerate(rngs)])
-        for row, outs in zip(results, _climb(ev, v0, deltas, opts, rngs)):
+        for row, outs in zip(results, _climb(ev, v0, stack, opts, rngs)):
             row += [(mi, i, c_dim, w_dim, out) for i, out in enumerate(outs)]
-    return [_best_result(delta, dim_b, row) for delta, row in zip(deltas, results)]
+    return [_best_result(delta, dim_b, row) for (_, delta), row in zip(stack, results)]
 
 
 def _best_result(delta: float, dim_b: int, results: list) -> IdeltaResult:
@@ -395,7 +445,7 @@ def optimize_idelta(src: CqSource, delta: float,
     The supremum in the definition ranges over unbounded W; with the finite
     dims used here every output is a lower bound.
     """
-    return _optimize_ensemble(_Ensemble.from_source(src), [delta], opts)[0]
+    return _optimize_ensemble([(_Ensemble.from_source(src), delta)], opts)[0]
 
 
 def _check_grid(deltas) -> list[float]:
@@ -433,7 +483,8 @@ def idelta_curve(src: CqSource, deltas,
     """Per-delta lower bounds from one climb over the whole grid, monotonized
     by running maximum."""
     deltas = _check_grid(deltas)
-    return _curve(deltas, _optimize_ensemble(_Ensemble.from_source(src), deltas, opts))
+    ens = _Ensemble.from_source(src)
+    return _curve(deltas, _optimize_ensemble([(ens, delta) for delta in deltas], opts))
 
 
 @dataclass(frozen=True)
@@ -458,7 +509,8 @@ def estimate_I0_tilde(src: CqSource,
     """
     deltas = _check_grid(sorted(grid))
     stack = deltas if 0.0 in deltas else deltas + [0.0]  # delta = 0 rides in the stack
-    results = _optimize_ensemble(_Ensemble.from_source(src), stack, opts)
+    ens = _Ensemble.from_source(src)
+    results = _optimize_ensemble([(ens, delta) for delta in stack], opts)
     curve = _curve(deltas, results[:len(deltas)])
     res0 = results[stack.index(0.0)]
     i0 = res0.value
@@ -480,7 +532,7 @@ def optimize_I0_minus(src: CqSource,
                       opts: OptimizerOptions = OptimizerOptions()) -> IdeltaResult:
     """Unassisted variant: maximize I(X:W) over isometries B -> C⊗W subject
     to I(R:W|X) <= TOL_FEAS and I(C:W) - I(C:X) <= TOL_FEAS."""
-    return _optimize_ensemble(_Ensemble.from_source(src), [0.0], opts, unassisted=True)[0]
+    return _optimize_ensemble([(_Ensemble.from_source(src), 0.0)], opts, unassisted=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +580,7 @@ def oracle_grid(src: CqSource, delta: float) -> float:
                 for w_is_qubit in (True, False):
                     # evaluator reads output legs as (C, W)
                     net.append(swap @ base if w_is_qubit else base)
-    info = _Evaluator(_Ensemble.from_source(src), 2, 2).informations(np.stack(net))
+    info = _Evaluator([_Ensemble.from_source(src)], 2, 2).informations(
+        np.stack(net), np.zeros(len(net), dtype=int))
     feasible = info["ixw"][info["irwx"] <= delta + TOL_FEAS]
     return max(best, float(feasible.max())) if feasible.size else best

@@ -329,19 +329,24 @@ def entropy_of_stack(mats: np.ndarray) -> np.ndarray:
     return (np.maximum(out, 0.0) + 0.0).reshape(vals.shape[:-1])  # kill negative zero
 
 
-def weighted_average(probs: Sequence[float], mats: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_x p(x) mats[x], accumulated in the order of x."""
+def weighted_average(probs: Sequence, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_x p(x) mats[x], accumulated in the order of x.  For stacks
+    (n, d, d), each p(x) is a number or one probability per matrix."""
+    probs = np.asarray(probs)
+    if probs.ndim > 1:  # one probability per matrix: broadcast over (d, d)
+        probs = probs[..., np.newaxis, np.newaxis]
     avg = np.zeros(mats[0].shape, dtype=complex)
     for p, m in zip(probs, mats):
         avg += p * m
     return avg
 
 
-def holevo_of_stack(probs: Sequence[float],
+def holevo_of_stack(probs: Sequence,
                     blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Holevo quantity S(sum_x p rho_x) - sum_x p S(rho_x), floored at 0, of
-    blocks rho_x that are matrices or equally shaped stacks (..., d, d); also
-    returns the entropies S(rho_x) followed by S(sum_x p rho_x)."""
+    blocks rho_x that are matrices or equally shaped stacks (n, d, d), each
+    p(x) a number or one probability per matrix; also returns the entropies
+    S(rho_x) followed by S(sum_x p rho_x)."""
     s = entropy_of_stack(np.stack(list(blocks) + [weighted_average(probs, blocks)]))
     hol = 0.0
     for p, s_x in zip(probs, s):

@@ -82,7 +82,7 @@ def region_vertices(half_planes) -> tuple[RatePoint, ...]:
     hps = list(half_planes)
     if not hps:
         raise ValueError("need at least one half-plane")
-    pts: list[tuple[float, float]] = []
+    feas = []
     for i in range(len(hps)):
         for j in range(i + 1, len(hps)):
             h1, h2 = hps[i], hps[j]
@@ -91,12 +91,11 @@ def region_vertices(half_planes) -> tuple[RatePoint, ...]:
                 continue
             rx = (h1.b * h2.ab - h2.b * h1.ab) / det
             rb = (h1.ax * h2.b - h2.ax * h1.b) / det
-            pts.append((rx, rb))
-    feas = []
-    for rx, rb in pts:
-        p = RatePoint(rx, rb)
-        if all(hp.contains(p) for hp in hps):
-            feas.append((rx, rb))
+            # the point is on lines i and j by construction, even where its
+            # rounding error exceeds VERTEX_TOL; the others must contain it
+            p = RatePoint(rx, rb)
+            if all(hp.contains(p) for k, hp in enumerate(hps) if k not in (i, j)):
+                feas.append((rx, rb))
     feas = sorted(set((round(rx, 12), round(rb, 12)) for rx, rb in feas))
     return tuple(_distinct(RatePoint(rx, rb) for rx, rb in feas))
 
@@ -210,7 +209,8 @@ def markov_interpolation(src: CqSource, y_dim: int,
     The first point is the DW endpoint, the constant map's, in closed form:
     a single Y block makes I(Y:B) = I(Y:W) = 0 for every channel.  When
     |Y| >= |X| the identity map (QSR endpoint) and noisy and random maps are
-    climbed as well; dominated points are dropped.
+    climbed as well, all of them in one stack (one `_optimize_ensemble`
+    call); dominated points are dropped.
     """
     nx = src.alphabet_size
     if y_dim < 1 or y_dim > nx + 1:
@@ -231,11 +231,11 @@ def markov_interpolation(src: CqSource, y_dim: int,
         for _ in range(n_random_maps):
             maps.append(rng.dirichlet(np.ones(y_dim), size=nx).T)
 
-    for cond in maps:
-        ens = _Ensemble.conditioned(src, cond)
+    ensembles = [_Ensemble.conditioned(src, cond) for cond in maps]
+    results = _optimize_ensemble([(ens, 0.0) for ens in ensembles], opts) if maps else []
+    for ens, res in zip(ensembles, results):
         rhos_b = [m @ m.conj().T for m in ens.mats]
         iyb = float(qcore.holevo_of_stack(ens.probs, rhos_b)[0])
-        res = _optimize_ensemble(ens, [0.0], opts)[0]
         iyw = res.value if res.converged else 0.0
         points.append(RatePoint(profile.s_x_given_b + iyb,
                                 profile.s_b - 0.5 * (iyb + iyw)))

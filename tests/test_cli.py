@@ -194,6 +194,24 @@ def test_idelta_non_finite_delta_exit_2(grid):
     assert err.getvalue().startswith("error:") and "finite" in err.getvalue()
 
 
+@pytest.mark.parametrize("command", ["region", "idelta"])
+@pytest.mark.parametrize("flags, message", [
+    (["--restarts", "-3"], "restarts must be >= 0"),
+    (["--iters", "-2"], "iters_per_stage must be >= 0"),
+    (["--cdim", "0"], "c_dim must be >= 1"),
+    (["--cdim", "-2", "--wdim", "-2"], "c_dim must be >= 1"),
+    (["--wdim", "0"], "w_dim must be >= 1"),
+], ids=["restarts", "iters", "cdim", "cdim-wdim", "wdim"])
+def test_malformed_optimizer_budget_exit_2(command, flags, message):
+    extra = ["--delta-grid", "0,0.1"] if command == "idelta" else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--source", SRC_B_SPEC, *extra, *flags])
+    assert rc == 2
+    assert err.getvalue() == f"error: {message}, got {flags[1]}\n"
+    assert out.getvalue() == ""
+
+
 @pytest.mark.parametrize("i0, i0_tilde", [("nan", "nan"), ("inf", "0"), ("0", "-inf")])
 def test_region_non_finite_estimates_exit_2(i0, i0_tilde):
     err = io.StringIO()

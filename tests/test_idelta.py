@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cqrate import cli, idelta, qcore, source
+from cqrate import cli, idelta, qcore, region, source
 from cqrate.idelta import OptimizerOptions
 
 I_XB_B = 0.3112781244591328  # I(X:B) of SRC-B
@@ -42,7 +42,7 @@ def test_apply_channel_src_c_keep_second_factor(src_c):
 
 
 def test_apply_channel_certifies_from_sigma_not_the_evaluator(monkeypatch, src_a):
-    def garbage(self, v):
+    def garbage(self, v, g):
         return {key: np.full(len(v), 7.5) for key in ("ixw", "irwx", "icw", "icx")}
     monkeypatch.setattr(idelta._Evaluator, "informations", garbage)
     param = idelta.make_channel_param(np.eye(2, dtype=complex), 2, 1, 2)
@@ -107,6 +107,18 @@ def test_option_surface_is_what_the_cli_sets():
         seed=5, restarts=3, c_dim=2, w_dim=4, iters_per_stage=7)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("restarts", -3, "restarts must be >= 0"),
+    ("iters_per_stage", -1, "iters_per_stage must be >= 0"),
+    ("c_dim", 0, "c_dim must be >= 1"),
+    ("w_dim", -2, "w_dim must be >= 1"),
+])
+def test_malformed_budgets_are_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        OptimizerOptions(**{field: value})
+    OptimizerOptions(restarts=0, iters_per_stage=0, c_dim=1, w_dim=1)  # the smallest budget
+
+
 def test_optimize_deterministic(src_b):
     opts = OptimizerOptions(seed=3, restarts=3, iters_per_stage=15)
     r1 = idelta.optimize_idelta(src_b, 0.05, opts)
@@ -122,15 +134,15 @@ def test_lockstep_restarts_are_independent(src_b, src_c):
     mixed = idelta._Ensemble.conditioned(src_b, np.array([[0.7, 0.2], [0.3, 0.8]]))
     for ens, unassisted in ((pure_b, False), (pure_c, False), (mixed, False), (pure_b, True)):
         c = w = 2
-        ev = idelta._Evaluator(ens, c, w, want_c=unassisted)
+        ev = idelta._Evaluator([ens], c, w, want_c=unassisted)
         seeds = np.random.SeedSequence(7).spawn(4)
         v0 = np.stack([qcore.random_isometry(c * w, ens.dim_b, np.random.default_rng(s))
                        for s in seeds])
-        stacked = idelta._climb(ev, v0, [0.05], opts,
+        stacked = idelta._climb(ev, v0, [(0, 0.05)], opts,
                                 [np.random.default_rng(s) for s in seeds])[0]
         assert any(out is not None for out in stacked)
         for i, seed in enumerate(seeds):
-            alone = idelta._climb(ev, v0[i:i + 1], [0.05], opts,
+            alone = idelta._climb(ev, v0[i:i + 1], [(0, 0.05)], opts,
                                   [np.random.default_rng(seed)])[0][0]
             if alone is None:
                 assert stacked[i] is None
@@ -167,10 +179,10 @@ def test_a_batched_grid_gives_each_delta_its_lone_result(name):
             assert len(curve.results) == len(grid)
             for delta, res in zip(grid, curve.results):
                 _assert_same_result(res, idelta.optimize_idelta(src, delta, opts))
-        unassisted = idelta._optimize_ensemble(ens, [0.0, 0.1], opts, unassisted=True)
+        unassisted = idelta._optimize_ensemble([(ens, 0.0), (ens, 0.1)], opts, unassisted=True)
         for delta, res in zip([0.0, 0.1], unassisted):
             _assert_same_result(
-                res, idelta._optimize_ensemble(ens, [delta], opts, unassisted=True)[0])
+                res, idelta._optimize_ensemble([(ens, delta)], opts, unassisted=True)[0])
 
 
 @pytest.mark.parametrize("name", ["src_a", "src_b", "src_c", "mixed_example"])
@@ -184,6 +196,38 @@ def test_estimates_give_the_lone_results_at_zero_and_on_the_grid(name):
         (curve.deltas, curve.values, curve.raw_values, curve.warnings)
     for batched, alone in zip(est.curve.results, curve.results):
         _assert_same_result(batched, alone)
+
+
+def _markov_problems(monkeypatch, src, y_dim: int, opts: OptimizerOptions) -> list:
+    """The (ensemble, delta) problems and results of the one optimizer call
+    that `markov_interpolation` makes."""
+    calls = []
+    optimize = idelta._optimize_ensemble
+
+    def recording(problems, opts, unassisted=False):
+        results = optimize(problems, opts, unassisted)
+        calls.append((problems, results))
+        return results
+
+    monkeypatch.setattr(region, "_optimize_ensemble", recording)
+    region.markov_interpolation(src, y_dim, opts)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return calls[0]
+
+
+@pytest.mark.parametrize("y_dim", [2, 3])
+@pytest.mark.parametrize("name", ["src_b", "src_c", "mixed_example"])
+def test_stacked_markov_maps_give_each_map_its_lone_result(monkeypatch, name, y_dim):
+    src = _load(name)
+    for dims in ({}, {"c_dim": 2, "w_dim": 2}):
+        opts = OptimizerOptions(seed=6, restarts=3, iters_per_stage=6, **dims)
+        problems, results = _markov_problems(monkeypatch, src, y_dim, opts)
+        assert len(problems) == 9  # identity, four noisy and four random maps
+        assert len({id(ens) for ens, _ in problems}) == 9
+        for (ens, delta), res in zip(problems, results):
+            assert delta == 0.0
+            _assert_same_result(res, idelta._optimize_ensemble([(ens, delta)], opts)[0])
 
 
 def test_estimates_draw_each_direction_once_for_the_whole_grid(monkeypatch, src_c):
@@ -214,8 +258,8 @@ def test_deltas_on_the_same_path_share_their_candidates(monkeypatch, src_b):
 
     monkeypatch.setattr(idelta, "_qr_retract", counted)
     opts = OptimizerOptions(seed=1, restarts=3, iters_per_stage=5, c_dim=2, w_dim=2)
-    once, twice = idelta._optimize_ensemble(idelta._Ensemble.from_source(src_b),
-                                            [0.05, 0.05], opts)
+    ens = idelta._Ensemble.from_source(src_b)
+    once, twice = idelta._optimize_ensemble([(ens, 0.05), (ens, 0.05)], opts)
     assert rows == [3 * opts.restarts] * (len(idelta.PENALTY_SCHEDULE) * opts.iters_per_stage)
     _assert_same_result(once, twice)
 
@@ -251,14 +295,55 @@ def test_stacked_retraction_and_evaluation_act_row_by_row(
     q = idelta._qr_retract(stepped)
     gram = q.conj().swapaxes(-1, -2) @ q
     assert np.abs(gram - np.eye(ens.dim_b)).max() <= 1e-12
-    ev = idelta._Evaluator(ens, c, w, want_c=want_c)
-    stacked = ev.informations(q)
+    ev = idelta._Evaluator([ens], c, w, want_c=want_c)
+    stacked = ev.informations(q, np.zeros(rows, dtype=int))
     assert set(stacked) == ({"ixw", "irwx", "icw", "icx"} if want_c else {"ixw", "irwx"})
     for i in range(rows):
         assert idelta._qr_retract(stepped[i:i + 1]).tobytes() == q[i:i + 1].tobytes()
-        alone = ev.informations(q[i:i + 1])
+        alone = ev.informations(q[i:i + 1], np.zeros(1, dtype=int))
         for key, vals in stacked.items():
             assert vals[i:i + 1].tobytes() == alone[key].tobytes(), key
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["conditioned", "pure"]), y_dim=st.integers(2, 3),
+       n_ens=st.integers(1, 4), constant=st.booleans(), c=st.integers(1, 4),
+       w=st.integers(1, 4), want_c=st.booleans(), rows=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_informations_on_mixed_ensembles_act_row_by_row(
+        kind, y_dim, n_ens, constant, c, w, want_c, rows, seed):
+    """A stack whose rows sit on different ensembles gives each row the
+    informations of that row alone on its own ensemble, bit for bit."""
+    assume(c * w >= 2)
+    rng = np.random.default_rng(seed)
+    if kind == "pure":  # two sources with equal |X|, |B| and |R|
+        ensembles = [idelta._Ensemble.from_source(_load(name))
+                     for name in ("src_b", "mixed_example", "src_b", "mixed_example")[:n_ens]]
+    else:
+        src = _load("mixed_example" if seed % 2 else "src_b")
+        maps = [rng.dirichlet(np.ones(y_dim), size=src.alphabet_size).T for _ in range(n_ens)]
+        if constant:  # its other symbols have p(y) = 0 and a zero block
+            maps[0] = np.zeros((y_dim, src.alphabet_size))
+            maps[0][0] = 1.0
+        ensembles = [idelta._Ensemble.conditioned(src, cond) for cond in maps]
+    g = rng.integers(0, len(ensembles), size=rows)
+    v = np.stack([qcore.random_isometry(c * w, 2, rng) for _ in range(rows)])
+    stacked = idelta._Evaluator(ensembles, c, w, want_c=want_c).informations(v, g)
+    assert set(stacked) == ({"ixw", "irwx", "icw", "icx"} if want_c else {"ixw", "irwx"})
+    for i in range(rows):
+        alone = idelta._Evaluator([ensembles[g[i]]], c, w, want_c=want_c).informations(
+            v[i:i + 1], np.zeros(1, dtype=int))
+        for key, vals in stacked.items():
+            assert vals[i:i + 1].tobytes() == alone[key].tobytes(), (key, i)
+
+
+def test_stacked_ensembles_must_share_their_shape(src_b, src_c):
+    two = idelta._Ensemble.conditioned(src_b, np.eye(2))
+    for other in (idelta._Ensemble.from_source(src_b),  # |E| = 1
+                  idelta._Ensemble.conditioned(src_b, np.ones((3, 2)) / 3),  # three blocks
+                  idelta._Ensemble.conditioned(src_c, np.eye(2))):  # |B| = 4
+        with pytest.raises(ValueError, match="differ"):
+            idelta._Evaluator([two, other], 2, 2)
 
 
 def test_start_points_are_distinct_and_hold_both_embeddings():
@@ -302,15 +387,15 @@ def test_closed_form_splits_match_a_climb(ensembles):
         for c, w in ((1, db), (db, 1)):
             opts = OptimizerOptions(seed=5, restarts=3, iters_per_stage=10, c_dim=c, w_dim=w)
             for unassisted in (False, True):
-                ev = idelta._Evaluator(ens, c, w, want_c=unassisted)
+                ev = idelta._Evaluator([ens], c, w, want_c=unassisted)
                 for delta in (0.0, 0.01, 0.1):
-                    closed, = idelta._optimize_ensemble(ens, [delta], opts,
+                    closed, = idelta._optimize_ensemble([(ens, delta)], opts,
                                                         unassisted=unassisted)
                     assert closed.restarts_used == 1
                     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(3)]
                     v0 = np.stack([np.eye(c * w, db, dtype=complex)]
                                   + [qcore.random_isometry(c * w, db, rng) for rng in rngs[1:]])
-                    climbed = [out for out in idelta._climb(ev, v0, [delta], opts, rngs)[0]
+                    climbed = [out for out in idelta._climb(ev, v0, [(0, delta)], opts, rngs)[0]
                                if out is not None]
                     assert closed.converged == bool(climbed)
                     for value, constraint, _ in climbed:
@@ -325,10 +410,11 @@ def test_degenerate_split_informations_do_not_depend_on_the_isometry(
     ens = ensembles[which]
     db = ens.dim_b
     c, w = (db, 1) if trivial_w else (1, db)
-    ev = idelta._Evaluator(ens, c, w, want_c=True)
+    ev = idelta._Evaluator([ens], c, w, want_c=True)
     v = qcore.random_isometry(c * w, db, np.random.default_rng(seed))
-    at_v = ev.informations(v[np.newaxis])
-    at_identity = ev.informations(np.eye(c * w, db, dtype=complex)[np.newaxis])
+    one = np.zeros(1, dtype=int)
+    at_v = ev.informations(v[np.newaxis], one)
+    at_identity = ev.informations(np.eye(c * w, db, dtype=complex)[np.newaxis], one)
     for key in ("ixw", "irwx", "icw", "icx"):
         assert abs(at_v[key][0] - at_identity[key][0]) <= 1e-12, key
 
@@ -381,7 +467,8 @@ def test_conditioned_informations_match_an_explicit_state(name):
         ens = idelta._Ensemble.conditioned(src, cond)
         for c, w in ((2, 2), (1, 2), (2, 1)):
             v = np.stack([qcore.random_isometry(c * w, src.dim_b, rng) for _ in range(3)])
-            info = idelta._Evaluator(ens, c, w, want_c=True).informations(v)
+            info = idelta._Evaluator([ens], c, w, want_c=True).informations(
+                v, np.zeros(len(v), dtype=int))
             for i in range(len(v)):
                 sigma = _sigma_ycwr(src, cond, v[i], c, w)
                 ref = {"ixw": qcore.mutual_information(sigma, ["Y"], ["W"]),
@@ -399,10 +486,11 @@ def test_source_ensemble_equals_its_identity_conditioning(name, c, w, seed):
     src = _load(name)
     assume(c * w >= src.dim_b)
     v = qcore.random_isometry(c * w, src.dim_b, np.random.default_rng(seed))[np.newaxis]
-    direct = idelta._Evaluator(idelta._Ensemble.from_source(src), c, w, want_c=True)
-    copied = idelta._Evaluator(idelta._Ensemble.conditioned(src, np.eye(src.alphabet_size)),
+    direct = idelta._Evaluator([idelta._Ensemble.from_source(src)], c, w, want_c=True)
+    copied = idelta._Evaluator([idelta._Ensemble.conditioned(src, np.eye(src.alphabet_size))],
                                c, w, want_c=True)
-    at_direct, at_copied = direct.informations(v), copied.informations(v)
+    one = np.zeros(1, dtype=int)
+    at_direct, at_copied = direct.informations(v, one), copied.informations(v, one)
     for key in ("ixw", "irwx", "icw", "icx"):
         assert abs(at_direct[key][0] - at_copied[key][0]) <= 1e-12, key
 
@@ -464,9 +552,9 @@ def _fake_optimizer(monkeypatch, values: dict[float, float]) -> list[list[float]
     delta lists it is called with."""
     calls = []
 
-    def fake(ens, deltas, opts, unassisted=False):
-        calls.append(list(deltas))
-        return [idelta.IdeltaResult(d, values[d], 0.0, None, 1, True) for d in deltas]
+    def fake(problems, opts, unassisted=False):
+        calls.append([d for _, d in problems])
+        return [idelta.IdeltaResult(d, values[d], 0.0, None, 1, True) for _, d in problems]
     monkeypatch.setattr(idelta, "_optimize_ensemble", fake)
     return calls
 

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqrate import idelta, region, source
 from cqrate.errors import InternalError
@@ -184,6 +186,44 @@ def test_region_vertices_direct():
     assert sorted((v.rx, v.rb) for v in vs) == [(1.0, 2.0), (2.0, 1.0)]
 
 
+# normals on a 1/8 grid in [0, 4]: non-parallel boundary lines then have
+# |det| >= 1/64 and meet within |R| <= 2048, where float rounding stays far
+# below the absolute VERTEX_TOL (test_region_vertices_keeps_a_far_vertex
+# covers a vertex beyond that)
+_COEF = st.integers(0, 32).map(lambda k: k / 8)
+_HALF_PLANES = st.lists(
+    st.tuples(_COEF, _COEF, st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+    .filter(lambda t: t[0] > 0.0 or t[1] > 0.0).map(lambda t: HalfPlane(*t)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hps=_HALF_PLANES)
+def test_region_vertices_agree_with_the_half_planes(hps):
+    """Every vertex satisfies every half-plane and lies on at least two of
+    them; every pairwise intersection that satisfies all half-planes is a
+    vertex, each within VERTEX_TOL."""
+    tol = region.VERTEX_TOL
+    vertices = region.region_vertices(hps)
+    for v in vertices:
+        assert all(hp.contains(v) for hp in hps)
+        assert sum(abs(hp.ax * v.rx + hp.ab * v.rb - hp.b) <= tol for hp in hps) >= 2
+    for i, h1 in enumerate(hps):
+        for h2 in hps[i + 1:]:
+            a = np.array([[h1.ax, h1.ab], [h2.ax, h2.ab]])
+            if abs(np.linalg.det(a)) < 1e-12:
+                continue  # parallel boundary lines meet nowhere or everywhere
+            rx, rb = np.linalg.solve(a, [h1.b, h2.b])
+            if all(hp.contains(RatePoint(rx, rb), 0.0) for hp in hps):
+                assert any(abs(v.rx - rx) <= tol and abs(v.rb - rb) <= tol for v in vertices)
+
+
+def test_region_vertices_keeps_a_far_vertex():
+    # at R_X = 1e8 the intersection is 1.5e-8 off its own line 1e-8 R_X >= 1
+    vs = region.region_vertices([HalfPlane(1.0, 2.5, 1.75), HalfPlane(1e-8, 0.0, 1.0)])
+    assert [(v.rx, v.rb) for v in vs] == [(1e8, pytest.approx(-39999999.3, rel=1e-15))]
+
+
 def test_halfplane_validation():
     with pytest.raises(ValueError):
         HalfPlane(0.0, 0.0, 1.0)
@@ -257,6 +297,22 @@ def test_markov_below_alphabet_size_climbs_nothing(monkeypatch, src_b, light_opt
     monkeypatch.setattr(region, "_optimize_ensemble", counting)
     region.markov_interpolation(src_b, 1, light_opts)
     assert calls == []
+
+
+@pytest.mark.parametrize("y_dim", [2, 3])
+def test_markov_climbs_every_map_in_one_call(monkeypatch, src_b, y_dim):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return idelta._optimize_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(region, "_optimize_ensemble", counting)
+    region.markov_interpolation(src_b, y_dim, OptimizerOptions(seed=1, restarts=2,
+                                                               iters_per_stage=3))
+    assert len(calls) == 1
+    problems = calls[0][0]
+    assert len(problems) == 9 and all(delta == 0.0 for _, delta in problems)
 
 
 def test_markov_y_dim_validation(src_b, light_opts):

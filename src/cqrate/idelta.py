@@ -122,9 +122,10 @@ class _Evaluator:
         if len(shape) != 1:
             raise ValueError(f"stacked ensembles differ in (|B|, |R|, |E|, blocks): {shape}")
         self.mats = [ens.mats for ens in ensembles]
-        self.dim_r, self.dim_e = ensembles[0].dim_r, ensembles[0].dim_e
-        # per ensemble, the block probabilities and the channel-independent S(R)
-        self.p_sr = np.array([(ens.probs, ens.s_r) for ens in ensembles])
+        self.dim_b, self.dim_r, self.dim_e = next(iter(shape))[:3]
+        # per ensemble and block, p and the channel-independent S(R)
+        self.probs = np.array([ens.probs for ens in ensembles])
+        self.s_r = np.array([ens.s_r for ens in ensembles])
         self.c = c_dim
         self.w = w_dim
         self.want_c = want_c
@@ -134,25 +135,23 @@ class _Evaluator:
         """For a stack v of shape (n, |C||W|, |B|) whose row i acts on
         ensemble g[i], returns per matrix ixw = I(X:W), irwx = I(R:W|X) and,
         when requested, icw = I(C:W) and icx = I(C:X), each as an array of
-        length n.  Each run of rows on one ensemble is multiplied by that
-        ensemble's blocks in place, so nothing is gathered per row."""
+        length n.  Each run of rows on one ensemble is multiplied by each of
+        that ensemble's blocks in one (rows·|C||W|, |B|) product, so a
+        one-ensemble stack is neither gathered nor copied."""
         c, w, r, e = self.c, self.w, self.dim_r, self.dim_e
-        n = v.shape[0]
-        if len(self.mats) == 1:
-            # every row is on the one ensemble: per block one p and one S(R)
-            runs, (probs, s_r) = [(0, n, 0)], self.p_sr[0]
+        n, d = v.shape[0], c * w
+        if len(self.mats) == 1:  # per block one p and one S(R) for all rows
+            runs, probs, s_r = [(0, n, 0)], self.probs[0], self.s_r[0]
         else:
             cuts = [0, *(np.flatnonzero(g[1:] != g[:-1]) + 1).tolist(), n]
             runs = [(lo, hi, int(g[lo])) for lo, hi in zip(cuts, cuts[1:])]
-            probs, s_r = np.empty(self.p_sr.shape[1:] + (n,))  # per block and row
-            for lo, hi, j in runs:
-                probs[:, lo:hi] = self.p_sr[j, 0][:, np.newaxis]
-                s_r[:, lo:hi] = self.p_sr[j, 1][:, np.newaxis]
+            probs, s_r = self.probs[g].T, self.s_r[g].T  # per block and row
         rho_w, rho_c, rho_ce, rho_cw = [], [], [], []  # per block, each a stack
         for k in range(len(probs)):
-            o = np.empty((n, c * w, self.mats[0][k].shape[1]), dtype=complex)
+            o = np.empty((n * d, r * e), dtype=complex)
             for lo, hi, j in runs:
-                np.matmul(v[lo:hi], self.mats[j][k], out=o[lo:hi])
+                np.matmul(v[lo:hi].reshape(-1, self.dim_b), self.mats[j][k],
+                          out=o[lo * d:hi * d])
             o = o.reshape(n, c, w, -1)  # k = (r, e)
             rho_w.append(np.einsum("ncwk,ncvk->nwv", o, o.conj()))
             rho_c.append(np.einsum("ncwk,ndwk->ncd", o, o.conj()))

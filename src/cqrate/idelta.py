@@ -8,6 +8,7 @@ brute-force oracle for tiny dimensions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,16 +137,20 @@ class _Evaluator:
         ensemble g[i], returns per matrix ixw = I(X:W), irwx = I(R:W|X) and,
         when requested, icw = I(C:W) and icx = I(C:X), each as an array of
         length n.  Each run of rows on one ensemble is multiplied by each of
-        that ensemble's blocks in one (rows·|C||W|, |B|) product, so a
-        one-ensemble stack is neither gathered nor copied."""
+        that ensemble's blocks in one (rows·|C||W|, |B|) product, so the
+        stack itself is neither gathered nor copied.  A row's result is then
+        bit-identical to the same row evaluated alone only if the BLAS gemm
+        gives each row of a product the same bits whatever the product's
+        row count; the stacked-grid, stacked-markov and row-by-row tests of
+        tests/test_idelta.py fail if a BLAS kernel breaks that."""
         c, w, r, e = self.c, self.w, self.dim_r, self.dim_e
         n, d = v.shape[0], c * w
-        if len(self.mats) == 1:  # per block one p and one S(R) for all rows
-            runs, probs, s_r = [(0, n, 0)], self.probs[0], self.s_r[0]
-        else:
-            cuts = [0, *(np.flatnonzero(g[1:] != g[:-1]) + 1).tolist(), n]
-            runs = [(lo, hi, int(g[lo])) for lo, hi in zip(cuts, cuts[1:])]
-            probs, s_r = self.probs[g].T, self.s_r[g].T  # per block and row
+        runs, lo = [], 0  # (first row, end row, ensemble) of each run of rows
+        for j, rows in itertools.groupby(g.tolist()):
+            hi = lo + len(list(rows))
+            runs.append((lo, hi, j))
+            lo = hi
+        probs, s_r = self.probs.take(g, axis=0).T, self.s_r.take(g, axis=0).T  # per block and row
         rho_w, rho_c, rho_ce, rho_cw = [], [], [], []  # per block, each a stack
         for k in range(len(probs)):
             o = np.empty((n * d, r * e), dtype=complex)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cqrate import idelta, region, source
 from cqrate.errors import InternalError
-from cqrate.idelta import OptimizerOptions
 from cqrate.region import HalfPlane, RatePoint
 
 H14 = 0.8112781244591328
@@ -189,7 +188,10 @@ def test_region_vertices_direct():
 # normals on a 1/8 grid in [0, 4]: non-parallel boundary lines then have
 # |det| >= 1/64 and meet within |R| <= 2048, where float rounding stays far
 # below the absolute VERTEX_TOL (test_region_vertices_keeps_a_far_vertex
-# covers a vertex beyond that)
+# covers one vertex beyond that).  The far-vertex regime is left out on
+# purpose: there the absolute VERTEX_TOL returns a vertex met by three
+# half-planes twice, a known defect; widen the normals to any floats once
+# the tolerance is relative to the coordinates
 _COEF = st.integers(0, 32).map(lambda k: k / 8)
 _HALF_PLANES = st.lists(
     st.tuples(_COEF, _COEF, st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
@@ -297,22 +299,6 @@ def test_markov_below_alphabet_size_climbs_nothing(monkeypatch, src_b, light_opt
     monkeypatch.setattr(region, "_optimize_ensemble", counting)
     region.markov_interpolation(src_b, 1, light_opts)
     assert calls == []
-
-
-@pytest.mark.parametrize("y_dim", [2, 3])
-def test_markov_climbs_every_map_in_one_call(monkeypatch, src_b, y_dim):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return idelta._optimize_ensemble(*args, **kwargs)
-
-    monkeypatch.setattr(region, "_optimize_ensemble", counting)
-    region.markov_interpolation(src_b, y_dim, OptimizerOptions(seed=1, restarts=2,
-                                                               iters_per_stage=3))
-    assert len(calls) == 1
-    problems = calls[0][0]
-    assert len(problems) == 9 and all(delta == 0.0 for _, delta in problems)
 
 
 def test_markov_y_dim_validation(src_b, light_opts):

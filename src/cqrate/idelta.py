@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class IdeltaResult:
     value: float            # achieved I(X:W), bits
     constraint: float       # achieved I(R:W|X), bits
     param: Isometry | None  # the channel's B -> C⊗W Stinespring isometry
-    restarts_used: int      # climbed restarts, plus 1 per closed-form split
+    restarts_used: int      # climbed restarts, 1 per closed-form split
     converged: bool
     candidates: tuple[tuple[float, float], ...] = ()  # feasible per-restart finals
 
@@ -159,15 +159,12 @@ class _Evaluator:
                           out=o[lo * d:hi * d])
             o = o.reshape(n, c, w, -1)  # k = (r, e)
             rho_w.append(np.einsum("ncwk,ncvk->nwv", o, o.conj()))
-            rho_c.append(np.einsum("ncwk,ndwk->ncd", o, o.conj()))
-            # the block is pure on C⊗W⊗R⊗E, so S(WR) = S(CE), and CE is C when |E| = 1
-            if e == 1:
-                rho_ce.append(rho_c[-1])
-            else:
-                o_e = o.reshape(n, c, w, r, e)
-                rho_ce.append(np.einsum("ncwre,ndwrf->ncedf", o_e, o_e.conj())
-                              .reshape(n, c * e, c * e))
+            # the block is pure on C⊗W⊗R⊗E, so S(WR) = S(CE)
+            o_e = o.reshape(n, c, w, r, e)
+            rho_ce.append(np.einsum("ncwre,ndwrf->ncedf", o_e, o_e.conj())
+                          .reshape(n, c * e, c * e))
             if self.want_c:
+                rho_c.append(np.einsum("ncwk,ndwk->ncd", o, o.conj()))
                 rho_cw.append(np.einsum("ncwk,ndvk->ncwdv", o, o.conj())
                               .reshape(n, c * w, c * w))
 
@@ -270,12 +267,11 @@ def _dims_menu(dim_b: int) -> list[tuple[int, int]]:
     return menu
 
 
-def _feasible(info, delta: float, unassisted: bool) -> bool:
+def _feasible(info, delta: float, unassisted: bool):
     """I(R:W|X) <= delta and, for the unassisted variant, I(C:W) <= I(C:X),
-    each within TOL_FEAS."""
-    if info["irwx"] > delta + TOL_FEAS:
-        return False
-    return not unassisted or info["icw"] - info["icx"] <= TOL_FEAS
+    each within TOL_FEAS; elementwise when the informations are arrays."""
+    ok = info["irwx"] <= delta + TOL_FEAS
+    return ok & (info["icw"] - info["icx"] <= TOL_FEAS) if unassisted else ok
 
 
 def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
@@ -403,27 +399,18 @@ def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerO
     for mi, (c_dim, w_dim) in enumerate(menu):
         starts = _start_points(dim_b, c_dim, w_dim)
         ev = _Evaluator(ensembles, c_dim, w_dim, want_c=unassisted)
-        if c_dim == 1 or w_dim == 1:
-            # T is an isometry into W (|C| = 1) or traces B out (|W| = 1), so
-            # every channel of this split gives the same informations: the
-            # identity embedding is evaluated once per ensemble instead of
-            # climbed, all ensembles in one call
-            v = starts[0]
-            infos = ev.informations(np.repeat(v[np.newaxis], len(ensembles), axis=0),
-                                    np.arange(len(ensembles)))
-            for row, (j, delta) in zip(results, stack):
-                info = {k: float(a[j]) for k, a in infos.items()}
-                out = ((info["ixw"], info["irwx"], v)
-                       if _feasible(info, delta, unassisted) else None)
-                row.append((mi, 0, c_dim, w_dim, out))
-            continue
-        n_restarts = max(opts.restarts, len(starts))
+        # T is an isometry into W (|C| = 1) or traces B out (|W| = 1), so
+        # every channel of such a split gives the same informations: one
+        # restart from the identity embedding that takes no step
+        split_opts = (replace(opts, restarts=1, iters_per_stage=0)
+                      if c_dim == 1 or w_dim == 1 else opts)
+        n_restarts = max(split_opts.restarts, len(starts))
         seeds = np.random.SeedSequence(entropy=opts.seed, spawn_key=(mi,)).spawn(n_restarts)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         v0 = np.stack([starts[i] if i < len(starts)
                        else qcore.random_isometry(c_dim * w_dim, dim_b, rng)
                        for i, rng in enumerate(rngs)])
-        for row, outs in zip(results, _climb(ev, v0, stack, opts, rngs)):
+        for row, outs in zip(results, _climb(ev, v0, stack, split_opts, rngs)):
             row += [(mi, i, c_dim, w_dim, out) for i, out in enumerate(outs)]
     return [_best_result(delta, dim_b, row) for (_, delta), row in zip(stack, results)]
 
@@ -502,11 +489,14 @@ class I0Estimates:
 
 def estimate_I0_tilde(src: CqSource,
                       opts: OptimizerOptions = OptimizerOptions(),
-                      grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)) -> I0Estimates:
+                      grid: tuple[float, ...] = (1e-4,)) -> I0Estimates:
     """I_0 estimate (optimization at delta = 0, the curve's own result when
     the grid holds 0, otherwise an extra delta climbed in the curve's stack)
     and the limit estimate I~_0 (the curve's value at the smallest positive
-    delta of the grid, a last-value extrapolation toward delta -> 0).
+    delta of the grid, a last-value extrapolation toward delta -> 0).  That
+    value is the running maximum up to the smallest positive delta, so the
+    default grid climbs that delta alone: larger ones could only raise the
+    maximum at later deltas, which the estimates do not read.
 
     Both are lower bounds; since I~_0 >= I_0 holds exactly, the reported
     I~_0 estimate is floored at the I_0 estimate.
@@ -586,5 +576,5 @@ def oracle_grid(src: CqSource, delta: float) -> float:
                     net.append(swap @ base if w_is_qubit else base)
     info = _Evaluator([_Ensemble.from_source(src)], 2, 2).informations(
         np.stack(net), np.zeros(len(net), dtype=int))
-    feasible = info["ixw"][info["irwx"] <= delta + TOL_FEAS]
+    feasible = info["ixw"][_feasible(info, delta, unassisted=False)]
     return max(best, float(feasible.max())) if feasible.size else best

@@ -332,9 +332,7 @@ def entropy_of_stack(mats: np.ndarray) -> np.ndarray:
 def weighted_average(probs: Sequence, mats: Sequence[np.ndarray]) -> np.ndarray:
     """sum_x p(x) mats[x], accumulated in the order of x.  For stacks
     (n, d, d), each p(x) is a number or one probability per matrix."""
-    probs = np.asarray(probs)
-    if probs.ndim > 1:  # one probability per matrix: broadcast over (d, d)
-        probs = probs[..., np.newaxis, np.newaxis]
+    probs = np.asarray(probs)[..., np.newaxis, np.newaxis]  # broadcast over (d, d)
     avg = np.zeros(mats[0].shape, dtype=complex)
     for p, m in zip(probs, mats):
         avg += p * m

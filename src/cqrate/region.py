@@ -91,21 +91,24 @@ def region_vertices(half_planes) -> tuple[RatePoint, ...]:
                 continue
             rx = (h1.b * h2.ab - h2.b * h1.ab) / det
             rb = (h1.ax * h2.b - h2.ax * h1.b) / det
-            # the point is on lines i and j by construction, even where its
-            # rounding error exceeds VERTEX_TOL; the others must contain it
-            p = RatePoint(rx, rb)
-            if all(hp.contains(p) for k, hp in enumerate(hps) if k not in (i, j)):
+            # the point is on lines i and j by construction; the others must
+            # contain it, within VERTEX_TOL relative to the size of their terms
+            p, size = RatePoint(rx, rb), max(abs(rx), abs(rb))
+            if all(hp.contains(p, VERTEX_TOL * max(1.0, abs(hp.b), (hp.ax + hp.ab) * size))
+                   for k, hp in enumerate(hps) if k not in (i, j)):
                 feas.append((rx, rb))
     feas = sorted(set((round(rx, 12), round(rb, 12)) for rx, rb in feas))
     return tuple(_distinct(RatePoint(rx, rb) for rx, rb in feas))
 
 
 def _distinct(points) -> list[RatePoint]:
-    """The points in order, less each one within VERTEX_TOL in both rates of
-    a point kept before it: two such points are one rate point."""
+    """The points in order, less each one within VERTEX_TOL, relative to the
+    larger coordinate (at least 1), in both rates of a point kept before it:
+    two such points are one rate point."""
     out: list[RatePoint] = []
     for p in points:
-        if not any(abs(p.rx - q.rx) < VERTEX_TOL and abs(p.rb - q.rb) < VERTEX_TOL
+        if not any(max(abs(p.rx - q.rx), abs(p.rb - q.rb))
+                   < VERTEX_TOL * max(1.0, abs(p.rx), abs(p.rb), abs(q.rx), abs(q.rb))
                    for q in out):
             out.append(p)
     return out

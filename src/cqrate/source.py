@@ -97,18 +97,14 @@ def _parse_scalar(v) -> complex:
     raise SpecError(f"cannot parse complex entry {v!r}")
 
 
-def _parse_complex_vector(entries) -> np.ndarray:
-    try:
-        return np.array([_parse_scalar(v) for v in entries], dtype=complex)
-    except (TypeError, SpecError) as exc:
-        raise SpecError(f"malformed amplitude vector: {exc}") from exc
-
-
 def _parse_complex_matrix(rows) -> np.ndarray:
+    """Rows of complex entries, each a number or an [re, im] pair; an
+    amplitude vector is parsed as one row.  Any malformed entry or ragged
+    row is a SpecError."""
     try:
         return np.array([[_parse_scalar(v) for v in row] for row in rows], dtype=complex)
-    except (TypeError, SpecError) as exc:
-        raise SpecError(f"malformed matrix: {exc}") from exc
+    except (TypeError, ValueError, OverflowError, SpecError) as exc:
+        raise SpecError(f"malformed complex entries: {exc}") from exc
 
 
 def load_source(doc: dict) -> CqSource:
@@ -143,7 +139,7 @@ def load_source(doc: dict) -> CqSource:
                 dr = _parse_int(entry["dims"]["R"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SpecError("amplitude state needs integer dims {B, R}") from exc
-            amp = _parse_complex_vector(entry["amplitudes"])
+            amp = _parse_complex_matrix([entry["amplitudes"]])[0]
             if amp.shape[0] != db * dr:
                 raise SpecError(f"amplitudes length {amp.shape[0]} != |B||R| = {db * dr}")
             if abs(np.linalg.norm(amp) - 1.0) > qcore.TOL_NORM:

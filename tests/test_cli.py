@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqrate import cli, codes, qcore, source
+from cqrate import cli, codes, idelta, qcore, source
 from cqrate.qcore import DensityOperator, DimsSpec
 from cqrate.reference import source_a, source_b
 
@@ -167,6 +167,22 @@ def test_region_unassisted_mode_adds_halfplane(spec_paths):
         len(base["regions"]["outer"]["halfplanes"]) + 1
     assert any(hp["aX"] == 1.0 and hp["aB"] == 1.0
                for hp in una["regions"]["outer"]["halfplanes"])
+
+
+def test_region_climbs_only_the_deltas_it_reads(monkeypatch):
+    """`region` reads I0 and I~0 only, so it makes one optimizer call on
+    delta = 1e-4 (the smallest positive grid delta) and delta = 0."""
+    calls = []
+    optimize = idelta._optimize_ensemble
+
+    def recording(problems, opts, unassisted=False):
+        calls.append([delta for _, delta in problems])
+        return optimize(problems, opts, unassisted)
+
+    monkeypatch.setattr(idelta, "_optimize_ensemble", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["region", "--source", SRC_B_SPEC, "--restarts", "1", "--iters", "1"]) == 0
+    assert calls == [[1e-4, 0.0]]
 
 
 def test_idelta_command(spec_paths):

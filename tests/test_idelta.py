@@ -189,9 +189,10 @@ def test_a_batched_grid_gives_each_delta_its_lone_result(name):
 def test_estimates_give_the_lone_results_at_zero_and_on_the_grid(name):
     src = _load(name)
     opts = OptimizerOptions(seed=4, restarts=3, iters_per_stage=6)
-    est = idelta.estimate_I0_tilde(src, opts)
+    grid = (1e-4, 1e-3, 1e-2, 1e-1)
+    est = idelta.estimate_I0_tilde(src, opts, grid)
     _assert_same_result(est.i0_result, idelta.optimize_idelta(src, 0.0, opts))
-    curve = idelta.idelta_curve(src, (1e-4, 1e-3, 1e-2, 1e-1), opts)
+    curve = idelta.idelta_curve(src, grid, opts)
     assert (est.curve.deltas, est.curve.values, est.curve.raw_values, est.curve.warnings) == \
         (curve.deltas, curve.values, curve.raw_values, curve.warnings)
     for batched, alone in zip(est.curve.results, curve.results):
@@ -240,7 +241,7 @@ def test_estimates_draw_each_direction_once_for_the_whole_grid(monkeypatch, src_
         return draw(rng, d)
 
     monkeypatch.setattr(idelta, "_random_direction", counted)
-    idelta.estimate_I0_tilde(src_c, opts)  # four grid deltas and delta = 0
+    idelta.estimate_I0_tilde(src_c, opts)  # the default grid's delta and delta = 0
     db = src_c.dim_b
     restarts = [max(opts.restarts, len(idelta._start_points(db, c, w)))
                 for c, w in idelta._dims_menu(db) if c > 1 and w > 1]

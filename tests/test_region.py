@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -185,44 +187,71 @@ def test_region_vertices_direct():
     assert sorted((v.rx, v.rb) for v in vs) == [(1.0, 2.0), (2.0, 1.0)]
 
 
-# normals on a 1/8 grid in [0, 4]: non-parallel boundary lines then have
-# |det| >= 1/64 and meet within |R| <= 2048, where float rounding stays far
-# below the absolute VERTEX_TOL (test_region_vertices_keeps_a_far_vertex
-# covers one vertex beyond that).  The far-vertex regime is left out on
-# purpose: there the absolute VERTEX_TOL returns a vertex met by three
-# half-planes twice, a known defect; widen the normals to any floats once
-# the tolerance is relative to the coordinates
-_COEF = st.integers(0, 32).map(lambda k: k / 8)
+# normals with each coefficient 0 or any float in [1e-3, 4], offsets up to
+# 1e8; any two boundary lines are parallel or meet at an angle whose sine is
+# at least 1e-5, so a vertex's rounding error stays far below VERTEX_TOL
+# relative to its size.  Vertices reach |R| ~ 1e16, where an absolute
+# tolerance is below the float spacing
+_COEF = st.one_of(st.just(0.0), st.floats(1e-3, 4.0))
+
+
+def _well_conditioned(hps) -> bool:
+    for i, h1 in enumerate(hps):
+        for h2 in hps[i + 1:]:
+            det = abs(h1.ax * h2.ab - h2.ax * h1.ab)
+            if det != 0.0 and det < 1e-5 * math.hypot(h1.ax, h1.ab) * math.hypot(h2.ax, h2.ab):
+                return False
+    return True
+
+
 _HALF_PLANES = st.lists(
-    st.tuples(_COEF, _COEF, st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+    st.tuples(_COEF, _COEF, st.floats(-1e8, 1e8, allow_nan=False, allow_infinity=False))
     .filter(lambda t: t[0] > 0.0 or t[1] > 0.0).map(lambda t: HalfPlane(*t)),
-    min_size=1, max_size=6)
+    min_size=1, max_size=6).filter(_well_conditioned)
+
+
+def _slack(hp: HalfPlane, v: RatePoint) -> float:
+    """VERTEX_TOL relative to the size of the terms of hp at v."""
+    return region.VERTEX_TOL * max(1.0, abs(hp.b), (hp.ax + hp.ab) * max(abs(v.rx), abs(v.rb)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(hps=_HALF_PLANES)
 def test_region_vertices_agree_with_the_half_planes(hps):
     """Every vertex satisfies every half-plane and lies on at least two of
-    them; every pairwise intersection that satisfies all half-planes is a
-    vertex, each within VERTEX_TOL."""
-    tol = region.VERTEX_TOL
+    them; every pairwise intersection that satisfies all half-planes exactly
+    is a vertex.  Each holds within VERTEX_TOL relative to the coordinates
+    (twice that for the match, since a vertex within VERTEX_TOL of one kept
+    before it is merged into that one)."""
     vertices = region.region_vertices(hps)
     for v in vertices:
-        assert all(hp.contains(v) for hp in hps)
-        assert sum(abs(hp.ax * v.rx + hp.ab * v.rb - hp.b) <= tol for hp in hps) >= 2
-    for i, h1 in enumerate(hps):
-        for h2 in hps[i + 1:]:
-            a = np.array([[h1.ax, h1.ab], [h2.ax, h2.ab]])
-            if abs(np.linalg.det(a)) < 1e-12:
+        assert all(hp.contains(v, _slack(hp, v)) for hp in hps)
+        assert sum(abs(hp.ax * v.rx + hp.ab * v.rb - hp.b) <= _slack(hp, v) for hp in hps) >= 2
+    exact = [tuple(map(Fraction, (hp.ax, hp.ab, hp.b))) for hp in hps]
+    for i, (a1, b1, c1) in enumerate(exact):
+        for a2, b2, c2 in exact[i + 1:]:
+            if abs(float(a1) * float(b2) - float(a2) * float(b1)) < 1e-12:
                 continue  # parallel boundary lines meet nowhere or everywhere
-            rx, rb = np.linalg.solve(a, [h1.b, h2.b])
-            if all(hp.contains(RatePoint(rx, rb), 0.0) for hp in hps):
+            det = a1 * b2 - a2 * b1
+            rx, rb = (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+            if all(a * rx + b * rb >= c for a, b, c in exact):
+                rx, rb = float(rx), float(rb)
+                tol = 2 * region.VERTEX_TOL * max(1.0, abs(rx), abs(rb))
                 assert any(abs(v.rx - rx) <= tol and abs(v.rb - rb) <= tol for v in vertices)
 
 
 def test_region_vertices_keeps_a_far_vertex():
     # at R_X = 1e8 the intersection is 1.5e-8 off its own line 1e-8 R_X >= 1
     vs = region.region_vertices([HalfPlane(1.0, 2.5, 1.75), HalfPlane(1e-8, 0.0, 1.0)])
+    assert [(v.rx, v.rb) for v in vs] == [(1e8, pytest.approx(-39999999.3, rel=1e-15))]
+
+
+def test_region_vertices_give_a_far_vertex_of_three_half_planes_once():
+    # the three lines meet at (1e8, -39999999.3); the intersections of two
+    # pairs differ there by 7e-9, above an absolute 1e-9 but within the
+    # float spacing of the coordinates
+    vs = region.region_vertices([HalfPlane(1.0, 2.5, 1.75), HalfPlane(1e-8, 0.0, 1.0),
+                                 HalfPlane(1.0, 1.0, 60000000.7)])
     assert [(v.rx, v.rb) for v in vs] == [(1e8, pytest.approx(-39999999.3, rel=1e-15))]
 
 

@@ -50,6 +50,21 @@ def test_load_source_malformed():
         source.load_source([1, 2, 3])
 
 
+@pytest.mark.parametrize("state", [
+    {"amplitudes": [["x", 0], [0, 0]], "dims": {"B": 2, "R": 1}},
+    {"amplitudes": [[1, 0, 0], [0, 0]], "dims": {"B": 2, "R": 1}},
+    {"amplitudes": [10 ** 400, 0], "dims": {"B": 2, "R": 1}},
+    {"amplitudes": 5, "dims": {"B": 2, "R": 1}},
+    {"density": [[1, 0], [0]], "dim": 2},
+    {"density": [["x", 0], [0, 1]], "dim": 2},
+    {"density": [[10 ** 400, 0], [0, 0]], "dim": 2},
+], ids=["amp-text", "amp-triple", "amp-overflow", "amp-number",
+        "density-ragged", "density-text", "density-overflow"])
+def test_load_source_malformed_complex_entries(state):
+    with pytest.raises(SpecError, match="malformed complex entries"):
+        source.load_source({"probs": [1.0], "states": [state]})
+
+
 def test_load_source_density_inputs_purified():
     doc = {"probs": [0.5, 0.5],
            "states": [{"density": [[0.75, 0], [0, 0.25]], "dim": 2},

@@ -300,9 +300,12 @@ def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
     unassisted = ev.want_c
 
     def penalty(info, mu: float, delta: float) -> float:
-        pen = mu * max(info["irwx"] - delta, 0.0) ** 2
+        # e * e, not e ** 2: libm pow need not round the square correctly
+        e = max(info["irwx"] - delta, 0.0)
+        pen = mu * (e * e)
         if unassisted:
-            pen += mu * max(info["icw"] - info["icx"], 0.0) ** 2
+            e = max(info["icw"] - info["icx"], 0.0)
+            pen += mu * (e * e)
         return info["ixw"] - pen
 
     def per_matrix(stacked: dict[str, np.ndarray]) -> list[dict[str, float]]:

@@ -75,25 +75,24 @@ class IdeltaCurve:
 # ---------------------------------------------------------------------------
 
 class _Ensemble:
-    """Blocks {p(y), pure state on B⊗R⊗E}, each held as its dB x (dR dE)
-    matrix; all blocks share |E|.  The blocks of a source have |E| = 1, and a
-    Y-conditioned (mixed) BR state is purified on a copy E of X."""
+    """Blocks {p(y), pure state on B⊗R⊗E}, held as one stack `mats` of shape
+    (blocks, |B|, |R||E|), block y's matrix indexed [b, (r, e)].  The blocks
+    of a source have |E| = 1, and a Y-conditioned (mixed) BR state is
+    purified on a copy E of X."""
 
-    def __init__(self, probs: np.ndarray, dim_b: int, dim_r: int, mats: list[np.ndarray]):
+    def __init__(self, probs: np.ndarray, dim_r: int, mats: np.ndarray):
         self.probs = np.asarray(probs, dtype=float)
-        self.dim_b = dim_b
+        n, self.dim_b, re = mats.shape
         self.dim_r = dim_r
-        self.dim_e = mats[0].shape[1] // dim_r
+        self.dim_e = re // dim_r
         self.mats = mats
-        self.s_r = []  # per-block S(R), channel independent
-        for m in mats:
-            h = m.reshape(dim_b, dim_r, self.dim_e).swapaxes(1, 2).reshape(-1, dim_r)
-            self.s_r.append(qcore.entropy_of_mat(h.conj().T @ h))
+        # per-block S(R), channel independent
+        h = mats.reshape(n, self.dim_b, dim_r, self.dim_e).swapaxes(2, 3).reshape(n, -1, dim_r)
+        self.s_r = qcore.entropy_of_stack(h.conj().swapaxes(1, 2) @ h)
 
     @classmethod
     def from_source(cls, src: CqSource) -> "_Ensemble":
-        mats = [src.state_matrix(x) for x in range(src.alphabet_size)]
-        return cls(src.probs, src.dim_b, src.dim_r, mats)
+        return cls(src.probs, src.dim_r, src.psi)
 
     @classmethod
     def conditioned(cls, src: CqSource, cond: np.ndarray) -> "_Ensemble":
@@ -101,12 +100,11 @@ class _Ensemble:
         purified as m_y[b, (r, x)] = sqrt(p(x) cond[y, x] / p(y)) psi_x[b, r];
         a symbol with p(y) = 0 gets the zero block."""
         py = cond @ src.probs
-        psi = np.stack([src.state_matrix(x) for x in range(src.alphabet_size)], axis=-1)
-        mats = []
-        for y, p in enumerate(py):
-            amp = np.sqrt(src.probs * cond[y] / p) if p > 0 else np.zeros(src.alphabet_size)
-            mats.append((psi * amp).reshape(src.dim_b, -1))
-        return cls(py, src.dim_b, src.dim_r, mats)
+        amp = np.sqrt(np.divide(src.probs * cond, py[:, np.newaxis], out=np.zeros(cond.shape),
+                                where=py[:, np.newaxis] > 0))
+        psi = src.psi.transpose(1, 2, 0)  # [b, r, x]
+        mats = (psi * amp[:, np.newaxis, np.newaxis, :]).reshape(len(py), src.dim_b, -1)
+        return cls(py, src.dim_r, mats)
 
 
 class _Evaluator:
@@ -197,7 +195,7 @@ def apply_channel(src: CqSource, param: Isometry) -> tuple[DensityOperator, floa
     v = param.mat
     blocks = []
     for x in range(nx):
-        o = (v @ src.state_matrix(x)).reshape(c, w, r)
+        o = (v @ src.psi[x]).reshape(c, w, r)
         blocks.append(np.einsum("cwr,cvs->wrvs", o, o.conj()).reshape(w * r, w * r))
     sigma = DensityOperator(qcore.block_diagonal(src.probs, blocks),
                             DimsSpec([("X", nx), ("W", w), ("R", r)]))

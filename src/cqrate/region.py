@@ -237,8 +237,8 @@ def markov_interpolation(src: CqSource, y_dim: int,
     ensembles = [_Ensemble.conditioned(src, cond) for cond in maps]
     results = _optimize_ensemble([(ens, 0.0) for ens in ensembles], opts) if maps else []
     for ens, res in zip(ensembles, results):
-        rhos_b = [m @ m.conj().T for m in ens.mats]
-        iyb = float(qcore.holevo_of_stack(ens.probs, rhos_b)[0])
+        rho_b = ens.mats @ ens.mats.conj().swapaxes(1, 2)  # per block y, rho_y^B
+        iyb = float(qcore.holevo_of_stack(ens.probs, rho_b)[0])
         iyw = res.value if res.converged else 0.0
         points.append(RatePoint(profile.s_x_given_b + iyb,
                                 profile.s_b - 0.5 * (iyb + iyw)))

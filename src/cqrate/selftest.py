@@ -162,8 +162,8 @@ def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
         for x in range(src.alphabet_size):
             checks += 1
             t = source.transfer_operator(src, x0, x)
-            lhs = np.kron(np.eye(src.dim_b), t) @ src.states[x0].vec
-            err = float(np.linalg.norm(lhs - src.states[x].vec))
+            lhs = np.kron(np.eye(src.dim_b), t) @ src.psi[x0].reshape(-1)
+            err = float(np.linalg.norm(lhs - src.psi[x].reshape(-1)))
             nrm = qcore.operator_norm(t)
             if err > 1e-8:
                 bad.append(f"source {i}, x={x}: reconstruction error {err}")

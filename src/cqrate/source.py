@@ -10,7 +10,7 @@ import numpy as np
 
 from . import qcore
 from .errors import DimensionCapError, SpecError
-from .qcore import DensityOperator, DimsSpec, PureState
+from .qcore import DensityOperator, DimsSpec
 
 TOL_GENERIC = 1e-9
 EXTENDED_DIM_CAP = 2 ** 14
@@ -18,10 +18,11 @@ EXTENDED_DIM_CAP = 2 ** 14
 
 @dataclass(frozen=True)
 class CqSource:
-    """Ensemble {p(x), |psi_x> on B⊗R}; all states share the same dims."""
+    """Ensemble {p(x), |psi_x> on B⊗R}: probs has shape (|X|,) and psi, the
+    amplitudes psi[x, b, r], shape (|X|, |B|, |R|)."""
 
     probs: np.ndarray
-    states: tuple[PureState, ...]
+    psi: np.ndarray
     name: str = ""
 
     def __post_init__(self):
@@ -34,16 +35,11 @@ class CqSource:
             raise SpecError("probs must be non-negative")
         if abs(probs.sum() - 1.0) > 1e-10:
             raise SpecError(f"probs not normalized (sum {probs.sum()})")
-        if len(self.states) != len(probs):
-            raise SpecError("probs and states lengths differ")
-        dims0 = self.states[0].dims
-        for st in self.states:
-            if st.dims != dims0:
-                raise SpecError("all source states must share the same dims")
-        if tuple(dims0.labels) != ("B", "R"):
-            raise SpecError("source states must live on labels (B, R)")
+        psi = np.asarray(self.psi, dtype=complex)
+        if psi.ndim != 3 or len(psi) != len(probs):
+            raise SpecError("psi must be an (|X|, |B|, |R|) array matching probs")
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "psi", psi)
 
     @property
     def alphabet_size(self) -> int:
@@ -51,34 +47,34 @@ class CqSource:
 
     @property
     def dim_b(self) -> int:
-        return self.states[0].dims.dim("B")
+        return self.psi.shape[1]
 
     @property
     def dim_r(self) -> int:
-        return self.states[0].dims.dim("R")
+        return self.psi.shape[2]
 
-    def state_matrix(self, x: int) -> np.ndarray:
-        """|psi_x> reshaped to a (dim B) x (dim R) matrix."""
-        return self.states[x].vec.reshape(self.dim_b, self.dim_r)
-
-    def reduced_b(self, x: int) -> np.ndarray:
-        m = self.state_matrix(x)
-        return m @ m.conj().T
+    @property
+    def rho_b(self) -> np.ndarray:
+        """The reduced states psi_x^B, a stack of shape (|X|, |B|, |B|)."""
+        return self.psi @ self.psi.conj().swapaxes(1, 2)
 
 
 def make_source(probs, vectors, dim_b: int, dim_r: int, name: str = "") -> CqSource:
     """Build a CqSource from raw amplitude vectors on B⊗R (phase-fixed)."""
-    states = []
+    cols = []
     for v in vectors:
         v = np.asarray(v, dtype=complex).reshape(-1)
         if v.shape[0] != dim_b * dim_r:
             raise SpecError(f"state length {v.shape[0]} != |B||R| = {dim_b * dim_r}")
+        if not np.all(np.isfinite(v)):  # a NaN would pass the norm test
+            raise SpecError("non-finite amplitudes")
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > qcore.TOL_NORM:
             raise SpecError(f"state norm {nrm} != 1")
-        v = qcore._phase_fix_columns(v[:, np.newaxis])[:, 0]
-        states.append(PureState(v, DimsSpec([("B", dim_b), ("R", dim_r)])))
-    return CqSource(np.asarray(probs, dtype=float), tuple(states), name)
+        cols.append(v)
+    mat = np.array(cols, dtype=complex).reshape(-1, dim_b * dim_r).T
+    psi = qcore._phase_fix_columns(mat).T.reshape(-1, dim_b, dim_r)
+    return CqSource(np.asarray(probs, dtype=float), psi, name)
 
 
 def _parse_int(v) -> int:
@@ -177,9 +173,9 @@ def load_source(doc: dict) -> CqSource:
 def source_doc(src: CqSource) -> dict:
     """Spec document for a source (inverse of load_source for pure inputs)."""
     states = []
-    for st in src.states:
+    for m in src.psi:
         states.append({
-            "amplitudes": [[float(a.real), float(a.imag)] for a in st.vec],
+            "amplitudes": [[float(a.real), float(a.imag)] for a in m.reshape(-1)],
             "dims": {"B": src.dim_b, "R": src.dim_r},
         })
     return {"name": src.name, "probs": [float(p) for p in src.probs], "states": states}
@@ -191,9 +187,8 @@ def source_doc(src: CqSource) -> dict:
 
 def cq_state_xb(src: CqSource) -> DensityOperator:
     """omega on X⊗B (reference traced out)."""
-    nx = src.alphabet_size
-    mat = qcore.block_diagonal(src.probs, [src.reduced_b(x) for x in range(nx)])
-    return DensityOperator(mat, DimsSpec([("X", nx), ("B", src.dim_b)]))
+    mat = qcore.block_diagonal(src.probs, src.rho_b)
+    return DensityOperator(mat, DimsSpec([("X", src.alphabet_size), ("B", src.dim_b)]))
 
 
 def sequence_index(xs, nx: int) -> int:
@@ -209,7 +204,7 @@ def sequence_state(src: CqSource, xs) -> np.ndarray:
     from (B_1 R_1 B_2 R_2 ...) into (B^n, R^n)."""
     vec = np.ones(1, dtype=complex)
     for x in xs:
-        vec = np.kron(vec, src.states[x].vec)
+        vec = np.kron(vec, src.psi[x].reshape(-1))
     n = len(xs)
     t = vec.reshape([src.dim_b, src.dim_r] * n)
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
@@ -296,10 +291,7 @@ class GenericityReport:
 
 
 def genericity_report(src: CqSource) -> GenericityReport:
-    mins = []
-    for x in range(src.alphabet_size):
-        vals = np.linalg.eigvalsh(src.reduced_b(x))
-        mins.append(float(max(vals[0], 0.0)))
+    mins = np.maximum(np.linalg.eigvalsh(src.rho_b)[:, 0], 0.0).tolist()
     witness = int(np.argmax(mins))
     lam0 = mins[witness]
     return GenericityReport(tuple(mins), witness, lam0, lam0 > TOL_GENERIC)
@@ -318,7 +310,7 @@ def transfer_operator(src: CqSource, x0: int, x: int) -> np.ndarray:
     to the actual source states; guarantees ||T||_inf <= 1/sqrt(lambda_min).
     """
     db, dr = src.dim_b, src.dim_r
-    m0 = src.state_matrix(x0)
+    m0 = src.psi[x0]
     lam, evecs = qcore.sorted_eigh(m0 @ m0.conj().T)
     if lam[-1] <= TOL_GENERIC:
         raise ValueError(f"witness state {x0} does not have full support on B "
@@ -329,7 +321,7 @@ def transfer_operator(src: CqSource, x0: int, x: int) -> np.ndarray:
     # W: canonical reference (dim |B|) -> actual R, (1 ⊗ W)|psi_c> = |psi_x0>
     w = (m0.T @ evecs.conj()) / sqrt_lam[np.newaxis, :]
 
-    mx = src.state_matrix(x)
+    mx = src.psi[x]
     mu, fvecs = qcore.sorted_eigh(mx @ mx.conj().T)
     mu = np.clip(mu, 0.0, None)
     rank = max(int(np.sum(mu > qcore.TOL_RANK)), 1)
@@ -372,8 +364,8 @@ def mix_with_maximally_mixed(src: CqSource, eps: float) -> CqSource:
     """
     db = src.dim_b
     vectors = []
-    for x in range(src.alphabet_size):
-        rho = (1.0 - eps) * src.reduced_b(x) + eps * np.eye(db) / db
+    for rho_x in src.rho_b:
+        rho = (1.0 - eps) * rho_x + eps * np.eye(db) / db
         psi = qcore.purify(DensityOperator(rho, DimsSpec([("B", db)])), ref_label="R")
         m = psi.vec.reshape(db, psi.dims.dim("R"))
         if m.shape[1] < db:
@@ -401,14 +393,10 @@ def random_generic_source(rng: np.random.Generator, nx: int = 2, dim_b: int = 2,
 def tensor_sources(s1: CqSource, s2: CqSource) -> CqSource:
     """Product source: alphabet X1×X2, states |psi_x1>⊗|psi_x2> with the
     B factors grouped together and the R factors grouped together."""
-    nx1, nx2 = s1.alphabet_size, s2.alphabet_size
     db = s1.dim_b * s2.dim_b
     dr = s1.dim_r * s2.dim_r
     probs = np.outer(s1.probs, s2.probs).reshape(-1)
-    vectors = []
-    for x1 in range(nx1):
-        for x2 in range(nx2):
-            t = np.kron(s1.state_matrix(x1).reshape(-1), s2.state_matrix(x2).reshape(-1))
-            t = t.reshape(s1.dim_b, s1.dim_r, s2.dim_b, s2.dim_r)
-            vectors.append(t.transpose(0, 2, 1, 3).reshape(-1))
+    # axes (x1, x2, b1, b2, r1, r2); a broadcast product rounds as kron does, einsum need not
+    vectors = (s1.psi[:, None, :, None, :, None] * s2.psi[None, :, None, :, None, :])
+    vectors = vectors.reshape(len(probs), -1)
     return make_source(probs, vectors, db, dr, name=f"{s1.name}x{s2.name}")

@@ -253,6 +253,17 @@ def test_non_finite_probability_exit_2(command, flags, tmp_path):
     assert err.getvalue().startswith("error:") and "probs" in err.getvalue()
 
 
+def test_non_finite_amplitude_exit_2(tmp_path):
+    spec = tmp_path / "src.json"
+    spec.write_text(json.dumps(_doc_of_source_b_with(("states", 1, "amplitudes", 0),
+                                                     [math.nan, 0.0])))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["analyze", "--source", str(spec)])
+    assert rc == 2, out.getvalue()
+    assert err.getvalue().startswith("error:") and "non-finite" in err.getvalue()
+
+
 def test_dump_writes_strict_json():
     text = cli._dump({"a": np.float64("nan"), "b": np.float32("inf"), "c": -math.inf,
                       "d": np.float64(0.5)})

@@ -453,8 +453,8 @@ def _sigma_ycwr(src, cond: np.ndarray, v: np.ndarray, c: int, w: int) -> qcore.D
     k = np.kron(v, np.eye(src.dim_r))
     blocks = []
     for y, p in enumerate(py):
-        rho = sum(src.probs[x] * cond[y, x] * np.outer(state.vec, state.vec.conj())
-                  for x, state in enumerate(src.states))
+        rho = sum(src.probs[x] * cond[y, x] * np.outer(m.reshape(-1), m.reshape(-1).conj())
+                  for x, m in enumerate(src.psi))
         blocks.append(k @ (rho / p if p > 0 else rho) @ k.conj().T)
     dims = qcore.DimsSpec([("Y", len(py)), ("C", c), ("W", w), ("R", src.dim_r)])
     return qcore.DensityOperator(qcore.block_diagonal(py, blocks), dims)

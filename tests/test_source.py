@@ -34,11 +34,18 @@ def test_load_source_rejects_unnormalized_state():
         source.load_source(doc)
 
 
+def test_load_source_rejects_non_finite_amplitudes():
+    # every comparison with NaN is false, so the norm test alone passes it
+    doc = {"probs": [1.0],
+           "states": [{"amplitudes": [[math.nan, 0], [0, 0]], "dims": {"B": 2, "R": 1}}]}
+    with pytest.raises(SpecError, match="non-finite"):
+        source.load_source(doc)
+
+
 def test_load_source_src_b_round_trip(src_b):
     doc = source.source_doc(src_b)
     again = source.load_source(doc)
-    for st1, st2 in zip(src_b.states, again.states):
-        assert np.allclose(st1.vec, st2.vec, atol=1e-12)
+    assert np.allclose(src_b.psi, again.psi, atol=1e-12)
 
 
 def test_load_source_malformed():
@@ -72,8 +79,7 @@ def test_load_source_density_inputs_purified():
     src = source.load_source(doc)
     # R padded to the max rank (2); marginals reproduced
     assert src.dim_r == 2
-    assert np.allclose(src.reduced_b(0), np.diag([0.75, 0.25]), atol=1e-10)
-    assert np.allclose(src.reduced_b(1), np.diag([1.0, 0.0]), atol=1e-10)
+    assert np.allclose(src.rho_b, [np.diag([0.75, 0.25]), np.diag([1.0, 0.0])], atol=1e-10)
 
 
 def test_load_source_mixed_amplitude_and_density_dims():
@@ -87,8 +93,8 @@ def test_load_source_mixed_amplitude_and_density_dims():
 def test_phase_fixing_deterministic():
     v = np.array([1j, 0, 0, 1j]) / np.sqrt(2)
     src = source.make_source([1.0], [v], 2, 2)
-    assert src.states[0].vec[0].real > 0
-    assert abs(src.states[0].vec[0].imag) < 1e-12
+    assert src.psi[0, 0, 0].real > 0
+    assert abs(src.psi[0, 0, 0].imag) < 1e-12
 
 
 # --- entropic profile -------------------------------------------------------
@@ -196,8 +202,8 @@ def test_transfer_identity_on_witness(src_b):
 
 def test_transfer_src_b(src_b):
     t = source.transfer_operator(src_b, 0, 1)
-    lhs = np.kron(np.eye(2), t) @ src_b.states[0].vec
-    assert np.linalg.norm(lhs - src_b.states[1].vec) <= 1e-8
+    lhs = np.kron(np.eye(2), t) @ src_b.psi[0].reshape(-1)
+    assert np.linalg.norm(lhs - src_b.psi[1].reshape(-1)) <= 1e-8
     assert qcore.operator_norm(t) <= math.sqrt(2.0) + 1e-8
 
 
@@ -214,8 +220,8 @@ def test_transfer_random_generic_sources():
         bound = 1.0 / math.sqrt(rep.lambda0) + 1e-8
         for x in range(src.alphabet_size):
             t = source.transfer_operator(src, rep.witness, x)
-            lhs = np.kron(np.eye(src.dim_b), t) @ src.states[rep.witness].vec
-            assert np.linalg.norm(lhs - src.states[x].vec) <= 1e-8
+            lhs = np.kron(np.eye(src.dim_b), t) @ src.psi[rep.witness].reshape(-1)
+            assert np.linalg.norm(lhs - src.psi[x].reshape(-1)) <= 1e-8
             assert qcore.operator_norm(t) <= bound
 
 
@@ -252,8 +258,18 @@ def test_tensor_sources_profile_adds(src_a, src_b):
     assert pp.i_x_b == pytest.approx(pa.i_x_b + pb.i_x_b, abs=1e-9)
 
 
+def test_tensor_sources_states_are_krons_bit_for_bit():
+    rng = np.random.default_rng(5)
+    s1, s2 = source.random_source(rng, 2, 2, 3), source.random_source(rng, 3, 2, 2)
+    prod = source.tensor_sources(s1, s2)
+    for x1 in range(2):
+        for x2 in range(3):  # kron of the (|B|, |R|) matrices groups B1 B2 and R1 R2
+            vec = np.kron(s1.psi[x1], s2.psi[x2]).reshape(-1, 1)
+            want = qcore._phase_fix_columns(vec).reshape(prod.dim_b, prod.dim_r)
+            assert np.array_equal(prod.psi[3 * x1 + x2], want)
+
+
 def test_tensor_sources_states_normalized(src_b):
     prod = source.tensor_sources(src_b, src_b)
     assert prod.dim_b == 4 and prod.dim_r == 4 and prod.alphabet_size == 4
-    for st in prod.states:
-        assert abs(np.linalg.norm(st.vec) - 1) < 1e-10
+    assert np.allclose(np.linalg.norm(prod.psi, axis=(1, 2)), 1.0, atol=1e-10)

@@ -87,7 +87,7 @@ def region_vertices(half_planes) -> tuple[RatePoint, ...]:
         for j in range(i + 1, len(hps)):
             h1, h2 = hps[i], hps[j]
             det = h1.ax * h2.ab - h2.ax * h1.ab
-            if abs(det) < 1e-12:
+            if abs(det) < 1e-12 * (h1.ax + h1.ab) * (h2.ax + h2.ab):  # parallel, at any scale
                 continue
             rx = (h1.b * h2.ab - h2.b * h1.ab) / det
             rb = (h1.ax * h2.b - h2.ax * h1.b) / det

@@ -255,6 +255,16 @@ def test_region_vertices_give_a_far_vertex_of_three_half_planes_once():
     assert [(v.rx, v.rb) for v in vs] == [(1e8, pytest.approx(-39999999.3, rel=1e-15))]
 
 
+def test_region_vertices_meet_lines_with_small_normals():
+    # the same corner as R_X >= 1e7, R_B >= 1e7; lines are parallel only
+    # relative to the size of their normals
+    vs = region.region_vertices([HalfPlane(1e-7, 0.0, 1.0), HalfPlane(0.0, 1e-7, 1.0)])
+    assert [(v.rx, v.rb) for v in vs] == [(pytest.approx(1e7), pytest.approx(1e7))]
+    # parallel small normals whose determinant rounds to -2.5e-29, not 0
+    assert region.region_vertices([HalfPlane(1e-7, 3e-7, 1.0),
+                                   HalfPlane(7 * 1e-7, 7 * 3e-7, 2.0)]) == ()
+
+
 def test_halfplane_validation():
     with pytest.raises(ValueError):
         HalfPlane(0.0, 0.0, 1.0)

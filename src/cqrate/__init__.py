@@ -37,10 +37,8 @@ from .qcore import (  # noqa: F401
     fidelity,
     mutual_information,
     operator_norm,
-    partial_trace,
     purify,
     trace_distance,
-    uhlmann_isometry,
     von_neumann_entropy,
 )
 from .reference import source_a, source_b, source_c  # noqa: F401
@@ -64,7 +62,6 @@ from .source import (  # noqa: F401
     GenericityReport,
     delta_prime,
     entropic_profile,
-    extended_state,
     genericity_report,
     load_source,
     transfer_operator,

@@ -141,13 +141,12 @@ def cmd_region(args) -> int:
             "merging": region.merging_point(prof).as_dict(),
             "qsr": qsr,
         },
-        "regions": {k: region.region_to_doc(r, n_samples=200, rx_hi=rx_hi)
-                    for k, r in regions.items()},
+        "regions": {k: region.region_to_doc(r, rx_hi) for k, r in regions.items()},
     }
     if args.format == "csv":
         lines = ["rX,rB,region_kind"]
         for name, r in regions.items():
-            for p in region.boundary_samples(r, 200, rx_hi):
+            for p in region.boundary_samples(r, rx_hi=rx_hi):
                 lines.append(f"{p.rx!r},{p.rb!r},{name}")
         _emit("\n".join(lines) + "\n", args.out)
     else:

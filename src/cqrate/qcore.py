@@ -106,7 +106,7 @@ def _as_dims(dims) -> DimsSpec:
     return dims if isinstance(dims, DimsSpec) else DimsSpec(dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Validated density matrix on labeled subsystems."""
 
@@ -134,7 +134,7 @@ class DensityOperator:
         object.__setattr__(self, "dims", dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector on labeled subsystems."""
 
@@ -163,7 +163,7 @@ class PureState:
         return DensityOperator(_renormalize(mat), self.dims.restrict(keep))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isometry:
     """Matrix V with V†V = 1 mapping `in_dims` into `out_dims`."""
 
@@ -357,12 +357,6 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return entropy_of_mat(rho.mat)
 
 
-def partial_trace(rho: DensityOperator, keep: Sequence[str]) -> DensityOperator:
-    """Reduced state on the subsystems `keep`, in the original label order."""
-    mat = reduced_density_from_mat(rho.mat, rho.dims.dims, rho.dims.positions(keep))
-    return DensityOperator(_renormalize(mat), rho.dims.restrict(keep))
-
-
 def _entropy_of_subsystems(rho: DensityOperator, labels: Sequence[str]) -> float:
     if set(labels) == set(rho.dims.labels):
         return von_neumann_entropy(rho)
@@ -491,7 +485,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# purification and Uhlmann isometries
+# purification
 # ---------------------------------------------------------------------------
 
 def _phase_fix_columns(vecs: np.ndarray) -> np.ndarray:
@@ -525,62 +519,6 @@ def purify(rho: DensityOperator, ref_label: str = "R") -> PureState:
         raise ValueError(f"reference label {ref_label!r} already used")
     return PureState(amp, rho.dims.concat(DimsSpec([(ref_label, rank)])))
 
-
-def _complete_isometry(v: np.ndarray, dom: int, cod: int) -> np.ndarray:
-    """Extend a partial isometry (cod x dom, possibly rank-deficient) to a
-    full isometry by orthonormal completion in the kernel space."""
-    u, s, wh = np.linalg.svd(v, full_matrices=False)
-    rank = int(np.sum(s > 1e-10))
-    iso = u[:, :rank] @ wh[:rank, :]
-    if rank == dom:
-        return iso
-    ker = wh[rank:, :].conj().T  # dom x (dom-rank) orthonormal kernel basis
-    proj = np.eye(cod) - u[:, :rank] @ u[:, :rank].conj().T
-    pvals, pvecs = np.linalg.eigh(proj)
-    comp = pvecs[:, pvals > 0.5][:, : dom - rank]
-    return iso + comp @ ker.conj().T
-
-
-def uhlmann_isometry(rho: PureState, sigma: PureState,
-                     a_labels: Sequence[str]) -> tuple[Isometry, float]:
-    """Isometry V on sigma's non-A part maximizing overlap with rho.
-
-    `rho` is pure on A⊗B, `sigma` pure on A⊗C; returns (V: B -> C, achieved
-    fidelity), with achieved fidelity equal to F(rho^A, sigma^A).  If
-    |C| < |B| the codomain is padded to |B|.
-    """
-    a_labels = list(a_labels)
-    if [rho.dims.dim(l) for l in a_labels] != [sigma.dims.dim(l) for l in a_labels]:
-        raise ValueError("A-subsystem dimensions differ between the two states")
-    b_labels = [l for l in rho.dims.labels if l not in a_labels]
-    c_labels = [l for l in sigma.dims.labels if l not in a_labels]
-    m = _matricize(rho, a_labels)
-    nmat = _matricize(sigma, a_labels)
-    db = m.shape[1]
-    dc = nmat.shape[1]
-    dc_out = max(dc, db)
-    g = (nmat.conj().T @ m).T  # db x dc overlap; F(V) = Tr(V g), V: dc_out x db
-    if dc_out > dc:
-        g = np.pad(g, ((0, 0), (0, dc_out - dc)))
-    u, s, wh = np.linalg.svd(g, full_matrices=False)
-    v = (u @ wh).conj().T  # candidate achieving Tr(Vg) = sum s
-    v = _complete_isometry(v, db, dc_out)
-    achieved = float(min(s.sum(), 1.0))
-    in_spec = rho.dims.restrict(b_labels) if b_labels else DimsSpec([("triv", 1)])
-    if dc_out == dc and c_labels:
-        out_spec = sigma.dims.restrict(c_labels)
-    else:
-        out_spec = DimsSpec([("_".join(c_labels) or "C", dc_out)])
-    return Isometry(v, in_spec, out_spec), achieved
-
-
-def _matricize(state: PureState, a_labels: Sequence[str]) -> np.ndarray:
-    """Reshape |psi> on A⊗rest into a (dim A) x (dim rest) matrix."""
-    a_pos = list(state.dims.indices(a_labels))
-    rest = state.dims.positions(set(state.dims.labels) - set(a_labels))
-    t = state.vec.reshape(state.dims.dims).transpose(a_pos + rest)
-    da = int(np.prod([state.dims.dims[i] for i in a_pos], dtype=np.int64))
-    return t.reshape(da, -1)
 
 
 # ---------------------------------------------------------------------------

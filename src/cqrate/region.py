@@ -292,14 +292,13 @@ def boundary_samples(region: RateRegion2D, n: int = 200,
     return [RatePoint(float(x), lower_boundary(region, float(x))) for x in xs]
 
 
-def region_to_doc(region: RateRegion2D, n_samples: int = 200,
-                  rx_hi: float | None = None) -> dict:
+def region_to_doc(region: RateRegion2D, rx_hi: float) -> dict:
     return {
         "halfplanes": [hp.as_dict() for hp in region.half_planes],
         "vertices": [v.as_dict() for v in region.vertices],
         "kind": region.kind,
         "provenance": region.provenance,
-        "boundary_samples": [[p.rx, p.rb] for p in boundary_samples(region, n_samples, rx_hi)],
+        "boundary_samples": [[p.rx, p.rb] for p in boundary_samples(region, rx_hi=rx_hi)],
     }
 
 

@@ -8,7 +8,7 @@ produce identical counts (and identical CLI output).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,8 +179,7 @@ def suite_oracle(seed: int, count: int | None = None) -> SuiteResult:
     """Optimizer vs brute-force oracle on the |B| = 2 reference sources,
     plus the data-processing ceiling and the feasibility contract."""
     del count
-    opts = OptimizerOptions(seed=seed, restarts=_ORACLE_OPTS.restarts,
-                            iters_per_stage=_ORACLE_OPTS.iters_per_stage)
+    opts = replace(_ORACLE_OPTS, seed=seed)
     bad = []
     checks = 0
     for src in (source_a(), source_b()):
@@ -202,8 +201,7 @@ def suite_sandwich(seed: int, count: int | None = None) -> SuiteResult:
     """Inner region contained in the outer region on a 50x50 sample grid for
     the reference sources; generic collapse on SRC-B."""
     del count
-    opts = OptimizerOptions(seed=seed, restarts=_ORACLE_OPTS.restarts,
-                            iters_per_stage=_ORACLE_OPTS.iters_per_stage)
+    opts = replace(_ORACLE_OPTS, seed=seed)
     bad = []
     checks = 0
     for src in (source_a(), source_b(), source_c()):

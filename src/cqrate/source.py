@@ -9,14 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import DimensionCapError, SpecError
+from .errors import SpecError
 from .qcore import DensityOperator, DimsSpec
 
 TOL_GENERIC = 1e-9
-EXTENDED_DIM_CAP = 2 ** 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqSource:
     """Ensemble {p(x), |psi_x> on B⊗R}: probs has shape (|X|,) and psi, the
     amplitudes psi[x, b, r], shape (|X|, |B|, |R|)."""
@@ -70,7 +69,7 @@ def make_source(probs, vectors, dim_b: int, dim_r: int, name: str = "") -> CqSou
             raise SpecError("non-finite amplitudes")
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > qcore.TOL_NORM:
-            raise SpecError(f"state norm {nrm} != 1")
+            raise SpecError(f"state not normalized (norm {nrm})")
         cols.append(v)
     mat = np.array(cols, dtype=complex).reshape(-1, dim_b * dim_r).T
     psi = qcore._phase_fix_columns(mat).T.reshape(-1, dim_b, dim_r)
@@ -138,8 +137,6 @@ def load_source(doc: dict) -> CqSource:
             amp = _parse_complex_matrix([entry["amplitudes"]])[0]
             if amp.shape[0] != db * dr:
                 raise SpecError(f"amplitudes length {amp.shape[0]} != |B||R| = {db * dr}")
-            if abs(np.linalg.norm(amp) - 1.0) > qcore.TOL_NORM:
-                raise SpecError("state amplitudes not normalized")
             parsed.append((amp, db, dr))
         elif "density" in entry:
             try:
@@ -209,32 +206,6 @@ def sequence_state(src: CqSource, xs) -> np.ndarray:
     t = vec.reshape([src.dim_b, src.dim_r] * n)
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return t.transpose(perm).reshape(-1)
-
-
-def extended_state(src: CqSource, n: int) -> DensityOperator:
-    """Exact n-fold power of the extended state on X⊗X'⊗B⊗R (grouped regs).
-
-    X' is a perfect classical copy of X; registers are grouped, i.e. the
-    labels are X, Xp, B, R with dims |X|^n etc.
-    """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    nx, db, dr = src.alphabet_size, src.dim_b, src.dim_r
-    total = (nx * nx * db * dr) ** n
-    if total > EXTENDED_DIM_CAP:
-        raise DimensionCapError(
-            f"extended state dimension {total} exceeds cap {EXTENDED_DIM_CAP}")
-    nxn, dbn, drn = nx ** n, db ** n, dr ** n
-    mat = np.zeros((nxn * nxn * dbn * drn,) * 2, dtype=complex)
-    dims = DimsSpec([("X", nxn), ("Xp", nxn), ("B", dbn), ("R", drn)])
-    for xs in np.ndindex(*([nx] * n)):
-        p = float(np.prod([src.probs[x] for x in xs]))
-        bvec = sequence_state(src, xs)
-        xi = sequence_index(xs, nx)
-        idx = (xi * nxn + xi) * dbn * drn
-        blk = p * np.outer(bvec, bvec.conj())
-        mat[idx:idx + dbn * drn, idx:idx + dbn * drn] += blk
-    return DensityOperator(mat, dims)
 
 
 # ---------------------------------------------------------------------------

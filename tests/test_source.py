@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cqrate import qcore, source
-from cqrate.errors import DimensionCapError, SpecError
-from cqrate.qcore import DimsSpec
+from cqrate.errors import SpecError
 
 H14 = 0.8112781244591328
 # delta' formula at delta = 0.01, p0 = lambda0 = 1/2, frozen from 30-digit arithmetic
@@ -134,34 +133,6 @@ def test_profile_identities_random():
         assert p.s_x_given_b == pytest.approx(p.s_xb - p.s_b, abs=0)
         assert p.i_x_b == pytest.approx(p.s_x + p.s_b - p.s_xb, abs=0)
         assert p.i_x_b >= -1e-8
-
-
-# --- extended state ---------------------------------------------------------
-
-def test_extended_state_n1_src_a(src_a):
-    ext = source.extended_state(src_a, 1)
-    assert np.linalg.matrix_rank(ext.mat) == 2
-    s = qcore.entropy_of_mat(qcore.reduced_density_from_mat(
-        ext.mat, ext.dims.dims, [0, 1, 2]))
-    assert s == pytest.approx(1.0, abs=1e-10)  # S(X X' B) for the classical copy
-
-
-def test_extended_state_matches_direct_construction(src_b):
-    ext = source.extended_state(src_b, 1)
-    red = qcore.reduced_density_from_mat(ext.mat, ext.dims.dims, [0, 2])
-    direct = source.cq_state_xb(src_b).mat
-    assert np.max(np.abs(red - direct)) < 1e-10
-
-
-def test_extended_state_tensor_power_entropy(src_b):
-    ext = source.extended_state(src_b, 2)
-    s_b2 = qcore.entropy_of_mat(qcore.reduced_density_from_mat(ext.mat, ext.dims.dims, [2]))
-    assert s_b2 == pytest.approx(2 * source.entropic_profile(src_b).s_b, abs=1e-9)
-
-
-def test_extended_state_cap(src_c):
-    with pytest.raises(DimensionCapError):
-        source.extended_state(src_c, 3)  # (2^2 * 4 * 2)^3 = 2^15 over the cap
 
 
 # --- genericity -------------------------------------------------------------

@@ -30,7 +30,6 @@ from .qcore import (  # noqa: F401
     DensityOperator,
     DimsSpec,
     Isometry,
-    PureState,
     binary_entropy,
     conditional_entropy,
     conditional_mutual_information,

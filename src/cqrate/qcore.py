@@ -1,7 +1,8 @@
 """Dense complex linear algebra and quantum-information primitives.
 
 States live on labeled tensor factors (a ``DimsSpec``); everything is exact
-dense numpy, base-2 logarithms throughout.
+dense numpy, base-2 logarithms throughout.  A purified state is its
+amplitude matrix m[system, reference]; ``purify`` returns one.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class DimsSpec:
             out *= d
         return out
 
-    def dim(self, label: str) -> int:
-        return self._pairs[self.index(label)][1]
-
     def index(self, label: str) -> int:
         for i, (lbl, _) in enumerate(self._pairs):
             if lbl == label:
@@ -81,15 +79,8 @@ class DimsSpec:
             raise KeyError(f"unknown subsystem labels {sorted(missing)}")
         return [i for i, (lbl, _) in enumerate(self._pairs) if lbl in wanted]
 
-    def restrict(self, labels: Iterable[str]) -> "DimsSpec":
-        """Sub-spec with the given labels, kept in this spec's order."""
-        return DimsSpec([self._pairs[i] for i in self.positions(labels)])
-
     def concat(self, other: "DimsSpec") -> "DimsSpec":
         return DimsSpec(self._pairs + other._pairs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DimsSpec) and self._pairs == other._pairs
 
     def __iter__(self):
         return iter(self._pairs)
@@ -135,35 +126,6 @@ class DensityOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit vector on labeled subsystems."""
-
-    vec: np.ndarray
-    dims: DimsSpec
-
-    def __init__(self, vec, dims):
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        dims = _as_dims(dims)
-        if vec.shape[0] != dims.total_dim:
-            raise ValueError(f"vector dim {vec.shape[0]} != product of {dims}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("non-finite amplitudes")
-        nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > TOL_NORM:
-            raise ValueError(f"state norm {nrm} != 1 within tolerance")
-        object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "dims", dims)
-
-    def density(self) -> DensityOperator:
-        return DensityOperator(np.outer(self.vec, self.vec.conj()), self.dims)
-
-    def reduced(self, keep: Sequence[str]) -> DensityOperator:
-        """Reduced density operator on `keep`, original label order."""
-        mat = reduced_density_from_vec(self.vec, self.dims.dims, self.dims.positions(keep))
-        return DensityOperator(_renormalize(mat), self.dims.restrict(keep))
-
-
-@dataclass(frozen=True, eq=False)
 class Isometry:
     """Matrix V with V†V = 1 mapping `in_dims` into `out_dims`."""
 
@@ -193,11 +155,6 @@ class Isometry:
 # ---------------------------------------------------------------------------
 # raw-array helpers (no label bookkeeping; used by hot paths)
 # ---------------------------------------------------------------------------
-
-def _renormalize(mat: np.ndarray) -> np.ndarray:
-    # kill trace drift of order eps accumulated by contractions
-    return mat / np.trace(mat).real
-
 
 def reduced_density_from_mat(mat: np.ndarray, dims: Sequence[int],
                              keep: Sequence[int]) -> np.ndarray:
@@ -248,8 +205,8 @@ def reduced_density_from_vec(vec: np.ndarray, dims: Sequence[int],
 
 
 class LabeledVector:
-    """Pure-state vector with named tensor factors; plumbing for code/channel
-    constructions where registers are created and consumed."""
+    """Pure-state vector with named tensor factors.  Its one use is the coded
+    outputs of `codes.coded_outputs`, whose registers are created and consumed."""
 
     __slots__ = ("vec", "dims")
 
@@ -411,24 +368,12 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def fidelity(rho, sigma) -> float:
-    """Root fidelity F = ||sqrt(rho) sqrt(sigma)||_1.
-
-    Either argument may be a PureState, for which F = sqrt(<psi|rho|psi>).
-    """
-    rho_pure = isinstance(rho, PureState)
-    sig_pure = isinstance(sigma, PureState)
+def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """Root fidelity F = ||sqrt(rho) sqrt(sigma)||_1."""
     dr = rho.dims.total_dim
     ds = sigma.dims.total_dim
     if dr != ds:
         raise ValueError(f"dimension mismatch {dr} != {ds}")
-    if rho_pure and sig_pure:
-        return float(min(abs(np.vdot(rho.vec, sigma.vec)), 1.0))
-    if rho_pure or sig_pure:
-        psi = rho.vec if rho_pure else sigma.vec
-        mat = sigma.mat if rho_pure else rho.mat
-        val = float(np.real(np.vdot(psi, mat @ psi)))
-        return math.sqrt(min(max(val, 0.0), 1.0))
     s = np.linalg.svd(psd_sqrt(rho.mat) @ psd_sqrt(sigma.mat), compute_uv=False)
     return float(min(s.sum(), 1.0))
 
@@ -437,13 +382,11 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False).sum())
 
 
-def trace_distance(rho, sigma) -> float:
+def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """(1/2)||rho - sigma||_1."""
-    m1 = rho.density().mat if isinstance(rho, PureState) else rho.mat
-    m2 = sigma.density().mat if isinstance(sigma, PureState) else sigma.mat
-    if m1.shape != m2.shape:
-        raise ValueError(f"dimension mismatch {m1.shape} != {m2.shape}")
-    return 0.5 * trace_norm(m1 - m2)
+    if rho.mat.shape != sigma.mat.shape:
+        raise ValueError(f"dimension mismatch {rho.mat.shape} != {sigma.mat.shape}")
+    return 0.5 * trace_norm(rho.mat - sigma.mat)
 
 
 def operator_norm(mat: np.ndarray) -> float:
@@ -508,17 +451,14 @@ def sorted_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], _phase_fix_columns(vecs[:, order])
 
 
-def purify(rho: DensityOperator, ref_label: str = "R") -> PureState:
-    """Canonical purification sum_i sqrt(l_i) |e_i>|i>, reference dim = rank."""
+def purify(rho: DensityOperator) -> np.ndarray:
+    """Canonical purification sum_i sqrt(l_i) |e_i>|i> as its amplitude
+    matrix m[system, reference], of shape (d, rank)."""
     vals, vecs = sorted_eigh(rho.mat)
     vals = np.clip(vals, 0.0, None)
     rank = max(int(np.sum(vals > TOL_RANK)), 1)
     vals = vals[:rank] / vals[:rank].sum()
-    amp = (vecs[:, :rank] * np.sqrt(vals)).reshape(-1)  # index (system, ref)
-    if ref_label in rho.dims.labels:
-        raise ValueError(f"reference label {ref_label!r} already used")
-    return PureState(amp, rho.dims.concat(DimsSpec([(ref_label, rank)])))
-
+    return vecs[:, :rank] * np.sqrt(vals)
 
 
 # ---------------------------------------------------------------------------

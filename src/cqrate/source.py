@@ -124,7 +124,7 @@ def load_source(doc: dict) -> CqSource:
     if not isinstance(entries, (list, tuple)) or len(entries) != len(probs):
         raise SpecError("states must be a list matching probs in length")
 
-    parsed: list[tuple[np.ndarray, int, int]] = []  # (vec, dB, dR), dR = rank for density inputs
+    mats = []  # amplitude matrices m[b, r], |R| = rank for density inputs
     for entry in entries:
         if not isinstance(entry, dict):
             raise SpecError("each state must be a mapping")
@@ -132,12 +132,14 @@ def load_source(doc: dict) -> CqSource:
             try:
                 db = _parse_int(entry["dims"]["B"])
                 dr = _parse_int(entry["dims"]["R"])
+                if db < 1 or dr < 1:
+                    raise ValueError(f"non-positive dims {db}, {dr}")
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise SpecError("amplitude state needs integer dims {B, R}") from exc
+                raise SpecError("amplitude state needs positive integer dims {B, R}") from exc
             amp = _parse_complex_matrix([entry["amplitudes"]])[0]
             if amp.shape[0] != db * dr:
                 raise SpecError(f"amplitudes length {amp.shape[0]} != |B||R| = {db * dr}")
-            parsed.append((amp, db, dr))
+            mats.append(amp.reshape(db, dr))
         elif "density" in entry:
             try:
                 db = _parse_int(entry["dim"])
@@ -148,22 +150,16 @@ def load_source(doc: dict) -> CqSource:
                 rho = DensityOperator(mat, DimsSpec([("B", db)]))
             except ValueError as exc:
                 raise SpecError(f"invalid density matrix: {exc}") from exc
-            psi = qcore.purify(rho, ref_label="R")
-            parsed.append((psi.vec, db, psi.dims.dim("R")))
+            mats.append(qcore.purify(rho))
         else:
             raise SpecError("state entry needs either amplitudes or density")
 
-    db0 = parsed[0][1]
-    if any(db != db0 for _, db, _ in parsed):
+    db0 = mats[0].shape[0]
+    if any(m.shape[0] != db0 for m in mats):
         raise SpecError("inconsistent B dimensions across states")
-    dr_common = max(dr for _, _, dr in parsed)
-    vectors = []
-    for vec, db, dr in parsed:
-        if dr < dr_common:  # pad reference with zero amplitudes
-            m = vec.reshape(db, dr)
-            m = np.pad(m, ((0, 0), (0, dr_common - dr)))
-            vec = m.reshape(-1)
-        vectors.append(vec)
+    dr_common = max(m.shape[1] for m in mats)
+    # pad each reference with zero amplitudes to the common |R|
+    vectors = [np.pad(m, ((0, 0), (0, dr_common - m.shape[1]))) for m in mats]
     return make_source(probs, vectors, db0, dr_common, name=str(doc.get("name", "")))
 
 
@@ -337,11 +333,8 @@ def mix_with_maximally_mixed(src: CqSource, eps: float) -> CqSource:
     vectors = []
     for rho_x in src.rho_b:
         rho = (1.0 - eps) * rho_x + eps * np.eye(db) / db
-        psi = qcore.purify(DensityOperator(rho, DimsSpec([("B", db)])), ref_label="R")
-        m = psi.vec.reshape(db, psi.dims.dim("R"))
-        if m.shape[1] < db:
-            m = np.pad(m, ((0, 0), (0, db - m.shape[1])))
-        vectors.append(m.reshape(-1))
+        m = qcore.purify(DensityOperator(rho, DimsSpec([("B", db)])))
+        vectors.append(np.pad(m, ((0, 0), (0, db - m.shape[1]))))
     return make_source(src.probs, vectors, db, db, name=f"{src.name}+eps{eps:g}")
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqrate import qcore, source
 from cqrate.errors import SpecError
@@ -39,6 +41,17 @@ def test_load_source_rejects_non_finite_amplitudes():
            "states": [{"amplitudes": [[math.nan, 0], [0, 0]], "dims": {"B": 2, "R": 1}}]}
     with pytest.raises(SpecError, match="non-finite"):
         source.load_source(doc)
+
+
+@pytest.mark.parametrize("state", [
+    {"amplitudes": [[1, 0]], "dims": {"B": -1, "R": -1}},
+    {"amplitudes": [[1, 0], [0, 0]], "dims": {"B": -2, "R": -1}},
+    {"amplitudes": [], "dims": {"B": 0, "R": 1}},
+], ids=["both-negative", "negative-product-two", "zero-B"])
+def test_load_source_rejects_non_positive_dims(state):
+    # the length check alone passes these: |B||R| matches the amplitude count
+    with pytest.raises(SpecError, match="positive integer dims"):
+        source.load_source({"probs": [1.0], "states": [state]})
 
 
 def test_load_source_src_b_round_trip(src_b):
@@ -125,14 +138,42 @@ def test_profile_src_c(src_c):
     assert p.s_xb == pytest.approx(2.0, abs=1e-10)
 
 
-def test_profile_identities_random():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        src = source.random_source(rng, nx=3, dim_b=2, dim_r=2)
-        p = source.entropic_profile(src)
-        assert p.s_x_given_b == pytest.approx(p.s_xb - p.s_b, abs=0)
-        assert p.i_x_b == pytest.approx(p.s_x + p.s_b - p.s_xb, abs=0)
-        assert p.i_x_b >= -1e-8
+# each state is (kind, k): an amplitude entry with |R| = k, or a density
+# entry of rank min(k, |B|), which load_source purifies and pads
+_SPEC_STATE = st.tuples(st.sampled_from(["amplitudes", "density"]), st.integers(1, 3))
+
+
+def _pairs(values) -> list:
+    return [[float(a.real), float(a.imag)] for a in values]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(db=st.integers(1, 3), states=st.lists(_SPEC_STATE, min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_profile_identities_random(db, states, seed):
+    rng = np.random.default_rng(seed)
+    entries, inputs = [], []
+    for kind, k in states:
+        if kind == "amplitudes":
+            amp = qcore.random_pure(db * k, rng)
+            entries.append({"amplitudes": _pairs(amp), "dims": {"B": db, "R": k}})
+            m = amp.reshape(db, k)
+            inputs.append(m @ m.conj().T)
+        else:
+            rho = qcore.random_density(db, rng, rank=min(k, db))
+            entries.append({"density": [_pairs(row) for row in rho], "dim": db})
+            inputs.append(rho)
+    probs = rng.dirichlet(np.ones(len(states)))
+    src = source.load_source({"probs": probs.tolist(), "states": entries})
+    assert np.max(np.abs(src.rho_b - np.array(inputs))) <= 1e-10
+
+    p = source.entropic_profile(src)
+    assert p.s_x_given_b == p.s_xb - p.s_b
+    assert p.s_b_given_x == p.s_xb - p.s_x
+    assert p.i_x_b == p.s_x + p.s_b - p.s_xb
+    assert p.s_x_given_b >= -1e-9 and p.s_b_given_x >= -1e-9
+    assert -1e-9 <= p.i_x_b <= min(p.s_x, p.s_b) + 1e-9
+    assert p.s_b <= math.log2(db) + 1e-9
 
 
 # --- genericity -------------------------------------------------------------
@@ -162,6 +203,16 @@ def test_perturbed_source_always_generic():
         src = source.random_source(rng, nx=2, dim_b=2, dim_r=2)
         mixed = source.mix_with_maximally_mixed(src, 1e-3)
         assert source.genericity_report(mixed).is_generic
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5, 1.0])
+def test_mix_with_maximally_mixed_values(src_a, src_c, eps):
+    for src in (src_a, src_c):
+        mixed = source.mix_with_maximally_mixed(src, eps)
+        db = src.dim_b
+        assert mixed.dim_r == db  # src_a's rank-1 states are padded at eps = 0
+        want = (1.0 - eps) * src.rho_b + eps * np.eye(db) / db
+        assert np.max(np.abs(mixed.rho_b - want)) <= 1e-10
 
 
 # --- transfer operator ------------------------------------------------------

@@ -9,8 +9,12 @@ blocks (`markov_interpolation`), the unassisted climb (`optimize_I0_minus`)
 and the brute-force oracle (`oracle_grid`).  The exact runs
 cover the entropic profile (`analyze`), the code evaluation at block lengths
 1 and 2 (`verify-code`, the n = 2 code specs are written to a temporary
-directory) and the region geometry from given estimates (`region --i0
---i0-tilde`, JSON and CSV).  Rewrite the files only on purpose, with
+directory), the region geometry from given estimates (`region --i0
+--i0-tilde`, JSON and CSV), and the seven optimizer-free selftest suites at
+their default counts for seeds 0-9.  A forced-violation document runs four
+suites with `selftest.SLACK` below 0, so their `details` hold the instance
+indices and the F, T, S(rho||sigma), gap and eps values bit for bit.  Rewrite the files
+only on purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from cqrate import cli, idelta, region, source
+from cqrate import cli, idelta, region, selftest, source
 from cqrate.idelta import OptimizerOptions
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -89,6 +93,28 @@ def _unassisted_oracle() -> str:
     return cli._dump(doc)
 
 
+OPTIMIZER_FREE = ["fvdg", "pinsker", "fannes", "afw", "ssa", "purify", "transfer"]
+
+
+def _selftest(seed: int) -> str:
+    return cli._dump([r.as_dict() for r in selftest.run_selftest(seed, OPTIMIZER_FREE)])
+
+
+def _forced_violations() -> str:
+    """fvdg, pinsker, fannes and afw at seed 0, count 20, with the slack of
+    every inequality at -1, and afw again at -3, where its first violations
+    appear."""
+    slack = selftest.SLACK
+    doc = {}
+    try:
+        for forced, suites in ((-1.0, ["fvdg", "pinsker", "fannes", "afw"]), (-3.0, ["afw"])):
+            selftest.SLACK = forced
+            doc[f"slack {forced}"] = [r.as_dict() for r in selftest.run_selftest(0, suites, 20)]
+    finally:
+        selftest.SLACK = slack
+    return cli._dump(doc)
+
+
 FIXED = ("--i0", "0", "--i0-tilde", "0")
 
 DOCUMENTS = {
@@ -112,6 +138,8 @@ DOCUMENTS = {
     **{f"region_fixed_{s}.{fmt}": (lambda tmp, s=s, fmt=fmt: _cli(
         "region", "--source", _spec(s), *FIXED, "--format", fmt))
        for s in ("src_b", "src_c") for fmt in ("json", "csv")},
+    **{f"selftest_seed{seed}.json": (lambda tmp, seed=seed: _selftest(seed)) for seed in range(10)},
+    "selftest_forced_violation.json": lambda tmp: _forced_violations(),
 }
 
 

@@ -111,18 +111,35 @@ class DensityOperator:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         if mat.shape[0] != dims.total_dim:
             raise ValueError(f"matrix dim {mat.shape[0]} != product of {dims}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("non-finite entries in density matrix")
-        if np.max(np.abs(mat - mat.conj().T)) > TOL_HERM:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise ValueError(f"density matrix trace {tr} != 1 within tolerance")
-        lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)))
-        if lo < -TOL_PSD:
-            raise ValueError(f"density matrix has negative eigenvalue {lo}")
+        problem = density_problems(mat)[0]
+        if problem:
+            raise ValueError(problem)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
+
+
+def density_problems(mats: np.ndarray) -> list[str | None]:
+    """The checks of a density matrix, run once over a matrix or a stack
+    (..., d, d): for each matrix in stack order, the message of the first
+    check it fails (finite entries, Hermitian, unit trace, no eigenvalue below
+    -TOL_PSD), or None when it passes them all."""
+    mats = np.asarray(mats, dtype=complex)
+    flat = mats.reshape((-1,) + mats.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(-2, -1))
+    out = [None if f else "non-finite entries in density matrix" for f in finite.tolist()]
+    m = flat[finite]
+    adj = m.conj().swapaxes(-1, -2)
+    herm = np.abs(m - adj).max(axis=(-2, -1)).tolist()
+    tr = np.trace(m, axis1=-2, axis2=-1).real.tolist()
+    lo = np.linalg.eigvalsh((m + adj) / 2).min(axis=-1).tolist()
+    for k, h, t, e in zip(np.flatnonzero(finite).tolist(), herm, tr, lo):
+        if h > TOL_HERM:
+            out[k] = "density matrix is not Hermitian within tolerance"
+        elif abs(t - 1.0) > TOL_TRACE:
+            out[k] = f"density matrix trace {t} != 1 within tolerance"
+        elif e < -TOL_PSD:
+            out[k] = f"density matrix has negative eigenvalue {e}"
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,6 +280,21 @@ def entropy_of_mat(mat: np.ndarray) -> float:
     return entropy_from_eigvals(np.linalg.eigvalsh(mat))
 
 
+def _xlogx_sums(rows: np.ndarray) -> np.ndarray:
+    """sum_i x_i log2 x_i over the positive entries of each row of a 2-D array
+    of ascending, non-negative spectra.  A row's k positive entries are its
+    last k; summing exactly those, rows grouped by k, keeps the summation
+    order of the positive entries of a lone row."""
+    n = rows.shape[-1]
+    k = np.count_nonzero(rows > 0.0, axis=-1)
+    out = np.zeros(len(rows))
+    for kk in set(k[k > 0].tolist()):
+        sel = k == kk
+        nz = rows[sel, n - kk:]
+        out[sel] = (nz * np.log2(nz)).sum(axis=-1)
+    return out
+
+
 def entropy_of_stack(mats: np.ndarray) -> np.ndarray:
     """Entropies (bits) of a stack (..., n, n) of Hermitian matrices from one
     `eigvalsh` call; each equals `entropy_of_mat` of its matrix bit for bit."""
@@ -273,16 +305,7 @@ def entropy_of_stack(mats: np.ndarray) -> np.ndarray:
     below = lo < -TOL_PSD * max(n, 1)
     if below.any():
         raise ValueError(f"eigenvalue {lo[below][0]} below PSD tolerance")
-    rows = np.clip(rows, 0.0, None)
-    # eigvalsh sorts ascending, so a row's k positive eigenvalues are its last
-    # k; summing exactly those, rows grouped by k, keeps the summation order
-    # of entropy_from_eigvals
-    k = np.count_nonzero(rows > 0.0, axis=-1)
-    out = np.zeros(len(rows))
-    for kk in set(k[k > 0].tolist()):
-        sel = k == kk
-        nz = rows[sel, n - kk:]
-        out[sel] = -(nz * np.log2(nz)).sum(axis=-1)
+    out = -_xlogx_sums(np.clip(rows, 0.0, None))
     return (np.maximum(out, 0.0) + 0.0).reshape(vals.shape[:-1])  # kill negative zero
 
 
@@ -314,11 +337,11 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return entropy_of_mat(rho.mat)
 
 
-def _entropy_of_subsystems(rho: DensityOperator, labels: Sequence[str]) -> float:
-    if set(labels) == set(rho.dims.labels):
-        return von_neumann_entropy(rho)
-    mat = reduced_density_from_mat(rho.mat, rho.dims.dims, rho.dims.positions(labels))
-    return entropy_of_mat(mat)
+def _entropy_of_subsystems(mats: np.ndarray, dims: DimsSpec,
+                           labels: Sequence[str]) -> np.ndarray:
+    if set(labels) == set(dims.labels):
+        return entropy_of_stack(mats)
+    return entropy_of_stack(reduced_density_from_mat(mats, dims.dims, dims.positions(labels)))
 
 
 def _check_disjoint(*groups: Sequence[str]):
@@ -330,42 +353,72 @@ def _check_disjoint(*groups: Sequence[str]):
         seen |= gs
 
 
+def conditional_entropy_of_stack(mats: np.ndarray, dims, a: Sequence[str],
+                                 b: Sequence[str]) -> np.ndarray:
+    """S(A|B) = S(AB) - S(B) of a density matrix, or of each matrix of a
+    stack (..., d, d), on the factors `dims`."""
+    _check_disjoint(a, b)
+    dims = _as_dims(dims)
+    return _entropy_of_subsystems(mats, dims, list(a) + list(b)) - \
+        (_entropy_of_subsystems(mats, dims, b) if b else 0.0)
+
+
 def conditional_entropy(rho: DensityOperator, a: Sequence[str], b: Sequence[str]) -> float:
     """S(A|B) = S(AB) - S(B) on the reduced state."""
-    _check_disjoint(a, b)
-    return _entropy_of_subsystems(rho, list(a) + list(b)) - \
-        (_entropy_of_subsystems(rho, b) if b else 0.0)
+    return float(conditional_entropy_of_stack(rho.mat, rho.dims, a, b))
 
 
 def mutual_information(rho: DensityOperator, a: Sequence[str], b: Sequence[str]) -> float:
     """I(A:B) = S(A) + S(B) - S(AB)."""
     _check_disjoint(a, b)
-    return (_entropy_of_subsystems(rho, a) + _entropy_of_subsystems(rho, b)
-            - _entropy_of_subsystems(rho, list(a) + list(b)))
+    return float(_entropy_of_subsystems(rho.mat, rho.dims, a)
+                 + _entropy_of_subsystems(rho.mat, rho.dims, b)
+                 - _entropy_of_subsystems(rho.mat, rho.dims, list(a) + list(b)))
 
 
-def conditional_mutual_information(rho: DensityOperator, a: Sequence[str],
-                                   b: Sequence[str], c: Sequence[str]) -> float:
-    """I(A:B|C) = S(A|C) - S(A|BC); strong subadditivity enforced."""
+def conditional_mutual_information_of_stack(mats: np.ndarray, dims, a: Sequence[str],
+                                            b: Sequence[str], c: Sequence[str]) -> np.ndarray:
+    """I(A:B|C) = S(A|C) - S(A|BC) of a density matrix, or of each matrix of
+    a stack (..., d, d), on the factors `dims`; `check_ssa` enforces strong
+    subadditivity on each value."""
     _check_disjoint(a, b, c)
-    cmi = (_entropy_of_subsystems(rho, list(a) + list(c))
-           + _entropy_of_subsystems(rho, list(b) + list(c))
-           - _entropy_of_subsystems(rho, list(a) + list(b) + list(c))
-           - (_entropy_of_subsystems(rho, c) if c else 0.0))
+    dims = _as_dims(dims)
+    return (_entropy_of_subsystems(mats, dims, list(a) + list(c))
+            + _entropy_of_subsystems(mats, dims, list(b) + list(c))
+            - _entropy_of_subsystems(mats, dims, list(a) + list(b) + list(c))
+            - (_entropy_of_subsystems(mats, dims, c) if c else 0.0))
+
+
+def check_ssa(cmi: float) -> float:
+    """`cmi`, after checking it against strong subadditivity (I(A:B|C) >= 0
+    within TOL_SSA); InternalError when it fails."""
     if cmi < -TOL_SSA:
         raise InternalError(
             f"conditional mutual information {cmi} violates strong subadditivity")
     return cmi
 
 
+def conditional_mutual_information(rho: DensityOperator, a: Sequence[str],
+                                   b: Sequence[str], c: Sequence[str]) -> float:
+    """I(A:B|C) = S(A|C) - S(A|BC); strong subadditivity enforced."""
+    return check_ssa(float(conditional_mutual_information_of_stack(rho.mat, rho.dims, a, b, c)))
+
+
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian PSD matrix; eigenvalues at machine-noise
-    scale are zeroed so the sqrt does not amplify them."""
+    """Square root of a Hermitian PSD matrix, or of each matrix of a stack
+    (..., d, d).  A matrix's eigenvalues below 1e-14 times its largest are
+    zeroed, so the sqrt does not amplify machine noise."""
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
-    if len(vals):
-        vals[vals < 1e-14 * vals.max()] = 0.0
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    if vals.shape[-1]:
+        vals[vals < 1e-14 * vals.max(axis=-1, keepdims=True)] = 0.0
+    return (vecs * np.sqrt(vals)[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def fidelity_of_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Root fidelity F = ||sqrt(rho) sqrt(sigma)||_1, capped at 1, of two
+    density matrices or of each pair of two stacks (..., d, d)."""
+    return np.minimum(trace_norm(psd_sqrt(rhos) @ psd_sqrt(sigmas)), 1.0)
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -374,19 +427,24 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     ds = sigma.dims.total_dim
     if dr != ds:
         raise ValueError(f"dimension mismatch {dr} != {ds}")
-    s = np.linalg.svd(psd_sqrt(rho.mat) @ psd_sqrt(sigma.mat), compute_uv=False)
-    return float(min(s.sum(), 1.0))
+    return float(fidelity_of_stack(rho.mat, sigma.mat))
 
 
-def trace_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False).sum())
+def trace_norm(mat: np.ndarray) -> np.ndarray:
+    """Sum of the singular values of a matrix, or of each matrix of a stack."""
+    return np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False).sum(axis=-1)
+
+
+def trace_distance_of_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """(1/2)||rho - sigma||_1 of two matrices or of each pair of two stacks."""
+    return 0.5 * trace_norm(rhos - sigmas)
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """(1/2)||rho - sigma||_1."""
     if rho.mat.shape != sigma.mat.shape:
         raise ValueError(f"dimension mismatch {rho.mat.shape} != {sigma.mat.shape}")
-    return 0.5 * trace_norm(rho.mat - sigma.mat)
+    return float(trace_distance_of_stack(rho.mat, sigma.mat))
 
 
 def operator_norm(mat: np.ndarray) -> float:
@@ -403,28 +461,42 @@ def binary_entropy(eps: float) -> float:
     return float(-eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps))
 
 
+def relative_entropy_of_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """S(rho || sigma) in bits of two density matrices, or of each pair of two
+    stacks (..., d, d), computed spectrally; inf where a weight a_i |<u_i|v_j>|^2
+    above 1e-15 meets an eigenvalue b_j of sigma at most TOL_RANK."""
+    a, u = np.linalg.eigh(rhos)
+    b, v = np.linalg.eigh(sigmas)
+    shape, d = a.shape[:-1], a.shape[-1]
+    a = np.clip(a, 0.0, None).reshape(-1, d)
+    b = np.clip(b, 0.0, None).reshape(-1, d)
+    # overlap[:, i, j] = |<u_i|v_j>|^2
+    overlap = (np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2).reshape(-1, d, d)
+    support = b > TOL_RANK
+    # math.log2, not np.log2: the two can differ in the last bit
+    log_b = np.zeros_like(b)
+    log_b[support] = [math.log2(x) for x in b[support].tolist()]
+    infinite = np.zeros(len(a), dtype=bool)
+    term2 = np.zeros(len(a))
+    # one pair (i, j) at a time across the stack: each matrix sums its terms
+    # in (i, j) order, as a loop over one matrix's pairs would
+    for i in range(d):
+        for j in range(d):
+            w = a[:, i] * overlap[:, i, j]
+            used = (a[:, i] > 0.0) & (w > 1e-15)
+            infinite |= used & ~support[:, j]
+            add = used & support[:, j]
+            term2[add] += w[add] * log_b[add, j]
+    out = _xlogx_sums(a) - term2
+    out[infinite] = math.inf
+    return out.reshape(shape)
+
+
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """S(rho || sigma) in bits, computed spectrally; inf if supports mismatch."""
     if rho.dims.total_dim != sigma.dims.total_dim:
         raise ValueError("dimension mismatch")
-    a, u = np.linalg.eigh(rho.mat)
-    b, v = np.linalg.eigh(sigma.mat)
-    a = np.clip(a, 0.0, None)
-    b = np.clip(b, 0.0, None)
-    overlap = np.abs(u.conj().T @ v) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
-    term1 = float((a[a > 0] * np.log2(a[a > 0])).sum())
-    term2 = 0.0
-    for i in range(len(a)):
-        if a[i] <= 0.0:
-            continue
-        for j in range(len(b)):
-            w = a[i] * overlap[i, j]
-            if w <= 1e-15:
-                continue
-            if b[j] <= TOL_RANK:
-                return math.inf
-            term2 += w * math.log2(b[j])
-    return term1 - term2
+    return float(relative_entropy_of_stack(rho.mat, sigma.mat))
 
 
 # ---------------------------------------------------------------------------
@@ -433,52 +505,83 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 def _phase_fix_columns(vecs: np.ndarray) -> np.ndarray:
     """Make the first component of each column above 1e-12 in modulus real
-    positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if len(nz):
-            ph = col[nz[0]] / abs(col[nz[0]])
-            out[:, j] = col * ph.conjugate()
-    return out
+    positive, in a matrix or in each matrix of a stack."""
+    v = vecs.reshape((-1,) + vecs.shape[-2:])
+    big = np.abs(v) > 1e-12
+    fixed = big.any(axis=1)
+    lead = v[np.arange(len(v))[:, np.newaxis], big.argmax(axis=1), np.arange(v.shape[2])]
+    # the modulus as hypot, which is what abs() of one complex number
+    # computes; numpy's vectorized complex abs can differ in the last bit
+    ph = lead / np.where(fixed, np.hypot(lead.real, lead.imag), 1.0)
+    fixed, ph = fixed[:, np.newaxis, :], ph[:, np.newaxis, :]
+    return np.where(fixed, v * ph.conjugate(), v).reshape(vecs.shape)
 
 
 def sorted_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition, eigenvalues descending, phases fixed."""
+    """Hermitian eigendecomposition of a matrix or of each matrix of a stack,
+    eigenvalues descending, phases fixed."""
     vals, vecs = np.linalg.eigh(mat)
-    order = np.argsort(vals)[::-1]
-    return vals[order], _phase_fix_columns(vecs[:, order])
+    d = vals.shape[-1]
+    order = np.argsort(vals, axis=-1)[..., ::-1].reshape(-1, d)
+    rows = np.arange(len(order))[:, np.newaxis]
+    vecs = vecs.reshape(-1, d, d)[rows[:, :, np.newaxis], np.arange(d)[:, np.newaxis],
+                                  order[:, np.newaxis, :]]
+    return (vals.reshape(-1, d)[rows, order].reshape(vals.shape),
+            _phase_fix_columns(vecs).reshape(vals.shape + (d,)))
+
+
+def purify_of_stack(mats: np.ndarray) -> list[np.ndarray]:
+    """Canonical purifications sum_i sqrt(l_i) |e_i>|i> of a stack (n, d, d)
+    of density matrices, each as its amplitude matrix m[system, reference] of
+    shape (d, rank)."""
+    vals, vecs = sorted_eigh(mats)
+    vals = np.clip(vals, 0.0, None)
+    ranks = np.maximum(np.count_nonzero(vals > TOL_RANK, axis=-1), 1)
+    amps = []
+    for lam, vec, rank in zip(vals, vecs, ranks.tolist()):
+        lam = lam[:rank] / lam[:rank].sum()
+        amps.append(vec[:, :rank] * np.sqrt(lam))
+    return amps
 
 
 def purify(rho: DensityOperator) -> np.ndarray:
     """Canonical purification sum_i sqrt(l_i) |e_i>|i> as its amplitude
     matrix m[system, reference], of shape (d, rank)."""
-    vals, vecs = sorted_eigh(rho.mat)
-    vals = np.clip(vals, 0.0, None)
-    rank = max(int(np.sum(vals > TOL_RANK)), 1)
-    vals = vals[:rank] / vals[:rank].sum()
-    return vecs[:, :rank] * np.sqrt(vals)
+    return purify_of_stack(rho.mat[np.newaxis])[0]
 
 
 # ---------------------------------------------------------------------------
 # seeded random instances (test and selftest fodder)
 # ---------------------------------------------------------------------------
 
+def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian array: real parts drawn first, then imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def density_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """g g† / tr(g g†) of a (d, rank) matrix or of each matrix of a stack."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
+
+
+def isometry_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """The Q factor of g = QR with the phases of R's diagonal moved into Q,
+    of a matrix or of each matrix of a stack."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., np.newaxis, :]
+
+
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Ginibre-induced random density matrix (full rank by default)."""
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+    return density_from_ginibre(ginibre((dim, dim if rank is None else rank), rng))
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = ginibre(dim, rng)
     return v / np.linalg.norm(v)
 
 
 def random_isometry(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((out_dim, in_dim)) + 1j * rng.standard_normal((out_dim, in_dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return isometry_from_ginibre(ginibre((out_dim, in_dim), rng))

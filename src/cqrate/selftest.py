@@ -2,7 +2,10 @@
 operator contract, optimizer-vs-oracle, and the region sandwich.
 
 Each suite is a pure function of its seed, so two runs with the same seed
-produce identical counts (and identical CLI output).
+produce identical counts (and identical CLI output).  The inequality suites
+draw every instance in seed order, then evaluate the instances of each
+dimension as one stack; each stacked kernel gives a matrix the bits of a lone
+evaluation.  A state that fails validation is its instance's violation.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from . import idelta, qcore, region, source
 from .errors import InternalError
 from .idelta import OptimizerOptions
-from .qcore import DensityOperator, DimsSpec
+from .qcore import DimsSpec
 from .reference import source_a, source_b, source_c
 
 SLACK = 1e-9
@@ -42,110 +45,178 @@ def _rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
-def _random_pair(rng, dims) -> tuple[DensityOperator, DensityOperator]:
-    spec = DimsSpec(dims)
-    d = spec.total_dim
-    return (DensityOperator(qcore.random_density(d, rng), spec),
-            DensityOperator(qcore.random_density(d, rng), spec))
+# Instances per evaluated stack: large enough that numpy's per-call cost is
+# spread thin, small enough that a stack's temporaries (a few MB at 1000
+# 8x8 states) do not raise the process's peak memory.
+STACK_SIZE = 32
 
 
-def _seeded_suite(name: str, key: int, check):
-    """A suite of `count` instances from one seeded generator: `check(rng)`
-    draws an instance and returns its violation, or None when it holds."""
+def _seeded_suite(name: str, key: int, draw, evaluate):
+    """A suite of `count` instances from one seeded generator.  `draw(rng)`
+    draws an instance as (group, raw arrays), in seed order; up to STACK_SIZE
+    instances of a group are evaluated together by `evaluate(group,
+    *stacks)`, one stack per raw array, which returns each instance's
+    violation or None."""
 
     def suite(seed: int, count: int = 1000) -> SuiteResult:
         rng = _rng(seed, key)
-        bad = []
+        problems: list[str | None] = [None] * count
+        pending: dict = {}
+
+        def flush(group):
+            index, arrays = zip(*pending.pop(group))
+            for i, problem in zip(index, evaluate(group, *map(np.array, zip(*arrays)))):
+                problems[i] = problem
+
         for i in range(count):
-            problem = check(rng)
-            if problem is not None:
-                bad.append(f"instance {i}: {problem}")
+            group, arrays = draw(rng)
+            pending.setdefault(group, []).append((i, arrays))
+            if len(pending[group]) == STACK_SIZE:
+                flush(group)
+        for group in list(pending):
+            flush(group)
+        bad = [f"instance {i}: {p}" for i, p in enumerate(problems) if p is not None]
         return SuiteResult(name, count, len(bad), tuple(bad[:5]))
 
-    suite.__doc__ = check.__doc__
+    suite.__doc__ = evaluate.__doc__
     return suite
 
 
-def _check_fvdg(rng) -> str | None:
-    """1 - F <= T <= sqrt(1 - F^2) on random state pairs."""
-    rho, sig = _random_pair(rng, [("A", int(rng.integers(2, 5)))])
-    f = qcore.fidelity(rho, sig)
-    t = qcore.trace_distance(rho, sig)
-    if not (1.0 - f <= t + SLACK and t <= math.sqrt(max(1.0 - f * f, 0.0)) + SLACK):
-        return f"F={f}, T={t}"
-    return None
+def _screen(problems: list, rows: np.ndarray, *states: np.ndarray) -> np.ndarray:
+    """Validate the states of the instances `rows`, one stack per state with
+    one matrix per row: record each failing instance's first problem, and
+    return the mask of rows whose states all pass."""
+    keep = np.ones(len(rows), dtype=bool)
+    for stack in states:
+        for k, problem in enumerate(qcore.density_problems(stack)):
+            if problem and keep[k]:
+                problems[rows[k]] = problem
+                keep[k] = False
+    return keep
 
 
-def _check_pinsker(rng) -> str | None:
-    """||rho - sigma||_1 <= sqrt(2 ln2 S(rho||sigma)) on full-rank pairs."""
-    rho, sig = _random_pair(rng, [("A", int(rng.integers(2, 5)))])
-    lhs = 2.0 * qcore.trace_distance(rho, sig)
-    rel = qcore.relative_entropy(rho, sig)
-    if lhs > math.sqrt(2.0 * math.log(2.0) * rel) + SLACK:
-        return f"||.||_1={lhs}, S(rho||sigma)={rel}"
-    return None
+def _states(*draws: np.ndarray):
+    """Density stacks from stacks of Ginibre draws: each instance's problem
+    list, the instances whose states are valid, and those states."""
+    states = [qcore.density_from_ginibre(g) for g in draws]
+    problems: list[str | None] = [None] * len(draws[0])
+    keep = _screen(problems, np.arange(len(problems)), *states)
+    return problems, np.flatnonzero(keep), [s[keep] for s in states]
 
 
-def _check_fannes(rng) -> str | None:
-    """|S(rho) - S(sigma)| <= eps log d + h(eps) with eps the trace distance."""
+def _draw_pair(rng):
     d = int(rng.integers(2, 5))
-    rho, sig = _random_pair(rng, [("A", d)])
-    eps = qcore.trace_distance(rho, sig)
-    gap = abs(qcore.von_neumann_entropy(rho) - qcore.von_neumann_entropy(sig))
-    if gap > eps * math.log2(d) + qcore.binary_entropy(min(eps, 1.0)) + SLACK:
-        return f"gap={gap}, eps={eps}"
-    return None
+    return d, (qcore.ginibre((d, d), rng), qcore.ginibre((d, d), rng))
 
 
-def _check_afw(rng) -> str | None:
-    """|S(A|B)_rho - S(A|B)_sigma| <= 2 eps log|A| + 2 h(eps)."""
+def _draw_bipartite_pair(rng):
     da = int(rng.integers(2, 4))
     db = int(rng.integers(2, 4))
-    rho, sig = _random_pair(rng, [("A", da), ("B", db)])
-    eps = qcore.trace_distance(rho, sig)
-    gap = abs(qcore.conditional_entropy(rho, ["A"], ["B"])
-              - qcore.conditional_entropy(sig, ["A"], ["B"]))
-    if gap > 2.0 * eps * math.log2(da) + 2.0 * qcore.binary_entropy(min(eps, 1.0)) + SLACK:
-        return f"gap={gap}, eps={eps}"
-    return None
+    return (da, db), (qcore.ginibre((da * db, da * db), rng),
+                      qcore.ginibre((da * db, da * db), rng))
 
 
-def _check_ssa(rng) -> str | None:
-    """Strong subadditivity: I(A:B|C) >= -1e-8 on random tripartite states."""
-    m = qcore.random_density(8, rng)
-    rho = DensityOperator(m, DimsSpec([("A", 2), ("B", 2), ("C", 2)]))
-    try:
-        cmi = qcore.conditional_mutual_information(rho, ["A"], ["B"], ["C"])
-    except InternalError as exc:
-        return str(exc)
-    if cmi < -1e-8:
-        return f"cmi={cmi}"
-    return None
+def _draw_tripartite(rng):
+    return (2, 2, 2), (qcore.ginibre((8, 8), rng),)
 
 
-def _check_purify(rng) -> str | None:
-    """Purification round trip and basis invariance of the entropy."""
+def _draw_purify(rng):
     d = int(rng.integers(2, 5))
     rank = int(rng.integers(1, d + 1))
-    m = qcore.random_density(d, rng, rank=rank)
-    rho = DensityOperator(m, DimsSpec([("A", d)]))
-    amp = qcore.purify(rho)
-    back = DensityOperator(amp @ amp.conj().T, rho.dims)
-    if qcore.trace_distance(back, rho) > 1e-10:
-        return "purify round trip error"
-    u = qcore.random_isometry(d, d, rng)
-    rot = DensityOperator(u @ m @ u.conj().T, rho.dims)
-    if abs(qcore.von_neumann_entropy(rot) - qcore.von_neumann_entropy(rho)) > 1e-10:
-        return "entropy not unitarily invariant"
-    return None
+    return (d, rank), (qcore.ginibre((d, rank), rng), qcore.ginibre((d, d), rng))
 
 
-suite_fvdg = _seeded_suite("fvdg", 1, _check_fvdg)
-suite_pinsker = _seeded_suite("pinsker", 2, _check_pinsker)
-suite_fannes = _seeded_suite("fannes", 3, _check_fannes)
-suite_afw = _seeded_suite("afw", 4, _check_afw)
-suite_ssa = _seeded_suite("ssa", 5, _check_ssa)
-suite_purify = _seeded_suite("purify", 6, _check_purify)
+def _fvdg(d, g_rho, g_sig) -> list:
+    """1 - F <= T <= sqrt(1 - F^2) on random state pairs."""
+    problems, rows, (rho, sig) = _states(g_rho, g_sig)
+    fs = qcore.fidelity_of_stack(rho, sig).tolist()
+    ts = qcore.trace_distance_of_stack(rho, sig).tolist()
+    for i, f, t in zip(rows, fs, ts):
+        if not (1.0 - f <= t + SLACK and t <= math.sqrt(max(1.0 - f * f, 0.0)) + SLACK):
+            problems[i] = f"F={f}, T={t}"
+    return problems
+
+
+def _pinsker(d, g_rho, g_sig) -> list:
+    """||rho - sigma||_1 <= sqrt(2 ln2 S(rho||sigma)) on full-rank pairs."""
+    problems, rows, (rho, sig) = _states(g_rho, g_sig)
+    lhss = (2.0 * qcore.trace_distance_of_stack(rho, sig)).tolist()
+    rels = qcore.relative_entropy_of_stack(rho, sig).tolist()
+    for i, lhs, rel in zip(rows, lhss, rels):
+        if lhs > math.sqrt(2.0 * math.log(2.0) * rel) + SLACK:
+            problems[i] = f"||.||_1={lhs}, S(rho||sigma)={rel}"
+    return problems
+
+
+def _fannes(d, g_rho, g_sig) -> list:
+    """|S(rho) - S(sigma)| <= eps log d + h(eps) with eps the trace distance."""
+    problems, rows, (rho, sig) = _states(g_rho, g_sig)
+    epss = qcore.trace_distance_of_stack(rho, sig).tolist()
+    gaps = np.abs(qcore.entropy_of_stack(rho) - qcore.entropy_of_stack(sig)).tolist()
+    for i, eps, gap in zip(rows, epss, gaps):
+        if gap > eps * math.log2(d) + qcore.binary_entropy(min(eps, 1.0)) + SLACK:
+            problems[i] = f"gap={gap}, eps={eps}"
+    return problems
+
+
+def _afw(dims, g_rho, g_sig) -> list:
+    """|S(A|B)_rho - S(A|B)_sigma| <= 2 eps log|A| + 2 h(eps)."""
+    da, db = dims
+    spec = DimsSpec([("A", da), ("B", db)])
+    problems, rows, (rho, sig) = _states(g_rho, g_sig)
+    epss = qcore.trace_distance_of_stack(rho, sig).tolist()
+    gaps = np.abs(qcore.conditional_entropy_of_stack(rho, spec, ["A"], ["B"])
+                  - qcore.conditional_entropy_of_stack(sig, spec, ["A"], ["B"])).tolist()
+    for i, eps, gap in zip(rows, epss, gaps):
+        if gap > 2.0 * eps * math.log2(da) + 2.0 * qcore.binary_entropy(min(eps, 1.0)) + SLACK:
+            problems[i] = f"gap={gap}, eps={eps}"
+    return problems
+
+
+def _ssa(dims, g) -> list:
+    """Strong subadditivity: I(A:B|C) >= -1e-8 on random tripartite states."""
+    problems, rows, (rho,) = _states(g)
+    cmis = qcore.conditional_mutual_information_of_stack(
+        rho, DimsSpec(zip("ABC", dims)), ["A"], ["B"], ["C"]).tolist()
+    for i, cmi in zip(rows, cmis):
+        try:
+            cmi = qcore.check_ssa(cmi)
+        except InternalError as exc:
+            problems[i] = str(exc)
+            continue
+        if cmi < -1e-8:
+            problems[i] = f"cmi={cmi}"
+    return problems
+
+
+def _purify(_dims, g, g_u) -> list:
+    """Purification round trip and basis invariance of the entropy."""
+    problems, rows, (rho,) = _states(g)
+    g_u = g_u[rows]
+    back = np.zeros_like(rho)
+    for k, amp in enumerate(qcore.purify_of_stack(rho)):
+        back[k] = amp @ amp.conj().T
+    keep = _screen(problems, rows, back)
+    rows, rho, back, g_u = rows[keep], rho[keep], back[keep], g_u[keep]
+    keep = qcore.trace_distance_of_stack(back, rho) <= 1e-10
+    for i in rows[~keep]:
+        problems[i] = "purify round trip error"
+    rows, rho, g_u = rows[keep], rho[keep], g_u[keep]
+    u = qcore.isometry_from_ginibre(g_u)
+    rot = u @ rho @ u.conj().swapaxes(-1, -2)
+    keep = _screen(problems, rows, rot)
+    rows, rho, rot = rows[keep], rho[keep], rot[keep]
+    for i in rows[np.abs(qcore.entropy_of_stack(rot) - qcore.entropy_of_stack(rho)) > 1e-10]:
+        problems[i] = "entropy not unitarily invariant"
+    return problems
+
+
+suite_fvdg = _seeded_suite("fvdg", 1, _draw_pair, _fvdg)
+suite_pinsker = _seeded_suite("pinsker", 2, _draw_pair, _pinsker)
+suite_fannes = _seeded_suite("fannes", 3, _draw_pair, _fannes)
+suite_afw = _seeded_suite("afw", 4, _draw_bipartite_pair, _afw)
+suite_ssa = _seeded_suite("ssa", 5, _draw_tripartite, _ssa)
+suite_purify = _seeded_suite("purify", 6, _draw_purify, _purify)
 
 
 def suite_transfer(seed: int, count: int = 100) -> SuiteResult:

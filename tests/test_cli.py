@@ -468,8 +468,8 @@ def test_ssa_violation_is_an_internal_error_exit_1(monkeypatch):
     """A broken identity is the program's fault, not the input's: exit 1."""
     entropy = qcore._entropy_of_subsystems
 
-    def inflated(rho, labels):  # S(ABC) one bit too large breaks I(A:B|C) >= 0
-        return entropy(rho, labels) + (1.0 if len(labels) == 3 else 0.0)
+    def inflated(mats, dims, labels):  # S(ABC) one bit too large breaks I(A:B|C) >= 0
+        return entropy(mats, dims, labels) + (1.0 if len(labels) == 3 else 0.0)
 
     def profile_with_cmi(src):
         rho = DensityOperator(qcore.random_density(8, np.random.default_rng(0)),

@@ -219,6 +219,126 @@ def test_partial_trace_of_stack_matches_each_matrix():
         assert got.tobytes() == want.tobytes()
 
 
+def _relative_entropy_loop(rho, sigma):
+    """One matrix pair, one (i, j) term at a time: the reference that the
+    stacked kernel must reproduce bit for bit."""
+    a, u = np.linalg.eigh(rho)
+    b, v = np.linalg.eigh(sigma)
+    a = np.clip(a, 0.0, None)
+    b = np.clip(b, 0.0, None)
+    overlap = np.abs(u.conj().T @ v) ** 2
+    term1 = float((a[a > 0] * np.log2(a[a > 0])).sum())
+    term2 = 0.0
+    for i in range(len(a)):
+        if a[i] <= 0.0:
+            continue
+        for j in range(len(b)):
+            w = a[i] * overlap[i, j]
+            if w <= 1e-15:
+                continue
+            if b[j] <= qcore.TOL_RANK:
+                return math.inf
+            term2 += w * math.log2(b[j])
+    return term1 - term2
+
+
+def _kernel_stacks(rng, d):
+    """Pairs of density stacks mixing full-rank rows, rank-deficient rows and
+    exact projectors, so that some relative entropies are infinite."""
+    rho = np.concatenate([_random_stack(rng, 6, d, rank) for rank in range(1, d + 1)])
+    sig = np.concatenate([_random_stack(rng, 6, d, rank) for rank in range(d, 0, -1)])
+    proj = np.zeros((d, d), dtype=complex)
+    proj[0, 0] = 1.0
+    mixed = np.eye(d) / d
+    rho = np.concatenate([rho, [proj, proj, mixed, mixed]])
+    sig = np.concatenate([sig, [mixed, proj, proj, _random_stack(rng, 1, d, d)[0]]])
+    return rho, sig
+
+
+def test_stacked_kernels_match_one_matrix_results_bitwise():
+    rng = np.random.default_rng(13)
+    for d in (2, 3, 4, 6):
+        rho, sig = _kernel_stacks(rng, d)
+        pairs = [(dm(r, [("A", d)]), dm(s, [("A", d)])) for r, s in zip(rho, sig)]
+        for stacked, lone in ((qcore.fidelity_of_stack, qcore.fidelity),
+                              (qcore.trace_distance_of_stack, qcore.trace_distance),
+                              (qcore.relative_entropy_of_stack, qcore.relative_entropy)):
+            want = np.array([lone(r, s) for r, s in pairs])
+            assert stacked(rho, sig).tobytes() == want.tobytes()
+            assert stacked(rho.reshape(2, -1, d, d), sig.reshape(2, -1, d, d)).reshape(-1) \
+                .tobytes() == want.tobytes()
+        rel = qcore.relative_entropy_of_stack(rho, sig)
+        assert np.isinf(rel).any() and np.isfinite(rel).any()
+        assert rel.tobytes() == np.array(
+            [_relative_entropy_loop(r, s) for r, s in zip(rho, sig)]).tobytes()
+        roots = qcore.psd_sqrt(rho)
+        for root, r in zip(roots, rho):
+            assert root.tobytes() == qcore.psd_sqrt(r).tobytes()
+
+
+def _phase_fix_loop(vecs):
+    """One column at a time: the reference for the stacked phase fix."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if len(nz):
+            ph = col[nz[0]] / abs(col[nz[0]])
+            out[:, j] = col * ph.conjugate()
+    return out
+
+
+def test_stacked_draws_and_purifications_match_lone_results_bitwise():
+    rng = np.random.default_rng(14)
+    for d in (1, 2, 3, 4, 7):
+        g = qcore.ginibre((12, d, d), rng)
+        g[0, 0, :-1] = 0.0  # columns whose first entry is exactly zero
+        g[1, :, 0] = 1e-13  # a column with no entry above 1e-12
+        fixed = qcore._phase_fix_columns(g)
+        isos = qcore.isometry_from_ginibre(g)
+        for k in range(len(g)):
+            assert fixed[k].tobytes() == _phase_fix_loop(g[k]).tobytes()
+            assert isos[k].tobytes() == qcore.isometry_from_ginibre(g[k]).tobytes()
+        for rank in range(1, d + 1):
+            g = qcore.ginibre((8, d, rank), rng)
+            rho = qcore.density_from_ginibre(g)
+            vals, vecs = qcore.sorted_eigh(rho)
+            amps = qcore.purify_of_stack(rho)
+            for k in range(len(g)):
+                assert rho[k].tobytes() == qcore.density_from_ginibre(g[k]).tobytes()
+                lone_vals, lone_vecs = qcore.sorted_eigh(rho[k])
+                assert vals[k].tobytes() == lone_vals.tobytes()
+                assert vecs[k].tobytes() == lone_vecs.tobytes()
+                assert amps[k].tobytes() == qcore.purify(dm(rho[k], [("A", d)])).tobytes()
+
+
+def test_psd_sqrt_cutoff_is_per_matrix():
+    # against the largest eigenvalue of the whole stack, 1e-14 would zero the
+    # second matrix entirely
+    stack = np.array([np.diag([1.0, 0.0]), np.diag([1e-20, 1e-21])], dtype=complex)
+    roots = qcore.psd_sqrt(stack)
+    assert roots[1].tobytes() == qcore.psd_sqrt(stack[1]).tobytes()
+    assert roots[1][1, 1].real == pytest.approx(math.sqrt(1e-21), rel=1e-12)
+
+
+def test_density_problems_match_density_operator_messages():
+    good = np.eye(3, dtype=complex) / 3
+    skew = good.copy()
+    skew[0, 1] = 0.1  # not Hermitian
+    nan = good.copy()
+    nan[1, 1] = np.nan
+    bad = [skew, np.eye(3) / 2, nan, np.diag([1.5, -0.25, -0.25])]
+    messages = []
+    for mat in bad:
+        with pytest.raises(ValueError) as lone:
+            dm(mat, [("A", 3)])
+        messages.append(str(lone.value))
+        assert qcore.density_problems(np.stack([good, mat, good])) == [None, messages[-1], None]
+    assert messages[2] == "non-finite entries in density matrix"
+    mixed = np.stack([good] + bad + [good]).reshape(2, 3, 3, 3)
+    assert qcore.density_problems(mixed) == [None] + messages + [None]
+
+
 # --- inequality property suites (small count here; the selftest runs 1000) ---
 
 def _pair(rng, d):

@@ -4,8 +4,9 @@ operator contract, optimizer-vs-oracle, and the region sandwich.
 Each suite is a pure function of its seed, so two runs with the same seed
 produce identical counts (and identical CLI output).  The inequality suites
 draw every instance in seed order, then evaluate the instances of each
-dimension as one stack; each stacked kernel gives a matrix the bits of a lone
-evaluation.  A state that fails validation is its instance's violation.
+dimension in stacks of up to STACK_SIZE; each stacked kernel gives a matrix
+the bits of a lone evaluation.  A state that fails validation is its
+instance's violation.
 """
 
 from __future__ import annotations

@@ -28,17 +28,11 @@ from .idelta import (  # noqa: F401
 )
 from .qcore import (  # noqa: F401
     DensityOperator,
-    DimsSpec,
     Isometry,
     binary_entropy,
-    conditional_entropy,
     conditional_mutual_information,
-    fidelity,
     mutual_information,
     operator_norm,
-    purify,
-    trace_distance,
-    von_neumann_entropy,
 )
 from .reference import source_a, source_b, source_c  # noqa: F401
 from .region import (  # noqa: F401

@@ -180,7 +180,7 @@ def cmd_idelta(args) -> int:
             if res.param is not None:
                 mat = [[[float(z.real), float(z.imag)] for z in row]
                        for row in res.param.mat]
-                c_dim, w_dim = res.param.out_dims.dims
+                c_dim, w_dim = res.param.out_dims
             channels.append({"delta": d, "value": res.value,
                              "constraint": res.constraint,
                              "c_dim": c_dim, "w_dim": w_dim,

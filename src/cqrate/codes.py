@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qcore
 from .errors import DimensionCapError, SpecError
-from .qcore import DimsSpec, Isometry, LabeledVector
+from .qcore import Isometry, LabeledVector
 from .source import (CqSource, _parse_complex_matrix, _parse_int, cq_state_xb, sequence_index,
                      sequence_state)
 
@@ -44,25 +44,25 @@ class BlockCode:
             raise SpecError("unassisted codes require K = L = 1")
         if len(self.u_x.out_dims) != 2:
             raise SpecError("U_X must output (C_X, W_X)")
-        if len(self.u_b.in_dims) != 2 or self.u_b.in_dims.dims[1] != self.k:
+        if len(self.u_b.in_dims) != 2 or self.u_b.in_dims[1] != self.k:
             raise SpecError("U_B must input (B^n, B0) with |B0| = K")
-        if len(self.u_b.out_dims) != 3 or self.u_b.out_dims.dims[1] != self.l:
+        if len(self.u_b.out_dims) != 3 or self.u_b.out_dims[1] != self.l:
             raise SpecError("U_B must output (C_B, B0', W_B) with |B0'| = L")
-        if len(self.v.in_dims) != 3 or self.v.in_dims.dims[2] != self.k:
+        if len(self.v.in_dims) != 3 or self.v.in_dims[2] != self.k:
             raise SpecError("V must input (C_X, C_B, D0) with |D0| = K")
-        if len(self.v.out_dims) != 4 or self.v.out_dims.dims[2] != self.l:
+        if len(self.v.out_dims) != 4 or self.v.out_dims[2] != self.l:
             raise SpecError("V must output (Xhat, Bhat, D0', W_D) with |D0'| = L")
-        if self.v.in_dims.dims[0] != self.u_x.out_dims.dims[0] or \
-                self.v.in_dims.dims[1] != self.u_b.out_dims.dims[0]:
+        if self.v.in_dims[0] != self.u_x.out_dims[0] or \
+                self.v.in_dims[1] != self.u_b.out_dims[0]:
             raise SpecError("decoder input dims must match the compressed registers")
 
     @property
     def rate_x(self) -> float:
-        return float(np.log2(self.u_x.out_dims.dims[0])) / self.n
+        return float(np.log2(self.u_x.out_dims[0])) / self.n
 
     @property
     def rate_b(self) -> float:
-        return float(np.log2(self.u_b.out_dims.dims[0])) / self.n
+        return float(np.log2(self.u_b.out_dims[0])) / self.n
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,13 @@ class DecouplingReport:
 # reference code builders
 # ---------------------------------------------------------------------------
 
-def _iso(mat: np.ndarray, in_pairs, out_pairs) -> Isometry:
-    return Isometry(mat, DimsSpec(in_pairs), DimsSpec(out_pairs))
-
-
 def identity_code(src: CqSource, n: int) -> BlockCode:
     """Zero-error reference code: both registers pass through unchanged."""
     _check_cap(src, n, wx=1, l=1, wb=1, wd=1)
     nxn, dbn = src.alphabet_size ** n, src.dim_b ** n
-    u_x = _iso(np.eye(nxn), [("Xn", nxn)], [("CX", nxn), ("WX", 1)])
-    u_b = _iso(np.eye(dbn), [("Bn", dbn), ("B0", 1)], [("CB", dbn), ("B0p", 1), ("WB", 1)])
-    v = _iso(np.eye(nxn * dbn), [("CX", nxn), ("CB", dbn), ("D0", 1)],
-             [("Xhat", nxn), ("Bhat", dbn), ("D0p", 1), ("WD", 1)])
+    u_x = Isometry(np.eye(nxn), (nxn,), (nxn, 1))
+    u_b = Isometry(np.eye(dbn), (dbn, 1), (dbn, 1, 1))
+    v = Isometry(np.eye(nxn * dbn), (nxn, dbn, 1), (nxn, dbn, 1, 1))
     return BlockCode(n, u_x, u_b, v)
 
 
@@ -111,13 +106,13 @@ def truncation_code(src: CqSource, n: int, rank: int) -> BlockCode:
     wb = dbn - rank + 1
     _check_cap(src, n, wx=1, l=1, wb=wb, wd=1)
     omega_b = qcore.reduced_density_from_mat(
-        cq_state_xb(src).mat, (src.alphabet_size, src.dim_b), [1])
+        cq_state_xb(src), (src.alphabet_size, src.dim_b), [1])
     eig_n = omega_b
     for _ in range(n - 1):
         eig_n = np.kron(eig_n, omega_b)
     _, basis = qcore.sorted_eigh(eig_n)
     nxn = src.alphabet_size ** n
-    u_x = _iso(np.eye(nxn), [("Xn", nxn)], [("CX", nxn), ("WX", 1)])
+    u_x = Isometry(np.eye(nxn), (nxn,), (nxn, 1))
     u_b = np.zeros((rank * wb, dbn), dtype=complex)
     for i in range(dbn):
         if i < rank:
@@ -125,10 +120,9 @@ def truncation_code(src: CqSource, n: int, rank: int) -> BlockCode:
         else:
             row = 0 * wb + (1 + i - rank)  # (c = 0, w = flag)
         u_b[row, :] = basis[:, i].conj()
-    u_b = _iso(u_b, [("Bn", dbn), ("B0", 1)], [("CB", rank), ("B0p", 1), ("WB", wb)])
+    u_b = Isometry(u_b, (dbn, 1), (rank, 1, wb))
     emb = basis[:, :rank]  # decoder embeds C_B back into Bhat^n
-    v = _iso(np.kron(np.eye(nxn), emb), [("CX", nxn), ("CB", rank), ("D0", 1)],
-             [("Xhat", nxn), ("Bhat", dbn), ("D0p", 1), ("WD", 1)])
+    v = Isometry(np.kron(np.eye(nxn), emb), (nxn, rank, 1), (nxn, dbn, 1, 1))
     return BlockCode(n, u_x, u_b, v)
 
 
@@ -165,11 +159,11 @@ def coded_outputs(src: CqSource, code: BlockCode):
     n = code.n
     nxn = src.alphabet_size ** n
     dbn, drn = src.dim_b ** n, src.dim_r ** n
-    wx = code.u_x.out_dims.dims[1]
-    wb = code.u_b.out_dims.dims[2]
-    wd = code.v.out_dims.dims[3]
+    wx = code.u_x.out_dims[1]
+    wb = code.u_b.out_dims[2]
+    wd = code.v.out_dims[3]
     _check_cap(src, n, wx=wx, l=code.l, wb=wb, wd=wd)
-    if code.v.out_dims.dims[0] != nxn or code.v.out_dims.dims[1] != dbn:
+    if code.v.out_dims[0] != nxn or code.v.out_dims[1] != dbn:
         raise SpecError("decoder output dims do not match the source block")
     phi_k = _max_entangled(code.k)
     for xs in itertools.product(range(src.alphabet_size), repeat=n):
@@ -180,9 +174,9 @@ def coded_outputs(src: CqSource, code: BlockCode):
         lv = lv.tensor(LabeledVector(sequence_state(src, xs), [("Bn", dbn), ("Rn", drn)]))
         lv = lv.tensor(LabeledVector(phi_k, [("B0", code.k), ("D0", code.k)]))
         lv = lv.apply_isometry(code.u_x.mat, ["Xn"],
-                               [("CX", code.u_x.out_dims.dims[0]), ("WX", wx)])
+                               [("CX", code.u_x.out_dims[0]), ("WX", wx)])
         lv = lv.apply_isometry(code.u_b.mat, ["Bn", "B0"],
-                               [("CB", code.u_b.out_dims.dims[0]), ("B0p", code.l),
+                               [("CB", code.u_b.out_dims[0]), ("B0p", code.l),
                                 ("WB", wb)])
         lv = lv.apply_isometry(code.v.mat, ["CX", "CB", "D0"],
                                [("Xhat", nxn), ("Bhat", dbn), ("D0p", code.l), ("WD", wd)])
@@ -300,10 +294,9 @@ def load_code(doc: dict, src: CqSource) -> BlockCode:
         cx, wx = _int_field(ux_d["C_X"], "C_X"), _int_field(ux_d["W_X"], "W_X")
         cb, wb = _int_field(ub_d["C_B"], "C_B"), _int_field(ub_d["W_B"], "W_B")
         wd = _int_field(v_d["W_D"], "W_D")
-        u_x = _iso(ux_m, [("Xn", nxn)], [("CX", cx), ("WX", wx)])
-        u_b = _iso(ub_m, [("Bn", dbn), ("B0", k)], [("CB", cb), ("B0p", l), ("WB", wb)])
-        v = _iso(v_m, [("CX", cx), ("CB", cb), ("D0", k)],
-                 [("Xhat", nxn), ("Bhat", dbn), ("D0p", l), ("WD", wd)])
+        u_x = Isometry(ux_m, (nxn,), (cx, wx))
+        u_b = Isometry(ub_m, (dbn, k), (cb, l, wb))
+        v = Isometry(v_m, (cx, cb, k), (nxn, dbn, l, wd))
     except KeyError as exc:
         raise SpecError(f"code spec missing field {exc.args[0]!r}") from None
     except SpecError:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qcore
-from .qcore import DensityOperator, DimsSpec, Isometry
+from .qcore import DensityOperator, Isometry
 from .source import CqSource, delta_prime
 
 TOL_FEAS = 1e-4
@@ -46,7 +46,7 @@ class OptimizerOptions:
 
 def make_channel_param(v: np.ndarray, dim_b: int, c_dim: int, w_dim: int) -> Isometry:
     """Stinespring isometry B -> C⊗W of a test channel T = Tr_C(V . V†)."""
-    return Isometry(v, DimsSpec([("B", dim_b)]), DimsSpec([("C", c_dim), ("W", w_dim)]))
+    return Isometry(v, (dim_b,), (c_dim, w_dim))
 
 
 @dataclass(frozen=True)
@@ -187,25 +187,24 @@ def apply_channel(src: CqSource, param: Isometry) -> tuple[DensityOperator, floa
     from the entropies of sigma itself, so they certify the optimizer's
     values independently of its evaluator.
     """
-    if param.in_dims.total_dim != src.dim_b:
-        raise ValueError(f"channel input dim {param.in_dims.total_dim} "
-                         f"!= source |B| = {src.dim_b}")
+    if param.mat.shape[1] != src.dim_b:
+        raise ValueError(f"channel input dim {param.mat.shape[1]} != source |B| = {src.dim_b}")
     nx, r = src.alphabet_size, src.dim_r
-    c, w = param.out_dims.dims
+    c, w = param.out_dims
     v = param.mat
     blocks = []
     for x in range(nx):
         o = (v @ src.psi[x]).reshape(c, w, r)
         blocks.append(np.einsum("cwr,cvs->wrvs", o, o.conj()).reshape(w * r, w * r))
     sigma = DensityOperator(qcore.block_diagonal(src.probs, blocks),
-                            DimsSpec([("X", nx), ("W", w), ("R", r)]))
+                            [("X", nx), ("W", w), ("R", r)])
     return (sigma, qcore.mutual_information(sigma, ["X"], ["W"]),
             qcore.conditional_mutual_information(sigma, ["R"], ["W"], ["X"]))
 
 
 def channel_marginal_informations(src: CqSource, param: Isometry) -> dict[str, float]:
     """All four marginal informations (ixw, irwx, icw, icx) of sigma^{XCWR}."""
-    ev = _Evaluator([_Ensemble.from_source(src)], *param.out_dims.dims, want_c=True)
+    ev = _Evaluator([_Ensemble.from_source(src)], *param.out_dims, want_c=True)
     info = ev.informations(param.mat[np.newaxis], np.zeros(1, dtype=int))
     return {k: float(val[0]) for k, val in info.items()}
 

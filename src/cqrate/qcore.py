@@ -1,8 +1,11 @@
 """Dense complex linear algebra and quantum-information primitives.
 
-States live on labeled tensor factors (a ``DimsSpec``); everything is exact
-dense numpy, base-2 logarithms throughout.  A purified state is its
-amplitude matrix m[system, reference]; ``purify`` returns one.
+The kernels take a matrix or a stack of matrices (..., d, d) whose tensor
+factors are given by position: `dims` is a tuple of ints and a subsystem is
+a list of positions.  Labels live only on the two objects read by name,
+`DensityOperator` and `LabeledVector`.  Everything is exact dense numpy,
+base-2 logarithms throughout.  A purified state is its amplitude matrix
+m[system, reference]; `purify_of_stack` returns them.
 """
 
 from __future__ import annotations
@@ -28,73 +31,26 @@ TOL_SSA = 1e-8
 _LOG2 = math.log(2.0)
 
 
-class DimsSpec:
-    """Ordered list of labeled tensor factors, e.g. [("B", 2), ("R", 2)]."""
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self, pairs: Iterable[tuple[str, int]]):
-        pairs = tuple((str(lbl), int(d)) for lbl, d in pairs)
-        labels = [lbl for lbl, _ in pairs]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate subsystem labels in {labels}")
-        for lbl, d in pairs:
-            if d < 1:
-                raise ValueError(f"subsystem {lbl!r} has non-positive dimension {d}")
-        self._pairs = pairs
-
-    @property
-    def pairs(self) -> tuple[tuple[str, int], ...]:
-        return self._pairs
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self._pairs)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self._pairs)
-
-    @property
-    def total_dim(self) -> int:
-        out = 1
-        for _, d in self._pairs:
-            out *= d
-        return out
-
-    def index(self, label: str) -> int:
-        for i, (lbl, _) in enumerate(self._pairs):
-            if lbl == label:
-                return i
-        raise KeyError(f"unknown subsystem label {label!r}")
-
-    def indices(self, labels: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.index(lbl) for lbl in labels)
-
-    def positions(self, labels: Iterable[str]) -> list[int]:
-        """Positions of a set of labels, in this spec's order."""
-        wanted = set(labels)
-        missing = wanted - set(self.labels)
-        if missing:
-            raise KeyError(f"unknown subsystem labels {sorted(missing)}")
-        return [i for i, (lbl, _) in enumerate(self._pairs) if lbl in wanted]
-
-    def concat(self, other: "DimsSpec") -> "DimsSpec":
-        return DimsSpec(self._pairs + other._pairs)
-
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __len__(self):
-        return len(self._pairs)
-
-    def __repr__(self):
-        body = ", ".join(f"{lbl}:{d}" for lbl, d in self._pairs)
-        return f"DimsSpec({body})"
+def _labeled_dims(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The labels and dims of (label, dim) pairs such as [("B", 2), ("R", 2)];
+    ValueError on a repeated label or a dim below 1."""
+    pairs = [(str(lbl), int(d)) for lbl, d in pairs]
+    labels = tuple(lbl for lbl, _ in pairs)
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate subsystem labels in {list(labels)}")
+    for lbl, d in pairs:
+        if d < 1:
+            raise ValueError(f"subsystem {lbl!r} has non-positive dimension {d}")
+    return labels, tuple(d for _, d in pairs)
 
 
-def _as_dims(dims) -> DimsSpec:
-    return dims if isinstance(dims, DimsSpec) else DimsSpec(dims)
+def _positions(labels: tuple[str, ...], wanted: Sequence[str]) -> list[int]:
+    """Positions in `labels` of the labels `wanted`, in the order given."""
+    try:
+        return [labels.index(lbl) for lbl in wanted]
+    except ValueError:
+        missing = sorted(set(wanted) - set(labels))
+        raise KeyError(f"unknown subsystem labels {missing}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,19 +58,21 @@ class DensityOperator:
     """Validated density matrix on labeled subsystems."""
 
     mat: np.ndarray
-    dims: DimsSpec
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
 
-    def __init__(self, mat, dims):
+    def __init__(self, mat, pairs: Iterable[tuple[str, int]]):
         mat = np.asarray(mat, dtype=complex)
-        dims = _as_dims(dims)
+        labels, dims = _labeled_dims(pairs)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        if mat.shape[0] != dims.total_dim:
-            raise ValueError(f"matrix dim {mat.shape[0]} != product of {dims}")
+        if mat.shape[0] != math.prod(dims):
+            raise ValueError(f"matrix dim {mat.shape[0]} != product of dims {dims}")
         problem = density_problems(mat)[0]
         if problem:
             raise ValueError(problem)
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
 
 
@@ -144,25 +102,28 @@ def density_problems(mats: np.ndarray) -> list[str | None]:
 
 @dataclass(frozen=True, eq=False)
 class Isometry:
-    """Matrix V with V†V = 1 mapping `in_dims` into `out_dims`."""
+    """Matrix V with V†V = 1 mapping the factors `in_dims` into `out_dims`."""
 
     mat: np.ndarray
-    in_dims: DimsSpec
-    out_dims: DimsSpec
+    in_dims: tuple[int, ...]
+    out_dims: tuple[int, ...]
 
-    def __init__(self, mat, in_dims, out_dims):
+    def __init__(self, mat, in_dims: Sequence[int], out_dims: Sequence[int]):
         mat = np.asarray(mat, dtype=complex)
-        in_dims = _as_dims(in_dims)
-        out_dims = _as_dims(out_dims)
-        if mat.shape != (out_dims.total_dim, in_dims.total_dim):
-            raise ValueError(
-                f"isometry shape {mat.shape} != ({out_dims.total_dim}, {in_dims.total_dim})")
+        in_dims = tuple(int(d) for d in in_dims)
+        out_dims = tuple(int(d) for d in out_dims)
+        if min(in_dims + out_dims, default=1) < 1:
+            raise ValueError(f"isometry factor dims {in_dims} -> {out_dims} "
+                             "include a non-positive dimension")
+        d_in, d_out = math.prod(in_dims), math.prod(out_dims)
+        if mat.shape != (d_out, d_in):
+            raise ValueError(f"isometry shape {mat.shape} != ({d_out}, {d_in})")
         if not np.all(np.isfinite(mat)):
             raise ValueError("non-finite entries in isometry")
-        if out_dims.total_dim < in_dims.total_dim:
+        if d_out < d_in:
             raise ValueError("isometry codomain smaller than domain")
         gram = mat.conj().T @ mat
-        if np.max(np.abs(gram - np.eye(in_dims.total_dim))) > TOL_ISO:
+        if np.max(np.abs(gram - np.eye(d_in))) > TOL_ISO:
             raise ValueError("matrix is not an isometry within tolerance")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "in_dims", in_dims)
@@ -225,13 +186,16 @@ class LabeledVector:
     """Pure-state vector with named tensor factors.  Its one use is the coded
     outputs of `codes.coded_outputs`, whose registers are created and consumed."""
 
-    __slots__ = ("vec", "dims")
+    __slots__ = ("vec", "labels", "dims")
 
-    def __init__(self, vec: np.ndarray, dims):
+    def __init__(self, vec: np.ndarray, pairs: Iterable[tuple[str, int]]):
         self.vec = np.asarray(vec, dtype=complex).reshape(-1)
-        self.dims = _as_dims(dims)
-        if self.dims.total_dim != self.vec.shape[0]:
+        self.labels, self.dims = _labeled_dims(pairs)
+        if math.prod(self.dims) != self.vec.shape[0]:
             raise ValueError(f"vector length {self.vec.shape[0]} != product of dims {self.dims}")
+
+    def _pairs(self, positions: Sequence[int]) -> list[tuple[str, int]]:
+        return [(self.labels[i], self.dims[i]) for i in positions]
 
     def apply_isometry(self, mat: np.ndarray, in_labels: Sequence[str],
                        out_pairs: Sequence[tuple[str, int]]) -> "LabeledVector":
@@ -239,27 +203,26 @@ class LabeledVector:
 
         The produced registers come first, the remaining registers follow in
         their original order."""
-        acting = list(self.dims.indices(in_labels))
+        acting = _positions(self.labels, in_labels)
         rest = [i for i in range(len(self.dims)) if i not in acting]
-        dims = self.dims.dims
-        t = self.vec.reshape(dims).transpose(acting + rest)
-        d_act = int(np.prod([dims[i] for i in acting], dtype=np.int64))
+        t = self.vec.reshape(self.dims).transpose(acting + rest)
+        d_act = int(np.prod([self.dims[i] for i in acting], dtype=np.int64))
         y = mat @ t.reshape(d_act, -1)
-        return LabeledVector(y.reshape(-1),
-                             list(out_pairs) + [self.dims.pairs[i] for i in rest])
+        return LabeledVector(y.reshape(-1), list(out_pairs) + self._pairs(rest))
 
     def tensor(self, other: "LabeledVector") -> "LabeledVector":
-        return LabeledVector(np.kron(self.vec, other.vec), self.dims.concat(other.dims))
+        return LabeledVector(np.kron(self.vec, other.vec),
+                             zip(self.labels + other.labels, self.dims + other.dims))
 
     def reduced(self, keep: Sequence[str]) -> np.ndarray:
-        return reduced_density_from_vec(self.vec, self.dims.dims, self.dims.positions(keep))
+        return reduced_density_from_vec(self.vec, self.dims, _positions(self.labels, keep))
 
     def reorder(self, labels: Sequence[str]) -> "LabeledVector":
-        perm = list(self.dims.indices(labels))
+        perm = _positions(self.labels, labels)
         if sorted(perm) != list(range(len(self.dims))):
             raise ValueError("reorder must list every register exactly once")
-        t = self.vec.reshape(self.dims.dims).transpose(perm)
-        return LabeledVector(t.reshape(-1), [self.dims.pairs[i] for i in perm])
+        t = self.vec.reshape(self.dims).transpose(perm)
+        return LabeledVector(t.reshape(-1), self._pairs(perm))
 
 
 # ---------------------------------------------------------------------------
@@ -332,60 +295,48 @@ def holevo_of_stack(probs: Sequence,
     return np.maximum(s[-1] - hol, 0.0), s
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) in bits, from the eigenvalue spectrum."""
-    return entropy_of_mat(rho.mat)
-
-
-def _entropy_of_subsystems(mats: np.ndarray, dims: DimsSpec,
-                           labels: Sequence[str]) -> np.ndarray:
-    if set(labels) == set(dims.labels):
+def _entropy_of_subsystems(mats: np.ndarray, dims: Sequence[int],
+                           keep: Sequence[int]) -> np.ndarray:
+    if len(keep) == len(dims):
         return entropy_of_stack(mats)
-    return entropy_of_stack(reduced_density_from_mat(mats, dims.dims, dims.positions(labels)))
+    return entropy_of_stack(reduced_density_from_mat(mats, dims, keep))
 
 
-def _check_disjoint(*groups: Sequence[str]):
-    seen: set[str] = set()
-    for g in groups:
-        gs = set(g)
-        if gs & seen:
-            raise ValueError(f"label sets overlap: {sorted(gs & seen)}")
-        seen |= gs
+def _check_disjoint(*groups: Sequence[int]):
+    flat = [i for g in groups for i in g]
+    if len(set(flat)) != len(flat):
+        raise ValueError(f"subsystem positions overlap: {list(groups)}")
 
 
-def conditional_entropy_of_stack(mats: np.ndarray, dims, a: Sequence[str],
-                                 b: Sequence[str]) -> np.ndarray:
+def conditional_entropy_of_stack(mats: np.ndarray, dims: Sequence[int], a: Sequence[int],
+                                 b: Sequence[int]) -> np.ndarray:
     """S(A|B) = S(AB) - S(B) of a density matrix, or of each matrix of a
-    stack (..., d, d), on the factors `dims`."""
+    stack (..., d, d), on the factors `dims`; `a` and `b` are positions."""
     _check_disjoint(a, b)
-    dims = _as_dims(dims)
     return _entropy_of_subsystems(mats, dims, list(a) + list(b)) - \
         (_entropy_of_subsystems(mats, dims, b) if b else 0.0)
 
 
-def conditional_entropy(rho: DensityOperator, a: Sequence[str], b: Sequence[str]) -> float:
-    """S(A|B) = S(AB) - S(B) on the reduced state."""
-    return float(conditional_entropy_of_stack(rho.mat, rho.dims, a, b))
-
-
 def mutual_information(rho: DensityOperator, a: Sequence[str], b: Sequence[str]) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB)."""
+    """I(A:B) = S(A) + S(B) - S(AB) of the labeled subsystems `a` and `b`."""
+    a, b = _positions(rho.labels, a), _positions(rho.labels, b)
     _check_disjoint(a, b)
     return float(_entropy_of_subsystems(rho.mat, rho.dims, a)
                  + _entropy_of_subsystems(rho.mat, rho.dims, b)
-                 - _entropy_of_subsystems(rho.mat, rho.dims, list(a) + list(b)))
+                 - _entropy_of_subsystems(rho.mat, rho.dims, a + b))
 
 
-def conditional_mutual_information_of_stack(mats: np.ndarray, dims, a: Sequence[str],
-                                            b: Sequence[str], c: Sequence[str]) -> np.ndarray:
+def conditional_mutual_information_of_stack(mats: np.ndarray, dims: Sequence[int],
+                                            a: Sequence[int], b: Sequence[int],
+                                            c: Sequence[int]) -> np.ndarray:
     """I(A:B|C) = S(A|C) - S(A|BC) of a density matrix, or of each matrix of
-    a stack (..., d, d), on the factors `dims`; `check_ssa` enforces strong
-    subadditivity on each value."""
+    a stack (..., d, d), on the factors `dims`; `a`, `b` and `c` are
+    positions.  `check_ssa` enforces strong subadditivity on each value."""
     _check_disjoint(a, b, c)
-    dims = _as_dims(dims)
-    return (_entropy_of_subsystems(mats, dims, list(a) + list(c))
-            + _entropy_of_subsystems(mats, dims, list(b) + list(c))
-            - _entropy_of_subsystems(mats, dims, list(a) + list(b) + list(c))
+    a, b, c = list(a), list(b), list(c)
+    return (_entropy_of_subsystems(mats, dims, a + c)
+            + _entropy_of_subsystems(mats, dims, b + c)
+            - _entropy_of_subsystems(mats, dims, a + b + c)
             - (_entropy_of_subsystems(mats, dims, c) if c else 0.0))
 
 
@@ -400,7 +351,9 @@ def check_ssa(cmi: float) -> float:
 
 def conditional_mutual_information(rho: DensityOperator, a: Sequence[str],
                                    b: Sequence[str], c: Sequence[str]) -> float:
-    """I(A:B|C) = S(A|C) - S(A|BC); strong subadditivity enforced."""
+    """I(A:B|C) = S(A|C) - S(A|BC) of labeled subsystems; strong
+    subadditivity enforced."""
+    a, b, c = (_positions(rho.labels, g) for g in (a, b, c))
     return check_ssa(float(conditional_mutual_information_of_stack(rho.mat, rho.dims, a, b, c)))
 
 
@@ -421,15 +374,6 @@ def fidelity_of_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return np.minimum(trace_norm(psd_sqrt(rhos) @ psd_sqrt(sigmas)), 1.0)
 
 
-def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Root fidelity F = ||sqrt(rho) sqrt(sigma)||_1."""
-    dr = rho.dims.total_dim
-    ds = sigma.dims.total_dim
-    if dr != ds:
-        raise ValueError(f"dimension mismatch {dr} != {ds}")
-    return float(fidelity_of_stack(rho.mat, sigma.mat))
-
-
 def trace_norm(mat: np.ndarray) -> np.ndarray:
     """Sum of the singular values of a matrix, or of each matrix of a stack."""
     return np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False).sum(axis=-1)
@@ -438,13 +382,6 @@ def trace_norm(mat: np.ndarray) -> np.ndarray:
 def trace_distance_of_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """(1/2)||rho - sigma||_1 of two matrices or of each pair of two stacks."""
     return 0.5 * trace_norm(rhos - sigmas)
-
-
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """(1/2)||rho - sigma||_1."""
-    if rho.mat.shape != sigma.mat.shape:
-        raise ValueError(f"dimension mismatch {rho.mat.shape} != {sigma.mat.shape}")
-    return float(trace_distance_of_stack(rho.mat, sigma.mat))
 
 
 def operator_norm(mat: np.ndarray) -> float:
@@ -492,13 +429,6 @@ def relative_entropy_of_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarra
     return out.reshape(shape)
 
 
-def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """S(rho || sigma) in bits, computed spectrally; inf if supports mismatch."""
-    if rho.dims.total_dim != sigma.dims.total_dim:
-        raise ValueError("dimension mismatch")
-    return float(relative_entropy_of_stack(rho.mat, sigma.mat))
-
-
 # ---------------------------------------------------------------------------
 # purification
 # ---------------------------------------------------------------------------
@@ -542,12 +472,6 @@ def purify_of_stack(mats: np.ndarray) -> list[np.ndarray]:
         lam = lam[:rank] / lam[:rank].sum()
         amps.append(vec[:, :rank] * np.sqrt(lam))
     return amps
-
-
-def purify(rho: DensityOperator) -> np.ndarray:
-    """Canonical purification sum_i sqrt(l_i) |e_i>|i> as its amplitude
-    matrix m[system, reference], of shape (d, rank)."""
-    return purify_of_stack(rho.mat[np.newaxis])[0]
 
 
 # ---------------------------------------------------------------------------

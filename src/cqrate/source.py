@@ -10,7 +10,7 @@ import numpy as np
 
 from . import qcore
 from .errors import SpecError
-from .qcore import DensityOperator, DimsSpec
+from .qcore import DensityOperator
 
 TOL_GENERIC = 1e-9
 
@@ -147,10 +147,10 @@ def load_source(doc: dict) -> CqSource:
                 raise SpecError("density state needs an integer field dim") from exc
             mat = _parse_complex_matrix(entry["density"])
             try:
-                rho = DensityOperator(mat, DimsSpec([("B", db)]))
+                rho = DensityOperator(mat, [("B", db)])
             except ValueError as exc:
                 raise SpecError(f"invalid density matrix: {exc}") from exc
-            mats.append(qcore.purify(rho))
+            mats.append(qcore.purify_of_stack(rho.mat[np.newaxis])[0])
         else:
             raise SpecError("state entry needs either amplitudes or density")
 
@@ -178,10 +178,9 @@ def source_doc(src: CqSource) -> dict:
 # ensemble states
 # ---------------------------------------------------------------------------
 
-def cq_state_xb(src: CqSource) -> DensityOperator:
-    """omega on X⊗B (reference traced out)."""
-    mat = qcore.block_diagonal(src.probs, src.rho_b)
-    return DensityOperator(mat, DimsSpec([("X", src.alphabet_size), ("B", src.dim_b)]))
+def cq_state_xb(src: CqSource) -> np.ndarray:
+    """The matrix of omega on X⊗B (reference traced out)."""
+    return qcore.block_diagonal(src.probs, src.rho_b)
 
 
 def sequence_index(xs, nx: int) -> int:
@@ -228,9 +227,9 @@ def entropic_profile(src: CqSource) -> EntropicProfile:
     """All six quantities from omega^{XB}; derived ones via the exact
     identities so the profile invariants hold to the last bit."""
     omega = cq_state_xb(src)
-    s_xb = qcore.von_neumann_entropy(omega)
+    s_xb = qcore.entropy_of_mat(omega)
     s_b = qcore.entropy_of_mat(qcore.reduced_density_from_mat(
-        omega.mat, omega.dims.dims, [1]))
+        omega, (src.alphabet_size, src.dim_b), [1]))
     s_x = qcore.entropy_from_eigvals(src.probs)
     return EntropicProfile(
         s_b=s_b,
@@ -330,11 +329,11 @@ def mix_with_maximally_mixed(src: CqSource, eps: float) -> CqSource:
     The result is generic by construction (every marginal has full support).
     """
     db = src.dim_b
-    vectors = []
-    for rho_x in src.rho_b:
-        rho = (1.0 - eps) * rho_x + eps * np.eye(db) / db
-        m = qcore.purify(DensityOperator(rho, DimsSpec([("B", db)])))
-        vectors.append(np.pad(m, ((0, 0), (0, db - m.shape[1]))))
+    rho = (1.0 - eps) * src.rho_b + eps * np.eye(db) / db
+    problem = next((p for p in qcore.density_problems(rho) if p), None)
+    if problem:
+        raise ValueError(problem)
+    vectors = [np.pad(m, ((0, 0), (0, db - m.shape[1]))) for m in qcore.purify_of_stack(rho)]
     return make_source(src.probs, vectors, db, db, name=f"{src.name}+eps{eps:g}")
 
 

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqrate import cli, codes, idelta, qcore, source
-from cqrate.qcore import DensityOperator, DimsSpec
+from cqrate.qcore import DensityOperator
 from cqrate.reference import source_a, source_b
 
 H14 = 0.8112781244591328
@@ -320,24 +321,32 @@ def _with(doc: dict, path: tuple[str, ...], value) -> dict:
     return doc
 
 
-@pytest.mark.parametrize("doc", [
-    _with(EXPLICIT_IDENTITY, ("U_X", "matrix"), 5),
-    _with(TRUNCATION, ("rank",), [1]),
-    _with(EXPLICIT_IDENTITY, ("K",), [1]),
-    _with(EXPLICIT_IDENTITY, ("U_X", "dims"), 3),
-    {"builder": "identity", "n": -1},
-    _with(TRUNCATION, ("n",), 0),
-    {"builder": "identity", "n": 1.9},
-    _with(TRUNCATION, ("rank",), 1.5),
-    _with(EXPLICIT_IDENTITY, ("U_X", "dims", "C_X"), 2.5),
+# negative dims in pairs whose products still match the identity matrices
+NEGATIVE_DIMS = copy.deepcopy(EXPLICIT_IDENTITY)
+NEGATIVE_DIMS["U_X"]["dims"] = {"C_X": -2, "W_X": -1}
+NEGATIVE_DIMS["U_B"]["dims"] = {"C_B": -2, "W_B": -1}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_with(EXPLICIT_IDENTITY, ("U_X", "matrix"), 5), ""),
+    (_with(TRUNCATION, ("rank",), [1]), ""),
+    (_with(EXPLICIT_IDENTITY, ("K",), [1]), ""),
+    (_with(EXPLICIT_IDENTITY, ("U_X", "dims"), 3), ""),
+    ({"builder": "identity", "n": -1}, ""),
+    (_with(TRUNCATION, ("n",), 0), ""),
+    ({"builder": "identity", "n": 1.9}, ""),
+    (_with(TRUNCATION, ("rank",), 1.5), ""),
+    (_with(EXPLICIT_IDENTITY, ("U_X", "dims", "C_X"), 2.5), ""),
+    (NEGATIVE_DIMS, "invalid code matrices: .*non-positive dimension"),
 ], ids=["matrix-int", "rank-list", "K-list", "dims-int", "n-negative", "truncation-n0",
-        "n-fraction", "rank-fraction", "dims-fraction"])
-def test_verify_code_malformed_spec_exit_2(doc, tmp_path):
+        "n-fraction", "rank-fraction", "dims-fraction", "dims-negative-pairs"])
+def test_verify_code_malformed_spec_exit_2(doc, message, tmp_path):
     code = tmp_path / "code.json"
     code.write_text(json.dumps(doc))
     out = run_cli("verify-code", "--source", SRC_B_SPEC, "--code", str(code))
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
+    assert re.search(message, out.stderr)
 
 
 @pytest.mark.parametrize("doc", [EXPLICIT_IDENTITY, TRUNCATION], ids=["explicit", "truncation"])
@@ -473,7 +482,7 @@ def test_ssa_violation_is_an_internal_error_exit_1(monkeypatch):
 
     def profile_with_cmi(src):
         rho = DensityOperator(qcore.random_density(8, np.random.default_rng(0)),
-                              DimsSpec([("A", 2), ("B", 2), ("C", 2)]))
+                              [("A", 2), ("B", 2), ("C", 2)])
         qcore.conditional_mutual_information(rho, ["A"], ["B"], ["C"])
 
     monkeypatch.setattr(qcore, "_entropy_of_subsystems", inflated)

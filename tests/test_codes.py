@@ -9,7 +9,7 @@ import pytest
 
 from cqrate import codes, qcore, source
 from cqrate.errors import DimensionCapError, SpecError
-from cqrate.qcore import DensityOperator, DimsSpec, Isometry, LabeledVector
+from cqrate.qcore import DensityOperator, Isometry, LabeledVector
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -166,7 +166,7 @@ def test_load_code_builders(src_b):
     code = codes.load_code({"builder": "identity", "n": 2}, src_b)
     assert code.n == 2
     code = codes.load_code({"builder": "truncation", "n": 1, "rank": 1}, src_b)
-    assert code.u_b.out_dims.dims[0] == 1
+    assert code.u_b.out_dims[0] == 1
     with pytest.raises(SpecError):
         codes.load_code({"builder": "nope"}, src_b)
     with pytest.raises(SpecError):
@@ -205,15 +205,12 @@ def _random_code(src, n: int, assisted: bool, rng: np.random.Generator) -> codes
     wb = -(-dbn * k // (cb * l))
     wd = -(-cb * k // (dbn * l))
 
-    def iso(in_pairs, out_pairs):
-        ins, outs = DimsSpec(in_pairs), DimsSpec(out_pairs)
-        mat = qcore.random_isometry(outs.total_dim, ins.total_dim, rng)
-        return Isometry(mat, ins, outs)
+    def iso(ins, outs):
+        return Isometry(qcore.random_isometry(math.prod(outs), math.prod(ins), rng), ins, outs)
 
-    u_x = iso([("Xn", nxn)], [("CX", nxn), ("WX", 1)])
-    u_b = iso([("Bn", dbn), ("B0", k)], [("CB", cb), ("B0p", l), ("WB", wb)])
-    v = iso([("CX", nxn), ("CB", cb), ("D0", k)],
-            [("Xhat", nxn), ("Bhat", dbn), ("D0p", l), ("WD", wd)])
+    u_x = iso((nxn,), (nxn, 1))  # Xn -> CX WX
+    u_b = iso((dbn, k), (cb, l, wb))  # Bn B0 -> CB B0p WB
+    v = iso((nxn, cb, k), (nxn, dbn, l, wd))  # CX CB D0 -> Xhat Bhat D0p WD
     return codes.BlockCode(n, u_x, u_b, v, k, l, "assisted" if assisted else "unassisted")
 
 
@@ -234,8 +231,8 @@ def test_fidelity_matches_the_dense_reference(src_b, assisted):
             nxn, dbn, drn = (d ** n for d in (src.alphabet_size, src.dim_b, src.dim_r))
             phi_l = np.eye(code.l, dtype=complex).reshape(-1) / np.sqrt(code.l)
             for (xs, _, f), (_, _, lv) in zip(rep.per_sequence, outputs):
-                rho = DensityOperator(lv.reduced(kept),
-                                      [(lbl, d) for lbl, d in lv.dims if lbl in kept])
+                rho = DensityOperator(lv.reduced(kept), [(lbl, d) for lbl, d in
+                                                         zip(lv.labels, lv.dims) if lbl in kept])
                 ket_x = np.zeros(nxn, dtype=complex)
                 ket_x[source.sequence_index(xs, src.alphabet_size)] = 1.0
                 target = LabeledVector(ket_x, [("Xhat", nxn)]).tensor(

@@ -84,8 +84,8 @@ def _unassisted_oracle() -> str:
         doc["I0_minus"][s] = {
             "value": res.value, "constraint": res.constraint,
             "restarts_used": res.restarts_used, "candidates": res.candidates,
-            "c_dim": res.param.out_dims.dims[0] if res.param else None,
-            "w_dim": res.param.out_dims.dims[1] if res.param else None,
+            "c_dim": res.param.out_dims[0] if res.param else None,
+            "w_dim": res.param.out_dims[1] if res.param else None,
             "stinespring": None if res.param is None else
             [[[float(z.real), float(z.imag)] for z in row] for row in res.param.mat]}
         if src.dim_b == 2:

@@ -24,7 +24,7 @@ def test_apply_channel_trivial_w(src_b):
     sigma, ixw, irwx = idelta.apply_channel(src_b, param)
     assert ixw == pytest.approx(0.0, abs=1e-10)
     assert irwx == pytest.approx(0.0, abs=1e-10)
-    assert sigma.dims.labels == ("X", "W", "R")
+    assert sigma.labels == ("X", "W", "R")
 
 
 def test_apply_channel_identity_to_w(src_b):
@@ -164,7 +164,7 @@ def _assert_same_result(batched: idelta.IdeltaResult, alone: idelta.IdeltaResult
     if alone.param is None:
         assert batched.param is None
     else:
-        assert batched.param.out_dims.dims == alone.param.out_dims.dims
+        assert batched.param.out_dims == alone.param.out_dims
         assert batched.param.mat.tobytes() == alone.param.mat.tobytes()
 
 
@@ -456,8 +456,8 @@ def _sigma_ycwr(src, cond: np.ndarray, v: np.ndarray, c: int, w: int) -> qcore.D
         rho = sum(src.probs[x] * cond[y, x] * np.outer(m.reshape(-1), m.reshape(-1).conj())
                   for x, m in enumerate(src.psi))
         blocks.append(k @ (rho / p if p > 0 else rho) @ k.conj().T)
-    dims = qcore.DimsSpec([("Y", len(py)), ("C", c), ("W", w), ("R", src.dim_r)])
-    return qcore.DensityOperator(qcore.block_diagonal(py, blocks), dims)
+    return qcore.DensityOperator(qcore.block_diagonal(py, blocks),
+                                 [("Y", len(py)), ("C", c), ("W", w), ("R", src.dim_r)])
 
 
 @pytest.mark.parametrize("name", ["src_b", "mixed_example"])

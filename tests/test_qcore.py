@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cqrate import qcore
-from cqrate.qcore import DensityOperator, DimsSpec
+from cqrate.qcore import DensityOperator
 from cqrate.source import cq_state_xb
 
 H14 = 0.8112781244591328  # binary entropy at 1/4, frozen from 30-digit arithmetic
@@ -12,37 +12,42 @@ PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 def dm(mat, pairs):
-    return DensityOperator(mat, DimsSpec(pairs))
+    return DensityOperator(mat, pairs)
+
+
+def _purify(mat):
+    return qcore.purify_of_stack(np.asarray(mat, dtype=complex)[np.newaxis])[0]
 
 
 def test_partial_trace_maximally_entangled():
-    rho = dm(np.outer(PHI_PLUS, PHI_PLUS.conj()), [("B", 2), ("R", 2)])
-    red = qcore.reduced_density_from_mat(rho.mat, rho.dims.dims, rho.dims.positions(["B"]))
+    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())  # on B⊗R
+    red = qcore.reduced_density_from_mat(rho, (2, 2), [0])
     assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product():
-    rho = dm(np.diag([0.0, 1.0, 0.0, 0.0]), [("A", 2), ("B", 2)])  # |0><0| ⊗ |1><1|
-    red = qcore.reduced_density_from_mat(rho.mat, rho.dims.dims, rho.dims.positions(["A"]))
+    rho = np.diag([0.0, 1.0, 0.0, 0.0])  # |0><0| ⊗ |1><1|
+    red = qcore.reduced_density_from_mat(rho, (2, 2), [0])
     assert np.allclose(red, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_partial_trace_cq_source(src_b):
-    omega = cq_state_xb(src_b)
-    red = qcore.reduced_density_from_mat(omega.mat, omega.dims.dims, omega.dims.positions(["X"]))
+    red = qcore.reduced_density_from_mat(cq_state_xb(src_b), (2, 2), [0])  # keep X
     assert np.allclose(red, np.diag([0.5, 0.5]), atol=1e-12)
 
 
 def test_partial_trace_label_errors():
     rho = dm(np.eye(4) / 4, [("A", 2), ("B", 2)])
     with pytest.raises(KeyError):
-        rho.dims.positions(["Z"])
+        qcore.mutual_information(rho, ["Z"], ["B"])
+    with pytest.raises(ValueError, match="duplicate"):
+        dm(np.eye(4) / 4, [("A", 2), ("A", 2)])
 
 
 def test_entropy_examples():
-    assert qcore.von_neumann_entropy(dm(np.eye(2) / 2, [("A", 2)])) == pytest.approx(1.0, abs=1e-12)
-    assert qcore.von_neumann_entropy(dm(np.diag([1.0, 0.0]), [("A", 2)])) == 0.0
-    got = qcore.von_neumann_entropy(dm(np.diag([0.75, 0.25]), [("A", 2)]))
+    assert qcore.entropy_of_mat(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
+    assert qcore.entropy_of_mat(np.diag([1.0, 0.0])) == 0.0
+    got = qcore.entropy_of_mat(np.diag([0.75, 0.25]))
     assert got == pytest.approx(H14, abs=1e-12)
 
 
@@ -53,26 +58,43 @@ def test_entropy_rejects_non_hermitian():
 
 def test_conditional_entropy_product():
     sa = np.diag([0.75, 0.25])
-    rho = dm(np.kron(sa, np.eye(2) / 2), [("A", 2), ("B", 2)])
-    assert qcore.conditional_entropy(rho, ["A"], ["B"]) == pytest.approx(H14, abs=1e-10)
+    rho = np.kron(sa, np.eye(2) / 2)
+    assert qcore.conditional_entropy_of_stack(rho, (2, 2), [0], [1]) == pytest.approx(
+        H14, abs=1e-10)
 
 
 def test_conditional_entropy_entangled_negative():
-    rho = dm(np.outer(PHI_PLUS, PHI_PLUS.conj()), [("A", 2), ("B", 2)])
-    assert qcore.conditional_entropy(rho, ["A"], ["B"]) == pytest.approx(-1.0, abs=1e-10)
+    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
+    assert qcore.conditional_entropy_of_stack(rho, (2, 2), [0], [1]) == pytest.approx(
+        -1.0, abs=1e-10)
 
 
 def test_conditional_entropy_cq_source(src_b):
-    omega = cq_state_xb(src_b)
-    assert qcore.conditional_entropy(omega, ["B"], ["X"]) == pytest.approx(0.5, abs=1e-10)
+    omega = cq_state_xb(src_b)  # on X⊗B
+    assert qcore.conditional_entropy_of_stack(omega, (2, 2), [1], [0]) == pytest.approx(
+        0.5, abs=1e-10)
 
 
 def test_overlapping_labels_rejected():
     rho = dm(np.eye(4) / 4, [("A", 2), ("B", 2)])
     with pytest.raises(ValueError):
-        qcore.conditional_entropy(rho, ["A"], ["A"])
+        qcore.conditional_mutual_information(rho, ["A"], ["B"], ["A"])
     with pytest.raises(ValueError):
         qcore.mutual_information(rho, ["A", "B"], ["B"])
+
+
+def test_overlapping_positions_rejected():
+    rho = np.eye(8) / 8
+    stack = np.stack([rho, rho])
+    for mats in (rho, stack):
+        with pytest.raises(ValueError):
+            qcore.conditional_entropy_of_stack(mats, (2, 2, 2), [0], [0])
+        with pytest.raises(ValueError):
+            qcore.conditional_entropy_of_stack(mats, (2, 2, 2), [0, 1], [1, 2])
+        with pytest.raises(ValueError):
+            qcore.conditional_mutual_information_of_stack(mats, (2, 2, 2), [0], [1], [0])
+        with pytest.raises(ValueError):
+            qcore.conditional_mutual_information_of_stack(mats, (2, 2, 2), [0], [1, 2], [2])
 
 
 def test_mutual_information_examples(src_b):
@@ -80,7 +102,7 @@ def test_mutual_information_examples(src_b):
     assert qcore.mutual_information(prod, ["A"], ["B"]) == pytest.approx(0.0, abs=1e-10)
     ent = dm(np.outer(PHI_PLUS, PHI_PLUS.conj()), [("A", 2), ("B", 2)])
     assert qcore.mutual_information(ent, ["A"], ["B"]) == pytest.approx(2.0, abs=1e-10)
-    omega = cq_state_xb(src_b)
+    omega = dm(cq_state_xb(src_b), [("X", 2), ("B", 2)])
     assert qcore.mutual_information(omega, ["X"], ["B"]) == pytest.approx(
         1.0 + H14 - 1.5, abs=1e-10)
 
@@ -94,31 +116,32 @@ def test_cmi_nonnegative_random():
 
 def test_fidelity_examples():
     rng = np.random.default_rng(3)
-    rho = dm(qcore.random_density(3, rng), [("A", 3)])
-    assert qcore.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
-    k0 = dm(np.diag([1.0, 0.0]), [("A", 2)])
-    k1 = dm(np.diag([0.0, 1.0]), [("A", 2)])
-    assert qcore.fidelity(k0, k1) == 0.0
-    mixed = dm(np.eye(2) / 2, [("A", 2)])
-    assert qcore.fidelity(mixed, k0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    rho = qcore.random_density(3, rng)
+    assert qcore.fidelity_of_stack(rho, rho) == pytest.approx(1.0, abs=1e-9)
+    k0 = np.diag([1.0, 0.0])
+    k1 = np.diag([0.0, 1.0])
+    assert qcore.fidelity_of_stack(k0, k1) == 0.0
+    mixed = np.eye(2) / 2
+    assert qcore.fidelity_of_stack(mixed, k0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 def test_fidelity_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(25):
-        r1 = dm(qcore.random_density(3, rng), [("A", 3)])
-        r2 = dm(qcore.random_density(3, rng), [("A", 3)])
-        assert qcore.fidelity(r1, r2) == pytest.approx(qcore.fidelity(r2, r1), abs=1e-9)
+        r1 = qcore.random_density(3, rng)
+        r2 = qcore.random_density(3, rng)
+        assert qcore.fidelity_of_stack(r1, r2) == pytest.approx(
+            qcore.fidelity_of_stack(r2, r1), abs=1e-9)
 
 
 def test_fidelity_dim_mismatch():
     with pytest.raises(ValueError):
-        qcore.fidelity(dm(np.eye(2) / 2, [("A", 2)]), dm(np.eye(3) / 3, [("A", 3)]))
+        qcore.fidelity_of_stack(np.eye(2) / 2, np.eye(3) / 3)
 
 
 def test_trace_distance_and_norms():
-    rho = dm(np.diag([0.75, 0.25]), [("A", 2)])
-    assert qcore.trace_distance(rho, rho) == 0.0
+    rho = np.diag([0.75, 0.25])
+    assert qcore.trace_distance_of_stack(rho, rho) == 0.0
     assert qcore.operator_norm(np.diag([1.0, -3.0])) == pytest.approx(3.0, abs=1e-12)
     assert qcore.trace_norm(np.diag([1.0, -3.0])) == pytest.approx(4.0, abs=1e-12)
 
@@ -134,18 +157,16 @@ def test_binary_entropy():
 
 
 def test_purify_examples():
-    pure_in = dm(np.diag([1.0, 0.0]), [("A", 2)])
-    amp = qcore.purify(pure_in)
+    amp = _purify(np.diag([1.0, 0.0]))
     assert amp.shape == (2, 1)
     assert np.allclose(amp[:, 0], [1, 0], atol=1e-12)
 
-    mixed = dm(np.eye(2) / 2, [("A", 2)])
-    amp = qcore.purify(mixed)
+    mixed = np.eye(2) / 2
+    amp = _purify(mixed)
     assert amp.shape == (2, 2)
-    assert qcore.trace_distance(dm(amp @ amp.conj().T, [("A", 2)]), mixed) < 1e-12
+    assert qcore.trace_distance_of_stack(amp @ amp.conj().T, mixed) < 1e-12
 
-    diag = dm(np.diag([0.75, 0.25]), [("A", 2)])
-    amp = qcore.purify(diag)
+    amp = _purify(np.diag([0.75, 0.25]))
     # canonical: descending eigenvalues, phase-fixed eigenvectors
     amps = np.abs(amp)
     assert amps[0, 0] == pytest.approx(math.sqrt(0.75), abs=1e-12)
@@ -157,10 +178,10 @@ def test_purify_roundtrip_random():
     for _ in range(50):
         d = int(rng.integers(2, 5))
         rank = int(rng.integers(1, d + 1))
-        rho = dm(qcore.random_density(d, rng, rank=rank), [("A", d)])
-        amp = qcore.purify(rho)
+        rho = qcore.random_density(d, rng, rank=rank)
+        amp = _purify(rho)
         assert amp.shape == (d, rank)
-        assert qcore.trace_distance(dm(amp @ amp.conj().T, [("A", d)]), rho) < 1e-10
+        assert qcore.trace_distance_of_stack(amp @ amp.conj().T, rho) < 1e-10
 
 
 def test_entropy_unitary_invariance():
@@ -259,11 +280,9 @@ def test_stacked_kernels_match_one_matrix_results_bitwise():
     rng = np.random.default_rng(13)
     for d in (2, 3, 4, 6):
         rho, sig = _kernel_stacks(rng, d)
-        pairs = [(dm(r, [("A", d)]), dm(s, [("A", d)])) for r, s in zip(rho, sig)]
-        for stacked, lone in ((qcore.fidelity_of_stack, qcore.fidelity),
-                              (qcore.trace_distance_of_stack, qcore.trace_distance),
-                              (qcore.relative_entropy_of_stack, qcore.relative_entropy)):
-            want = np.array([lone(r, s) for r, s in pairs])
+        for stacked in (qcore.fidelity_of_stack, qcore.trace_distance_of_stack,
+                        qcore.relative_entropy_of_stack):
+            want = np.array([stacked(r, s) for r, s in zip(rho, sig)])
             assert stacked(rho, sig).tobytes() == want.tobytes()
             assert stacked(rho.reshape(2, -1, d, d), sig.reshape(2, -1, d, d)).reshape(-1) \
                 .tobytes() == want.tobytes()
@@ -309,7 +328,7 @@ def test_stacked_draws_and_purifications_match_lone_results_bitwise():
                 lone_vals, lone_vecs = qcore.sorted_eigh(rho[k])
                 assert vals[k].tobytes() == lone_vals.tobytes()
                 assert vecs[k].tobytes() == lone_vecs.tobytes()
-                assert amps[k].tobytes() == qcore.purify(dm(rho[k], [("A", d)])).tobytes()
+                assert amps[k].tobytes() == _purify(rho[k]).tobytes()
 
 
 def test_psd_sqrt_cutoff_is_per_matrix():
@@ -342,8 +361,7 @@ def test_density_problems_match_density_operator_messages():
 # --- inequality property suites (small count here; the selftest runs 1000) ---
 
 def _pair(rng, d):
-    return (dm(qcore.random_density(d, rng), [("A", d)]),
-            dm(qcore.random_density(d, rng), [("A", d)]))
+    return qcore.random_density(d, rng), qcore.random_density(d, rng)
 
 
 def test_fuchs_van_de_graaf_random():
@@ -351,8 +369,8 @@ def test_fuchs_van_de_graaf_random():
     for _ in range(200):
         d = int(rng.integers(2, 5))
         rho, sig = _pair(rng, d)
-        f = qcore.fidelity(rho, sig)
-        t = qcore.trace_distance(rho, sig)
+        f = qcore.fidelity_of_stack(rho, sig)
+        t = qcore.trace_distance_of_stack(rho, sig)
         assert 1 - f <= t + 1e-9
         assert t <= math.sqrt(max(1 - f * f, 0.0)) + 1e-9
 
@@ -362,8 +380,8 @@ def test_pinsker_random():
     for _ in range(200):
         d = int(rng.integers(2, 5))
         rho, sig = _pair(rng, d)
-        rel = qcore.relative_entropy(rho, sig)
-        assert 2 * qcore.trace_distance(rho, sig) <= math.sqrt(2 * math.log(2) * rel) + 1e-9
+        rel = qcore.relative_entropy_of_stack(rho, sig)
+        assert 2 * qcore.trace_distance_of_stack(rho, sig) <= math.sqrt(2 * math.log(2) * rel) + 1e-9
 
 
 def test_fannes_audenaert_random():
@@ -371,8 +389,8 @@ def test_fannes_audenaert_random():
     for _ in range(200):
         d = int(rng.integers(2, 5))
         rho, sig = _pair(rng, d)
-        eps = qcore.trace_distance(rho, sig)
-        gap = abs(qcore.von_neumann_entropy(rho) - qcore.von_neumann_entropy(sig))
+        eps = qcore.trace_distance_of_stack(rho, sig)
+        gap = abs(qcore.entropy_of_mat(rho) - qcore.entropy_of_mat(sig))
         assert gap <= eps * math.log2(d) + qcore.binary_entropy(min(eps, 1.0)) + 1e-9
 
 
@@ -380,19 +398,16 @@ def test_alicki_fannes_winter_random():
     rng = np.random.default_rng(104)
     for _ in range(200):
         da, db = 2, int(rng.integers(2, 4))
-        spec = [("A", da), ("B", db)]
-        rho = dm(qcore.random_density(da * db, rng), spec)
-        sig = dm(qcore.random_density(da * db, rng), spec)
-        eps = qcore.trace_distance(rho, sig)
-        gap = abs(qcore.conditional_entropy(rho, ["A"], ["B"])
-                  - qcore.conditional_entropy(sig, ["A"], ["B"]))
+        rho = qcore.random_density(da * db, rng)
+        sig = qcore.random_density(da * db, rng)
+        eps = qcore.trace_distance_of_stack(rho, sig)
+        gap = abs(qcore.conditional_entropy_of_stack(rho, (da, db), [0], [1])
+                  - qcore.conditional_entropy_of_stack(sig, (da, db), [0], [1]))
         assert gap <= 2 * eps * math.log2(da) + 2 * qcore.binary_entropy(min(eps, 1.0)) + 1e-9
 
 
 def test_relative_entropy_infinite_on_support_mismatch():
-    rho = dm(np.eye(2) / 2, [("A", 2)])
-    sig = dm(np.diag([1.0, 0.0]), [("A", 2)])
-    assert qcore.relative_entropy(rho, sig) == math.inf
+    assert qcore.relative_entropy_of_stack(np.eye(2) / 2, np.diag([1.0, 0.0])) == math.inf
 
 
 def test_density_operator_validation():
@@ -407,9 +422,11 @@ def test_density_operator_validation():
 def test_isometry_validation():
     from cqrate.qcore import Isometry
     with pytest.raises(ValueError):
-        Isometry(np.array([[1.0, 0.0], [0.0, 0.5]]), DimsSpec([("A", 2)]), DimsSpec([("B", 2)]))
+        Isometry(np.array([[1.0, 0.0], [0.0, 0.5]]), (2,), (2,))
     with pytest.raises(ValueError):
-        Isometry(np.ones((1, 2)), DimsSpec([("A", 2)]), DimsSpec([("B", 1)]))
+        Isometry(np.ones((1, 2)), (2,), (1,))
+    with pytest.raises(ValueError, match="non-positive dimension"):
+        Isometry(np.eye(2), (2,), (-2, -1))  # the right product from a negative pair
 
 
 def test_records_holding_arrays_compare_by_identity():
@@ -419,7 +436,7 @@ def test_records_holding_arrays_compare_by_identity():
     from cqrate.reference import source_a
 
     def iso():
-        return Isometry(np.eye(2), DimsSpec([("A", 2)]), DimsSpec([("B", 2)]))
+        return Isometry(np.eye(2), (2,), (2,))
 
     makers = (source_a,
               lambda: dm(np.eye(2) / 2, [("A", 2)]),

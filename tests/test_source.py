@@ -215,6 +215,12 @@ def test_mix_with_maximally_mixed_values(src_a, src_c, eps):
         assert np.max(np.abs(mixed.rho_b - want)) <= 1e-10
 
 
+@pytest.mark.parametrize("eps", [-0.5, 3.0])
+def test_mix_with_maximally_mixed_rejects_a_non_state(src_c, eps):
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        source.mix_with_maximally_mixed(src_c, eps)
+
+
 # --- transfer operator ------------------------------------------------------
 
 def test_transfer_identity_on_witness(src_b):

@@ -57,5 +57,5 @@ from .source import (  # noqa: F401
     entropic_profile,
     genericity_report,
     load_source,
-    transfer_operator,
+    transfer_operators,
 )

@@ -157,11 +157,9 @@ def cmd_region(args) -> int:
 def cmd_idelta(args) -> int:
     src = source.load_source(_load_json(args.source))
     try:
-        grid = sorted(float(tok) for tok in args.delta_grid.split(",") if tok.strip())
+        grid = [float(tok) for tok in args.delta_grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise SpecError(f"bad --delta-grid: {exc}") from exc
-    if not grid:
-        raise SpecError("empty --delta-grid")
     est = idelta.estimate_I0_tilde(src, _optimizer_options(args), grid)
     curve = est.curve
     doc = {

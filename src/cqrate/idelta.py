@@ -8,6 +8,7 @@ brute-force oracle for tiny dimensions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -533,48 +534,46 @@ def optimize_I0_minus(src: CqSource,
 # brute-force oracle at tiny dimensions
 # ---------------------------------------------------------------------------
 
-def _ry(t: float) -> np.ndarray:
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _ry(t: np.ndarray) -> np.ndarray:
+    """Ry(t) for each angle of t, a stack of shape t.shape + (2, 2)."""
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
 
 
-def _rz(t: float) -> np.ndarray:
-    return np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
+@functools.cache
+def _oracle_net() -> np.ndarray:
+    """The oracle's read-only net of isometries B -> C⊗W with |C| = |W| = 2,
+    built once per process.  It is a circuit family whose angles take
+    ORACLE_STEPS values each: an input rotation Rz(phi) Ry(theta), a
+    controlled-Ry(alpha) from the input qubit onto an ancilla |0>, and a role
+    swap.  The stack runs over (theta, phi, alpha, swap), the swapped form
+    first; it holds the identity-to-W and trivial-W channels exactly."""
+    thetas = np.linspace(0.0, math.pi, ORACLE_STEPS)
+    phis = np.linspace(0.0, 2 * math.pi, ORACLE_STEPS, endpoint=False)
+    alphas = np.linspace(0.0, math.pi, ORACLE_STEPS)
+    phase = np.stack([np.exp(-1j * phis / 2), np.exp(1j * phis / 2)], -1)
+    uin = phase[:, :, np.newaxis] * _ry(thetas)[:, np.newaxis]  # [th, ph, i, j]
+    # input qubit i = 0 leaves the ancilla at Ry(0)|0>, i = 1 takes it to Ry(alpha)|0>
+    anc = _ry(np.stack([np.zeros_like(alphas), alphas], -1))[..., 0]  # [al, i, a]
+    # base[th, ph, al, i, a, j]: the evaluator reads the output legs (i, a) as
+    # (C, W), so in the swapped form W is the input qubit
+    base = uin[:, :, np.newaxis, :, np.newaxis, :] * anc[:, :, :, np.newaxis]
+    net = np.stack([base.swapaxes(3, 4), base], 3).reshape(-1, 4, 2)
+    net.flags.writeable = False
+    return net
 
 
 def oracle_grid(src: CqSource, delta: float) -> float:
-    """Ground-truth lower bound: exhaustive net of isometries B -> C⊗W with
-    |C| = |W| = 2, for |B| <= 2.
-
-    The net is a circuit family (input rotation, controlled-Ry entangler,
-    role swap) whose angles are discretized into ORACLE_STEPS values each;
-    it contains the identity-to-W and trivial-W channels exactly.
-    """
+    """Brute-force lower bound for |B| <= 2: the best I(X:W) over the
+    feasible channels of `_oracle_net`.  The net holds only |C| = |W| = 2
+    channels, so it is a floor for the optimizer, not the true I_delta."""
     if src.dim_b > 2:
         raise ValueError("oracle_grid requires |B| <= 2")
     best = 0.0  # trivial channel is always feasible
     if src.dim_b == 1:
         return best
-
-    thetas = np.linspace(0.0, math.pi, ORACLE_STEPS)
-    phis = np.linspace(0.0, 2 * math.pi, ORACLE_STEPS, endpoint=False)
-    alphas = np.linspace(0.0, math.pi, ORACLE_STEPS)
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-    net = []
-    for th in thetas:
-        for ph in phis:
-            uin = _rz(ph) @ _ry(th)
-            for al in alphas:
-                cry = np.zeros((4, 4), dtype=complex)  # control: input qubit
-                cry[:2, :2] = np.eye(2)
-                cry[2:, 2:] = _ry(al)
-                emb = np.kron(uin, ket0.reshape(2, 1))  # B -> qubit⊗anc
-                base = cry @ emb  # output legs (qubit, anc)
-                for w_is_qubit in (True, False):
-                    # evaluator reads output legs as (C, W)
-                    net.append(swap @ base if w_is_qubit else base)
+    net = _oracle_net()
     info = _Evaluator([_Ensemble.from_source(src)], 2, 2).informations(
-        np.stack(net), np.zeros(len(net), dtype=int))
+        net, np.zeros(len(net), dtype=int))
     feasible = info["ixw"][_feasible(info, delta, unassisted=False)]
     return max(best, float(feasible.max())) if feasible.size else best

@@ -23,7 +23,6 @@ from .errors import InternalError
 TOL_HERM = 1e-8
 TOL_TRACE = 1e-8
 TOL_ISO = 1e-8
-TOL_NORM = 1e-8
 TOL_PSD = 1e-10
 TOL_RANK = 1e-10
 TOL_SSA = 1e-8
@@ -384,9 +383,9 @@ def trace_distance_of_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return 0.5 * trace_norm(rhos - sigmas)
 
 
-def operator_norm(mat: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False)[0])
+def operator_norm(mat: np.ndarray) -> np.ndarray:
+    """Largest singular value of a matrix, or of each matrix of a stack."""
+    return np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False)[..., 0]
 
 
 def binary_entropy(eps: float) -> float:

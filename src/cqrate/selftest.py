@@ -224,13 +224,12 @@ def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
         nx = int(rng.integers(2, 4))
         src = source.random_generic_source(rng, nx=nx, dim_b=2, eps=1e-2)
         rep = source.genericity_report(src)
-        x0 = rep.witness
-        for x in range(src.alphabet_size):
-            checks += 1
-            t = source.transfer_operator(src, x0, x)
-            lhs = np.kron(np.eye(src.dim_b), t) @ src.psi[x0].reshape(-1)
-            err = float(np.linalg.norm(lhs - src.psi[x].reshape(-1)))
-            nrm = qcore.operator_norm(t)
+        t = source.transfer_operators(src, rep.witness)
+        # (1_B ⊗ T_x)|psi_x0> is the amplitude matrix m_x0 T_x^T
+        errs = np.linalg.norm(src.psi[rep.witness] @ t.swapaxes(1, 2) - src.psi, axis=(1, 2))
+        nrms = qcore.operator_norm(t)
+        checks += src.alphabet_size
+        for x, (err, nrm) in enumerate(zip(errs.tolist(), nrms.tolist())):
             if err > 1e-8:
                 bad.append(f"source {i}, x={x}: reconstruction error {err}")
             elif nrm > 1.0 / math.sqrt(rep.lambda0) + 1e-8:

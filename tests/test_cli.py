@@ -84,6 +84,21 @@ def test_analyze_malformed_json(spec_paths):
     assert run_cli("analyze", "--source", spec_paths["bad"]).returncode == 2
 
 
+def test_analyze_rejects_a_state_off_by_a_trace_tolerance(tmp_path):
+    """An amplitude state is held to the bound of a density entry's trace:
+    amplitudes scaled by 1 + 0.9e-8 give tr psi_x - 1 = 1.8e-8 > TOL_TRACE."""
+    doc = json.loads(Path(SRC_B_SPEC).read_text())
+    for state in doc["states"]:
+        state["amplitudes"] = [[re * (1 + 0.9e-8), im * (1 + 0.9e-8)]
+                               for re, im in state["amplitudes"]]
+    spec = tmp_path / "scaled.json"
+    spec.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["analyze", "--source", str(spec)]) == 2
+    assert "not normalized" in err.getvalue()
+
+
 def test_analyze_deterministic_output(spec_paths):
     o1 = run_cli("analyze", "--source", spec_paths["b"])
     o2 = run_cli("analyze", "--source", spec_paths["b"])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,50 @@ def test_optimizer_beats_oracle(src_a, src_b, light_opts):
             res = idelta.optimize_idelta(src, delta, light_opts)
             ora = idelta.oracle_grid(src, delta)
             assert res.value >= ora - idelta.TOL_OPT
+
+
+def _loop_built_oracle_net() -> np.ndarray:
+    """The oracle net as a circuit, one isometry at a time: Rz(phi) Ry(theta)
+    on the input qubit, a controlled-Ry(alpha) onto an ancilla |0>, and the
+    (C, W) legs swapped or not."""
+    def ry(t):
+        c, s = math.cos(t / 2), math.sin(t / 2)
+        return np.array([[c, -s], [s, c]], dtype=complex)
+
+    steps = idelta.ORACLE_STEPS
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    net = []
+    for th in np.linspace(0.0, math.pi, steps):
+        for ph in np.linspace(0.0, 2 * math.pi, steps, endpoint=False):
+            uin = np.diag([np.exp(-1j * ph / 2), np.exp(1j * ph / 2)]) @ ry(th)
+            for al in np.linspace(0.0, math.pi, steps):
+                cry = np.zeros((4, 4), dtype=complex)
+                cry[:2, :2] = np.eye(2)
+                cry[2:, 2:] = ry(al)
+                base = cry @ np.kron(uin, np.array([[1.0], [0.0]]))
+                net += [swap @ base, base]
+    return np.stack(net)
+
+
+def test_oracle_net_is_the_circuit_family():
+    net = idelta._oracle_net()
+    assert net.shape == (2 * idelta.ORACLE_STEPS ** 3, 4, 2)
+    assert np.array_equal(net, _loop_built_oracle_net())
+    assert np.allclose(net.conj().swapaxes(1, 2) @ net, np.eye(2), atol=1e-12)
+
+
+def test_oracle_net_is_read_only():
+    net = idelta._oracle_net()
+    with pytest.raises(ValueError):
+        net[0, 0, 0] = 1.0
+
+
+def test_oracle_net_is_built_once(src_a, src_b):
+    idelta._oracle_net.cache_clear()
+    for src in (src_a, src_b):
+        for delta in (0.0, 0.1):
+            idelta.oracle_grid(src, delta)
+    assert idelta._oracle_net.cache_info().misses == 1
 
 
 # --- curve and estimates ----------------------------------------------------

@@ -224,12 +224,13 @@ def test_mix_with_maximally_mixed_rejects_a_non_state(src_c, eps):
 # --- transfer operator ------------------------------------------------------
 
 def test_transfer_identity_on_witness(src_b):
-    t = source.transfer_operator(src_b, 0, 0)
-    assert np.allclose(t, np.eye(2), atol=1e-12)
+    t = source.transfer_operators(src_b, 0)
+    assert t.shape == (2, 2, 2)
+    assert np.allclose(t[0], np.eye(2), atol=1e-12)
 
 
 def test_transfer_src_b(src_b):
-    t = source.transfer_operator(src_b, 0, 1)
+    t = source.transfer_operators(src_b, 0)[1]
     lhs = np.kron(np.eye(2), t) @ src_b.psi[0].reshape(-1)
     assert np.linalg.norm(lhs - src_b.psi[1].reshape(-1)) <= 1e-8
     assert qcore.operator_norm(t) <= math.sqrt(2.0) + 1e-8
@@ -237,7 +238,7 @@ def test_transfer_src_b(src_b):
 
 def test_transfer_requires_full_support(src_a):
     with pytest.raises(ValueError, match="full support"):
-        source.transfer_operator(src_a, 0, 1)
+        source.transfer_operators(src_a, 0)
 
 
 def test_transfer_random_generic_sources():
@@ -246,11 +247,35 @@ def test_transfer_random_generic_sources():
         src = source.random_generic_source(rng, nx=3, dim_b=2, eps=1e-2)
         rep = source.genericity_report(src)
         bound = 1.0 / math.sqrt(rep.lambda0) + 1e-8
-        for x in range(src.alphabet_size):
-            t = source.transfer_operator(src, rep.witness, x)
+        ts = source.transfer_operators(src, rep.witness)
+        for x, t in enumerate(ts):
             lhs = np.kron(np.eye(src.dim_b), t) @ src.psi[rep.witness].reshape(-1)
             assert np.linalg.norm(lhs - src.psi[x].reshape(-1)) <= 1e-8
             assert qcore.operator_norm(t) <= bound
+
+
+def test_transfer_operators_with_a_larger_reference():
+    """|R| > |B|: psi_x0 has a proper R-support, off which every T_x vanishes
+    and on which T_x0 is the identity."""
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        src = source.random_source(rng, nx=3, dim_b=2, dim_r=3)
+        rep = source.genericity_report(src)
+        x0 = rep.witness
+        m0 = src.psi[x0]
+        ts = source.transfer_operators(src, x0)
+        assert ts.shape == (3, 3, 3)
+        for x, t in enumerate(ts):
+            assert np.max(np.abs(t - (np.linalg.pinv(m0) @ src.psi[x]).T)) <= 1e-12
+            lhs = np.kron(np.eye(src.dim_b), t) @ m0.reshape(-1)
+            assert np.linalg.norm(lhs - src.psi[x].reshape(-1)) <= 1e-8
+        assert np.all(qcore.operator_norm(ts) <= 1.0 / math.sqrt(rep.lambda0) + 1e-8)
+        # the R-support of psi_x0 is the range of m0^T; its complement is the null space of conj(m0)
+        _, _, vh = np.linalg.svd(m0.conj())
+        kernel = vh[src.dim_b:].conj().T
+        assert np.max(np.abs(ts @ kernel)) <= 1e-12
+        support = np.linalg.svd(m0.T, full_matrices=False)[0]
+        assert np.max(np.abs(ts[x0] - support @ support.conj().T)) <= 1e-12
 
 
 # --- delta' -----------------------------------------------------------------

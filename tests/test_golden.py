@@ -11,7 +11,9 @@ cover the entropic profile (`analyze`), the code evaluation at block lengths
 1 and 2 (`verify-code`, the n = 2 code specs are written to a temporary
 directory), the region geometry from given estimates (`region --i0
 --i0-tilde`, JSON and CSV), and the seven optimizer-free selftest suites at
-their default counts for seeds 0-9.  A forced-violation document runs four
+their default counts for seeds 0-9.  The stdout of `selftest --seed 0` pins
+every suite at its default budget, the oracle and sandwich suites included,
+which run the optimizer.  A forced-violation document runs four
 suites with `selftest.SLACK` below 0, so their `details` hold the instance
 indices and the F, T, S(rho||sigma), gap and eps values bit for bit.  Rewrite the files
 only on purpose, with
@@ -139,6 +141,7 @@ DOCUMENTS = {
         "region", "--source", _spec(s), *FIXED, "--format", fmt))
        for s in ("src_b", "src_c") for fmt in ("json", "csv")},
     **{f"selftest_seed{seed}.json": (lambda tmp, seed=seed: _selftest(seed)) for seed in range(10)},
+    "selftest_stdout_seed0.txt": lambda tmp: _cli("selftest", "--seed", "0"),
     "selftest_forced_violation.json": lambda tmp: _forced_violations(),
 }
 

@@ -20,7 +20,6 @@ from .idelta import (  # noqa: F401
     IdeltaResult,
     OptimizerOptions,
     apply_channel,
-    estimate_I0_tilde,
     idelta_curve,
     optimize_I0_minus,
     optimize_idelta,

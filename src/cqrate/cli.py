@@ -8,6 +8,7 @@ fixed (config, seed): no timestamps, sorted keys, plain floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,14 +72,10 @@ def _load_json(path: str) -> dict:
 
 
 def _optimizer_options(args) -> OptimizerOptions:
-    kw = {"seed": args.seed}
+    kw = {"seed": args.seed, "w_dim": args.wdim, "c_dim": args.cdim}
     if args.restarts is not None:
         kw["restarts"] = args.restarts
-    if getattr(args, "wdim", None) is not None:
-        kw["w_dim"] = args.wdim
-    if getattr(args, "cdim", None) is not None:
-        kw["c_dim"] = args.cdim
-    if getattr(args, "iters", None) is not None:
+    if args.iters is not None:
         kw["iters_per_stage"] = args.iters
     return OptimizerOptions(**kw)
 
@@ -107,6 +104,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_region(args) -> int:
+    if (args.i0 is None) != (args.i0_tilde is None):
+        raise SpecError("--i0 and --i0-tilde must be given together")
     for flag, value in (("--i0", args.i0), ("--i0-tilde", args.i0_tilde)):
         if value is not None and not math.isfinite(value):
             raise SpecError(f"{flag} must be finite, got {value}")
@@ -115,13 +114,13 @@ def cmd_region(args) -> int:
     gen = source.genericity_report(src)
     opts = _optimizer_options(args)
     qsr = None
-    if args.i0 is not None and args.i0_tilde is not None:
+    if args.i0 is not None:
         i0, i0t = args.i0, args.i0_tilde
     else:
-        est = idelta.estimate_I0_tilde(src, opts)
-        i0, i0t = est.i0, est.i0_tilde
-        if est.i0_result.converged:
-            qsr = region.qsr_point(prof, src, est.i0_result).as_dict()
+        curve = idelta.idelta_curve(src, opts=opts)
+        i0, i0t = curve.i0, curve.i0_tilde
+        if curve.i0_result.converged:
+            qsr = region.qsr_point(prof, src, curve.i0_result).as_dict()
     i0 = min(max(i0, 0.0), prof.i_x_b)
     i0t = min(max(i0t, i0), prof.i_x_b)
     regions = {
@@ -160,8 +159,7 @@ def cmd_idelta(args) -> int:
         grid = [float(tok) for tok in args.delta_grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise SpecError(f"bad --delta-grid: {exc}") from exc
-    est = idelta.estimate_I0_tilde(src, _optimizer_options(args), grid)
-    curve = est.curve
+    curve = idelta.idelta_curve(src, grid, _optimizer_options(args))
     doc = {
         "provenance": _provenance(args, "idelta"),
         "source": {"name": src.name},
@@ -169,7 +167,8 @@ def cmd_idelta(args) -> int:
                   "raw_values": list(curve.raw_values),
                   "monotonized": curve.monotonized,
                   "warnings": list(curve.warnings)},
-        "estimates": {"I0": est.i0, "I0_tilde": est.i0_tilde, "gap": est.gap},
+        "estimates": {"I0": curve.i0, "I0_tilde": curve.i0_tilde,
+                      "gap": curve.i0_tilde - curve.i0},
     }
     if args.emit_channels:
         channels = []
@@ -238,6 +237,7 @@ def cmd_selftest(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqrate",
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["assisted", "unassisted"], default="assisted")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--i0", type=float, default=None,
-                   help="precomputed I0 (skips optimization when both are given)")
+                   help="precomputed I0; with --i0-tilde, skips optimization")
     p.add_argument("--i0-tilde", dest="i0_tilde", type=float, default=None)
     p.set_defaults(fn=cmd_region)
 
@@ -298,7 +298,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, SpecError, ValueError) as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError, but never the input's fault
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DimensionCapError as exc:

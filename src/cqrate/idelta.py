@@ -63,12 +63,15 @@ class IdeltaResult:
 
 @dataclass(frozen=True)
 class IdeltaCurve:
-    deltas: tuple[float, ...]
+    deltas: tuple[float, ...]       # sorted ascending
     values: tuple[float, ...]       # monotonized lower bounds
     raw_values: tuple[float, ...]
+    warnings: tuple[str, ...]
+    results: tuple[IdeltaResult, ...]  # per delta, with the channel found
+    i0: float                       # I_0 estimate, the value at delta = 0
+    i0_tilde: float                 # I~_0 estimate, floored at i0
+    i0_result: IdeltaResult         # the delta = 0 result, with its channel
     monotonized: bool = True
-    warnings: tuple[str, ...] = ()
-    results: tuple[IdeltaResult, ...] = ()  # per delta, with the channel found
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +443,28 @@ def optimize_idelta(src: CqSource, delta: float,
     return _optimize_ensemble([(_Ensemble.from_source(src), delta)], opts)[0]
 
 
-def _check_grid(deltas) -> list[float]:
-    deltas = [float(d) for d in deltas]
+def idelta_curve(src: CqSource, deltas=(1e-4,),
+                 opts: OptimizerOptions = OptimizerOptions()) -> IdeltaCurve:
+    """Per-delta lower bounds on the sorted grid from one climb, monotonized
+    by running maximum, with the I_0 and I~_0 estimates.
+
+    I_0 is the result at delta = 0: the grid's own when the grid holds 0,
+    otherwise that of an extra delta climbed in the same stack.  I~_0 is the
+    curve's value at the smallest positive delta, a last-value extrapolation
+    toward delta -> 0.  That value is the running maximum up to that delta,
+    so the default grid climbs it alone: larger deltas could only raise the
+    maximum at later deltas, which the estimates do not read.  Both are lower
+    bounds; since I~_0 >= I_0 holds exactly, the I~_0 estimate is floored at
+    the I_0 estimate.
+    """
+    deltas = sorted(float(d) for d in deltas)
     if not deltas:
         raise ValueError("delta grid must be non-empty")
-    if sorted(deltas) != deltas:
-        raise ValueError("delta grid must be sorted ascending")
-    return deltas
-
-
-def _curve(deltas: list[float], results: list[IdeltaResult]) -> IdeltaCurve:
-    """The curve of per-delta results, monotonized by running maximum."""
+    stack = deltas if 0.0 in deltas else deltas + [0.0]  # delta = 0 rides in the stack
+    ens = _Ensemble.from_source(src)  # one object: deltas of one ensemble share candidates
+    results = _optimize_ensemble([(ens, d) for d in stack], opts)
+    res0 = results[stack.index(0.0)]
+    results = results[:len(deltas)]
     raw = [res.value for res in results]
     mono = list(np.maximum.accumulate(raw))
     warnings = [f"monotonicity violation at delta={d:g}: raw value {r:.6g} is {m - r:.3g} "
@@ -466,52 +480,10 @@ def _curve(deltas: list[float], results: list[IdeltaResult]) -> IdeltaCurve:
                 warnings.append(
                     f"concavity violation at delta={d1:g}: value {mono[i]:.4f} "
                     f"below chord {chord:.4f} (optimizer failure, not a curve feature)")
-    return IdeltaCurve(tuple(deltas), tuple(mono), tuple(raw), True, tuple(warnings),
-                       tuple(results))
-
-
-def idelta_curve(src: CqSource, deltas,
-                 opts: OptimizerOptions = OptimizerOptions()) -> IdeltaCurve:
-    """Per-delta lower bounds from one climb over the whole grid, monotonized
-    by running maximum."""
-    deltas = _check_grid(deltas)
-    ens = _Ensemble.from_source(src)
-    return _curve(deltas, _optimize_ensemble([(ens, delta) for delta in deltas], opts))
-
-
-@dataclass(frozen=True)
-class I0Estimates:
-    i0: float
-    i0_tilde: float
-    gap: float
-    i0_result: IdeltaResult
-    curve: IdeltaCurve
-
-
-def estimate_I0_tilde(src: CqSource,
-                      opts: OptimizerOptions = OptimizerOptions(),
-                      grid: tuple[float, ...] = (1e-4,)) -> I0Estimates:
-    """I_0 estimate (optimization at delta = 0, the curve's own result when
-    the grid holds 0, otherwise an extra delta climbed in the curve's stack)
-    and the limit estimate I~_0 (the curve's value at the smallest positive
-    delta of the grid, a last-value extrapolation toward delta -> 0).  That
-    value is the running maximum up to the smallest positive delta, so the
-    default grid climbs that delta alone: larger ones could only raise the
-    maximum at later deltas, which the estimates do not read.
-
-    Both are lower bounds; since I~_0 >= I_0 holds exactly, the reported
-    I~_0 estimate is floored at the I_0 estimate.
-    """
-    deltas = _check_grid(sorted(grid))
-    stack = deltas if 0.0 in deltas else deltas + [0.0]  # delta = 0 rides in the stack
-    ens = _Ensemble.from_source(src)
-    results = _optimize_ensemble([(ens, delta) for delta in stack], opts)
-    curve = _curve(deltas, results[:len(deltas)])
-    res0 = results[stack.index(0.0)]
-    i0 = res0.value
-    positive = [v for d, v in zip(curve.deltas, curve.values) if d > 0]
-    i0t = max(positive[0] if positive else i0, i0)
-    return I0Estimates(i0, i0t, i0t - i0, res0, curve)
+    positive = [v for d, v in zip(deltas, mono) if d > 0]
+    i0t = max(positive[0] if positive else res0.value, res0.value)
+    return IdeltaCurve(tuple(deltas), tuple(mono), tuple(raw), tuple(warnings),
+                       tuple(results), res0.value, i0t, res0)
 
 
 def collapse_bound(src: CqSource, delta: float) -> float:

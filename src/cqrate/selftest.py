@@ -271,9 +271,9 @@ def suite_sandwich(seed: int, count: int | None = None) -> SuiteResult:
     checks = 0
     for src in (source_a(), source_b(), source_c()):
         prof = source.entropic_profile(src)
-        est = idelta.estimate_I0_tilde(src, opts)
-        i0 = min(est.i0, prof.i_x_b)
-        i0t = min(max(est.i0_tilde, i0), prof.i_x_b)
+        curve = idelta.idelta_curve(src, opts=opts)
+        i0 = min(curve.i0, prof.i_x_b)
+        i0t = min(max(curve.i0_tilde, i0), prof.i_x_b)
         inner = region.inner_bound_region(prof, i0)
         outer = region.outer_bound_region(prof, i0t)
         rx_hi = max(v.rx for v in inner.vertices + outer.vertices) + 1.0
@@ -287,8 +287,8 @@ def suite_sandwich(seed: int, count: int | None = None) -> SuiteResult:
                     bad.append(f"{src.name}: inner point ({rx:.3f},{rb:.3f}) outside outer")
         if src.name == "SRC-B":
             checks += 2
-            if est.i0 > 0.05:
-                bad.append(f"SRC-B: I0 estimate {est.i0} > 0.05 (no generic collapse)")
+            if curve.i0 > 0.05:
+                bad.append(f"SRC-B: I0 estimate {curve.i0} > 0.05 (no generic collapse)")
             gap = region.boundary_hausdorff(inner, outer)
             if gap > 0.1:
                 bad.append(f"SRC-B: inner/outer Hausdorff gap {gap} > 0.1")

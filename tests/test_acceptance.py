@@ -75,7 +75,7 @@ def test_criterion_2_generic_collapse():
             sources.append(source.random_generic_source(rng, nx=2, dim_b=2, eps=1e-3))
         for src in sources:
             prof = source.entropic_profile(src)
-            est = idelta.estimate_I0_tilde(src, opts)
+            est = idelta.idelta_curve(src, opts=opts)
             assert est.i0 <= 0.05, f"{src.name}: I0 estimate {est.i0}"
             i0 = min(est.i0, prof.i_x_b)
             i0t = min(max(est.i0_tilde, i0), prof.i_x_b)
@@ -101,7 +101,7 @@ def test_criterion_4_i0_structure_src_c():
         src = source_c()
         prof = source.entropic_profile(src)
         opts = OptimizerOptions(seed=0, restarts=6, iters_per_stage=40)
-        est = idelta.estimate_I0_tilde(src, opts)
+        est = idelta.idelta_curve(src, opts=opts)
         assert est.i0 >= 0.95
         assert est.i0_result.constraint <= 1e-4
         q = region.qsr_point(prof, src, est.i0_result)

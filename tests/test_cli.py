@@ -508,3 +508,40 @@ def test_ssa_violation_is_an_internal_error_exit_1(monkeypatch):
     assert rc == 1
     assert err.getvalue().startswith("internal error:")
     assert "strong subadditivity" in err.getvalue()
+
+
+def test_linalg_failure_is_an_internal_error_exit_1(monkeypatch):
+    """LinAlgError is a ValueError, but a failed eigensolve is the program's
+    fault, not the input's: exit 1."""
+    def failing(mats):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(qcore, "entropy_of_stack", failing)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["region", "--source", SRC_B_SPEC, "--restarts", "1", "--iters", "1"])
+    assert rc == 1
+    assert err.getvalue() == "internal error: Eigenvalues did not converge\n"
+
+
+@pytest.mark.parametrize("flag", ["--source", "--code", "--out"])
+def test_a_directory_path_is_an_input_error_exit_2(flag, tmp_path):
+    paths = {"--source": SRC_B_SPEC, "--code": str(SPECS / "code_identity.json"),
+             "--out": str(tmp_path / "out.json"), flag: str(tmp_path)}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["verify-code", *(a for kv in paths.items() for a in kv)])
+    assert rc == 2
+    assert err.getvalue().startswith("error:") and "Is a directory" in err.getvalue()
+
+
+@pytest.mark.parametrize("flag", ["--i0", "--i0-tilde"])
+def test_region_lone_estimate_flag_exit_2(monkeypatch, flag):
+    calls = []
+    monkeypatch.setattr(idelta, "_optimize_ensemble", lambda *a, **k: calls.append(a))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["region", "--source", SRC_B_SPEC, flag, "0.2"])
+    assert rc == 2
+    assert err.getvalue() == "error: --i0 and --i0-tilde must be given together\n"
+    assert out.getvalue() == "" and calls == []

@@ -191,13 +191,12 @@ def test_estimates_give_the_lone_results_at_zero_and_on_the_grid(name):
     src = _load(name)
     opts = OptimizerOptions(seed=4, restarts=3, iters_per_stage=6)
     grid = (1e-4, 1e-3, 1e-2, 1e-1)
-    est = idelta.estimate_I0_tilde(src, opts, grid)
-    _assert_same_result(est.i0_result, idelta.optimize_idelta(src, 0.0, opts))
     curve = idelta.idelta_curve(src, grid, opts)
-    assert (est.curve.deltas, est.curve.values, est.curve.raw_values, est.curve.warnings) == \
-        (curve.deltas, curve.values, curve.raw_values, curve.warnings)
-    for batched, alone in zip(est.curve.results, curve.results):
-        _assert_same_result(batched, alone)
+    _assert_same_result(curve.i0_result, idelta.optimize_idelta(src, 0.0, opts))
+    # delta = 0 riding in the stack leaves the grid's results as they are alone
+    alone = idelta._optimize_ensemble([(idelta._Ensemble.from_source(src), d) for d in grid], opts)
+    for batched, res in zip(curve.results, alone):
+        _assert_same_result(batched, res)
 
 
 def _markov_problems(monkeypatch, src, y_dim: int, opts: OptimizerOptions) -> list:
@@ -242,7 +241,7 @@ def test_estimates_draw_each_direction_once_for_the_whole_grid(monkeypatch, src_
         return draw(rng, d)
 
     monkeypatch.setattr(idelta, "_random_direction", counted)
-    idelta.estimate_I0_tilde(src_c, opts)  # the default grid's delta and delta = 0
+    idelta.idelta_curve(src_c, opts=opts)  # the default grid's delta and delta = 0
     db = src_c.dim_b
     restarts = [max(opts.restarts, len(idelta._start_points(db, c, w)))
                 for c, w in idelta._dims_menu(db) if c > 1 and w > 1]
@@ -275,7 +274,7 @@ def test_non_finite_deltas_are_rejected(src_b, bad):
     with pytest.raises(ValueError, match="finite"):
         idelta.idelta_curve(src_b, [0.0, bad], opts)
     with pytest.raises(ValueError, match="finite"):
-        idelta.estimate_I0_tilde(src_b, opts, grid=(0.1, bad))
+        idelta.idelta_curve(src_b, (0.1, bad), opts)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -587,18 +586,32 @@ def test_curve_monotone(src_b, light_opts):
 
 
 def test_curve_grid_validation(src_a, light_opts):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         idelta.idelta_curve(src_a, [], light_opts)
-    with pytest.raises(ValueError):
-        idelta.idelta_curve(src_a, [0.2, 0.1], light_opts)
+    assert idelta.idelta_curve(src_a, [0.2, 0.1], light_opts).deltas == (0.1, 0.2)
+
+
+@pytest.mark.parametrize("name", ["src_b", "src_c", "mixed_example"])
+def test_an_unsorted_grid_gives_the_sorted_curve(name):
+    src = _load(name)
+    opts = OptimizerOptions(seed=3, restarts=3, iters_per_stage=6)
+    unsorted = idelta.idelta_curve(src, [0.2, 0.1], opts)
+    curve = idelta.idelta_curve(src, [0.1, 0.2], opts)
+    assert (unsorted.deltas, unsorted.values, unsorted.raw_values, unsorted.warnings) == \
+        (curve.deltas, curve.values, curve.raw_values, curve.warnings)
+    assert (unsorted.i0, unsorted.i0_tilde) == (curve.i0, curve.i0_tilde)
+    for a, b in zip(unsorted.results + (unsorted.i0_result,), curve.results + (curve.i0_result,)):
+        _assert_same_result(a, b)
 
 
 def _fake_optimizer(monkeypatch, values: dict[float, float]) -> list[list[float]]:
     """Replace the batched optimizer by a lookup in `values`; returns the
-    delta lists it is called with."""
+    delta lists it is called with.  Every call must pass one ensemble
+    object, so that deltas on the same path share their candidates."""
     calls = []
 
     def fake(problems, opts, unassisted=False):
+        assert len({id(ens) for ens, _ in problems}) == 1
         calls.append([d for _, d in problems])
         return [idelta.IdeltaResult(d, values[d], 0.0, None, 1, True) for _, d in problems]
     monkeypatch.setattr(idelta, "_optimize_ensemble", fake)
@@ -616,32 +629,33 @@ def test_curve_warns_when_a_raw_value_drops(monkeypatch, src_b):
 
 def test_estimates_take_I0_from_a_grid_that_holds_zero(monkeypatch, src_b):
     calls = _fake_optimizer(monkeypatch, {0.0: 0.1, 0.05: 0.3, 0.1: 0.2})
-    est = idelta.estimate_I0_tilde(src_b, grid=(0.1, 0.0, 0.05))
+    curve = idelta.idelta_curve(src_b, (0.1, 0.0, 0.05))
     assert calls == [[0.0, 0.05, 0.1]]
-    assert (est.i0, est.i0_tilde, est.i0_result.delta) == (0.1, 0.3, 0.0)
+    assert (curve.i0, curve.i0_tilde, curve.i0_result.delta) == (0.1, 0.3, 0.0)
     calls.clear()
-    est = idelta.estimate_I0_tilde(src_b, grid=(0.1, 0.05))
+    curve = idelta.idelta_curve(src_b, (0.1, 0.05))
     assert calls == [[0.05, 0.1, 0.0]]
-    assert (est.i0, est.i0_tilde, est.i0_result.delta) == (0.1, 0.3, 0.0)
-    est = idelta.estimate_I0_tilde(src_b, grid=(0.0,))
-    assert (est.i0, est.i0_tilde) == (0.1, 0.1)
+    assert (curve.i0, curve.i0_tilde, curve.i0_result.delta) == (0.1, 0.3, 0.0)
+    assert curve.deltas == (0.05, 0.1) and len(curve.results) == 2
+    curve = idelta.idelta_curve(src_b, (0.0,))
+    assert (curve.i0, curve.i0_tilde) == (0.1, 0.1)
 
 
 def test_estimates_src_a(src_a, light_opts):
-    est = idelta.estimate_I0_tilde(src_a, light_opts)
+    est = idelta.idelta_curve(src_a, opts=light_opts)
     assert est.i0 == pytest.approx(1.0, abs=idelta.TOL_OPT)
     assert est.i0_tilde == pytest.approx(1.0, abs=idelta.TOL_OPT)
 
 
 def test_estimates_src_b(src_b, light_opts):
-    est = idelta.estimate_I0_tilde(src_b, light_opts)
+    est = idelta.idelta_curve(src_b, opts=light_opts)
     assert est.i0 <= 0.05
     assert est.i0_tilde <= 0.05
     assert est.i0_tilde >= est.i0
 
 
 def test_estimates_src_c(src_c, light_opts):
-    est = idelta.estimate_I0_tilde(src_c, light_opts)
+    est = idelta.idelta_curve(src_c, opts=light_opts)
     assert est.i0 >= 0.95
     assert est.i0_tilde >= 0.95
 

@@ -275,7 +275,7 @@ def test_halfplane_validation():
 def test_sandwich_inner_inside_outer(src_b, src_c, light_opts):
     for src in (src_b, src_c):
         prof = source.entropic_profile(src)
-        est = idelta.estimate_I0_tilde(src, light_opts)
+        est = idelta.idelta_curve(src, opts=light_opts)
         i0 = min(est.i0, prof.i_x_b)
         i0t = min(max(est.i0_tilde, i0), prof.i_x_b)
         inner = region.inner_bound_region(prof, i0)
@@ -289,7 +289,7 @@ def test_sandwich_inner_inside_outer(src_b, src_c, light_opts):
 
 def test_generic_collapse_hausdorff(src_b, light_opts):
     prof = source.entropic_profile(src_b)
-    est = idelta.estimate_I0_tilde(src_b, light_opts)
+    est = idelta.idelta_curve(src_b, opts=light_opts)
     inner = region.inner_bound_region(prof, min(est.i0, prof.i_x_b))
     outer = region.outer_bound_region(prof, min(max(est.i0_tilde, est.i0), prof.i_x_b))
     assert region.boundary_hausdorff(inner, outer) <= 0.1

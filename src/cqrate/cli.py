@@ -1,7 +1,8 @@
 """Command-line surface: analyze, region, idelta, verify-code, selftest.
 
 Exit codes: 0 success, 1 internal error (or failed verification), 2 input
-error, 3 resource cap exceeded.  Output documents are deterministic for a
+error (a `SpecError`, or an OSError on a named file), 3 resource cap
+exceeded.  Output documents are deterministic for a
 fixed (config, seed): no timestamps, sorted keys, plain floats.
 """
 
@@ -67,7 +68,7 @@ def _load_json(path: str) -> dict:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SpecError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -298,16 +299,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except np.linalg.LinAlgError as exc:  # a ValueError, but never the input's fault
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, SpecError, ValueError) as exc:
+    except (OSError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # errors.InternalError, or a failure nobody foresaw
+    except Exception as exc:  # InternalError, or any other failure of the program
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

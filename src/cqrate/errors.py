@@ -2,7 +2,9 @@
 
 
 class SpecError(ValueError):
-    """Malformed or inconsistent input document (source or code spec)."""
+    """Malformed or inconsistent input: a source or code spec, or a
+    command-line value.  The CLI exits 2 on it (and on an OSError reading or
+    writing a file); any other failure is the program's and exits 1."""
 
 
 class DimensionCapError(RuntimeError):

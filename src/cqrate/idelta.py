@@ -11,11 +11,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import qcore
+from .errors import SpecError
 from .qcore import DensityOperator, Isometry
 from .source import CqSource, delta_prime
 
@@ -42,7 +44,7 @@ class OptimizerOptions:
         for name, low in (("restarts", 0), ("iters_per_stage", 0), ("c_dim", 1), ("w_dim", 1)):
             value = getattr(self, name)
             if value is not None and value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+                raise SpecError(f"{name} must be >= {low}, got {value}")
 
 
 def make_channel_param(v: np.ndarray, dim_b: int, c_dim: int, w_dim: int) -> Isometry:
@@ -140,48 +142,66 @@ class _Evaluator:
         when requested, icw = I(C:W) and icx = I(C:X), each as an array of
         length n.  Each run of rows on one ensemble is multiplied by each of
         that ensemble's blocks in one (rows·|C||W|, |B|) product, so the
-        stack itself is neither gathered nor copied.  A row's result is then
-        bit-identical to the same row evaluated alone only if the BLAS gemm
-        gives each row of a product the same bits whatever the product's
-        row count; the stacked-grid, stacked-markov and row-by-row tests of
-        tests/test_idelta.py fail if a BLAS kernel breaks that."""
+        stack itself is neither gathered nor copied.  The products of all
+        blocks fill one array, each reduced density is one einsum over all
+        blocks, and the entropies of each matrix size come from one
+        eigensolve; the sums over blocks run in x order.  A row's result is
+        then bit-identical to the same row evaluated alone only if the BLAS
+        gemm gives each row of a product the same bits whatever the
+        product's row count; the stacked-grid, stacked-markov and row-by-row
+        tests of tests/test_idelta.py fail if a BLAS kernel breaks that."""
         c, w, r, e = self.c, self.w, self.dim_r, self.dim_e
         n, d = v.shape[0], c * w
-        runs, lo = [], 0  # (first row, end row, ensemble) of each run of rows
-        for j, rows in itertools.groupby(g.tolist()):
-            hi = lo + len(list(rows))
-            runs.append((lo, hi, j))
-            lo = hi
         probs, s_r = self.probs.take(g, axis=0).T, self.s_r.take(g, axis=0).T  # per block and row
-        rho_w, rho_c, rho_ce, rho_cw = [], [], [], []  # per block, each a stack
-        for k in range(len(probs)):
-            o = np.empty((n * d, r * e), dtype=complex)
-            for lo, hi, j in runs:
-                np.matmul(v[lo:hi].reshape(-1, self.dim_b), self.mats[j][k],
-                          out=o[lo * d:hi * d])
-            o = o.reshape(n, c, w, -1)  # k = (r, e)
-            rho_w.append(np.einsum("ncwk,ncvk->nwv", o, o.conj()))
-            # the block is pure on C⊗W⊗R⊗E, so S(WR) = S(CE)
-            o_e = o.reshape(n, c, w, r, e)
-            rho_ce.append(np.einsum("ncwre,ndwrf->ncedf", o_e, o_e.conj())
-                          .reshape(n, c * e, c * e))
-            if self.want_c:
-                rho_c.append(np.einsum("ncwk,ndwk->ncd", o, o.conj()))
-                rho_cw.append(np.einsum("ncwk,ndvk->ncwdv", o, o.conj())
-                              .reshape(n, c * w, c * w))
-
-        out = {}
-        out["ixw"], s_w = qcore.holevo_of_stack(probs, rho_w)
-        s_wr = qcore.entropy_of_stack(np.stack(rho_ce))
-        irwx = 0.0
-        for p, s_w_x, s_r_x, s_wr_x in zip(probs, s_w, s_r, s_wr):
-            irwx += p * np.maximum(s_w_x + s_r_x - s_wr_x, 0.0)
-        out["irwx"] = irwx
+        o = np.empty((len(probs), n * d, r * e), dtype=complex)  # every block's V·m
+        lo = 0
+        for j, rows in itertools.groupby(g.tolist()):  # each run of rows on one ensemble
+            hi = lo + len(list(rows))
+            for k, m in enumerate(self.mats[j]):
+                np.matmul(v[lo:hi].reshape(-1, self.dim_b), m, out=o[k, lo * d:hi * d])
+            lo = hi
+        o, oc = o.reshape(len(probs), n, c, w, -1), o.conj().reshape(len(probs), n, c, w, -1)
+        rho_w = np.einsum("xncwk,xncvk->xnwv", o, oc)
+        # each block is pure on C⊗W⊗R⊗E, so S(WR) = S(CE)
+        o_e, oc_e = (a.reshape(len(probs), n, c, w, r, e) for a in (o, oc))
+        rho_ce = np.einsum("xncwre,xndwrf->xncedf", o_e, oc_e).reshape(len(probs), n, c * e, c * e)
+        stacks = [rho_w, qcore.weighted_average(probs, rho_w)[np.newaxis], rho_ce]
         if self.want_c:
-            out["icx"], s_c = qcore.holevo_of_stack(probs, rho_c)
-            s_cw = qcore.entropy_of_stack(qcore.weighted_average(probs, rho_cw))
-            out["icw"] = np.maximum(s_c[-1] + s_w[-1] - s_cw, 0.0)
+            rho_c = np.einsum("xncwk,xndwk->xncd", o, oc)
+            rho_cw = np.einsum("xncwk,xndvk->xncwdv", o, oc).reshape(len(probs), n, d, d)
+            stacks += [rho_c, qcore.weighted_average(probs, rho_c)[np.newaxis],
+                       qcore.weighted_average(probs, rho_cw)]
+        s_w, s_w_avg, s_wr, *s_c = _entropies(stacks)
+
+        def in_x_order(terms):  # sum over blocks, x by x
+            total = 0.0
+            for t in terms:
+                total += t
+            return total
+
+        out = {"ixw": np.maximum(s_w_avg[0] - in_x_order(probs * s_w), 0.0),
+               "irwx": in_x_order(probs * np.maximum(s_w + s_r - s_wr, 0.0))}
+        if self.want_c:
+            s_c, s_c_avg, s_cw = s_c
+            out["icx"] = np.maximum(s_c_avg[0] - in_x_order(probs * s_c), 0.0)
+            out["icw"] = np.maximum(s_c_avg[0] + s_w_avg[0] - s_cw, 0.0)
         return out
+
+
+def _entropies(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """`qcore.entropy_of_stack` of each stack (..., d, d), from one call per
+    distinct d.  The eigensolve and the sums act matrix by matrix, so each
+    entropy equals that of a separate call, bit for bit."""
+    out = [None] * len(stacks)
+    for d in dict.fromkeys(s.shape[-1] for s in stacks):
+        idx = [i for i, s in enumerate(stacks) if s.shape[-1] == d]
+        flat = qcore.entropy_of_stack(np.concatenate([stacks[i].reshape(-1, d, d) for i in idx]))
+        lo = 0
+        for i in idx:
+            shape = stacks[i].shape[:-2]
+            out[i] = flat[lo:lo + math.prod(shape)].reshape(shape)
+            lo += math.prod(shape)
+    return out
 
 
 def apply_channel(src: CqSource, param: Isometry) -> tuple[DensityOperator, float, float]:
@@ -377,9 +397,9 @@ def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerO
     stack: list[tuple[int, float]] = []  # (index into ensembles, delta)
     for ens, delta in problems:
         if not math.isfinite(delta):
-            raise ValueError(f"delta must be finite, got {delta}")
+            raise SpecError(f"delta must be finite, got {delta}")
         if delta < 0:
-            raise ValueError("delta must be >= 0")
+            raise SpecError("delta must be >= 0")
         j = next((u for u, known in enumerate(ensembles) if known is ens), len(ensembles))
         if j == len(ensembles):
             ensembles.append(ens)
@@ -393,10 +413,10 @@ def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerO
     cap = dim_b ** DIM_CAP_FACTOR
     for c_dim, w_dim in menu:
         if c_dim > cap or w_dim > cap:
-            raise ValueError(
+            raise SpecError(
                 f"channel dims ({c_dim}, {w_dim}) exceed the default cap |B|^2 = {cap}")
         if c_dim * w_dim < dim_b:
-            raise ValueError(
+            raise SpecError(
                 f"no isometry B -> C⊗W with |C||W| = {c_dim * w_dim} < |B| = {dim_b}")
 
     results = [[] for _ in stack]  # per problem: (menu index, restart index, c, w, outcome)
@@ -459,7 +479,7 @@ def idelta_curve(src: CqSource, deltas=(1e-4,),
     """
     deltas = sorted(float(d) for d in deltas)
     if not deltas:
-        raise ValueError("delta grid must be non-empty")
+        raise SpecError("delta grid must be non-empty")
     stack = deltas if 0.0 in deltas else deltas + [0.0]  # delta = 0 rides in the stack
     ens = _Ensemble.from_source(src)  # one object: deltas of one ensemble share candidates
     results = _optimize_ensemble([(ens, d) for d in stack], opts)
@@ -544,8 +564,20 @@ def oracle_grid(src: CqSource, delta: float) -> float:
     best = 0.0  # trivial channel is always feasible
     if src.dim_b == 1:
         return best
+    info = _oracle_informations(src)
+    feasible = info["ixw"][_feasible(info, delta, unassisted=False)]
+    return max(best, float(feasible.max())) if feasible.size else best
+
+
+@functools.lru_cache(maxsize=8)
+def _oracle_informations(src: CqSource) -> types.MappingProxyType:
+    """I(X:W) and I(R:W|X) of every channel of `_oracle_net` on `src`, a
+    read-only mapping of read-only arrays evaluated once per source: delta
+    only filters them.  A source hashes by identity, and the cache's
+    reference keeps its id from being reused."""
     net = _oracle_net()
     info = _Evaluator([_Ensemble.from_source(src)], 2, 2).informations(
         net, np.zeros(len(net), dtype=int))
-    feasible = info["ixw"][_feasible(info, delta, unassisted=False)]
-    return max(best, float(feasible.max())) if feasible.size else best
+    for vals in info.values():
+        vals.flags.writeable = False
+    return types.MappingProxyType(info)

@@ -246,7 +246,10 @@ def _xlogx_sums(rows: np.ndarray) -> np.ndarray:
     """sum_i x_i log2 x_i over the positive entries of each row of a 2-D array
     of ascending, non-negative spectra.  A row's k positive entries are its
     last k; summing exactly those, rows grouped by k, keeps the summation
-    order of the positive entries of a lone row."""
+    order of the positive entries of a lone row.  When every row is positive
+    throughout, they form one group and are summed in place."""
+    if (rows[:, :1] > 0.0).all():
+        return (rows * np.log2(rows)).sum(axis=-1)
     n = rows.shape[-1]
     k = np.count_nonzero(rows > 0.0, axis=-1)
     out = np.zeros(len(rows))
@@ -263,11 +266,11 @@ def entropy_of_stack(mats: np.ndarray) -> np.ndarray:
     vals = np.linalg.eigvalsh(mats)
     n = vals.shape[-1]
     rows = vals.reshape(-1, n)
-    lo = rows.min(axis=-1)
+    lo = rows[:, 0]  # eigvalsh sorts each spectrum ascending
     below = lo < -TOL_PSD * max(n, 1)
     if below.any():
         raise ValueError(f"eigenvalue {lo[below][0]} below PSD tolerance")
-    out = -_xlogx_sums(np.clip(rows, 0.0, None))
+    out = -_xlogx_sums(np.maximum(rows, 0.0))
     return (np.maximum(out, 0.0) + 0.0).reshape(vals.shape[:-1])  # kill negative zero
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import idelta, qcore, region, source
-from .errors import InternalError
+from .errors import InternalError, SpecError
 from .idelta import OptimizerOptions
 from .reference import source_a, source_b, source_c
 
@@ -313,7 +313,7 @@ def run_selftest(seed: int = 0, suites: list[str] | None = None,
     names = suites if suites else list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
-        raise ValueError(f"unknown suites {unknown}; available: {sorted(SUITES)}")
+        raise SpecError(f"unknown suites {unknown}; available: {sorted(SUITES)}")
     results = []
     for name in names:
         fn = SUITES[name]

@@ -524,6 +524,30 @@ def test_linalg_failure_is_an_internal_error_exit_1(monkeypatch):
     assert err.getvalue() == "internal error: Eigenvalues did not converge\n"
 
 
+def test_a_value_error_inside_the_program_is_an_internal_error_exit_1(monkeypatch):
+    """Only a SpecError (or an OSError) is the input's fault: a ValueError
+    raised by the program's own arithmetic exits 1."""
+    def failing(mats):
+        raise ValueError("operands could not be broadcast together with shapes (3,2) (4,2)")
+
+    monkeypatch.setattr(qcore, "entropy_of_stack", failing)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["region", "--source", SRC_B_SPEC, "--restarts", "1", "--iters", "1"])
+    assert rc == 1
+    assert err.getvalue().startswith("internal error: operands could not be broadcast")
+
+
+def test_a_spec_that_is_not_utf8_is_an_input_error_exit_2(tmp_path):
+    spec = tmp_path / "src.json"
+    spec.write_bytes(b"\xff\xfe{}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["analyze", "--source", str(spec)])
+    assert rc == 2
+    assert err.getvalue().startswith("error:") and "not valid JSON" in err.getvalue()
+
+
 @pytest.mark.parametrize("flag", ["--source", "--code", "--out"])
 def test_a_directory_path_is_an_input_error_exit_2(flag, tmp_path):
     paths = {"--source": SRC_B_SPEC, "--code": str(SPECS / "code_identity.json"),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -338,6 +339,76 @@ def test_informations_on_mixed_ensembles_act_row_by_row(
             assert vals[i:i + 1].tobytes() == alone[key].tobytes(), (key, i)
 
 
+def _per_block_informations(ev: idelta._Evaluator, v: np.ndarray,
+                            g: np.ndarray) -> dict[str, np.ndarray]:
+    """`_Evaluator.informations` block by block: one product, one set of
+    reductions and separate entropy calls per block and quantity.  The fused
+    kernel must give its bits."""
+    c, w, r, e = ev.c, ev.w, ev.dim_r, ev.dim_e
+    n, d = v.shape[0], c * w
+    runs, lo = [], 0
+    for j, rows in itertools.groupby(g.tolist()):
+        hi = lo + len(list(rows))
+        runs.append((lo, hi, j))
+        lo = hi
+    probs, s_r = ev.probs.take(g, axis=0).T, ev.s_r.take(g, axis=0).T
+    rho_w, rho_c, rho_ce, rho_cw = [], [], [], []
+    for k in range(len(probs)):
+        o = np.empty((n * d, r * e), dtype=complex)
+        for lo, hi, j in runs:
+            np.matmul(v[lo:hi].reshape(-1, ev.dim_b), ev.mats[j][k], out=o[lo * d:hi * d])
+        o = o.reshape(n, c, w, -1)
+        rho_w.append(np.einsum("ncwk,ncvk->nwv", o, o.conj()))
+        o_e = o.reshape(n, c, w, r, e)
+        rho_ce.append(np.einsum("ncwre,ndwrf->ncedf", o_e, o_e.conj()).reshape(n, c * e, c * e))
+        if ev.want_c:
+            rho_c.append(np.einsum("ncwk,ndwk->ncd", o, o.conj()))
+            rho_cw.append(np.einsum("ncwk,ndvk->ncwdv", o, o.conj()).reshape(n, d, d))
+    out = {}
+    out["ixw"], s_w = qcore.holevo_of_stack(probs, rho_w)
+    s_wr = qcore.entropy_of_stack(np.stack(rho_ce))
+    irwx = 0.0
+    for p, s_w_x, s_r_x, s_wr_x in zip(probs, s_w, s_r, s_wr):
+        irwx += p * np.maximum(s_w_x + s_r_x - s_wr_x, 0.0)
+    out["irwx"] = irwx
+    if ev.want_c:
+        out["icx"], s_c = qcore.holevo_of_stack(probs, rho_c)
+        s_cw = qcore.entropy_of_stack(qcore.weighted_average(probs, rho_cw))
+        out["icw"] = np.maximum(s_c[-1] + s_w[-1] - s_cw, 0.0)
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["conditioned", "pure"]), dim_b=st.sampled_from([2, 4]),
+       nx=st.integers(2, 3), y_dim=st.integers(2, 3), n_ens=st.integers(1, 3),
+       c=st.integers(1, 4), w=st.integers(1, 4), w_is_ce=st.booleans(),
+       want_c=st.booleans(), rows=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_fused_informations_equal_the_per_block_reference(
+        kind, dim_b, nx, y_dim, n_ens, c, w, w_is_ce, want_c, rows, seed):
+    """Every block in one contraction and every entropy of one size in one
+    eigensolve give the per-block evaluation's bits: pure (|E| = 1) and
+    conditioned (|E| = |X|) ensembles, |B| = 2 and 4, runs of rows on several
+    ensembles in one stack, and |W| = |C||E| (one entropy call) or not."""
+    rng = np.random.default_rng(seed)
+    if kind == "pure":  # sources of equal |X|, |B| and |R|
+        ensembles = [idelta._Ensemble.from_source(source.random_source(rng, nx, dim_b, 2))
+                     for _ in range(n_ens)]
+    else:
+        src = source.random_source(rng, nx, dim_b, 2)
+        ensembles = [idelta._Ensemble.conditioned(src, rng.dirichlet(np.ones(y_dim), size=nx).T)
+                     for _ in range(n_ens)]
+    if w_is_ce:
+        w = c * ensembles[0].dim_e
+    assume(c * w >= dim_b)
+    g = rng.integers(0, n_ens, size=rows)
+    v = np.stack([qcore.random_isometry(c * w, dim_b, rng) for _ in range(rows)])
+    ev = idelta._Evaluator(ensembles, c, w, want_c=want_c)
+    fused, reference = ev.informations(v, g), _per_block_informations(ev, v, g)
+    assert set(fused) == set(reference)
+    for key, vals in reference.items():
+        assert fused[key].tobytes() == vals.tobytes(), key
+
+
 def test_stacked_ensembles_must_share_their_shape(src_b, src_c):
     two = idelta._Ensemble.conditioned(src_b, np.eye(2))
     for other in (idelta._Ensemble.from_source(src_b),  # |E| = 1
@@ -564,8 +635,34 @@ def test_oracle_net_is_read_only():
         net[0, 0, 0] = 1.0
 
 
+def test_oracle_evaluates_a_source_once(monkeypatch):
+    src = _load("src_b")  # a new object, so not in the cache yet
+    calls = []
+    informations = idelta._Evaluator.informations
+
+    def counting(self, v, g):
+        calls.append(len(v))
+        return informations(self, v, g)
+
+    monkeypatch.setattr(idelta._Evaluator, "informations", counting)
+    deltas = (0.0, 0.1, 1.0)
+    got = [idelta.oracle_grid(src, d) for d in deltas]
+    net = idelta._oracle_net()
+    assert calls == [len(net)]
+    info = informations(idelta._Evaluator([idelta._Ensemble.from_source(src)], 2, 2),
+                        net, np.zeros(len(net), dtype=int))
+    cached = idelta._oracle_informations(src)
+    for key in ("ixw", "irwx"):
+        assert cached[key].tobytes() == info[key].tobytes()
+        assert not cached[key].flags.writeable
+    for d, value in zip(deltas, got):
+        feasible = info["ixw"][info["irwx"] <= d + idelta.TOL_FEAS]
+        assert value == max(0.0, float(feasible.max()))
+
+
 def test_oracle_net_is_built_once(src_a, src_b):
     idelta._oracle_net.cache_clear()
+    idelta._oracle_informations.cache_clear()  # the sources may be evaluated already
     for src in (src_a, src_b):
         for delta in (0.0, 0.1):
             idelta.oracle_grid(src, delta)

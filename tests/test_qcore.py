@@ -218,6 +218,15 @@ def test_entropy_of_stack_matches_entropy_of_mat_bitwise():
         assert got.shape == (3, 4)
         assert got.reshape(-1).tobytes() == np.array(
             [qcore.entropy_of_mat(m) for m in mixed_ranks[:12]]).tobytes()
+    # stacks whose rows are all full rank are summed as one group
+    for dim in (8, 9, 12, 16, 17, 24, 33):
+        full = _random_stack(rng, 24, dim, dim)
+        assert (np.linalg.eigvalsh(full)[:, 0] > 0.0).all()
+        for mats in (full, full.reshape(4, 6, dim, dim)):
+            got = qcore.entropy_of_stack(mats)
+            assert got.shape == mats.shape[:-2]
+            assert got.reshape(-1).tobytes() == np.array(
+                [qcore.entropy_of_mat(m) for m in full]).tobytes()
 
 
 def test_entropy_of_stack_psd_tolerance():

@@ -52,7 +52,6 @@ from .source import (  # noqa: F401
     CqSource,
     EntropicProfile,
     GenericityReport,
-    delta_prime,
     entropic_profile,
     genericity_report,
     load_source,

@@ -120,7 +120,7 @@ def cmd_region(args) -> int:
     else:
         curve = idelta.idelta_curve(src, opts=opts)
         i0, i0t = curve.i0, curve.i0_tilde
-        if curve.i0_result.converged:
+        if curve.i0_result.param is not None:
             qsr = region.qsr_point(prof, src, curve.i0_result).as_dict()
     i0 = min(max(i0, 0.0), prof.i_x_b)
     i0t = min(max(i0t, i0), prof.i_x_b)
@@ -166,7 +166,6 @@ def cmd_idelta(args) -> int:
         "source": {"name": src.name},
         "curve": {"deltas": list(curve.deltas), "values": list(curve.values),
                   "raw_values": list(curve.raw_values),
-                  "monotonized": curve.monotonized,
                   "warnings": list(curve.warnings)},
         "estimates": {"I0": curve.i0, "I0_tilde": curve.i0_tilde,
                       "gap": curve.i0_tilde - curve.i0},

@@ -19,7 +19,7 @@ import numpy as np
 from . import qcore
 from .errors import SpecError
 from .qcore import DensityOperator, Isometry
-from .source import CqSource, delta_prime
+from .source import CqSource
 
 TOL_FEAS = 1e-4
 TOL_OPT = 0.02
@@ -41,7 +41,8 @@ class OptimizerOptions:
     iters_per_stage: int = 60
 
     def __post_init__(self):
-        for name, low in (("restarts", 0), ("iters_per_stage", 0), ("c_dim", 1), ("w_dim", 1)):
+        for name, low in (("seed", 0), ("restarts", 0), ("iters_per_stage", 0),
+                          ("c_dim", 1), ("w_dim", 1)):
             value = getattr(self, name)
             if value is not None and value < low:
                 raise SpecError(f"{name} must be >= {low}, got {value}")
@@ -59,7 +60,6 @@ class IdeltaResult:
     constraint: float       # achieved I(R:W|X), bits
     param: Isometry | None  # the channel's B -> C⊗W Stinespring isometry
     restarts_used: int      # climbed restarts, 1 per closed-form split
-    converged: bool
     candidates: tuple[tuple[float, float], ...] = ()  # feasible per-restart finals
 
 
@@ -73,7 +73,6 @@ class IdeltaCurve:
     i0: float                       # I_0 estimate, the value at delta = 0
     i0_tilde: float                 # I~_0 estimate, floored at i0
     i0_result: IdeltaResult         # the delta = 0 result, with its channel
-    monotonized: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +446,8 @@ def _best_result(delta: float, dim_b: int, results: list) -> IdeltaResult:
         mi, i, c_dim, w_dim, (val, cons, v) = max(
             feasibles, key=lambda r: (r[4][0], -r[0], -r[1]))
         param = make_channel_param(v, dim_b, c_dim, w_dim)
-        return IdeltaResult(delta, float(val), float(cons), param,
-                            len(results), True, candidates)
-    return IdeltaResult(delta, 0.0, math.inf, None, len(results), False, candidates)
+        return IdeltaResult(delta, float(val), float(cons), param, len(results), candidates)
+    return IdeltaResult(delta, 0.0, math.inf, None, len(results), candidates)
 
 
 def optimize_idelta(src: CqSource, delta: float,
@@ -477,7 +475,7 @@ def idelta_curve(src: CqSource, deltas=(1e-4,),
     bounds; since I~_0 >= I_0 holds exactly, the I~_0 estimate is floored at
     the I_0 estimate.
     """
-    deltas = sorted(float(d) for d in deltas)
+    deltas = sorted(float(d) + 0.0 for d in deltas)  # kill negative zero
     if not deltas:
         raise SpecError("delta grid must be non-empty")
     stack = deltas if 0.0 in deltas else deltas + [0.0]  # delta = 0 rides in the stack
@@ -504,15 +502,6 @@ def idelta_curve(src: CqSource, deltas=(1e-4,),
     i0t = max(positive[0] if positive else res0.value, res0.value)
     return IdeltaCurve(tuple(deltas), tuple(mono), tuple(raw), tuple(warnings),
                        tuple(results), res0.value, i0t, res0)
-
-
-def collapse_bound(src: CqSource, delta: float) -> float:
-    """For a generic source, any channel with I(R:W|X) <= delta satisfies
-    I(X:W) <= delta' log|X| + 2 h(delta'/2), with delta' the trace-distance
-    radius from the full-support witness."""
-    dp = delta_prime(src, delta)
-    eps = min(dp / 2.0, 1.0)
-    return dp * math.log2(src.alphabet_size) + 2.0 * qcore.binary_entropy(eps)
 
 
 def optimize_I0_minus(src: CqSource,

@@ -18,6 +18,7 @@ from .idelta import IdeltaResult, OptimizerOptions, _Ensemble, _optimize_ensembl
 from .source import CqSource, EntropicProfile, entropic_profile
 
 VERTEX_TOL = 1e-9
+MARKOV_RANDOM_MAPS = 4  # markov_interpolation climbs this many noisy and random maps each
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,7 @@ def inner_bound_region(profile: EntropicProfile, i0: float) -> RateRegion2D:
 # ---------------------------------------------------------------------------
 
 def markov_interpolation(src: CqSource, y_dim: int,
-                         opts: OptimizerOptions = OptimizerOptions(),
-                         n_random_maps: int = 4) -> list[RatePoint]:
+                         opts: OptimizerOptions = OptimizerOptions()) -> list[RatePoint]:
     """Achievable points from auxiliary variables Y with Y - X - B a Markov
     chain: R_X = S(X|B) + I(Y:B), R_B = S(B) - (I(Y:B) + I(Y:W))/2, with the
     channel optimized under I(W:R|Y) <= tol on the Y-conditioned ensemble.
@@ -227,11 +227,11 @@ def markov_interpolation(src: CqSource, y_dim: int,
         maps.append(ident)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=opts.seed,
                                                            spawn_key=(0xA11CE,)))
-        for k in range(n_random_maps):
-            q = (k + 1) / (n_random_maps + 1)
+        for k in range(MARKOV_RANDOM_MAPS):
+            q = (k + 1) / (MARKOV_RANDOM_MAPS + 1)
             noisy = (1 - q) * ident + q * np.ones((y_dim, nx)) / y_dim
             maps.append(noisy)
-        for _ in range(n_random_maps):
+        for _ in range(MARKOV_RANDOM_MAPS):
             maps.append(rng.dirichlet(np.ones(y_dim), size=nx).T)
 
     ensembles = [_Ensemble.conditioned(src, cond) for cond in maps]
@@ -239,7 +239,7 @@ def markov_interpolation(src: CqSource, y_dim: int,
     for ens, res in zip(ensembles, results):
         rho_b = ens.mats @ ens.mats.conj().swapaxes(1, 2)  # per block y, rho_y^B
         iyb = float(qcore.holevo_of_stack(ens.probs, rho_b)[0])
-        iyw = res.value if res.converged else 0.0
+        iyw = res.value if res.param is not None else 0.0
         points.append(RatePoint(profile.s_x_given_b + iyb,
                                 profile.s_b - 0.5 * (iyb + iyw)))
     return _pareto_filter(points)
@@ -281,14 +281,9 @@ def rx_floor(region: RateRegion2D) -> float:
     return lo
 
 
-def boundary_samples(region: RateRegion2D, n: int = 200,
-                     rx_hi: float | None = None) -> list[RatePoint]:
-    """n points along the lower boundary, from the vertical edge rightward."""
-    lo = rx_floor(region)
-    if rx_hi is None:
-        vmax = max((v.rx for v in region.vertices), default=lo)
-        rx_hi = max(vmax, lo) + 1.0
-    xs = np.linspace(lo, rx_hi, n)
+def boundary_samples(region: RateRegion2D, n: int = 200, *, rx_hi: float) -> list[RatePoint]:
+    """n points along the lower boundary, from the vertical edge to rx_hi."""
+    xs = np.linspace(rx_floor(region), rx_hi, n)
     return [RatePoint(float(x), lower_boundary(region, float(x))) for x in xs]
 
 
@@ -319,7 +314,7 @@ def boundary_hausdorff(r1: RateRegion2D, r2: RateRegion2D) -> float:
         rb0 = lower_boundary(region, flo)
         for t in np.linspace(rb0, top, n // 4):
             pts.append((flo, t))  # vertical edge
-        pts += [(p.rx, p.rb) for p in boundary_samples(region, n, rx_hi)]
+        pts += [(p.rx, p.rb) for p in boundary_samples(region, n, rx_hi=rx_hi)]
         return np.asarray(pts)
 
     c1, c2 = curve(r1), curve(r2)

@@ -257,7 +257,7 @@ def suite_oracle(seed: int, count: int | None = None) -> SuiteResult:
                 bad.append(f"{src.name} delta={delta}: optimizer {res.value} < oracle {ora}")
             elif res.value > ixb + 1e-6:
                 bad.append(f"{src.name} delta={delta}: value over I(X:B)")
-            elif res.converged and res.constraint > delta + idelta.TOL_FEAS:
+            elif res.param is not None and res.constraint > delta + idelta.TOL_FEAS:
                 bad.append(f"{src.name} delta={delta}: infeasible result")
     return SuiteResult("oracle", checks, len(bad), tuple(bad[:5]))
 
@@ -310,6 +310,8 @@ SUITES = {
 
 def run_selftest(seed: int = 0, suites: list[str] | None = None,
                  count: int | None = None) -> list[SuiteResult]:
+    if seed < 0:
+        raise SpecError(f"seed must be >= 0, got {seed}")
     names = suites if suites else list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:

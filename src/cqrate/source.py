@@ -285,24 +285,6 @@ def transfer_operators(src: CqSource, x0: int) -> np.ndarray:
     return (m0.conj().T @ np.linalg.solve(gram, src.psi)).swapaxes(1, 2)
 
 
-def delta_prime(src: CqSource, delta: float) -> float:
-    """Trace-distance radius delta' of the generic-collapse bound.
-
-    delta' = (1/lambda0) sqrt(t (2 - t)) with t = sqrt(delta ln2 / (2 p0)),
-    taken at the genericity witness.  t is clamped at 1, the formula's
-    maximum: past it the raw expression decreases, which would break the
-    guaranteed monotonicity in delta while 1/lambda0 stays a valid bound.
-    """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    rep = genericity_report(src)
-    if not rep.is_generic:
-        raise ValueError("source is not generic: no full-support witness")
-    p0 = float(src.probs[rep.witness])
-    t = min(np.sqrt(delta * np.log(2.0) / (2.0 * p0)), 1.0)
-    return float(np.sqrt(t * (2.0 - t)) / rep.lambda0)
-
-
 # ---------------------------------------------------------------------------
 # derived sources
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_criterion_7_inequality_suites():
         assert res.violations == 0, f"transfer: {res.details}"
 
 
-def test_criterion_8_region_identities():
+def test_criterion_8_region_identities(monkeypatch):
     with criterion(8, "region geometry identities"):
         for src in (source_a(), source_b(), source_c()):
             prof = source.entropic_profile(src)
@@ -176,7 +176,8 @@ def test_criterion_8_region_identities():
             assert abs(line.ax * dw.rx + line.ab * dw.rb - line.b) <= 1e-9
             assert abs(line.ax * prof.s_x + line.ab * qsr_rb - line.b) <= 1e-9
         opts = OptimizerOptions(seed=0, restarts=6, iters_per_stage=40)
-        pts = region.markov_interpolation(src, 2, opts, n_random_maps=1)
+        monkeypatch.setattr(region, "MARKOV_RANDOM_MAPS", 1)
+        pts = region.markov_interpolation(src, 2, opts)
         dw = region.dw_point(prof)
         assert any(abs(p.rx - dw.rx) <= 0.03 and abs(p.rb - dw.rb) <= 0.03 for p in pts)
         assert any(abs(p.rx - 1.0) <= 0.03 and abs(p.rb - 1.0) <= 0.03 for p in pts)

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,29 @@ def test_verify_code_records_the_epsilon_clamp():
     assert doc["warnings"] == ["epsilon 0.25 outside [0, 1/6]: binary entropy argument clamped"]
 
 
+_BUDGET = ["--restarts", "2", "--iters", "3"]
+
+
+@pytest.mark.parametrize("spec", ["src_a", "src_b", "src_c", "mixed_example"])
+@pytest.mark.parametrize("command, flags", [
+    ("analyze", []),
+    ("region", _BUDGET),
+    ("region", [*_BUDGET, "--format", "csv", "--mode", "unassisted"]),
+    ("idelta", [*_BUDGET, "--delta-grid", "0,0.1", "--emit-channels"]),
+    ("verify-code", ["--code", str(SPECS / "code_trunc1.json")]),
+], ids=["analyze", "region", "region-csv-unassisted", "idelta", "verify-code"])
+def test_no_command_writes_to_stderr_on_a_valid_spec(spec, command, flags):
+    """Numerical warnings belong in the document: a warning raised on the
+    way is an error here, and stderr must stay empty."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--source", str(SPECS / f"{spec}.json"), *flags])
+    assert rc == 0
+    assert err.getvalue() == ""
+
+
 def test_verify_code_walks_the_coded_outputs_once(monkeypatch):
     walks = []
     walk = codes.coded_outputs
@@ -226,6 +250,17 @@ def test_idelta_non_finite_delta_exit_2(grid):
     assert err.getvalue().startswith("error:") and "finite" in err.getvalue()
 
 
+def test_idelta_writes_no_negative_zero():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(["idelta", "--source", SRC_B_SPEC, "--delta-grid=-0,0.1",
+                       "--restarts", "1", "--iters", "1", "--emit-channels"])
+    assert rc == 0
+    doc = json.loads(out.getvalue())
+    zeros = [doc["curve"]["deltas"][0], doc["channels"][0]["delta"]]
+    assert [math.copysign(1.0, d) for d in zeros] == [1.0, 1.0]
+
+
 @pytest.mark.parametrize("command", ["region", "idelta"])
 @pytest.mark.parametrize("flags, message", [
     (["--restarts", "-3"], "restarts must be >= 0"),
@@ -233,7 +268,8 @@ def test_idelta_non_finite_delta_exit_2(grid):
     (["--cdim", "0"], "c_dim must be >= 1"),
     (["--cdim", "-2", "--wdim", "-2"], "c_dim must be >= 1"),
     (["--wdim", "0"], "w_dim must be >= 1"),
-], ids=["restarts", "iters", "cdim", "cdim-wdim", "wdim"])
+    (["--seed", "-1"], "seed must be >= 0"),
+], ids=["restarts", "iters", "cdim", "cdim-wdim", "wdim", "seed"])
 def test_malformed_optimizer_budget_exit_2(command, flags, message):
     extra = ["--delta-grid", "0,0.1"] if command == "idelta" else []
     out, err = io.StringIO(), io.StringIO()
@@ -241,6 +277,15 @@ def test_malformed_optimizer_budget_exit_2(command, flags, message):
         rc = cli.main([command, "--source", SRC_B_SPEC, *extra, *flags])
     assert rc == 2
     assert err.getvalue() == f"error: {message}, got {flags[1]}\n"
+    assert out.getvalue() == ""
+
+
+def test_selftest_negative_seed_exit_2():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["selftest", "--seed", "-1"])
+    assert rc == 2
+    assert err.getvalue() == "error: seed must be >= 0, got -1\n"
     assert out.getvalue() == ""
 
 

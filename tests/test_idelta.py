@@ -71,7 +71,7 @@ def test_channel_marginals_src_c(src_c):
 def test_optimize_src_a_any_delta(src_a, light_opts):
     for delta in (0.0, 1.0):
         res = idelta.optimize_idelta(src_a, delta, light_opts)
-        assert res.converged
+        assert res.param is not None
         assert res.value == pytest.approx(1.0, abs=idelta.TOL_OPT)
         assert res.constraint <= delta + idelta.TOL_FEAS
 
@@ -110,6 +110,7 @@ def test_option_surface_is_what_the_cli_sets():
 
 
 @pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, "seed must be >= 0"),
     ("restarts", -3, "restarts must be >= 0"),
     ("iters_per_stage", -1, "iters_per_stage must be >= 0"),
     ("c_dim", 0, "c_dim must be >= 1"),
@@ -156,13 +157,12 @@ def test_lockstep_restarts_are_independent(src_b, src_c):
 # --- one climb per delta grid -------------------------------------------------
 
 def _assert_same_result(batched: idelta.IdeltaResult, alone: idelta.IdeltaResult):
-    """Equal bit for bit: value, constraint, V, candidates, restarts_used and
-    converged."""
+    """Equal bit for bit: value, constraint, V, candidates and restarts_used."""
     assert batched.delta == alone.delta
     assert batched.value == alone.value
     assert batched.constraint == alone.constraint
     assert batched.candidates == alone.candidates
-    assert (batched.restarts_used, batched.converged) == (alone.restarts_used, alone.converged)
+    assert batched.restarts_used == alone.restarts_used
     if alone.param is None:
         assert batched.param is None
     else:
@@ -469,7 +469,7 @@ def test_closed_form_splits_match_a_climb(ensembles):
                                   + [qcore.random_isometry(c * w, db, rng) for rng in rngs[1:]])
                     climbed = [out for out in idelta._climb(ev, v0, [(0, delta)], opts, rngs)[0]
                                if out is not None]
-                    assert closed.converged == bool(climbed)
+                    assert (closed.param is not None) == bool(climbed)
                     for value, constraint, _ in climbed:
                         assert value == pytest.approx(closed.value, abs=1e-9)
                         assert constraint == pytest.approx(closed.constraint, abs=1e-9)
@@ -679,7 +679,7 @@ def test_curve_flat_src_a(src_a, light_opts):
 def test_curve_monotone(src_b, light_opts):
     curve = idelta.idelta_curve(src_b, [0.0, 0.05, 0.1, 0.2], light_opts)
     assert all(v2 >= v1 for v1, v2 in zip(curve.values, curve.values[1:]))
-    assert curve.monotonized
+    assert curve.values == tuple(np.maximum.accumulate(curve.raw_values))
 
 
 def test_curve_grid_validation(src_a, light_opts):
@@ -710,7 +710,7 @@ def _fake_optimizer(monkeypatch, values: dict[float, float]) -> list[list[float]
     def fake(problems, opts, unassisted=False):
         assert len({id(ens) for ens, _ in problems}) == 1
         calls.append([d for _, d in problems])
-        return [idelta.IdeltaResult(d, values[d], 0.0, None, 1, True) for _, d in problems]
+        return [idelta.IdeltaResult(d, values[d], 0.0, None, 1) for _, d in problems]
     monkeypatch.setattr(idelta, "_optimize_ensemble", fake)
     return calls
 
@@ -774,21 +774,17 @@ def test_i0_minus_never_exceeds_i0(src_a, src_b, src_c, light_opts):
 
 def test_i0_minus_trivial_channel_feasible(src_b, light_opts):
     res = idelta.optimize_I0_minus(src_b, light_opts)
-    assert res.converged  # the trivial-W start is always feasible
+    assert res.param is not None  # the trivial-W start is always feasible
     assert res.value >= 0.0
 
 
-# --- generic collapse chain -------------------------------------------------
+# --- generic collapse -------------------------------------------------------
 
-def test_collapse_bound_chain_on_generic_sources(light_opts):
+def test_i0_collapses_on_random_generic_sources(light_opts):
     rng = np.random.default_rng(0)
     for _ in range(5):
         src = source.random_generic_source(rng, nx=2, dim_b=2, eps=1e-2)
-        res = idelta.optimize_idelta(src, 0.0, light_opts)
-        assert res.value <= 0.05
-        for value, constraint in res.candidates:
-            bound = idelta.collapse_bound(src, max(constraint, 0.0))
-            assert value <= bound + 1e-6
+        assert idelta.optimize_idelta(src, 0.0, light_opts).value <= 0.05
 
 
 # --- additivity -------------------------------------------------------------

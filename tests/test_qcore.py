@@ -450,7 +450,7 @@ def test_records_holding_arrays_compare_by_identity():
     makers = (source_a,
               lambda: dm(np.eye(2) / 2, [("A", 2)]),
               iso,
-              lambda: IdeltaResult(0.0, 1.0, 0.0, iso(), 1, True))
+              lambda: IdeltaResult(0.0, 1.0, 0.0, iso(), 1))
     for make in makers:
         a, b = make(), make()
         assert a == a and a != b

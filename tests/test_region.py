@@ -59,7 +59,7 @@ def test_qsr_point_src_c(src_c, light_opts):
 def test_qsr_point_trivial_channel_is_merging(src_b):
     prof = source.entropic_profile(src_b)
     param = idelta.make_channel_param(np.eye(2, dtype=complex), 2, 2, 1)
-    res = idelta.IdeltaResult(0.0, 0.0, 0.0, param, 1, True)
+    res = idelta.IdeltaResult(0.0, 0.0, 0.0, param, 1)
     q = region.qsr_point(prof, src_b, res)
     m = region.merging_point(prof)
     assert (q.rx, q.rb) == (pytest.approx(m.rx), pytest.approx(m.rb))
@@ -67,7 +67,7 @@ def test_qsr_point_trivial_channel_is_merging(src_b):
 
 def test_qsr_point_rejects_infeasible(src_b):
     prof = source.entropic_profile(src_b)
-    res = idelta.IdeltaResult(0.0, 0.3, 0.8, None, 1, False)
+    res = idelta.IdeltaResult(0.0, 0.3, 0.8, None, 1)
     with pytest.raises(InternalError, match="feasible"):
         region.qsr_point(prof, src_b, res)
 
@@ -298,23 +298,25 @@ def test_generic_collapse_hausdorff(src_b, light_opts):
 def test_boundary_samples_feasible(src_b):
     prof = source.entropic_profile(src_b)
     reg = region.generic_region(prof)
-    pts = region.boundary_samples(reg, 200)
+    pts = region.boundary_samples(reg, 200, rx_hi=max(v.rx for v in reg.vertices) + 1.0)
     assert len(pts) == 200
     for p in pts:
         assert region.region_contains(reg, p, slack=1e-9)
         assert region.region_contains(reg, RatePoint(p.rx, p.rb - 1e-6), slack=0) is False
 
 
-def test_markov_endpoints_src_c(src_c, light_opts):
-    pts = region.markov_interpolation(src_c, 2, light_opts, n_random_maps=1)
+def test_markov_endpoints_src_c(src_c, light_opts, monkeypatch):
+    monkeypatch.setattr(region, "MARKOV_RANDOM_MAPS", 1)
+    pts = region.markov_interpolation(src_c, 2, light_opts)
     prof = source.entropic_profile(src_c)
     dw = region.dw_point(prof)
     assert any(abs(p.rx - dw.rx) < 0.03 and abs(p.rb - dw.rb) < 0.03 for p in pts)
     assert any(abs(p.rx - 1.0) < 0.03 and abs(p.rb - 1.0) < 0.03 for p in pts)
 
 
-def test_markov_interior_point_on_or_below_line(src_c, light_opts):
-    pts = region.markov_interpolation(src_c, 2, light_opts, n_random_maps=3)
+def test_markov_interior_point_on_or_below_line(src_c, light_opts, monkeypatch):
+    monkeypatch.setattr(region, "MARKOV_RANDOM_MAPS", 3)
+    pts = region.markov_interpolation(src_c, 2, light_opts)
     # DW-QSR line for SRC-C is rb = 2 - rx
     for p in pts:
         if 0.05 < p.rx < 0.95:

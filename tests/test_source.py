@@ -9,8 +9,6 @@ from cqrate import qcore, source
 from cqrate.errors import SpecError
 
 H14 = 0.8112781244591328
-# delta' formula at delta = 0.01, p0 = lambda0 = 1/2, frozen from 30-digit arithmetic
-DELTA_PRIME_B_001 = 0.7989479342884368
 
 
 def test_load_source_src_a():
@@ -276,27 +274,6 @@ def test_transfer_operators_with_a_larger_reference():
         assert np.max(np.abs(ts @ kernel)) <= 1e-12
         support = np.linalg.svd(m0.T, full_matrices=False)[0]
         assert np.max(np.abs(ts[x0] - support @ support.conj().T)) <= 1e-12
-
-
-# --- delta' -----------------------------------------------------------------
-
-def test_delta_prime_zero(src_b):
-    assert source.delta_prime(src_b, 0.0) == 0.0
-
-
-def test_delta_prime_frozen_value(src_b):
-    assert source.delta_prime(src_b, 0.01) == pytest.approx(DELTA_PRIME_B_001, abs=1e-12)
-
-
-def test_delta_prime_requires_generic(src_a):
-    with pytest.raises(ValueError, match="generic"):
-        source.delta_prime(src_a, 0.01)
-
-
-def test_delta_prime_monotone(src_b):
-    grid = [0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0]
-    vals = [source.delta_prime(src_b, d) for d in grid]
-    assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
 
 # --- tensor products --------------------------------------------------------

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 internal error (or failed verification), 2 input
 error (a `SpecError`, or an OSError on a named file), 3 resource cap
 exceeded.  Output documents are deterministic for a
-fixed (config, seed): no timestamps, sorted keys, plain floats.
+fixed (config, seed): no timestamps, sorted keys, strict JSON.
 """
 
 from __future__ import annotations
@@ -14,29 +14,13 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__, codes, idelta, qcore, region, selftest, source
 from .errors import DimensionCapError, SpecError
 from .idelta import OptimizerOptions
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, float) and not math.isfinite(obj):  # strict JSON
-        return None
-    return obj
-
-
 def _dump(doc: dict) -> str:
-    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path: str | None):
@@ -85,21 +69,26 @@ def _optimizer_options(args) -> OptimizerOptions:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args) -> int:
+def _analysis(args, command: str):
+    """The source, its profile and genericity report, and the document block
+    analyze and region share: provenance, profile, genericity, DW and merging."""
     src = source.load_source(_load_json(args.source))
     prof = source.entropic_profile(src)
     gen = source.genericity_report(src)
-    doc = {
-        "provenance": _provenance(args, "analyze"),
-        "source": {"name": src.name, "alphabet_size": src.alphabet_size,
-                   "dim_b": src.dim_b, "dim_r": src.dim_r},
+    block = {
+        "provenance": _provenance(args, command),
         "profile": prof.as_dict(),
         "genericity": gen.as_dict(),
-        "points": {
-            "dw": region.dw_point(prof).as_dict(),
-            "merging": region.merging_point(prof).as_dict(),
-        },
+        "points": {"dw": region.dw_point(prof).as_dict(),
+                   "merging": region.merging_point(prof).as_dict()},
     }
+    return src, prof, gen, block
+
+
+def cmd_analyze(args) -> int:
+    src, _, _, doc = _analysis(args, "analyze")
+    doc["source"] = {"name": src.name, "alphabet_size": src.alphabet_size,
+                     "dim_b": src.dim_b, "dim_r": src.dim_r}
     _emit(_dump(doc), args.out)
     return 0
 
@@ -110,44 +99,27 @@ def cmd_region(args) -> int:
     for flag, value in (("--i0", args.i0), ("--i0-tilde", args.i0_tilde)):
         if value is not None and not math.isfinite(value):
             raise SpecError(f"{flag} must be finite, got {value}")
-    src = source.load_source(_load_json(args.source))
-    prof = source.entropic_profile(src)
-    gen = source.genericity_report(src)
+    src, prof, gen, doc = _analysis(args, "region")
     opts = _optimizer_options(args)
-    qsr = None
+    doc["points"]["qsr"] = None
     if args.i0 is not None:
         i0, i0t = args.i0, args.i0_tilde
     else:
         curve = idelta.idelta_curve(src, opts=opts)
         i0, i0t = curve.i0, curve.i0_tilde
         if curve.i0_result.param is not None:
-            qsr = region.qsr_point(prof, src, curve.i0_result).as_dict()
-    i0 = min(max(i0, 0.0), prof.i_x_b)
-    i0t = min(max(i0t, i0), prof.i_x_b)
-    regions = {
-        "generic": region.generic_region(prof, gen.is_generic),
-        "inner": region.inner_bound_region(prof, i0),
-        "outer": region.outer_bound_region(prof, i0t, args.mode),
-    }
+            doc["points"]["qsr"] = region.qsr_point(prof, src, curve.i0_result).as_dict()
+    i0, i0t, inner, outer = region.estimated_regions(prof, i0, i0t, args.mode)
+    regions = {"generic": region.generic_region(prof, gen.is_generic),
+               "inner": inner, "outer": outer}
     rx_hi = max(v.rx for r in regions.values() for v in r.vertices) + 1.0
-    doc = {
-        "provenance": _provenance(args, "region"),
-        "source": {"name": src.name},
-        "profile": prof.as_dict(),
-        "genericity": gen.as_dict(),
-        "estimates": {"I0": i0, "I0_tilde": i0t, "gap": i0t - i0},
-        "points": {
-            "dw": region.dw_point(prof).as_dict(),
-            "merging": region.merging_point(prof).as_dict(),
-            "qsr": qsr,
-        },
-        "regions": {k: region.region_to_doc(r, rx_hi) for k, r in regions.items()},
-    }
+    doc["source"] = {"name": src.name}
+    doc["estimates"] = {"I0": i0, "I0_tilde": i0t, "gap": i0t - i0}
+    doc["regions"] = {k: region.region_to_doc(r, rx_hi) for k, r in regions.items()}
     if args.format == "csv":
         lines = ["rX,rB,region_kind"]
-        for name, r in regions.items():
-            for p in region.boundary_samples(r, rx_hi=rx_hi):
-                lines.append(f"{p.rx!r},{p.rb!r},{name}")
+        for name, r in doc["regions"].items():
+            lines += [f"{rx!r},{rb!r},{name}" for rx, rb in r["boundary_samples"]]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(_dump(doc), args.out)
@@ -173,13 +145,15 @@ def cmd_idelta(args) -> int:
     if args.emit_channels:
         channels = []
         for d, res in zip(curve.deltas, curve.results):
-            mat = c_dim = w_dim = None
+            # a result with no channel has constraint inf, written as null
+            mat = c_dim = w_dim = constraint = None
             if res.param is not None:
                 mat = [[[float(z.real), float(z.imag)] for z in row]
                        for row in res.param.mat]
                 c_dim, w_dim = res.param.out_dims
+                constraint = res.constraint
             channels.append({"delta": d, "value": res.value,
-                             "constraint": res.constraint,
+                             "constraint": constraint,
                              "c_dim": c_dim, "w_dim": w_dim,
                              "stinespring": mat})
         doc["channels"] = channels

@@ -199,6 +199,16 @@ def inner_bound_region(profile: EntropicProfile, i0: float) -> RateRegion2D:
                         provenance=f"DW/QSR hull (I0={i0:.6g}, alpha={alpha:.6g})")
 
 
+def estimated_regions(profile: EntropicProfile, i0: float, i0_tilde: float,
+                      mode: str = "assisted"):
+    """(i0, i0_tilde, inner, outer): the estimates clamped into 0 <= I0 <= I~0
+    <= I(X:B), the inner region at I0 and the converse at I~0 (+ 0.0 maps -0.0 to 0.0)."""
+    i0 = min(max(i0, 0.0), profile.i_x_b) + 0.0
+    i0_tilde = min(max(i0_tilde, i0), profile.i_x_b) + 0.0
+    return (i0, i0_tilde, inner_bound_region(profile, i0),
+            outer_bound_region(profile, i0_tilde, mode))
+
+
 # ---------------------------------------------------------------------------
 # Markov-chain interpolation between DW and QSR
 # ---------------------------------------------------------------------------

@@ -240,10 +240,9 @@ def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
 _ORACLE_OPTS = OptimizerOptions(restarts=6, iters_per_stage=40)
 
 
-def suite_oracle(seed: int, count: int | None = None) -> SuiteResult:
+def suite_oracle(seed: int) -> SuiteResult:
     """Optimizer vs brute-force oracle on the |B| = 2 reference sources,
     plus the data-processing ceiling and the feasibility contract."""
-    del count
     opts = replace(_ORACLE_OPTS, seed=seed)
     bad = []
     checks = 0
@@ -262,20 +261,16 @@ def suite_oracle(seed: int, count: int | None = None) -> SuiteResult:
     return SuiteResult("oracle", checks, len(bad), tuple(bad[:5]))
 
 
-def suite_sandwich(seed: int, count: int | None = None) -> SuiteResult:
+def suite_sandwich(seed: int) -> SuiteResult:
     """Inner region contained in the outer region on a 50x50 sample grid for
     the reference sources; generic collapse on SRC-B."""
-    del count
     opts = replace(_ORACLE_OPTS, seed=seed)
     bad = []
     checks = 0
     for src in (source_a(), source_b(), source_c()):
         prof = source.entropic_profile(src)
         curve = idelta.idelta_curve(src, opts=opts)
-        i0 = min(curve.i0, prof.i_x_b)
-        i0t = min(max(curve.i0_tilde, i0), prof.i_x_b)
-        inner = region.inner_bound_region(prof, i0)
-        outer = region.outer_bound_region(prof, i0t)
+        _, _, inner, outer = region.estimated_regions(prof, curve.i0, curve.i0_tilde)
         rx_hi = max(v.rx for v in inner.vertices + outer.vertices) + 1.0
         rb_hi = max(v.rb for v in inner.vertices + outer.vertices) + 1.0
         for rx in np.linspace(0.0, rx_hi, 50):
@@ -308,16 +303,11 @@ SUITES = {
 }
 
 
-def run_selftest(seed: int = 0, suites: list[str] | None = None,
-                 count: int | None = None) -> list[SuiteResult]:
+def run_selftest(seed: int = 0, suites: list[str] | None = None) -> list[SuiteResult]:
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
     names = suites if suites else list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise SpecError(f"unknown suites {unknown}; available: {sorted(SUITES)}")
-    results = []
-    for name in names:
-        fn = SUITES[name]
-        results.append(fn(seed, count) if count is not None else fn(seed))
-    return results
+    return [SUITES[name](seed) for name in names]

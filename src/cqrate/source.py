@@ -76,19 +76,26 @@ def make_source(probs, vectors, dim_b: int, dim_r: int, name: str = "") -> CqSou
     return CqSource(np.asarray(probs, dtype=float), psi, name)
 
 
+def _number(v):
+    """v, which must be a JSON number: a boolean or a string is not one."""
+    if isinstance(v, (bool, str)):
+        raise TypeError(f"{v!r} is not a number")
+    return v
+
+
 def _parse_int(v) -> int:
     """int(v) for an integer field; a float must be integral (2.0, not 1.9)."""
-    n = int(v)
+    n = int(_number(v))
     if isinstance(v, float) and n != v:
         raise ValueError(f"{v!r} is not an integer")
     return n
 
 
 def _parse_scalar(v) -> complex:
-    if isinstance(v, (int, float, complex)):
+    if isinstance(_number(v), (int, float, complex)):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(float(_number(v[0])), float(_number(v[1])))
     raise SpecError(f"cannot parse complex entry {v!r}")
 
 
@@ -113,7 +120,7 @@ def load_source(doc: dict) -> CqSource:
     if not isinstance(doc, dict):
         raise SpecError("source spec must be a mapping")
     try:
-        probs = np.asarray(doc["probs"], dtype=float)
+        probs = np.array([_number(p) for p in doc["probs"]], dtype=float)
         entries = doc["states"]
     except KeyError as exc:
         raise SpecError(f"source spec missing field {exc.args[0]!r}") from None

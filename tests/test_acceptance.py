@@ -77,10 +77,7 @@ def test_criterion_2_generic_collapse():
             prof = source.entropic_profile(src)
             est = idelta.idelta_curve(src, opts=opts)
             assert est.i0 <= 0.05, f"{src.name}: I0 estimate {est.i0}"
-            i0 = min(est.i0, prof.i_x_b)
-            i0t = min(max(est.i0_tilde, i0), prof.i_x_b)
-            inner = region.inner_bound_region(prof, i0)
-            outer = region.outer_bound_region(prof, i0t)
+            _, _, inner, outer = region.estimated_regions(prof, est.i0, est.i0_tilde)
             gap = region.boundary_hausdorff(inner, outer)
             assert gap <= 0.1, f"{src.name}: Hausdorff gap {gap}"
         assert time.time() - t0 < 300.0

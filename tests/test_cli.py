@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqrate import cli, codes, idelta, qcore, source
+from cqrate import cli, codes, idelta, qcore, region, source
 from cqrate.qcore import DensityOperator
 from cqrate.reference import source_a, source_b
 
@@ -326,10 +326,38 @@ def test_non_finite_amplitude_exit_2(tmp_path):
 
 
 def test_dump_writes_strict_json():
-    text = cli._dump({"a": np.float64("nan"), "b": np.float32("inf"), "c": -math.inf,
-                      "d": np.float64(0.5)})
-    assert "NaN" not in text and "Infinity" not in text
-    assert json.loads(text) == {"a": None, "b": None, "c": None, "d": 0.5}
+    assert json.loads(cli._dump({"d": np.float64(0.5)})) == {"d": 0.5}
+    for bad in (math.nan, np.float64("nan"), math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._dump({"a": bad})
+
+
+def test_non_finite_document_value_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(region, "dw_point", lambda prof: region.RatePoint(math.nan, 0.0))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["analyze", "--source", SRC_B_SPEC]) == 1
+    assert out.getvalue() == "" and err.getvalue().startswith("internal error:")
+
+
+def test_idelta_result_without_channel_writes_null_constraint():
+    # pinned dims that admit no channel: the result's constraint is inf
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["idelta", "--source", SRC_B_SPEC, "--cdim", "1", "--wdim", "2",
+                         "--delta-grid", "0", "--emit-channels"]) == 0
+    [channel] = json.loads(out.getvalue())["channels"]
+    assert channel["constraint"] is None and channel["stinespring"] is None
+
+
+def test_region_writes_no_negative_zero():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["region", "--source", SRC_B_SPEC, "--i0=-0", "--i0-tilde=-0"]) == 0
+    text = out.getvalue()
+    assert re.search(r"(?<![\w.])-0(\.0*)?(?![\w.])", text) is None
+    estimates = json.loads(text)["estimates"]
+    assert (estimates["I0"], estimates["I0_tilde"]) == (0.0, 0.0)
 
 
 def test_region_clamps_finite_out_of_range_estimates():
@@ -398,8 +426,14 @@ NEGATIVE_DIMS["U_B"]["dims"] = {"C_B": -2, "W_B": -1}
     (_with(TRUNCATION, ("rank",), 1.5), ""),
     (_with(EXPLICIT_IDENTITY, ("U_X", "dims", "C_X"), 2.5), ""),
     (NEGATIVE_DIMS, "invalid code matrices: .*non-positive dimension"),
+    ({"builder": "identity", "n": True}, "n must be an integer"),
+    ({"builder": "truncation", "n": "1", "rank": "1"}, "n must be an integer"),
+    (_with(EXPLICIT_IDENTITY, ("U_X", "dims", "C_X"), "2"), "C_X must be an integer"),
+    (_with(EXPLICIT_IDENTITY, ("U_X", "matrix"), [[True, 0], [0, 1]]), "not a number"),
+    (_with(EXPLICIT_IDENTITY, ("U_X", "matrix"), [["1", 0], [0, 1]]), "not a number"),
 ], ids=["matrix-int", "rank-list", "K-list", "dims-int", "n-negative", "truncation-n0",
-        "n-fraction", "rank-fraction", "dims-fraction", "dims-negative-pairs"])
+        "n-fraction", "rank-fraction", "dims-fraction", "dims-negative-pairs",
+        "n-bool", "n-rank-strings", "dims-string", "matrix-bool", "matrix-string"])
 def test_verify_code_malformed_spec_exit_2(doc, message, tmp_path):
     code = tmp_path / "code.json"
     code.write_text(json.dumps(doc))
@@ -469,7 +503,10 @@ def _doc_of_source_b_with(path: tuple, value) -> dict:
     _doc_of_source_b_with(("states", 0, "dims", "B"), 2.5),
     _doc_of_source_b_with(("states", 0, "dims", "R"), 2.5),
     {"probs": [1.0], "states": [{"density": [[0.5, 0], [0, 0.5]], "dim": 2.5}]},
-], ids=["B", "R", "density-dim"])
+    _doc_of_source_b_with(("states", 0, "dims", "B"), "2"),
+    {"probs": [1.0], "states": [{"amplitudes": [[1, 0], [0, 0]], "dims": {"B": 2, "R": True}}]},
+    {"probs": [1.0], "states": [{"density": [[0.5, 0], [0, 0.5]], "dim": "2"}]},
+], ids=["B", "R", "density-dim", "B-string", "R-bool", "density-dim-string"])
 def test_source_non_integral_dims_exit_2(doc, tmp_path):
     spec = tmp_path / "src.json"
     spec.write_text(json.dumps(doc))
@@ -477,6 +514,28 @@ def test_source_non_integral_dims_exit_2(doc, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert cli.main(["analyze", "--source", str(spec)]) == 2
     assert err.getvalue().startswith("error:")
+
+
+def _one_state(probs, amplitudes) -> dict:
+    return {"probs": probs, "states": [{"amplitudes": amplitudes, "dims": {"B": 2, "R": 1}}]}
+
+
+# each would be a valid spec if its booleans and strings were read as numbers
+@pytest.mark.parametrize("doc", [
+    _one_state([True], [[1, 0], [0, 0]]),
+    _doc_of_source_b_with(("probs",), ["0.5", "0.5"]),
+    _one_state([1.0], [[True, False], [0, 0]]),
+    _one_state([1.0], [["0.6", "0"], [0.8, 0]]),
+    _one_state([1.0], [True, 0]),
+], ids=["probs-bool", "probs-string", "amplitude-bools", "amplitude-strings",
+        "amplitude-bare-bool"])
+def test_source_non_number_exit_2(doc, tmp_path):
+    spec = tmp_path / "src.json"
+    spec.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["analyze", "--source", str(spec)]) == 2
+    assert err.getvalue().startswith("error:") and "not a number" in err.getvalue()
 
 
 def _spec_doc(name: str) -> dict:

@@ -276,10 +276,7 @@ def test_sandwich_inner_inside_outer(src_b, src_c, light_opts):
     for src in (src_b, src_c):
         prof = source.entropic_profile(src)
         est = idelta.idelta_curve(src, opts=light_opts)
-        i0 = min(est.i0, prof.i_x_b)
-        i0t = min(max(est.i0_tilde, i0), prof.i_x_b)
-        inner = region.inner_bound_region(prof, i0)
-        outer = region.outer_bound_region(prof, i0t)
+        _, _, inner, outer = region.estimated_regions(prof, est.i0, est.i0_tilde)
         for rx in np.linspace(0, 3, 30):
             for rb in np.linspace(0, 3, 30):
                 p = RatePoint(float(rx), float(rb))
@@ -290,9 +287,24 @@ def test_sandwich_inner_inside_outer(src_b, src_c, light_opts):
 def test_generic_collapse_hausdorff(src_b, light_opts):
     prof = source.entropic_profile(src_b)
     est = idelta.idelta_curve(src_b, opts=light_opts)
-    inner = region.inner_bound_region(prof, min(est.i0, prof.i_x_b))
-    outer = region.outer_bound_region(prof, min(max(est.i0_tilde, est.i0), prof.i_x_b))
+    _, _, inner, outer = region.estimated_regions(prof, est.i0, est.i0_tilde)
     assert region.boundary_hausdorff(inner, outer) <= 0.1
+
+
+@pytest.mark.parametrize("i0, i0_tilde, expected", [
+    (-0.0, -0.0, (0.0, 0.0)),
+    (-1.0, 0.25, (0.0, 0.25)),
+    (0.25, 0.125, (0.25, 0.25)),
+    (5.0, -1.0, ("ixb", "ixb")),
+], ids=["negative-zero", "negative-i0", "crossed", "over-ixb"])
+def test_estimated_regions_clamps(src_b, i0, i0_tilde, expected):
+    prof = source.entropic_profile(src_b)
+    expected = tuple(prof.i_x_b if e == "ixb" else e for e in expected)
+    got_i0, got_i0t, inner, outer = region.estimated_regions(prof, i0, i0_tilde, "unassisted")
+    assert (got_i0, got_i0t) == expected
+    assert math.copysign(1.0, got_i0) == math.copysign(1.0, got_i0t) == 1.0
+    assert inner == region.inner_bound_region(prof, got_i0)
+    assert outer == region.outer_bound_region(prof, got_i0t, "unassisted")
 
 
 def test_boundary_samples_feasible(src_b):

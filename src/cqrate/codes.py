@@ -12,6 +12,7 @@ with |B0| = |D0| = K and |B0'| = |D0'| = L (K = L = 1 in unassisted mode).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,8 +21,7 @@ import numpy as np
 from . import qcore
 from .errors import DimensionCapError, SpecError
 from .qcore import Isometry, LabeledVector
-from .source import (CqSource, _parse_complex_matrix, _parse_int, cq_state_xb, sequence_index,
-                     sequence_state)
+from .source import CqSource, _parse_complex_matrix, _parse_int, cq_state_xb, sequence_state
 
 XI_AMPLITUDE_CAP = 2 ** 16
 MAX_BLOCK_LENGTH = 2
@@ -107,19 +107,12 @@ def truncation_code(src: CqSource, n: int, rank: int) -> BlockCode:
     _check_cap(src, n, wx=1, l=1, wb=wb, wd=1)
     omega_b = qcore.reduced_density_from_mat(
         cq_state_xb(src), (src.alphabet_size, src.dim_b), [1])
-    eig_n = omega_b
-    for _ in range(n - 1):
-        eig_n = np.kron(eig_n, omega_b)
-    _, basis = qcore.sorted_eigh(eig_n)
+    _, basis = qcore.sorted_eigh(functools.reduce(np.kron, [omega_b] * n))
     nxn = src.alphabet_size ** n
     u_x = Isometry(np.eye(nxn), (nxn,), (nxn, 1))
     u_b = np.zeros((rank * wb, dbn), dtype=complex)
-    for i in range(dbn):
-        if i < rank:
-            row = i * wb  # (c = i, w = 0)
-        else:
-            row = 0 * wb + (1 + i - rank)  # (c = 0, w = flag)
-        u_b[row, :] = basis[:, i].conj()
+    i = np.arange(dbn)  # kept vector i goes to (c = i, w = 0), the rest to (c = 0, w = flag)
+    u_b[np.where(i < rank, i * wb, 1 + i - rank)] = basis.conj().T
     u_b = Isometry(u_b, (dbn, 1), (rank, 1, wb))
     emb = basis[:, :rank]  # decoder embeds C_B back into Bhat^n
     v = Isometry(np.kron(np.eye(nxn), emb), (nxn, rank, 1), (nxn, dbn, 1, 1))
@@ -144,10 +137,7 @@ def _check_cap(src: CqSource, n: int, wx: int, l: int, wb: int, wd: int):
 # ---------------------------------------------------------------------------
 
 def _max_entangled(k: int) -> np.ndarray:
-    phi = np.zeros(k * k, dtype=complex)
-    for i in range(k):
-        phi[i * k + i] = 1.0
-    return phi / np.sqrt(k)
+    return np.eye(k, dtype=complex).reshape(-1) / np.sqrt(k)
 
 
 def coded_outputs(src: CqSource, code: BlockCode):
@@ -166,13 +156,12 @@ def coded_outputs(src: CqSource, code: BlockCode):
     if code.v.out_dims[0] != nxn or code.v.out_dims[1] != dbn:
         raise SpecError("decoder output dims do not match the source block")
     phi_k = _max_entangled(code.k)
-    for xs in itertools.product(range(src.alphabet_size), repeat=n):
+    # itertools.product enumerates X^n in basis order, x_1 most significant
+    for i, xs in enumerate(itertools.product(range(src.alphabet_size), repeat=n)):
         p = float(np.prod([src.probs[x] for x in xs]))
-        ket_x = np.zeros(nxn, dtype=complex)
-        ket_x[sequence_index(xs, src.alphabet_size)] = 1.0
-        lv = LabeledVector(ket_x, [("Xn", nxn)])
-        lv = lv.tensor(LabeledVector(sequence_state(src, xs), [("Bn", dbn), ("Rn", drn)]))
-        lv = lv.tensor(LabeledVector(phi_k, [("B0", code.k), ("D0", code.k)]))
+        ket_x = np.eye(1, nxn, i, dtype=complex)[0]  # |x^n>, without an nxn × nxn identity
+        lv = LabeledVector(np.kron(np.kron(ket_x, sequence_state(src, xs)), phi_k),
+                           [("Xn", nxn), ("Bn", dbn), ("Rn", drn), ("B0", code.k), ("D0", code.k)])
         lv = lv.apply_isometry(code.u_x.mat, ["Xn"],
                                [("CX", code.u_x.out_dims[0]), ("WX", wx)])
         lv = lv.apply_isometry(code.u_b.mat, ["Bn", "B0"],
@@ -199,9 +188,8 @@ def _evaluate(src: CqSource, code: BlockCode) -> tuple[FidelityReport, float]:
     phi_l = _max_entangled(code.l)
     rows = []
     avg = cmi = 0.0
-    for xs, p, lv in coded_outputs(src, code):
-        ket_x = np.zeros(nxn, dtype=complex)
-        ket_x[sequence_index(xs, src.alphabet_size)] = 1.0
+    for i, (xs, p, lv) in enumerate(coded_outputs(src, code)):
+        ket_x = np.eye(1, nxn, i, dtype=complex)[0]
         t = np.kron(np.kron(ket_x, sequence_state(src, xs)), phi_l)  # Xhat Bhat Rn B0p D0p
         m = lv.reorder(["Xhat", "Bhat", "Rn", "B0p", "D0p", "WD", "WB", "WX"]).vec
         m = m.reshape(t.size, -1)

@@ -209,10 +209,6 @@ class LabeledVector:
         y = mat @ t.reshape(d_act, -1)
         return LabeledVector(y.reshape(-1), list(out_pairs) + self._pairs(rest))
 
-    def tensor(self, other: "LabeledVector") -> "LabeledVector":
-        return LabeledVector(np.kron(self.vec, other.vec),
-                             zip(self.labels + other.labels, self.dims + other.dims))
-
     def reduced(self, keep: Sequence[str]) -> np.ndarray:
         return reduced_density_from_vec(self.vec, self.dims, _positions(self.labels, keep))
 

@@ -23,11 +23,5 @@ def source_b() -> CqSource:
 
 def source_c() -> CqSource:
     """Product-removable source: B = B'⊗B'' (2·2), psi_x = Phi+^{B'R} ⊗ |x>^{B''}."""
-    vecs = []
-    for x in range(2):
-        amp = np.zeros((2, 2, 2), dtype=complex)  # legs (B', B'', R)
-        for b in range(2):
-            amp[b, x, b] = _SQ2
-        vecs.append(amp.reshape(-1))  # B = (B', B'') grouped, then R
+    vecs = [np.kron(_SQ2 * np.eye(2), np.eye(2)[:, [x]]) for x in range(2)]  # m[B'B'', R]
     return make_source([0.5, 0.5], vecs, dim_b=4, dim_r=2, name="SRC-C")
-

@@ -129,7 +129,7 @@ def merging_point(profile: EntropicProfile) -> RatePoint:
     """Coherent-merging rates (S(X), (S(B)+S(B|X))/2); distills I(X:B)/2
     ebits, reported as a negative ebit rate."""
     return RatePoint(profile.s_x, 0.5 * (profile.s_b + profile.s_b_given_x),
-                     ebit_rate=-0.5 * profile.i_x_b)
+                     ebit_rate=-0.5 * profile.i_x_b + 0.0)  # kill negative zero
 
 
 def qsr_point(profile: EntropicProfile, src: CqSource,
@@ -249,9 +249,8 @@ def markov_interpolation(src: CqSource, y_dim: int,
     for ens, res in zip(ensembles, results):
         rho_b = ens.mats @ ens.mats.conj().swapaxes(1, 2)  # per block y, rho_y^B
         iyb = float(qcore.holevo_of_stack(ens.probs, rho_b)[0])
-        iyw = res.value if res.param is not None else 0.0
         points.append(RatePoint(profile.s_x_given_b + iyb,
-                                profile.s_b - 0.5 * (iyb + iyw)))
+                                profile.s_b - 0.5 * (iyb + res.value)))
     return _pareto_filter(points)
 
 

@@ -4,6 +4,7 @@ operators."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,24 +191,10 @@ def cq_state_xb(src: CqSource) -> np.ndarray:
     return qcore.block_diagonal(src.probs, src.rho_b)
 
 
-def sequence_index(xs, nx: int) -> int:
-    """Index of the sequence x^n in the basis of X^n (x_1 most significant)."""
-    xi = 0
-    for x in xs:
-        xi = xi * nx + x
-    return xi
-
-
 def sequence_state(src: CqSource, xs) -> np.ndarray:
-    """|psi_{x^n}> = |psi_{x_1}> ⊗ ... ⊗ |psi_{x_n}> with its legs regrouped
-    from (B_1 R_1 B_2 R_2 ...) into (B^n, R^n)."""
-    vec = np.ones(1, dtype=complex)
-    for x in xs:
-        vec = np.kron(vec, src.psi[x].reshape(-1))
-    n = len(xs)
-    t = vec.reshape([src.dim_b, src.dim_r] * n)
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return t.transpose(perm).reshape(-1)
+    """|psi_{x^n}> = |psi_{x_1}> ⊗ ... ⊗ |psi_{x_n}> on (B^n, R^n): the kron of
+    the amplitude matrices groups the B legs and the R legs."""
+    return functools.reduce(np.kron, [src.psi[x] for x in xs]).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +314,9 @@ def random_generic_source(rng: np.random.Generator, nx: int = 2, dim_b: int = 2,
 
 
 def tensor_sources(s1: CqSource, s2: CqSource) -> CqSource:
-    """Product source: alphabet X1×X2, states |psi_x1>⊗|psi_x2> with the
-    B factors grouped together and the R factors grouped together."""
-    db = s1.dim_b * s2.dim_b
-    dr = s1.dim_r * s2.dim_r
+    """Product source: alphabet X1×X2, states |psi_x1>⊗|psi_x2>, whose amplitude
+    matrices are the krons of the factors' (legs grouped as B1B2, R1R2)."""
     probs = np.outer(s1.probs, s2.probs).reshape(-1)
-    # axes (x1, x2, b1, b2, r1, r2); a broadcast product rounds as kron does, einsum need not
-    vectors = (s1.psi[:, None, :, None, :, None] * s2.psi[None, :, None, :, None, :])
-    vectors = vectors.reshape(len(probs), -1)
-    return make_source(probs, vectors, db, dr, name=f"{s1.name}x{s2.name}")
+    vectors = [np.kron(m1, m2) for m1 in s1.psi for m2 in s2.psi]
+    return make_source(probs, vectors, s1.dim_b * s2.dim_b, s1.dim_r * s2.dim_r,
+                       name=f"{s1.name}x{s2.name}")

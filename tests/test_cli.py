@@ -106,6 +106,22 @@ def test_analyze_deterministic_output(spec_paths):
     assert o1.stdout == o2.stdout
 
 
+@pytest.mark.parametrize("states", [
+    [{"amplitudes": [math.sqrt(0.5), 0, 0, math.sqrt(0.5)], "dims": {"B": 2, "R": 2}}],
+    [{"amplitudes": [1], "dims": {"B": 1, "R": 1}}] * 2,
+], ids=["phi-plus", "trivial-B"])
+def test_analyze_writes_no_negative_zero(tmp_path, states):
+    """I(X:B) = 0 on both specs, so the merging point distills 0 ebits: its E
+    reads 0.0, not -0.0."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"probs": [1 / len(states)] * len(states), "states": states}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", "--source", str(spec)]) == 0
+    assert "-0.0" not in out.getvalue()
+    assert json.loads(out.getvalue())["points"]["merging"]["E"] == 0.0
+
+
 def test_verify_code_identity(spec_paths):
     out = run_cli("verify-code", "--source", spec_paths["b"], "--code", spec_paths["identity"])
     assert out.returncode == 0

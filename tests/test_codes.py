@@ -230,17 +230,28 @@ def test_fidelity_matches_the_dense_reference(src_b, assisted):
             assert [xs for xs, _, _ in rep.per_sequence] == [xs for xs, _, _ in outputs]
             nxn, dbn, drn = (d ** n for d in (src.alphabet_size, src.dim_b, src.dim_r))
             phi_l = np.eye(code.l, dtype=complex).reshape(-1) / np.sqrt(code.l)
-            for (xs, _, f), (_, _, lv) in zip(rep.per_sequence, outputs):
+            for i, ((xs, _, f), (_, _, lv)) in enumerate(zip(rep.per_sequence, outputs)):
                 rho = DensityOperator(lv.reduced(kept), [(lbl, d) for lbl, d in
                                                          zip(lv.labels, lv.dims) if lbl in kept])
-                ket_x = np.zeros(nxn, dtype=complex)
-                ket_x[source.sequence_index(xs, src.alphabet_size)] = 1.0
-                target = LabeledVector(ket_x, [("Xhat", nxn)]).tensor(
-                    LabeledVector(source.sequence_state(src, xs), [("Bhat", dbn), ("Rn", drn)])
-                ).tensor(LabeledVector(phi_l, [("B0p", code.l), ("D0p", code.l)]))
+                ket_x = np.eye(1, nxn, i, dtype=complex)[0]
+                target = LabeledVector(
+                    np.kron(np.kron(ket_x, source.sequence_state(src, xs)), phi_l),
+                    [("Xhat", nxn), ("Bhat", dbn), ("Rn", drn), ("B0p", code.l), ("D0p", code.l)])
                 t = target.reorder(kept)
                 ref = math.sqrt(min(max(np.vdot(t.vec, rho.mat @ t.vec).real, 0.0), 1.0))
                 assert abs(f - ref) <= 1e-12, (src.name, n, xs)
+
+
+def test_coded_outputs_enumerate_sequences_in_basis_order():
+    """On a 3-symbol source at n = 2, the identity code's outputs come in
+    itertools.product order, and the classical copy of x^n is |3·x_1 + x_2>."""
+    src = source.random_source(np.random.default_rng(4), 3, 2, 2)
+    outputs = list(codes.coded_outputs(src, codes.identity_code(src, 2)))
+    assert [xs for xs, _, _ in outputs] == [(x1, x2) for x1 in range(3) for x2 in range(3)]
+    for xs, _, lv in outputs:
+        i = 3 * xs[0] + xs[1]
+        assert np.allclose(lv.reduced(["Xhat"]), np.outer(np.eye(9)[i], np.eye(9)[i]),
+                           atol=1e-12), xs
 
 
 def test_decoupling_cmi_memory_peak(src_c):

@@ -795,3 +795,41 @@ def test_two_copy_additivity_src_a(src_a, light_opts):
                                     OptimizerOptions(seed=0, restarts=4,
                                                      iters_per_stage=30, w_dim=4, c_dim=4))
     assert abs(double.value - 2 * single.value) <= 0.05
+
+
+# --- known-answer sources at |B| = 4 and 6 ----------------------------------
+
+def _product_removable(seed: int, b1: int, b2: int, r: int):
+    """psi_x = (U ⊗ 1_R)(phi^{B'R} ⊗ |x>^{B''}) with U Haar on B = B'⊗B'', phi
+    a normalized Ginibre (|B'|, |R|) matrix and p = 0.8·Dirichlet + 0.2/|B''|.
+    U† takes every psi_x to phi ⊗ |x>, so I_delta = I(X:B) = H(p) at every delta."""
+    rng = np.random.default_rng(seed)
+    u = qcore.random_isometry(b1 * b2, b1 * b2, rng)
+    phi = qcore.ginibre((b1, r), rng)
+    phi /= np.linalg.norm(phi)
+    probs = 0.8 * rng.dirichlet(np.ones(b2)) + 0.2 / b2
+    mats = [u @ np.kron(phi, np.eye(b2)[:, [x]]) for x in range(b2)]
+    return source.make_source(probs, mats, b1 * b2, r), u, qcore.entropy_from_eigvals(probs)
+
+
+@pytest.mark.parametrize("seed, shape", [(0, (2, 2, 2)), (1, (2, 3, 2)), (2, (3, 2, 3))],
+                         ids=["B4", "B6-R2", "B6-R3"])
+def test_known_answer_sources_bound_the_climb(seed, shape):
+    """The certificate U† reaches H(p) exactly feasibly; the climb stays at or
+    below it, and apply_channel certifies every channel it returns.  Whether
+    the climb reaches H(p) is not asserted: at |B| = 6 it often does not."""
+    b1, b2, _ = shape
+    src, u, h_p = _product_removable(seed, *shape)
+    assert abs(source.entropic_profile(src).i_x_b - h_p) <= 1e-9
+    _, ixw, irwx = idelta.apply_channel(
+        src, idelta.make_channel_param(u.conj().T, b1 * b2, b1, b2))
+    assert abs(ixw - h_p) <= 1e-9
+    assert irwx <= 1e-12
+    curve = idelta.idelta_curve(src, (0.0, 0.1),
+                                OptimizerOptions(seed=0, restarts=4, iters_per_stage=10))
+    for res in curve.results:  # the curve's values are the running maximum of these
+        assert res.value <= h_p + 1e-9
+        _, ixw, irwx = idelta.apply_channel(src, res.param)
+        assert abs(ixw - res.value) <= idelta.TOL_FEAS
+        assert abs(irwx - res.constraint) <= idelta.TOL_FEAS
+        assert irwx <= res.delta + idelta.TOL_FEAS

@@ -39,7 +39,6 @@ from .region import (  # noqa: F401
     RatePoint,
     RateRegion2D,
     dw_point,
-    generic_region,
     inner_bound_region,
     markov_interpolation,
     merging_point,

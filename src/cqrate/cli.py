@@ -104,14 +104,16 @@ def cmd_region(args) -> int:
     doc["points"]["qsr"] = None
     if args.i0 is not None:
         i0, i0t = args.i0, args.i0_tilde
+    elif gen.is_generic:  # the paper's generic case: I0 = I~0 = 0, QSR at the trivial channel
+        i0 = i0t = 0.0
+        doc["points"]["qsr"] = doc["points"]["merging"]
     else:
         curve = idelta.idelta_curve(src, opts=opts)
         i0, i0t = curve.i0, curve.i0_tilde
         if curve.i0_result.param is not None:
             doc["points"]["qsr"] = region.qsr_point(prof, src, curve.i0_result).as_dict()
     i0, i0t, inner, outer = region.estimated_regions(prof, i0, i0t, args.mode)
-    regions = {"generic": region.generic_region(prof, gen.is_generic),
-               "inner": inner, "outer": outer}
+    regions = {"inner": inner, "outer": outer}
     rx_hi = max(v.rx for r in regions.values() for v in r.vertices) + 1.0
     doc["source"] = {"name": src.name}
     doc["estimates"] = {"I0": i0, "I0_tilde": i0t, "gap": i0t - i0}
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("region", help="generic/inner/outer rate regions with plot data")
+    p = sub.add_parser("region", help="inner/outer rate regions with plot data")
     add_common(p)
     add_opt_flags(p)
     p.add_argument("--mode", choices=["assisted", "unassisted"], default="assisted")

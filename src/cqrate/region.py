@@ -7,7 +7,7 @@ lists; consistency between the two is an invariant, not an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +62,11 @@ class HalfPlane:
 class RateRegion2D:
     half_planes: tuple[HalfPlane, ...]
     vertices: tuple[RatePoint, ...]
-    kind: str  # inner | outer | exact
+    kind: str  # inner | outer
     provenance: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("inner", "outer", "exact"):
+        if self.kind not in ("inner", "outer"):
             raise ValueError(f"unknown region kind {self.kind!r}")
 
 
@@ -154,16 +154,6 @@ def _shared_bounds(profile: EntropicProfile, i: float) -> list[HalfPlane]:
     every region; i is I0 for the inner region and I~0 for the converse."""
     return [HalfPlane(1.0, 0.0, profile.s_x_given_b),
             HalfPlane(0.0, 1.0, 0.5 * (profile.s_b + profile.s_b_given_x - i))]
-
-
-def generic_region(profile: EntropicProfile, is_generic: bool = True) -> RateRegion2D:
-    """The three-inequality region, which is the converse at I~0 = 0; exact
-    for generic sources, otherwise only its achievability survives and the
-    kind is downgraded to inner."""
-    return replace(outer_bound_region(profile, 0.0),
-                   kind="exact" if is_generic else "inner",
-                   provenance="generic three-inequality region"
-                              + ("" if is_generic else " (non-generic source: inner)"))
 
 
 def outer_bound_region(profile: EntropicProfile, i0_tilde: float,

@@ -198,11 +198,11 @@ def test_region_with_precomputed_estimates(spec_paths):
     out = run_cli("region", "--source", spec_paths["b"], "--i0", "0", "--i0-tilde", "0")
     assert out.returncode == 0
     doc = json.loads(out.stdout)
-    assert set(doc["regions"]) == {"generic", "inner", "outer"}
-    gen = doc["regions"]["generic"]
-    assert gen["kind"] == "exact"
-    assert len(gen["boundary_samples"]) == 200
-    assert len(gen["vertices"]) == 2
+    assert set(doc["regions"]) == {"inner", "outer"}
+    for kind, reg in doc["regions"].items():
+        assert reg["kind"] == kind
+        assert len(reg["boundary_samples"]) == 200
+        assert len(reg["vertices"]) == 2
 
 
 def test_region_csv_format(spec_paths):
@@ -210,8 +210,8 @@ def test_region_csv_format(spec_paths):
                   "--format", "csv")
     lines = out.stdout.strip().split("\n")
     assert lines[0] == "rX,rB,region_kind"
-    assert len(lines) == 1 + 3 * 200
-    assert lines[1].endswith(",generic")
+    assert len(lines) == 1 + 2 * 200
+    assert lines[1].endswith(",inner")
 
 
 def test_region_unassisted_mode_adds_halfplane(spec_paths):
@@ -225,9 +225,8 @@ def test_region_unassisted_mode_adds_halfplane(spec_paths):
                for hp in una["regions"]["outer"]["halfplanes"])
 
 
-def test_region_climbs_only_the_deltas_it_reads(monkeypatch):
-    """`region` reads I0 and I~0 only, so it makes one optimizer call on
-    delta = 1e-4 (the smallest positive grid delta) and delta = 0."""
+def _region_on(spec, monkeypatch, *flags):
+    """The region document of a spec and the deltas of every optimizer call."""
     calls = []
     optimize = idelta._optimize_ensemble
 
@@ -236,9 +235,34 @@ def test_region_climbs_only_the_deltas_it_reads(monkeypatch):
         return optimize(problems, opts, unassisted)
 
     monkeypatch.setattr(idelta, "_optimize_ensemble", recording)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["region", "--source", SRC_B_SPEC, "--restarts", "1", "--iters", "1"]) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["region", "--source", str(SPECS / f"{spec}.json"), *flags]) == 0
+    return json.loads(out.getvalue()), calls
+
+
+def test_region_climbs_only_the_deltas_it_reads(monkeypatch):
+    """`region` on a non-generic source reads I0 and I~0 only, so it makes
+    one optimizer call on delta = 1e-4 (the smallest positive grid delta)
+    and delta = 0."""
+    _, calls = _region_on("src_a", monkeypatch, "--restarts", "1", "--iters", "1")
     assert calls == [[1e-4, 0.0]]
+
+
+@pytest.mark.parametrize("spec", ["src_b", "mixed_example"])
+def test_region_takes_the_generic_case_in_closed_form(spec, monkeypatch):
+    """On a generic source I0 = I~0 = 0 by the theorem: no climb, the QSR point
+    is the merging point, and the inner and outer regions are one region."""
+    doc, calls = _region_on(spec, monkeypatch)
+    assert doc["genericity"]["is_generic"] is True
+    assert calls == []
+    assert doc["estimates"] == {"I0": 0.0, "I0_tilde": 0.0, "gap": 0.0}
+    assert doc["points"]["qsr"] == doc["points"]["merging"]
+    inner, outer = doc["regions"]["inner"], doc["regions"]["outer"]
+    assert inner["vertices"] == outer["vertices"]
+    assert len(inner["halfplanes"]) == len(outer["halfplanes"])
+    for hi, ho in zip(inner["halfplanes"], outer["halfplanes"]):
+        assert hi == pytest.approx(ho, abs=1e-12)
 
 
 def test_idelta_command(spec_paths):
@@ -639,7 +663,8 @@ def test_linalg_failure_is_an_internal_error_exit_1(monkeypatch):
     monkeypatch.setattr(qcore, "entropy_of_stack", failing)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = cli.main(["region", "--source", SRC_B_SPEC, "--restarts", "1", "--iters", "1"])
+        rc = cli.main(["region", "--source", str(SPECS / "src_a.json"),
+                       "--restarts", "1", "--iters", "1"])
     assert rc == 1
     assert err.getvalue() == "internal error: Eigenvalues did not converge\n"
 
@@ -653,7 +678,8 @@ def test_a_value_error_inside_the_program_is_an_internal_error_exit_1(monkeypatc
     monkeypatch.setattr(qcore, "entropy_of_stack", failing)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = cli.main(["region", "--source", SRC_B_SPEC, "--restarts", "1", "--iters", "1"])
+        rc = cli.main(["region", "--source", str(SPECS / "src_a.json"),
+                       "--restarts", "1", "--iters", "1"])
     assert rc == 1
     assert err.getvalue().startswith("internal error: operands could not be broadcast")
 

@@ -73,9 +73,10 @@ def test_qsr_point_rejects_infeasible(src_b):
 
 
 def test_generic_region_src_b(src_b):
+    """The converse at I~0 = 0 is the paper's three-inequality region, the
+    exact region of a generic source."""
     prof = source.entropic_profile(src_b)
-    reg = region.generic_region(prof, is_generic=True)
-    assert reg.kind == "exact"
+    reg = region.outer_bound_region(prof, 0.0)
     hb = {(hp.ax, hp.ab): hp.b for hp in reg.half_planes}
     assert hb[(1.0, 0.0)] == pytest.approx(1.5 - H14, abs=1e-9)
     assert hb[(0.0, 1.0)] == pytest.approx(0.5 * (H14 + 0.5), abs=1e-9)
@@ -85,11 +86,6 @@ def test_generic_region_src_b(src_b):
     assert vs[1] == (pytest.approx(1.0, abs=1e-9), pytest.approx(0.5 * (H14 + 0.5), abs=1e-9))
 
 
-def test_generic_region_downgrades_kind(src_a):
-    prof = source.entropic_profile(src_a)
-    assert region.generic_region(prof, is_generic=False).kind == "inner"
-
-
 def test_dw_saturates_sum_inequality(src_a, src_b, src_c):
     for src in (src_a, src_b, src_c):
         prof = source.entropic_profile(src)
@@ -97,11 +93,15 @@ def test_dw_saturates_sum_inequality(src_a, src_b, src_c):
         assert dw.rx + 2 * dw.rb == pytest.approx(prof.s_b + prof.s_xb, abs=1e-12)
 
 
-def test_outer_region_zero_i0_equals_generic():
+def test_inner_and_outer_regions_coincide_at_zero():
+    """At I0 = I~0 = 0 the DW-QSR hull is the converse: alpha = 2 and
+    S(X|B) + 2 S(B) = S(B) + S(XB), on every source."""
     for src in _spec_sources():
         prof = source.entropic_profile(src)
-        assert region.generic_region(prof).half_planes == \
-            region.outer_bound_region(prof, 0.0).half_planes
+        inner, outer = region.inner_bound_region(prof, 0.0), region.outer_bound_region(prof, 0.0)
+        assert inner.vertices == outer.vertices
+        for hi, ho in zip(inner.half_planes, outer.half_planes):
+            assert (hi.ax, hi.ab, hi.b) == pytest.approx((ho.ax, ho.ab, ho.b), abs=1e-12)
 
 
 def test_outer_region_src_c(src_c):
@@ -153,7 +153,8 @@ def test_inner_region_alpha_two_when_i0_zero(src_b):
     prof = source.entropic_profile(src_b)
     reg = region.inner_bound_region(prof, 0.0)
     line = [hp for hp in reg.half_planes if hp.ab == pytest.approx(2.0)][0]
-    gen_sum = [hp for hp in region.generic_region(prof).half_planes if hp.ab == 2.0][0]
+    gen_sum = [hp for hp in region.outer_bound_region(prof, 0.0).half_planes
+               if hp.ab == 2.0][0]
     assert line.b == pytest.approx(gen_sum.b, abs=1e-9)
 
 
@@ -173,7 +174,7 @@ def test_inner_region_i0_out_of_range(src_b):
 
 def test_region_contains(src_b):
     prof = source.entropic_profile(src_b)
-    reg = region.generic_region(prof)
+    reg = region.outer_bound_region(prof, 0.0)
     assert region.region_contains(reg, region.dw_point(prof))
     assert region.region_contains(reg, region.merging_point(prof))
     assert not region.region_contains(reg, RatePoint(0.0, 0.0))
@@ -309,7 +310,7 @@ def test_estimated_regions_clamps(src_b, i0, i0_tilde, expected):
 
 def test_boundary_samples_feasible(src_b):
     prof = source.entropic_profile(src_b)
-    reg = region.generic_region(prof)
+    reg = region.outer_bound_region(prof, 0.0)
     pts = region.boundary_samples(reg, 200, rx_hi=max(v.rx for v in reg.vertices) + 1.0)
     assert len(pts) == 200
     for p in pts:

@@ -38,6 +38,9 @@ def _provenance(args, command: str) -> dict:
         "seed": getattr(args, "seed", 0),
         "mode": getattr(args, "mode", None),
         "restarts": getattr(args, "restarts", None),
+        "iters": getattr(args, "iters", None),
+        "cdim": getattr(args, "cdim", None),
+        "wdim": getattr(args, "wdim", None),
         "tolerances": {
             "tol_herm": qcore.TOL_HERM,
             "tol_psd": qcore.TOL_PSD,

@@ -320,6 +320,23 @@ def test_malformed_optimizer_budget_exit_2(command, flags, message):
     assert out.getvalue() == ""
 
 
+def test_provenance_records_the_optimizer_budget():
+    """Runs that differ only in --iters, --cdim or --wdim give different
+    numbers, so their provenance differs too; an option not given is null."""
+    def provenance(*flags):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["idelta", "--source", SRC_B_SPEC, "--delta-grid", "0.1",
+                             "--restarts", "1", *flags]) == 0
+        return json.loads(out.getvalue())["provenance"]
+
+    assert provenance("--iters", "1") != provenance("--iters", "2")
+    pinned = provenance("--iters", "1", "--cdim", "2", "--wdim", "2")
+    assert (pinned["iters"], pinned["cdim"], pinned["wdim"]) == (1, 2, 2)
+    default = provenance("--iters", "1")
+    assert (default["cdim"], default["wdim"]) == (None, None)
+
+
 def test_selftest_negative_seed_exit_2():
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

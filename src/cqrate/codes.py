@@ -87,7 +87,7 @@ class DecouplingReport:
 
 def identity_code(src: CqSource, n: int) -> BlockCode:
     """Zero-error reference code: both registers pass through unchanged."""
-    _check_cap(src, n, wx=1, l=1, wb=1, wd=1)
+    _check_builder_cap(src, n)
     nxn, dbn = src.alphabet_size ** n, src.dim_b ** n
     u_x = Isometry(np.eye(nxn), (nxn,), (nxn, 1))
     u_b = Isometry(np.eye(dbn), (dbn, 1), (dbn, 1, 1))
@@ -99,7 +99,7 @@ def truncation_code(src: CqSource, n: int, rank: int) -> BlockCode:
     """Schumacher-style projection of B^n onto the top-`rank` eigenspace of
     (omega^B)^{⊗n}, completed to an isometry: the discarded subspace is
     routed to W_B under an orthogonal flag dimension."""
-    _check_cap(src, n, wx=1, l=1, wb=1, wd=1)  # before any |B|^n is formed
+    _check_builder_cap(src, n)  # before any |B|^n is formed
     dbn = src.dim_b ** n
     if rank < 1 or rank > dbn:
         raise SpecError(f"truncation rank must be in [1, |B|^n = {dbn}]")
@@ -130,6 +130,17 @@ def _check_cap(src: CqSource, n: int, wx: int, l: int, wb: int, wd: int):
     if total > XI_AMPLITUDE_CAP:
         raise DimensionCapError(
             f"coded output state needs {total} amplitudes, over the cap {XI_AMPLITUDE_CAP}")
+
+
+def _check_builder_cap(src: CqSource, n: int):
+    """`_check_cap` for the smallest code of length n, then the builders' own
+    bound: they form V densely on X^n B^n, so its (|X|^n |B|^n)^2 entries
+    must fit the cap too."""
+    _check_cap(src, n, wx=1, l=1, wb=1, wd=1)
+    entries = (src.alphabet_size * src.dim_b) ** (2 * n)
+    if entries > XI_AMPLITUDE_CAP:
+        raise DimensionCapError(
+            f"the built code's maps need {entries} matrix entries, over the cap {XI_AMPLITUDE_CAP}")
 
 
 # ---------------------------------------------------------------------------

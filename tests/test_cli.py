@@ -194,6 +194,21 @@ def test_verify_code_cap_exit_3(spec_paths):
     assert out.returncode == 3
 
 
+@pytest.mark.parametrize("nx, rc", [(16, 0), (17, 3)])
+def test_built_code_maps_are_capped(nx, rc, tmp_path):
+    """The n = 2 identity code forms a V with (|X|^2 |B|^2)^2 entries: 65,536
+    at |X| = 16 and |B| = |R| = 1, the cap, and 83,521 at |X| = 17, which
+    exits 3 before any matrix is formed."""
+    src = source.make_source([1 / nx] * nx, [[1.0]] * nx, 1, 1)
+    (tmp_path / "src.json").write_text(json.dumps(source.source_doc(src)))
+    (tmp_path / "code.json").write_text(json.dumps({"builder": "identity", "n": 2}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["verify-code", "--source", str(tmp_path / "src.json"),
+                         "--code", str(tmp_path / "code.json")]) == rc
+    assert ("83521 matrix entries, over the cap 65536" in err.getvalue()) == (rc == 3)
+
+
 def test_region_with_precomputed_estimates(spec_paths):
     out = run_cli("region", "--source", spec_paths["b"], "--i0", "0", "--i0-tilde", "0")
     assert out.returncode == 0

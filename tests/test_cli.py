@@ -345,11 +345,11 @@ def test_provenance_records_the_optimizer_budget():
                              "--restarts", "1", *flags]) == 0
         return json.loads(out.getvalue())["provenance"]
 
-    assert provenance("--iters", "1") != provenance("--iters", "2")
+    one = provenance("--iters", "1")
+    assert one != provenance("--iters", "2")
+    assert (one["cdim"], one["wdim"]) == (None, None)
     pinned = provenance("--iters", "1", "--cdim", "2", "--wdim", "2")
     assert (pinned["iters"], pinned["cdim"], pinned["wdim"]) == (1, 2, 2)
-    default = provenance("--iters", "1")
-    assert (default["cdim"], default["wdim"]) == (None, None)
 
 
 def test_selftest_negative_seed_exit_2():

@@ -104,18 +104,21 @@ def cmd_region(args) -> int:
             raise SpecError(f"{flag} must be finite, got {value}")
     src, prof, gen, doc = _analysis(args, "region")
     opts = _optimizer_options(args)
-    doc["points"]["qsr"] = None
+    curve = None
     if args.i0 is not None:
         i0, i0t = args.i0, args.i0_tilde
-    elif gen.is_generic:  # the paper's generic case: I0 = I~0 = 0, QSR at the trivial channel
+    elif gen.is_generic:  # the paper's generic case: I0 = I~0 = 0
         i0 = i0t = 0.0
-        doc["points"]["qsr"] = doc["points"]["merging"]
     else:
         curve = idelta.idelta_curve(src, opts=opts)
         i0, i0t = curve.i0, curve.i0_tilde
-        if curve.i0_result.param is not None:
-            doc["points"]["qsr"] = region.qsr_point(prof, src, curve.i0_result).as_dict()
     i0, i0t, inner, outer = region.estimated_regions(prof, i0, i0t, args.mode)
+    qsr = None
+    if curve is not None and curve.i0_result.param is not None:
+        qsr = region.qsr_point(prof, src, curve.i0_result).as_dict()
+    elif curve is None and i0 == 0.0:  # given or generic I0 = 0: the trivial-W channel's
+        qsr = doc["points"]["merging"]
+    doc["points"]["qsr"] = qsr
     regions = {"inner": inner, "outer": outer}
     rx_hi = max(v.rx for r in regions.values() for v in r.vertices) + 1.0
     doc["source"] = {"name": src.name}

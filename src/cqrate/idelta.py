@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import types
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,8 @@ DIM_CAP_FACTOR = 2  # |C|, |W| <= |B|^DIM_CAP_FACTOR by default
 PENALTY_SCHEDULE = (1e1, 1e2, 1e3, 1e4)  # penalty weight of each climb stage
 STEP_INIT = 0.4  # step size at the start of each stage
 ORACLE_STEPS = 12  # angles per circuit parameter in the oracle's net
+ORTHO_TOL = 1e-9  # largest support overlap for which the support measurement is built
+RETIRE_TOL = 1e-12  # a problem retires at I(X:W) >= U - RETIRE_TOL·max(1, U)
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class IdeltaResult:
     value: float            # achieved I(X:W), bits
     constraint: float       # achieved I(R:W|X), bits
     param: Isometry | None  # the channel's B -> C⊗W Stinespring isometry
-    restarts_used: int      # climbed restarts, 1 per closed-form split
+    restarts_used: int      # climbed restarts, 1 per closed-form channel
     candidates: tuple[tuple[float, float], ...] = ()  # feasible per-restart finals
 
 
@@ -83,7 +85,8 @@ class _Ensemble:
     """Blocks {p(y), pure state on B⊗R⊗E}, held as one stack `mats` of shape
     (blocks, |B|, |R||E|), block y's matrix indexed [b, (r, e)].  The blocks
     of a source have |E| = 1, and a Y-conditioned (mixed) BR state is
-    purified on a copy E of X."""
+    purified on a copy E of X.  `holevo` and `support_measurement` are
+    computed on first use."""
 
     def __init__(self, probs: np.ndarray, dim_r: int, mats: np.ndarray):
         self.probs = np.asarray(probs, dtype=float)
@@ -110,6 +113,40 @@ class _Ensemble:
         psi = src.psi.transpose(1, 2, 0)  # [b, r, x]
         mats = (psi * amp[:, np.newaxis, np.newaxis, :]).reshape(len(py), src.dim_b, -1)
         return cls(py, src.dim_r, mats)
+
+    @functools.cached_property
+    def holevo(self) -> float:
+        """U = I(Y:B), the Holevo quantity of the blocks' rho_y^B: by data
+        processing no channel B -> W gives I(Y:W) above it."""
+        rho_b = self.mats @ self.mats.conj().swapaxes(1, 2)
+        return float(qcore.holevo_of_stack(self.probs, rho_b)[0])
+
+    @functools.cached_property
+    def support_measurement(self) -> np.ndarray | None:
+        """V = sum_k P_k ⊗ |k>_W as a (|B||B|, |B|) Stinespring matrix at
+        (|C|, |W|) = (|B|, |B|), when the supports S_k of the blocks with
+        p > 0 are pairwise orthogonal within ORTHO_TOL; otherwise None.  P_k
+        projects onto S_k and the complement of their span goes to outcome
+        0.  The projectors come from one QR of the support bases, so V is an
+        isometry even where the supports overlap slightly; whether it is
+        optimal is decided by its evaluated informations, not here.  With
+        orthogonal supports W is a function of Y, so I(Y:W) = I(Y:B) and
+        I(R:W|Y) = 0."""
+        u, s, _ = np.linalg.svd(self.mats[self.probs > 0], full_matrices=False)
+        rank_tol = s[:, :1] * max(self.mats.shape[1:]) * np.finfo(float).eps
+        bases = [uk[:, sk > tol] for uk, sk, tol in zip(u, s, rank_tol) if sk[0] > 0]
+        basis = np.concatenate(bases, axis=1)
+        n = basis.shape[1]
+        if n > self.dim_b or np.abs(basis.conj().T @ basis - np.eye(n)).max() > ORTHO_TOL:
+            return None
+        q = np.linalg.qr(basis, mode="complete")[0]  # q[:, :j] spans basis[:, :j]
+        v = np.zeros((self.dim_b,) * 3, dtype=complex)  # v[c, w, b]
+        lo = 0
+        for k, b in enumerate(bases):
+            v[:, k] = q[:, lo:lo + b.shape[1]] @ q[:, lo:lo + b.shape[1]].conj().T
+            lo += b.shape[1]
+        v[:, 0] += q[:, n:] @ q[:, n:].conj().T  # the complement of the supports
+        return v.reshape(-1, self.dim_b)
 
 
 class _Evaluator:
@@ -389,9 +426,22 @@ def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
 def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerOptions,
                        unassisted: bool = False) -> list[IdeltaResult]:
     """Best feasible lower bound for each (ensemble, delta) problem of
-    `problems`, from one climb per dimension split for the whole list; the
-    ensembles must share |B|, |R|, |E| and the number of blocks.  Each
-    result equals that of a one-problem list, bit for bit."""
+    `problems`; the ensembles must share |B|, |R|, |E| and the number of
+    blocks.  Each result equals that of a one-problem list, bit for bit.
+
+    Closed forms come first.  A split with |C| = 1 or |W| = 1 gives every
+    isometry the same informations, so its identity embedding is evaluated
+    and not climbed.  At (|B|, |B|) the support measurement of an ensemble
+    whose block supports are orthogonal is evaluated too.  No channel gives
+    I(X:W) above U = `_Ensemble.holevo` (data processing), so a problem is
+    retired, and never climbed, when one of these channels passes
+    `_feasible` at its delta with I(X:W) >= U - RETIRE_TOL·max(1, U).
+    Pinned dims leave only the pinned split's channels.  The other problems
+    climb every other split, one climb per split for all of them, and the
+    support measurement does not enter their results.  A result is the best
+    feasible outcome, the largest I(X:W) with ties to the earlier menu
+    entry, then to the earlier restart; a closed-form channel is restart 0
+    of its split."""
     ensembles: list[_Ensemble] = []  # distinct, in order of first appearance
     stack: list[tuple[int, float]] = []  # (index into ensembles, delta)
     for ens, delta in problems:
@@ -418,24 +468,53 @@ def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerO
             raise SpecError(
                 f"no isometry B -> C⊗W with |C||W| = {c_dim * w_dim} < |B| = {dim_b}")
 
-    results = [[] for _ in stack]  # per problem: (menu index, restart index, c, w, outcome)
+    closed = [[] for _ in ensembles]  # per ensemble: (menu index, c, w, informations, V)
     for mi, (c_dim, w_dim) in enumerate(menu):
+        if c_dim == 1 or w_dim == 1:
+            chans = [(j, _start_points(dim_b, c_dim, w_dim)[0]) for j in range(len(ensembles))]
+        elif (c_dim, w_dim) == (dim_b, dim_b):
+            chans = [(j, ens.support_measurement) for j, ens in enumerate(ensembles)
+                     if ens.support_measurement is not None]
+        else:
+            continue
+        if chans:
+            g, v = zip(*chans)
+            info = _Evaluator(ensembles, c_dim, w_dim, want_c=unassisted).informations(
+                np.stack(v), np.array(g))
+            cols = {key: vals.tolist() for key, vals in info.items()}
+            for k, (j, vk) in enumerate(chans):
+                closed[j].append((mi, c_dim, w_dim, {key: col[k] for key, col in cols.items()},
+                                  vk))
+
+    results, climbing = [], []  # per problem: (menu index, restart, c, w, outcome); unretired
+    for g, (j, delta) in enumerate(stack):
+        row = [(mi, 0, c_dim, w_dim, (info["ixw"], info["irwx"], v.copy())
+                if _feasible(info, delta, unassisted) else None)
+               for mi, c_dim, w_dim, info, v in closed[j]]
+        u = ensembles[j].holevo
+        if not any(out is not None and out[0] >= u - RETIRE_TOL * max(1.0, u)
+                   for *_, out in row):
+            row = [r for r in row if r[2] == 1 or r[3] == 1]  # the degenerate splits' embeddings
+            climbing.append(g)
+        results.append(row)
+
+    live = sorted({stack[g][0] for g in climbing})  # ensembles with a problem to climb
+    sub = [(live.index(stack[g][0]), stack[g][1]) for g in climbing]
+    for mi, (c_dim, w_dim) in enumerate(menu):
+        if not climbing or c_dim == 1 or w_dim == 1:
+            continue
         starts = _start_points(dim_b, c_dim, w_dim)
-        ev = _Evaluator(ensembles, c_dim, w_dim, want_c=unassisted)
-        # T is an isometry into W (|C| = 1) or traces B out (|W| = 1), so
-        # every channel of such a split gives the same informations: one
-        # restart from the identity embedding that takes no step
-        split_opts = (replace(opts, restarts=1, iters_per_stage=0)
-                      if c_dim == 1 or w_dim == 1 else opts)
-        n_restarts = max(split_opts.restarts, len(starts))
+        ev = _Evaluator([ensembles[j] for j in live], c_dim, w_dim, want_c=unassisted)
+        n_restarts = max(opts.restarts, len(starts))
         seeds = np.random.SeedSequence(entropy=opts.seed, spawn_key=(mi,)).spawn(n_restarts)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         v0 = np.stack([starts[i] if i < len(starts)
                        else qcore.random_isometry(c_dim * w_dim, dim_b, rng)
                        for i, rng in enumerate(rngs)])
-        for row, outs in zip(results, _climb(ev, v0, stack, split_opts, rngs)):
-            row += [(mi, i, c_dim, w_dim, out) for i, out in enumerate(outs)]
-    return [_best_result(delta, dim_b, row) for (_, delta), row in zip(stack, results)]
+        for g, outs in zip(climbing, _climb(ev, v0, sub, opts, rngs)):
+            results[g] += [(mi, i, c_dim, w_dim, out) for i, out in enumerate(outs)]
+    return [_best_result(delta, dim_b, sorted(row, key=lambda r: r[:2]))
+            for (_, delta), row in zip(stack, results)]
 
 
 def _best_result(delta: float, dim_b: int, results: list) -> IdeltaResult:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import idelta as idelta_mod
-from . import qcore
 from .errors import InternalError
 from .idelta import IdeltaResult, OptimizerOptions, _Ensemble, _optimize_ensemble
 from .source import CqSource, EntropicProfile, entropic_profile
@@ -237,10 +236,8 @@ def markov_interpolation(src: CqSource, y_dim: int,
     ensembles = [_Ensemble.conditioned(src, cond) for cond in maps]
     results = _optimize_ensemble([(ens, 0.0) for ens in ensembles], opts) if maps else []
     for ens, res in zip(ensembles, results):
-        rho_b = ens.mats @ ens.mats.conj().swapaxes(1, 2)  # per block y, rho_y^B
-        iyb = float(qcore.holevo_of_stack(ens.probs, rho_b)[0])
-        points.append(RatePoint(profile.s_x_given_b + iyb,
-                                profile.s_b - 0.5 * (iyb + res.value)))
+        points.append(RatePoint(profile.s_x_given_b + ens.holevo,
+                                profile.s_b - 0.5 * (ens.holevo + res.value)))
     return _pareto_filter(points)
 
 

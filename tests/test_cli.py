@@ -264,6 +264,35 @@ def test_region_climbs_only_the_deltas_it_reads(monkeypatch):
     assert calls == [[1e-4, 0.0]]
 
 
+@pytest.mark.parametrize("spec", ["src_a", "src_b", "src_c", "mixed_example"])
+def test_region_on_the_specs_climbs_nothing(spec, monkeypatch):
+    """Every answer on the four specs has a closed form: the generic case on
+    src_b and mixed_example, and on src_a and src_c, whose supports are
+    orthogonal, a channel that reaches I(X:B) feasibly."""
+    climbs = []
+    climb = idelta._climb
+    monkeypatch.setattr(idelta, "_climb", lambda *args: climbs.append(args) or climb(*args))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["region", "--source", str(SPECS / f"{spec}.json")]) == 0
+    assert climbs == []
+    doc = json.loads(out.getvalue())
+    if not doc["genericity"]["is_generic"]:
+        for key in ("I0", "I0_tilde"):
+            assert abs(doc["estimates"][key] - doc["profile"]["I_X_B"]) <= idelta.RETIRE_TOL
+
+
+@pytest.mark.parametrize("spec", ["src_b", "src_c"])
+def test_given_estimates_at_zero_write_the_merging_point(spec, monkeypatch):
+    """I0 = 0 is the trivial-W channel's, whether the theorem or --i0 gives
+    it; another given I0 has no channel, so no QSR point."""
+    doc, calls = _region_on(spec, monkeypatch, "--i0", "0", "--i0-tilde", "0")
+    assert doc["points"]["qsr"] == doc["points"]["merging"]
+    doc, _ = _region_on(spec, monkeypatch, "--i0", "0.2", "--i0-tilde", "0.3")
+    assert doc["points"]["qsr"] is None
+    assert calls == []
+
+
 @pytest.mark.parametrize("spec", ["src_b", "mixed_example"])
 def test_region_takes_the_generic_case_in_closed_form(spec, monkeypatch):
     """On a generic source I0 = I~0 = 0 by the theorem: no climb, the QSR point

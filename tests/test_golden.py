@@ -10,8 +10,10 @@ and the brute-force oracle (`oracle_grid`).  The exact runs
 cover the entropic profile (`analyze`), the code evaluation at block lengths
 1 and 2 (`verify-code`, the n = 2 code specs are written to a temporary
 directory), the region geometry from given estimates (`region --i0
---i0-tilde`, JSON and CSV), the closed-form generic case (`region` with no
-budget flags on the generic sources, which makes no optimizer call), and the seven optimizer-free selftest suites at
+--i0-tilde`, JSON and CSV), the closed forms at the default budget (`region`
+with no budget flags: the generic case on src_b and mixed_example, which
+makes no optimizer call, and on src_a and src_c the problems retired before
+any climb), and the seven optimizer-free selftest suites at
 their default counts for seeds 0-9.  The stdout of `selftest --seed 0` pins
 every suite at its default budget, the oracle and sandwich suites included,
 which run the optimizer.  A forced-violation document runs four
@@ -139,7 +141,7 @@ DOCUMENTS = {
                                                            "--code", _code(c, tmp)))
        for s in SOURCES for c in ("code_identity", "code_trunc1", *N2_CODES)},
     **{f"region_default_{s}.json": (lambda tmp, s=s: _cli("region", "--source", _spec(s)))
-       for s in ("src_b", "mixed_example")},
+       for s in SOURCES},
     **{f"region_fixed_{s}.{fmt}": (lambda tmp, s=s, fmt=fmt: _cli(
         "region", "--source", _spec(s), *FIXED, "--format", fmt))
        for s in ("src_b", "src_c") for fmt in ("json", "csv")},

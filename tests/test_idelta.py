@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import probe_source
 from cqrate import cli, idelta, qcore, region, source
 from cqrate.idelta import OptimizerOptions
 
@@ -17,6 +19,8 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def _load(name: str) -> source.CqSource:
+    if name == "probe":
+        return probe_source()
     with open(SPECS / f"{name}.json") as fh:
         return source.load_source(json.load(fh))
 
@@ -170,7 +174,7 @@ def _assert_same_result(batched: idelta.IdeltaResult, alone: idelta.IdeltaResult
         assert batched.param.mat.tobytes() == alone.param.mat.tobytes()
 
 
-@pytest.mark.parametrize("name", ["src_a", "src_b", "src_c", "mixed_example"])
+@pytest.mark.parametrize("name", ["src_a", "src_b", "src_c", "mixed_example", "probe"])
 def test_a_batched_grid_gives_each_delta_its_lone_result(name):
     src = _load(name)
     ens = idelta._Ensemble.from_source(src)
@@ -187,7 +191,7 @@ def test_a_batched_grid_gives_each_delta_its_lone_result(name):
                 res, idelta._optimize_ensemble([(ens, delta)], opts, unassisted=True)[0])
 
 
-@pytest.mark.parametrize("name", ["src_a", "src_b", "src_c", "mixed_example"])
+@pytest.mark.parametrize("name", ["src_a", "src_b", "src_c", "mixed_example", "probe"])
 def test_estimates_give_the_lone_results_at_zero_and_on_the_grid(name):
     src = _load(name)
     opts = OptimizerOptions(seed=4, restarts=3, iters_per_stage=6)
@@ -219,7 +223,7 @@ def _markov_problems(monkeypatch, src, y_dim: int, opts: OptimizerOptions) -> li
 
 
 @pytest.mark.parametrize("y_dim", [2, 3])
-@pytest.mark.parametrize("name", ["src_b", "src_c", "mixed_example"])
+@pytest.mark.parametrize("name", ["src_b", "src_c", "mixed_example", "probe"])
 def test_stacked_markov_maps_give_each_map_its_lone_result(monkeypatch, name, y_dim):
     src = _load(name)
     for dims in ({}, {"c_dim": 2, "w_dim": 2}):
@@ -232,7 +236,7 @@ def test_stacked_markov_maps_give_each_map_its_lone_result(monkeypatch, name, y_
             _assert_same_result(res, idelta._optimize_ensemble([(ens, delta)], opts)[0])
 
 
-def test_estimates_draw_each_direction_once_for_the_whole_grid(monkeypatch, src_c):
+def test_estimates_draw_each_direction_once_for_the_whole_grid(monkeypatch, probe):
     opts = OptimizerOptions(seed=1, restarts=3, iters_per_stage=5)
     drawn = []
     draw = idelta._random_direction
@@ -242,8 +246,8 @@ def test_estimates_draw_each_direction_once_for_the_whole_grid(monkeypatch, src_
         return draw(rng, d)
 
     monkeypatch.setattr(idelta, "_random_direction", counted)
-    idelta.idelta_curve(src_c, opts=opts)  # the default grid's delta and delta = 0
-    db = src_c.dim_b
+    idelta.idelta_curve(probe, opts=opts)  # the default grid's delta and delta = 0
+    db = probe.dim_b
     restarts = [max(opts.restarts, len(idelta._start_points(db, c, w)))
                 for c, w in idelta._dims_menu(db) if c > 1 and w > 1]
     assert len(restarts) == 2  # (4, 4) and (2, 2); the other splits are closed form
@@ -507,6 +511,114 @@ def test_returned_channels_are_certified_by_apply_channel(name, light_opts):
                    - res.constraint) <= idelta.TOL_FEAS
 
 
+# --- problems retired before the climb ---------------------------------------
+
+def _count_climbs(monkeypatch) -> list:
+    """The problem list of every `_climb` call from here on."""
+    calls = []
+    climb = idelta._climb
+
+    def counting(ev, v0, problems, opts, rngs):
+        calls.append(problems)
+        return climb(ev, v0, problems, opts, rngs)
+
+    monkeypatch.setattr(idelta, "_climb", counting)
+    return calls
+
+
+def _orthogonal_supports(seed: int, dim_b: int, nx: int, dim_r: int, spare: int):
+    """psi_x = (U ⊗ 1_R)(sum_i |e_i> ⊗ |a_xi>) over a block of basis vectors
+    e_i, with U Haar on B and the a_xi the rows of a normalized Ginibre
+    matrix.  The nx blocks partition the basis less at least `spare` vectors
+    and are at most |R| long, so the supports are pairwise orthogonal and
+    need not span B."""
+    rng = np.random.default_rng(seed)
+    sizes = np.ones(nx, dtype=int)
+    for _ in range(dim_b - nx - spare):
+        grow = np.flatnonzero(sizes < dim_r)
+        if grow.size:
+            sizes[rng.choice(grow)] += 1
+    u = qcore.random_isometry(dim_b, dim_b, rng)
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    mats = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        a = qcore.ginibre((hi - lo, dim_r), rng)
+        mats.append(u[:, lo:hi] @ a / np.linalg.norm(a))
+    probs = 0.8 * rng.dirichlet(np.ones(nx)) + 0.2 / nx
+    return source.make_source(probs, mats, dim_b, dim_r)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim_b=st.integers(2, 6), nx=st.integers(1, 6), dim_r=st.integers(1, 3),
+       spare=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_orthogonal_supports_are_retired_before_the_climb(dim_b, nx, dim_r, spare, seed):
+    """With pairwise orthogonal supports every I_delta and I0^- equal I(X:B):
+    the support measurement (or, at |R| = 1, the identity into W) reaches
+    it feasibly, so nothing is climbed, and apply_channel certifies the
+    channel with I(R:W|X) = 0."""
+    nx = min(nx, dim_b)
+    src = _orthogonal_supports(seed, dim_b, nx, dim_r, min(spare, dim_b - nx))
+    ixb = source.entropic_profile(src).i_x_b
+    eps = idelta.RETIRE_TOL * max(1.0, ixb)
+    opts = OptimizerOptions(seed=0, restarts=2, iters_per_stage=2)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_climbs(mp)
+        curve = idelta.idelta_curve(src, (0.0, 1e-4, 0.1), opts)
+        minus = idelta.optimize_I0_minus(src, opts)
+    assert calls == []
+    for value in (*curve.values, curve.i0, curve.i0_tilde):
+        assert abs(value - ixb) <= eps
+    for res in (*curve.results, minus):
+        assert abs(res.value - ixb) <= eps
+        _, ixw, irwx = idelta.apply_channel(src, res.param)
+        assert abs(ixw - res.value) <= idelta.TOL_FEAS
+        assert irwx <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["probe", "src_c_overlap"])
+@pytest.mark.parametrize("loose", [False, True], ids=["default", "loose"])
+def test_supports_that_are_not_orthogonal_still_climb(monkeypatch, request, name, loose):
+    """The probe's supports meet only in 0, and SRC-C's overlap here by 1e-6:
+    neither has a closed form, so both deltas climb (4, 4) and (2, 2).  A
+    loose orthogonality test builds the support measurement, and its
+    evaluated I(X:W), below U - RETIRE_TOL, still retires nothing."""
+    src = request.getfixturevalue(name)
+    if loose:
+        monkeypatch.setattr(idelta, "ORTHO_TOL", 1.0)
+    ens = idelta._Ensemble.from_source(src)
+    assert (ens.support_measurement is None) != loose
+    calls = _count_climbs(monkeypatch)
+    idelta._optimize_ensemble([(ens, 0.0), (ens, 0.01)],
+                              OptimizerOptions(seed=0, restarts=2, iters_per_stage=4))
+    assert calls == [[(0, 0.0), (0, 0.01)]] * 2
+
+
+def test_pinned_dims_retire_only_with_the_pinned_split(monkeypatch, src_c):
+    calls = _count_climbs(monkeypatch)
+    budget = {"seed": 0, "restarts": 2, "iters_per_stage": 10}
+    # (2, 2) has no closed-form channel: it climbs to the result it had
+    # before problems were retired
+    curve = idelta.idelta_curve(src_c, (0.0, 0.01, 0.1),
+                                OptimizerOptions(c_dim=2, w_dim=2, **budget))
+    assert len(calls) == 1
+    best = (0.9999999999999999, 1.1102230246251565e-16)
+    for res in curve.results:
+        assert (res.value, res.constraint, res.restarts_used) == (*best, 2)
+        assert hashlib.sha256(res.param.mat.tobytes()).hexdigest() == (
+            "d131990bc2736e59ea82cb107b072b0fc266160226d0d7937f0a9ae2422f1133")
+    assert [res.candidates for res in curve.results] == [
+        (best,), *[(best, (0.9946132557164022, 0.005387232835445843))] * 2]
+    calls.clear()
+    # (4, 4) holds the support measurement, and (1, 4) only the identity
+    # into W, which is infeasible at delta = 0
+    retired = idelta.optimize_idelta(src_c, 0.0, OptimizerOptions(c_dim=4, w_dim=4, **budget))
+    into_w = idelta.optimize_idelta(src_c, 0.0, OptimizerOptions(c_dim=1, w_dim=4, **budget))
+    assert calls == []
+    assert retired.param.out_dims == (4, 4) and retired.restarts_used == 1
+    assert abs(retired.value - 1.0) <= idelta.RETIRE_TOL
+    assert into_w.param is None and into_w.restarts_used == 1
+
+
 # --- Y-conditioned ensembles -------------------------------------------------
 
 def _maps(nx: int) -> list[np.ndarray]:
@@ -688,7 +800,7 @@ def test_curve_grid_validation(src_a, light_opts):
     assert idelta.idelta_curve(src_a, [0.2, 0.1], light_opts).deltas == (0.1, 0.2)
 
 
-@pytest.mark.parametrize("name", ["src_b", "src_c", "mixed_example"])
+@pytest.mark.parametrize("name", ["src_b", "src_c", "mixed_example", "probe"])
 def test_an_unsorted_grid_gives_the_sorted_curve(name):
     src = _load(name)
     opts = OptimizerOptions(seed=3, restarts=3, iters_per_stage=6)

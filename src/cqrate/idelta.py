@@ -132,9 +132,10 @@ class _Ensemble:
         optimal is decided by its evaluated informations, not here.  With
         orthogonal supports W is a function of Y, so I(Y:W) = I(Y:B) and
         I(R:W|Y) = 0."""
-        u, s, _ = np.linalg.svd(self.mats[self.probs > 0], full_matrices=False)
-        rank_tol = s[:, :1] * max(self.mats.shape[1:]) * np.finfo(float).eps
-        bases = [uk[:, sk > tol] for uk, sk, tol in zip(u, s, rank_tol) if sk[0] > 0]
+        m = self.mats[self.probs > 0]
+        lam, vec = np.linalg.eigh(m @ m.conj().swapaxes(1, 2))  # rho^B, ascending eigenvalues
+        bases = [vk[:, lk > lk[-1] * self.dim_b * np.finfo(float).eps]
+                 for lk, vk in zip(lam, vec) if lk[-1] > 0]
         basis = np.concatenate(bases, axis=1)
         n = basis.shape[1]
         if n > self.dim_b or np.abs(basis.conj().T @ basis - np.eye(n)).max() > ORTHO_TOL:

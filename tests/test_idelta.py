@@ -929,19 +929,33 @@ def _product_removable(seed: int, b1: int, b2: int, r: int):
 def test_known_answer_sources_bound_the_climb(seed, shape):
     """The certificate U† reaches H(p) exactly feasibly; the climb stays at or
     below it, and apply_channel certifies every channel it returns.  Whether
-    the climb reaches H(p) is not asserted: at |B| = 6 it often does not."""
+    the climb reaches H(p) is not asserted: at |B| = 6 it often does not.
+    The supports psi_x^B are orthogonal, so `idelta_curve` retires every
+    problem at H(p); the climb is run directly, at (|B|, |B|) from that
+    split's starts and random isometries."""
     b1, b2, _ = shape
+    db = b1 * b2
     src, u, h_p = _product_removable(seed, *shape)
     assert abs(source.entropic_profile(src).i_x_b - h_p) <= 1e-9
-    _, ixw, irwx = idelta.apply_channel(
-        src, idelta.make_channel_param(u.conj().T, b1 * b2, b1, b2))
+    _, ixw, irwx = idelta.apply_channel(src, idelta.make_channel_param(u.conj().T, db, b1, b2))
     assert abs(ixw - h_p) <= 1e-9
     assert irwx <= 1e-12
-    curve = idelta.idelta_curve(src, (0.0, 0.1),
-                                OptimizerOptions(seed=0, restarts=4, iters_per_stage=10))
-    for res in curve.results:  # the curve's values are the running maximum of these
-        assert res.value <= h_p + 1e-9
-        _, ixw, irwx = idelta.apply_channel(src, res.param)
-        assert abs(ixw - res.value) <= idelta.TOL_FEAS
-        assert abs(irwx - res.constraint) <= idelta.TOL_FEAS
-        assert irwx <= res.delta + idelta.TOL_FEAS
+    opts = OptimizerOptions(seed=0, restarts=4, iters_per_stage=10)
+    retired = idelta.idelta_curve(src, (0.0, 0.1), opts)
+    outcomes = [(res.delta, res.value, res.constraint, res.param) for res in retired.results]
+    assert all(abs(value - h_p) <= 1e-9 for _, value, _, _ in outcomes)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(opts.restarts)]
+    starts = idelta._start_points(db, db, db)
+    v0 = np.stack(starts + [qcore.random_isometry(db * db, db, rng) for rng in rngs[len(starts):]])
+    climbed = idelta._climb(idelta._Evaluator([idelta._Ensemble.from_source(src)], db, db), v0,
+                            [(0, 0.0), (0, 0.1)], opts, rngs)
+    for delta, outs in zip((0.0, 0.1), climbed):
+        outcomes += [(delta, out[0], out[1], idelta.make_channel_param(out[2], db, db, db))
+                     for out in outs if out is not None]
+    assert len(outcomes) > len(retired.results)
+    for delta, value, constraint, param in outcomes:
+        assert value <= h_p + 1e-9
+        _, ixw, irwx = idelta.apply_channel(src, param)
+        assert abs(ixw - value) <= idelta.TOL_FEAS
+        assert abs(irwx - constraint) <= idelta.TOL_FEAS
+        assert irwx <= delta + idelta.TOL_FEAS

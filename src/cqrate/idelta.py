@@ -499,20 +499,18 @@ def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerO
             climbing.append(g)
         results.append(row)
 
-    live = sorted({stack[g][0] for g in climbing})  # ensembles with a problem to climb
-    sub = [(live.index(stack[g][0]), stack[g][1]) for g in climbing]
     for mi, (c_dim, w_dim) in enumerate(menu):
         if not climbing or c_dim == 1 or w_dim == 1:
             continue
         starts = _start_points(dim_b, c_dim, w_dim)
-        ev = _Evaluator([ensembles[j] for j in live], c_dim, w_dim, want_c=unassisted)
+        ev = _Evaluator(ensembles, c_dim, w_dim, want_c=unassisted)
         n_restarts = max(opts.restarts, len(starts))
         seeds = np.random.SeedSequence(entropy=opts.seed, spawn_key=(mi,)).spawn(n_restarts)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         v0 = np.stack([starts[i] if i < len(starts)
                        else qcore.random_isometry(c_dim * w_dim, dim_b, rng)
                        for i, rng in enumerate(rngs)])
-        for g, outs in zip(climbing, _climb(ev, v0, sub, opts, rngs)):
+        for g, outs in zip(climbing, _climb(ev, v0, [stack[g] for g in climbing], opts, rngs)):
             results[g] += [(mi, i, c_dim, w_dim, out) for i, out in enumerate(outs)]
     return [_best_result(delta, dim_b, sorted(row, key=lambda r: r[:2]))
             for (_, delta), row in zip(stack, results)]

@@ -22,7 +22,6 @@ from .idelta import (  # noqa: F401
     apply_channel,
     idelta_curve,
     optimize_I0_minus,
-    optimize_idelta,
     oracle_grid,
 )
 from .qcore import (  # noqa: F401

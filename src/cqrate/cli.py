@@ -73,23 +73,22 @@ def _optimizer_options(args) -> OptimizerOptions:
 # ---------------------------------------------------------------------------
 
 def _analysis(args, command: str):
-    """The source, its profile and genericity report, and the document block
-    analyze and region share: provenance, profile, genericity, DW and merging."""
+    """The source, its profile, and the document block analyze and region
+    share: provenance, profile, genericity, DW and merging."""
     src = source.load_source(_load_json(args.source))
     prof = source.entropic_profile(src)
-    gen = source.genericity_report(src)
     block = {
         "provenance": _provenance(args, command),
         "profile": prof.as_dict(),
-        "genericity": gen.as_dict(),
+        "genericity": source.genericity_report(src).as_dict(),
         "points": {"dw": region.dw_point(prof).as_dict(),
                    "merging": region.merging_point(prof).as_dict()},
     }
-    return src, prof, gen, block
+    return src, prof, block
 
 
 def cmd_analyze(args) -> int:
-    src, _, _, doc = _analysis(args, "analyze")
+    src, _, doc = _analysis(args, "analyze")
     doc["source"] = {"name": src.name, "alphabet_size": src.alphabet_size,
                      "dim_b": src.dim_b, "dim_r": src.dim_r}
     _emit(_dump(doc), args.out)
@@ -102,22 +101,20 @@ def cmd_region(args) -> int:
     for flag, value in (("--i0", args.i0), ("--i0-tilde", args.i0_tilde)):
         if value is not None and not math.isfinite(value):
             raise SpecError(f"{flag} must be finite, got {value}")
-    src, prof, gen, doc = _analysis(args, "region")
+    src, prof, doc = _analysis(args, "region")
     opts = _optimizer_options(args)
-    curve = None
+    i0_result = None  # given estimates come without a channel
     if args.i0 is not None:
         i0, i0t = args.i0, args.i0_tilde
-    elif gen.is_generic:  # the paper's generic case: I0 = I~0 = 0
-        i0 = i0t = 0.0
     else:
-        curve = idelta.idelta_curve(src, opts=opts)
-        i0, i0t = curve.i0, curve.i0_tilde
+        curve = idelta.idelta_curve(src, (), opts)
+        i0, i0t, i0_result = curve.i0, curve.i0_tilde, curve.i0_result
     i0, i0t, inner, outer = region.estimated_regions(prof, i0, i0t, args.mode)
     qsr = None
-    if curve is not None and curve.i0_result.param is not None:
-        qsr = region.qsr_point(prof, src, curve.i0_result).as_dict()
-    elif curve is None and i0 == 0.0:  # given or generic I0 = 0: the trivial-W channel's
+    if i0 == 0.0:  # the trivial-W channel's QSR point
         qsr = doc["points"]["merging"]
+    elif i0_result is not None and i0_result.param is not None:
+        qsr = region.qsr_point(prof, src, i0_result).as_dict()
     doc["points"]["qsr"] = qsr
     regions = {"inner": inner, "outer": outer}
     rx_hi = max(v.rx for r in regions.values() for v in r.vertices) + 1.0
@@ -140,6 +137,8 @@ def cmd_idelta(args) -> int:
         grid = [float(tok) for tok in args.delta_grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise SpecError(f"bad --delta-grid: {exc}") from exc
+    if not grid:
+        raise SpecError("--delta-grid must be non-empty")
     curve = idelta.idelta_curve(src, grid, _optimizer_options(args))
     doc = {
         "provenance": _provenance(args, "idelta"),

@@ -19,7 +19,7 @@ import numpy as np
 from . import qcore
 from .errors import SpecError
 from .qcore import DensityOperator, Isometry
-from .source import CqSource
+from .source import CqSource, genericity_report
 
 TOL_FEAS = 1e-4
 TOL_OPT = 0.02
@@ -29,6 +29,7 @@ STEP_INIT = 0.4  # step size at the start of each stage
 ORACLE_STEPS = 12  # angles per circuit parameter in the oracle's net
 ORTHO_TOL = 1e-9  # largest support overlap for which the support measurement is built
 RETIRE_TOL = 1e-12  # a problem retires at I(X:W) >= U - RETIRE_TOL·max(1, U)
+I0_TILDE_DELTA = 1e-4  # the delta of the I~_0 estimate when a grid has no positive delta
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,16 @@ class _Ensemble:
     """Blocks {p(y), pure state on B⊗R⊗E}, held as one stack `mats` of shape
     (blocks, |B|, |R||E|), block y's matrix indexed [b, (r, e)].  The blocks
     of a source have |E| = 1, and a Y-conditioned (mixed) BR state is
-    purified on a copy E of X.  `holevo` and `support_measurement` are
-    computed on first use."""
+    purified on a copy E of X.  `generic` records the paper's generic case,
+    some block with p > 0 whose rho^B has full support, where I_0 = I~_0 = 0;
+    only `from_source` sets it, from `genericity_report`, since the theorem is
+    about the pure BR blocks of a source.  `holevo` and `support_measurement`
+    are computed on first use."""
 
-    def __init__(self, probs: np.ndarray, dim_r: int, mats: np.ndarray):
+    def __init__(self, probs: np.ndarray, dim_r: int, mats: np.ndarray,
+                 generic: bool = False):
         self.probs = np.asarray(probs, dtype=float)
+        self.generic = generic
         n, self.dim_b, re = mats.shape
         self.dim_r = dim_r
         self.dim_e = re // dim_r
@@ -100,7 +106,7 @@ class _Ensemble:
 
     @classmethod
     def from_source(cls, src: CqSource) -> "_Ensemble":
-        return cls(src.probs, src.dim_r, src.psi)
+        return cls(src.probs, src.dim_r, src.psi, genericity_report(src).is_generic)
 
     @classmethod
     def conditioned(cls, src: CqSource, cond: np.ndarray) -> "_Ensemble":
@@ -434,7 +440,9 @@ def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerO
     isometry the same informations, so its identity embedding is evaluated
     and not climbed.  At (|B|, |B|) the support measurement of an ensemble
     whose block supports are orthogonal is evaluated too.  No channel gives
-    I(X:W) above U = `_Ensemble.holevo` (data processing), so a problem is
+    I(X:W) above U = `_Ensemble.holevo` (data processing), and at delta = 0
+    on a generic ensemble none gives more than U = I_0 = 0 (the paper's
+    theorem), which the (|B|, 1) trivial-W embedding meets.  So a problem is
     retired, and never climbed, when one of these channels passes
     `_feasible` at its delta with I(X:W) >= U - RETIRE_TOL·max(1, U).
     Pinned dims leave only the pinned split's channels.  The other problems
@@ -492,7 +500,7 @@ def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerO
         row = [(mi, 0, c_dim, w_dim, (info["ixw"], info["irwx"], v.copy())
                 if _feasible(info, delta, unassisted) else None)
                for mi, c_dim, w_dim, info, v in closed[j]]
-        u = ensembles[j].holevo
+        u = 0.0 if delta == 0.0 and ensembles[j].generic else ensembles[j].holevo
         if not any(out is not None and out[0] >= u - RETIRE_TOL * max(1.0, u)
                    for *_, out in row):
             row = [r for r in row if r[2] == 1 or r[3] == 1]  # the degenerate splits' embeddings
@@ -528,39 +536,28 @@ def _best_result(delta: float, dim_b: int, results: list) -> IdeltaResult:
     return IdeltaResult(delta, 0.0, math.inf, None, len(results), candidates)
 
 
-def optimize_idelta(src: CqSource, delta: float,
-                    opts: OptimizerOptions = OptimizerOptions()) -> IdeltaResult:
-    """Best feasible lower bound on I_delta found by seeded random-restart
-    penalized ascent over Stinespring isometries.
-
-    The supremum in the definition ranges over unbounded W; with the finite
-    dims used here every output is a lower bound.
-    """
-    return _optimize_ensemble([(_Ensemble.from_source(src), delta)], opts)[0]
-
-
-def idelta_curve(src: CqSource, deltas=(1e-4,),
+def idelta_curve(src: CqSource, deltas=(),
                  opts: OptimizerOptions = OptimizerOptions()) -> IdeltaCurve:
     """Per-delta lower bounds on the sorted grid from one climb, monotonized
     by running maximum, with the I_0 and I~_0 estimates.
 
     I_0 is the result at delta = 0: the grid's own when the grid holds 0,
-    otherwise that of an extra delta climbed in the same stack.  I~_0 is the
-    curve's value at the smallest positive delta, a last-value extrapolation
-    toward delta -> 0.  That value is the running maximum up to that delta,
-    so the default grid climbs it alone: larger deltas could only raise the
-    maximum at later deltas, which the estimates do not read.  Both are lower
-    bounds; since I~_0 >= I_0 holds exactly, the I~_0 estimate is floored at
-    the I_0 estimate.
+    otherwise that of an extra delta solved in the same stack.  On a generic
+    source I~_0 = 0 by the paper's theorem.  Otherwise I~_0 is the curve's
+    value at the smallest positive delta, a last-value extrapolation toward
+    delta -> 0, or, when the grid has no positive delta, the value at
+    I0_TILDE_DELTA, one more delta of the stack; so the empty grid asks for
+    the estimates alone.  Both are lower bounds; since I~_0 >= I_0 holds
+    exactly, the I~_0 estimate is floored at the I_0 estimate.
     """
     deltas = sorted(float(d) + 0.0 for d in deltas)  # kill negative zero
-    if not deltas:
-        raise SpecError("delta grid must be non-empty")
-    stack = deltas if 0.0 in deltas else deltas + [0.0]  # delta = 0 rides in the stack
     ens = _Ensemble.from_source(src)  # one object: deltas of one ensemble share candidates
+    positive = [d for d in deltas if d > 0]
+    stack = deltas + ([] if ens.generic or positive else [I0_TILDE_DELTA])
+    stack += [] if 0.0 in deltas else [0.0]  # delta = 0 rides in the stack
     results = _optimize_ensemble([(ens, d) for d in stack], opts)
     res0 = results[stack.index(0.0)]
-    results = results[:len(deltas)]
+    extra, results = results[len(deltas):], results[:len(deltas)]
     raw = [res.value for res in results]
     mono = list(np.maximum.accumulate(raw))
     warnings = [f"monotonicity violation at delta={d:g}: raw value {r:.6g} is {m - r:.3g} "
@@ -576,8 +573,9 @@ def idelta_curve(src: CqSource, deltas=(1e-4,),
                 warnings.append(
                     f"concavity violation at delta={d1:g}: value {mono[i]:.4f} "
                     f"below chord {chord:.4f} (optimizer failure, not a curve feature)")
-    positive = [v for d, v in zip(deltas, mono) if d > 0]
-    i0t = max(positive[0] if positive else res0.value, res0.value)
+    values = mono + [res.value for res in extra]  # in stack order
+    i0t = 0.0 if ens.generic else next(v for d, v in zip(stack, values) if d > 0)
+    i0t = max(i0t, res0.value)
     return IdeltaCurve(tuple(deltas), tuple(mono), tuple(raw), tuple(warnings),
                        tuple(results), res0.value, i0t, res0)
 

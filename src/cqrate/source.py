@@ -251,8 +251,10 @@ class GenericityReport:
 
 
 def genericity_report(src: CqSource) -> GenericityReport:
+    """The witness is the state with p > 0 whose reduced state has the largest
+    minimum eigenvalue: a symbol with p = 0 constrains no channel."""
     mins = np.maximum(np.linalg.eigvalsh(src.rho_b)[:, 0], 0.0).tolist()
-    witness = int(np.argmax(mins))
+    witness = int(np.argmax(np.where(src.probs > 0, mins, -1.0)))
     lam0 = mins[witness]
     return GenericityReport(tuple(mins), witness, lam0, lam0 > TOL_GENERIC)
 

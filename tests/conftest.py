@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqrate import source
+from cqrate import idelta, source
 from cqrate.idelta import OptimizerOptions
 from cqrate.reference import source_a, source_b, source_c
 
@@ -19,6 +19,12 @@ def src_b():
 @pytest.fixture(scope="session")
 def src_c():
     return source_c()
+
+
+def optimize(src: source.CqSource, delta: float, opts: OptimizerOptions) -> idelta.IdeltaResult:
+    """The result of the one problem (src, delta) alone: the form a stacked
+    result is compared with, bit for bit."""
+    return idelta._optimize_ensemble([(idelta._Ensemble.from_source(src), delta)], opts)[0]
 
 
 def probe_source() -> source.CqSource:

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import optimize
 from cqrate import cli, codes, idelta, region, selftest, source
 from cqrate.idelta import OptimizerOptions
 from cqrate.reference import source_a, source_b, source_c
@@ -65,9 +66,16 @@ def test_criterion_1_entropic_reproduction():
         assert time.time() - t0 < 1.0
 
 
-def test_criterion_2_generic_collapse():
+def test_criterion_2_generic_collapse(monkeypatch):
+    """`idelta_curve` takes I0 = I~0 = 0 from the theorem on a generic source,
+    with no climb; the climb is checked against the theorem on an ensemble of
+    the same blocks that does not carry the genericity flag, at delta = 0
+    and at the delta 1e-4 of the I~0 estimate."""
     with criterion(2, "generic collapse"):
         t0 = time.time()
+        climbs = []
+        climb = idelta._climb
+        monkeypatch.setattr(idelta, "_climb", lambda *args: climbs.append(args) or climb(*args))
         opts = OptimizerOptions(seed=0, restarts=4, iters_per_stage=30)
         rng = np.random.default_rng(0)
         sources = [source_b()]
@@ -76,10 +84,15 @@ def test_criterion_2_generic_collapse():
         for src in sources:
             prof = source.entropic_profile(src)
             est = idelta.idelta_curve(src, opts=opts)
-            assert est.i0 <= 0.05, f"{src.name}: I0 estimate {est.i0}"
-            _, _, inner, outer = region.estimated_regions(prof, est.i0, est.i0_tilde)
+            assert 0.0 <= est.i0 == est.i0_tilde <= idelta.RETIRE_TOL  # the evaluated trivial W
+            unflagged = idelta._Ensemble(src.probs, src.dim_r, src.psi)
+            i0, i0t = (res.value for res in idelta._optimize_ensemble(
+                [(unflagged, 0.0), (unflagged, idelta.I0_TILDE_DELTA)], opts))
+            assert i0 <= 0.05, f"{src.name}: climbed I0 {i0}"
+            _, _, inner, outer = region.estimated_regions(prof, i0, i0t)
             gap = region.boundary_hausdorff(inner, outer)
             assert gap <= 0.1, f"{src.name}: Hausdorff gap {gap}"
+        assert len(climbs) == len(sources)  # the one (2, 2) split of each unflagged stack
         assert time.time() - t0 < 300.0
 
 
@@ -118,13 +131,13 @@ def test_criterion_5_definition_properties():
         assert all(v2 >= v1 for v1, v2 in zip(curve.values, curve.values[1:]))
         for src in (source_a(), source_b()):
             for delta in (0.0, 0.1, 1.0):
-                res = idelta.optimize_idelta(src, delta, opts)
+                res = optimize(src, delta, opts)
                 ora = idelta.oracle_grid(src, delta)
                 assert res.value >= ora - 0.02, \
                     f"{src.name} delta={delta}: {res.value} < oracle {ora}"
-        single = idelta.optimize_idelta(source_a(), 0.0, opts)
+        single = optimize(source_a(), 0.0, opts)
         doubled = source.tensor_sources(source_a(), source_a())
-        double = idelta.optimize_idelta(
+        double = optimize(
             doubled, 0.0,
             OptimizerOptions(seed=0, restarts=4, iters_per_stage=30, c_dim=4, w_dim=4))
         assert abs(double.value - 2 * single.value) <= 0.05

@@ -295,11 +295,17 @@ def test_given_estimates_at_zero_write_the_merging_point(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["src_b", "mixed_example"])
 def test_region_takes_the_generic_case_in_closed_form(spec, monkeypatch):
-    """On a generic source I0 = I~0 = 0 by the theorem: no climb, the QSR point
-    is the merging point, and the inner and outer regions are one region."""
+    """On a generic source I0 = I~0 = 0 by the theorem: one optimizer call on
+    delta = 0, which the trivial-W channel retires with no climb, the QSR
+    point is the merging point, and the inner and outer regions are one
+    region."""
+    climbs = []
+    climb = idelta._climb
+    monkeypatch.setattr(idelta, "_climb", lambda *args: climbs.append(args) or climb(*args))
     doc, calls = _region_on(spec, monkeypatch)
     assert doc["genericity"]["is_generic"] is True
-    assert calls == []
+    assert calls == [[0.0]]
+    assert climbs == []
     assert doc["estimates"] == {"I0": 0.0, "I0_tilde": 0.0, "gap": 0.0}
     assert doc["points"]["qsr"] == doc["points"]["merging"]
     inner, outer = doc["regions"]["inner"], doc["regions"]["outer"]
@@ -307,6 +313,27 @@ def test_region_takes_the_generic_case_in_closed_form(spec, monkeypatch):
     assert len(inner["halfplanes"]) == len(outer["halfplanes"])
     for hi, ho in zip(inner["halfplanes"], outer["halfplanes"]):
         assert hi == pytest.approx(ho, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["src_b", "mixed_example"])
+def test_idelta_and_region_agree_on_a_generic_source(spec, monkeypatch):
+    """Both read I0 and I~0 from `idelta_curve`, which takes the theorem."""
+    region_doc, _ = _region_on(spec, monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["idelta", "--source", str(SPECS / f"{spec}.json"),
+                         "--delta-grid", "0.01,0.1", "--restarts", "2", "--iters", "10"]) == 0
+    assert json.loads(out.getvalue())["estimates"] == region_doc["estimates"] == \
+        {"I0": 0.0, "I0_tilde": 0.0, "gap": 0.0}
+
+
+@pytest.mark.parametrize("command", [["region"], ["idelta", "--delta-grid", "0.1"]])
+def test_pinned_dims_over_the_cap_exit_2_on_a_generic_source(command):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([*command, "--source", SRC_B_SPEC, "--wdim", "99"])
+    assert rc == 2
+    assert err.getvalue() == "error: channel dims (2, 99) exceed the default cap |B|^2 = 4\n"
 
 
 def test_idelta_command(spec_paths):

@@ -10,11 +10,11 @@ and the brute-force oracle (`oracle_grid`).  The exact runs
 cover the entropic profile (`analyze`), the code evaluation at block lengths
 1 and 2 (`verify-code`, the n = 2 code specs are written to a temporary
 directory), the region geometry from given estimates (`region --i0
---i0-tilde`, JSON and CSV), the closed forms at the default budget (`region`
-with no budget flags: the generic case on src_b and mixed_example, which
-makes no optimizer call, and on src_a and src_c the problems retired before
-any climb), and the seven optimizer-free selftest suites at
-their default counts for seeds 0-9.  The stdout of `selftest --seed 0` pins
+--i0-tilde`, JSON and CSV), the closed forms at the default budget
+(`region` with no budget flags, where no problem is climbed: the generic
+case on src_b and mixed_example, whose delta = 0 problem the trivial-W
+channel answers, and on src_a and src_c the support measurement), and the
+seven optimizer-free selftest suites at their default counts for seeds 0-9.  The stdout of `selftest --seed 0` pins
 every suite at its default budget, the oracle and sandwich suites included,
 which run the optimizer.  A forced-violation document runs four
 suites with `selftest.SLACK` below 0, so their `details` hold the instance

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import probe_source
+from conftest import optimize, probe_source
 from cqrate import cli, idelta, qcore, region, source
 from cqrate.idelta import OptimizerOptions
 
@@ -74,33 +74,33 @@ def test_channel_marginals_src_c(src_c):
 
 def test_optimize_src_a_any_delta(src_a, light_opts):
     for delta in (0.0, 1.0):
-        res = idelta.optimize_idelta(src_a, delta, light_opts)
+        res = optimize(src_a, delta, light_opts)
         assert res.param is not None
         assert res.value == pytest.approx(1.0, abs=idelta.TOL_OPT)
         assert res.constraint <= delta + idelta.TOL_FEAS
 
 
 def test_optimize_src_c_delta_zero(src_c, light_opts):
-    res = idelta.optimize_idelta(src_c, 0.0, light_opts)
+    res = optimize(src_c, 0.0, light_opts)
     assert res.value >= 1.0 - idelta.TOL_OPT
     assert res.constraint <= idelta.TOL_FEAS
 
 
 def test_optimize_src_b_collapse(src_b, light_opts):
-    res = idelta.optimize_idelta(src_b, 0.0, light_opts)
+    res = optimize(src_b, 0.0, light_opts)
     assert res.value <= 0.05
 
 
 def test_optimize_rejects_negative_delta(src_a, light_opts):
     with pytest.raises(ValueError):
-        idelta.optimize_idelta(src_a, -0.1, light_opts)
+        optimize(src_a, -0.1, light_opts)
 
 
 def test_optimize_dims_validation(src_b):
     with pytest.raises(ValueError, match="cap"):
-        idelta.optimize_idelta(src_b, 0.0, OptimizerOptions(c_dim=8, w_dim=2, restarts=1))
+        optimize(src_b, 0.0, OptimizerOptions(c_dim=8, w_dim=2, restarts=1))
     with pytest.raises(ValueError, match="isometry"):
-        idelta.optimize_idelta(src_b, 0.0, OptimizerOptions(c_dim=1, w_dim=1, restarts=1))
+        optimize(src_b, 0.0, OptimizerOptions(c_dim=1, w_dim=1, restarts=1))
 
 
 def test_option_surface_is_what_the_cli_sets():
@@ -128,8 +128,8 @@ def test_malformed_budgets_are_rejected(field, value, message):
 
 def test_optimize_deterministic(src_b):
     opts = OptimizerOptions(seed=3, restarts=3, iters_per_stage=15)
-    r1 = idelta.optimize_idelta(src_b, 0.05, opts)
-    r2 = idelta.optimize_idelta(src_b, 0.05, opts)
+    r1 = optimize(src_b, 0.05, opts)
+    r2 = optimize(src_b, 0.05, opts)
     assert r1.value == r2.value
     assert r1.constraint == r2.constraint
     assert np.array_equal(r1.param.mat, r2.param.mat)
@@ -184,7 +184,7 @@ def test_a_batched_grid_gives_each_delta_its_lone_result(name):
             curve = idelta.idelta_curve(src, grid, opts)
             assert len(curve.results) == len(grid)
             for delta, res in zip(grid, curve.results):
-                _assert_same_result(res, idelta.optimize_idelta(src, delta, opts))
+                _assert_same_result(res, optimize(src, delta, opts))
         unassisted = idelta._optimize_ensemble([(ens, 0.0), (ens, 0.1)], opts, unassisted=True)
         for delta, res in zip([0.0, 0.1], unassisted):
             _assert_same_result(
@@ -197,7 +197,7 @@ def test_estimates_give_the_lone_results_at_zero_and_on_the_grid(name):
     opts = OptimizerOptions(seed=4, restarts=3, iters_per_stage=6)
     grid = (1e-4, 1e-3, 1e-2, 1e-1)
     curve = idelta.idelta_curve(src, grid, opts)
-    _assert_same_result(curve.i0_result, idelta.optimize_idelta(src, 0.0, opts))
+    _assert_same_result(curve.i0_result, optimize(src, 0.0, opts))
     # delta = 0 riding in the stack leaves the grid's results as they are alone
     alone = idelta._optimize_ensemble([(idelta._Ensemble.from_source(src), d) for d in grid], opts)
     for batched, res in zip(curve.results, alone):
@@ -208,10 +208,10 @@ def _markov_problems(monkeypatch, src, y_dim: int, opts: OptimizerOptions) -> li
     """The (ensemble, delta) problems and results of the one optimizer call
     that `markov_interpolation` makes."""
     calls = []
-    optimize = idelta._optimize_ensemble
+    original = idelta._optimize_ensemble
 
     def recording(problems, opts, unassisted=False):
-        results = optimize(problems, opts, unassisted)
+        results = original(problems, opts, unassisted)
         calls.append((problems, results))
         return results
 
@@ -275,7 +275,7 @@ def test_deltas_on_the_same_path_share_their_candidates(monkeypatch, src_b):
 def test_non_finite_deltas_are_rejected(src_b, bad):
     opts = OptimizerOptions(restarts=1, iters_per_stage=1)
     with pytest.raises(ValueError, match="finite"):
-        idelta.optimize_idelta(src_b, bad, opts)
+        optimize(src_b, bad, opts)
     with pytest.raises(ValueError, match="finite"):
         idelta.idelta_curve(src_b, [0.0, bad], opts)
     with pytest.raises(ValueError, match="finite"):
@@ -441,7 +441,7 @@ def test_start_points_are_distinct_and_hold_both_embeddings():
 
 def test_fewer_restarts_give_the_first_restarts_results(src_b):
     for c, w in idelta._dims_menu(src_b.dim_b):
-        few, many = (idelta.optimize_idelta(
+        few, many = (optimize(
             src_b, 1.0, OptimizerOptions(seed=3, restarts=n, iters_per_stage=15,
                                           c_dim=c, w_dim=w)) for n in (3, 6))
         assert few.candidates
@@ -498,7 +498,7 @@ def test_degenerate_split_informations_do_not_depend_on_the_isometry(
 @pytest.mark.parametrize("name", ["src_a", "src_b", "src_c", "mixed_example"])
 def test_returned_channels_are_certified_by_apply_channel(name, light_opts):
     src = _load(name)
-    results = [idelta.optimize_idelta(src, d, light_opts) for d in (0.0, 0.01, 0.1)]
+    results = [optimize(src, d, light_opts) for d in (0.0, 0.01, 0.1)]
     results.append(idelta.optimize_I0_minus(src, light_opts))
     for res in results:
         assert res.param is not None
@@ -611,8 +611,8 @@ def test_pinned_dims_retire_only_with_the_pinned_split(monkeypatch, src_c):
     calls.clear()
     # (4, 4) holds the support measurement, and (1, 4) only the identity
     # into W, which is infeasible at delta = 0
-    retired = idelta.optimize_idelta(src_c, 0.0, OptimizerOptions(c_dim=4, w_dim=4, **budget))
-    into_w = idelta.optimize_idelta(src_c, 0.0, OptimizerOptions(c_dim=1, w_dim=4, **budget))
+    retired = optimize(src_c, 0.0, OptimizerOptions(c_dim=4, w_dim=4, **budget))
+    into_w = optimize(src_c, 0.0, OptimizerOptions(c_dim=1, w_dim=4, **budget))
     assert calls == []
     assert retired.param.out_dims == (4, 4) and retired.restarts_used == 1
     assert abs(retired.value - 1.0) <= idelta.RETIRE_TOL
@@ -683,7 +683,7 @@ def test_data_processing_ceiling(src_a, src_b, light_opts):
     for src in (src_a, src_b):
         ixb = source.entropic_profile(src).i_x_b
         for delta in (0.0, 0.5):
-            res = idelta.optimize_idelta(src, delta, light_opts)
+            res = optimize(src, delta, light_opts)
             assert res.value <= ixb + 1e-6
 
 
@@ -706,7 +706,7 @@ def test_oracle_src_b(src_b):
 def test_optimizer_beats_oracle(src_a, src_b, light_opts):
     for src in (src_a, src_b):
         for delta in (0.0, 0.1, 1.0):
-            res = idelta.optimize_idelta(src, delta, light_opts)
+            res = optimize(src, delta, light_opts)
             ora = idelta.oracle_grid(src, delta)
             assert res.value >= ora - idelta.TOL_OPT
 
@@ -795,8 +795,6 @@ def test_curve_monotone(src_b, light_opts):
 
 
 def test_curve_grid_validation(src_a, light_opts):
-    with pytest.raises(ValueError, match="non-empty"):
-        idelta.idelta_curve(src_a, [], light_opts)
     assert idelta.idelta_curve(src_a, [0.2, 0.1], light_opts).deltas == (0.1, 0.2)
 
 
@@ -836,18 +834,42 @@ def test_curve_warns_when_a_raw_value_drops(monkeypatch, src_b):
         "monotonicity violation at delta=0.05", "monotonicity violation at delta=0.1"]
 
 
-def test_estimates_take_I0_from_a_grid_that_holds_zero(monkeypatch, src_b):
-    calls = _fake_optimizer(monkeypatch, {0.0: 0.1, 0.05: 0.3, 0.1: 0.2})
-    curve = idelta.idelta_curve(src_b, (0.1, 0.0, 0.05))
+def test_estimates_take_I0_from_a_grid_that_holds_zero(monkeypatch, probe):
+    """On a source that is not generic, I~0 is the value at the smallest
+    positive grid delta, or at I0_TILDE_DELTA when the grid has none."""
+    calls = _fake_optimizer(monkeypatch, {0.0: 0.1, 0.05: 0.3, 0.1: 0.2,
+                                          idelta.I0_TILDE_DELTA: 0.15})
+    curve = idelta.idelta_curve(probe, (0.1, 0.0, 0.05))
     assert calls == [[0.0, 0.05, 0.1]]
     assert (curve.i0, curve.i0_tilde, curve.i0_result.delta) == (0.1, 0.3, 0.0)
     calls.clear()
-    curve = idelta.idelta_curve(src_b, (0.1, 0.05))
+    curve = idelta.idelta_curve(probe, (0.1, 0.05))
     assert calls == [[0.05, 0.1, 0.0]]
     assert (curve.i0, curve.i0_tilde, curve.i0_result.delta) == (0.1, 0.3, 0.0)
     assert curve.deltas == (0.05, 0.1) and len(curve.results) == 2
-    curve = idelta.idelta_curve(src_b, (0.0,))
-    assert (curve.i0, curve.i0_tilde) == (0.1, 0.1)
+    calls.clear()
+    curve = idelta.idelta_curve(probe, (0.0,))
+    assert calls == [[0.0, idelta.I0_TILDE_DELTA]]
+    assert (curve.i0, curve.i0_tilde) == (0.1, 0.15)
+    calls.clear()
+    curve = idelta.idelta_curve(probe)
+    assert calls == [[idelta.I0_TILDE_DELTA, 0.0]]
+    assert (curve.deltas, curve.results, curve.i0, curve.i0_tilde) == ((), (), 0.1, 0.15)
+
+
+def test_estimates_on_a_generic_source_take_the_theorem(monkeypatch, src_b):
+    """On a generic source I~0 = 0, floored at the I0 estimate, and no delta
+    is added for it."""
+    calls = _fake_optimizer(monkeypatch, {0.0: 0.0, 0.05: 0.3, 0.1: 0.2})
+    curve = idelta.idelta_curve(src_b, (0.1, 0.05))
+    assert calls == [[0.05, 0.1, 0.0]]
+    assert (curve.values, curve.i0, curve.i0_tilde) == ((0.3, 0.3), 0.0, 0.0)
+    calls.clear()
+    curve = idelta.idelta_curve(src_b)
+    assert calls == [[0.0]]
+    assert (curve.i0, curve.i0_tilde) == (0.0, 0.0)
+    _fake_optimizer(monkeypatch, {0.0: 0.01})
+    assert idelta.idelta_curve(src_b).i0_tilde == 0.01
 
 
 def test_estimates_src_a(src_a, light_opts):
@@ -880,7 +902,7 @@ def test_i0_minus_src_c(src_c, light_opts):
 def test_i0_minus_never_exceeds_i0(src_a, src_b, src_c, light_opts):
     for src in (src_a, src_b, src_c):
         minus = idelta.optimize_I0_minus(src, light_opts)
-        i0 = idelta.optimize_idelta(src, 0.0, light_opts)
+        i0 = optimize(src, 0.0, light_opts)
         assert minus.value <= i0.value + idelta.TOL_OPT
 
 
@@ -896,16 +918,63 @@ def test_i0_collapses_on_random_generic_sources(light_opts):
     rng = np.random.default_rng(0)
     for _ in range(5):
         src = source.random_generic_source(rng, nx=2, dim_b=2, eps=1e-2)
-        assert idelta.optimize_idelta(src, 0.0, light_opts).value <= 0.05
+        assert optimize(src, 0.0, light_opts).value <= 0.05
+
+
+def _generic(name: str) -> source.CqSource:
+    if name.startswith("random"):  # random-B<|B|>-X<|X|>
+        dim_b, nx = (int(part[1:]) for part in name.split("-")[1:])
+        return source.random_generic_source(np.random.default_rng(7), nx=nx, dim_b=dim_b)
+    return _load(name)
+
+
+@pytest.mark.parametrize("name", ["src_b", "mixed_example", "random-B3-X2", "random-B4-X3"])
+def test_generic_sources_take_the_trivial_channel_at_zero(name, monkeypatch):
+    """At delta = 0 on a generic source the theorem gives I0 = 0, which the
+    (|B|, 1) trivial-W embedding meets: the problem, assisted or not, is
+    retired with no climb, and apply_channel certifies the channel."""
+    src = _generic(name)
+    assert source.genericity_report(src).is_generic
+    climbs = _count_climbs(monkeypatch)
+    opts = OptimizerOptions(seed=0, restarts=4, iters_per_stage=10)
+    for res in (optimize(src, 0.0, opts), idelta.optimize_I0_minus(src, opts)):
+        assert res.param.out_dims == (src.dim_b, 1)
+        _, ixw, irwx = idelta.apply_channel(src, res.param)
+        assert abs(ixw) <= 1e-12 and abs(res.value) <= 1e-12
+        assert irwx <= 1e-12
+    assert climbs == []
+
+
+def test_only_a_source_ensemble_is_generic(src_a, src_b):
+    """The theorem is about the pure BR blocks of a source, so a
+    Y-conditioned ensemble is never generic, even of a generic source."""
+    assert idelta._Ensemble.from_source(src_b).generic is True
+    assert idelta._Ensemble.from_source(src_a).generic is False
+    for cond in (np.eye(2), np.full((2, 2), 0.5), np.eye(3)[:, :2], np.ones((1, 2))):
+        assert idelta._Ensemble.conditioned(src_b, cond).generic is False
+
+
+def test_a_symbol_with_zero_probability_is_no_witness(light_opts):
+    """psi_2 has full support but p = 0, so it constrains no channel: the
+    source is not generic, and the support measurement of psi_0 = |0>|0> and
+    psi_1 = |1>|0> gives I0 = I~0 = I(X:B) = 1, not the generic case's 0."""
+    e = np.eye(2)
+    src = source.make_source([0.5, 0.5, 0.0], [np.outer(e[0], e[0]), np.outer(e[1], e[0]),
+                                               np.eye(2) / np.sqrt(2.0)], 2, 2)
+    rep = source.genericity_report(src)
+    assert rep.lambda_mins[2] == pytest.approx(0.5)
+    assert not rep.is_generic and rep.witness in (0, 1)
+    curve = idelta.idelta_curve(src, (), light_opts)
+    assert curve.i0 == pytest.approx(1.0, abs=1e-12)
+    assert curve.i0_tilde == pytest.approx(1.0, abs=1e-12)
 
 
 # --- additivity -------------------------------------------------------------
 
 def test_two_copy_additivity_src_a(src_a, light_opts):
-    single = idelta.optimize_idelta(src_a, 0.0, light_opts)
-    double = idelta.optimize_idelta(source.tensor_sources(src_a, src_a), 0.0,
-                                    OptimizerOptions(seed=0, restarts=4,
-                                                     iters_per_stage=30, w_dim=4, c_dim=4))
+    single = optimize(src_a, 0.0, light_opts)
+    double = optimize(source.tensor_sources(src_a, src_a), 0.0,
+                      OptimizerOptions(seed=0, restarts=4, iters_per_stage=30, w_dim=4, c_dim=4))
     assert abs(double.value - 2 * single.value) <= 0.05
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import optimize
 from cqrate import idelta, region, source
 from cqrate.errors import InternalError
 from cqrate.region import HalfPlane, RatePoint
@@ -49,7 +50,7 @@ def test_merging_points(src_a, src_b, src_c):
 
 def test_qsr_point_src_c(src_c, light_opts):
     prof = source.entropic_profile(src_c)
-    res = idelta.optimize_idelta(src_c, 0.0, light_opts)
+    res = optimize(src_c, 0.0, light_opts)
     q = region.qsr_point(prof, src_c, res)
     assert q.rx == pytest.approx(1.0, abs=1e-9)
     assert q.rb == pytest.approx(1.0, abs=0.03)

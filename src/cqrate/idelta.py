@@ -73,7 +73,7 @@ class IdeltaCurve:
     raw_values: tuple[float, ...]
     warnings: tuple[str, ...]
     results: tuple[IdeltaResult, ...]  # per delta, with the channel found
-    i0: float                       # I_0 estimate, the value at delta = 0
+    i0: float                       # I_0 estimate: 0 if generic, else i0_result's value
     i0_tilde: float                 # I~_0 estimate, floored at i0
     i0_result: IdeltaResult         # the delta = 0 result, with its channel
 
@@ -86,16 +86,11 @@ class _Ensemble:
     """Blocks {p(y), pure state on B⊗R⊗E}, held as one stack `mats` of shape
     (blocks, |B|, |R||E|), block y's matrix indexed [b, (r, e)].  The blocks
     of a source have |E| = 1, and a Y-conditioned (mixed) BR state is
-    purified on a copy E of X.  `generic` records the paper's generic case,
-    some block with p > 0 whose rho^B has full support, where I_0 = I~_0 = 0;
-    only `from_source` sets it, from `genericity_report`, since the theorem is
-    about the pure BR blocks of a source.  `holevo` and `support_measurement`
-    are computed on first use."""
+    purified on a copy E of X.  `generic`, `holevo` and
+    `support_measurement` are computed on first use."""
 
-    def __init__(self, probs: np.ndarray, dim_r: int, mats: np.ndarray,
-                 generic: bool = False):
+    def __init__(self, probs: np.ndarray, dim_r: int, mats: np.ndarray):
         self.probs = np.asarray(probs, dtype=float)
-        self.generic = generic
         n, self.dim_b, re = mats.shape
         self.dim_r = dim_r
         self.dim_e = re // dim_r
@@ -106,7 +101,7 @@ class _Ensemble:
 
     @classmethod
     def from_source(cls, src: CqSource) -> "_Ensemble":
-        return cls(src.probs, src.dim_r, src.psi, genericity_report(src).is_generic)
+        return cls(src.probs, src.dim_r, src.psi)
 
     @classmethod
     def conditioned(cls, src: CqSource, cond: np.ndarray) -> "_Ensemble":
@@ -119,6 +114,13 @@ class _Ensemble:
         psi = src.psi.transpose(1, 2, 0)  # [b, r, x]
         mats = (psi * amp[:, np.newaxis, np.newaxis, :]).reshape(len(py), src.dim_b, -1)
         return cls(py, src.dim_r, mats)
+
+    @functools.cached_property
+    def generic(self) -> bool:
+        """The paper's generic case, where I_0 = I~_0 = 0, as `genericity_report`
+        decides it; the theorem is about pure BR blocks, so an ensemble with
+        |E| > 1 is never generic."""
+        return self.dim_e == 1 and genericity_report(CqSource(self.probs, self.mats)).is_generic
 
     @functools.cached_property
     def holevo(self) -> float:
@@ -539,17 +541,14 @@ def _best_result(delta: float, dim_b: int, results: list) -> IdeltaResult:
 def idelta_curve(src: CqSource, deltas=(),
                  opts: OptimizerOptions = OptimizerOptions()) -> IdeltaCurve:
     """Per-delta lower bounds on the sorted grid from one climb, monotonized
-    by running maximum, with the I_0 and I~_0 estimates.
-
-    I_0 is the result at delta = 0: the grid's own when the grid holds 0,
-    otherwise that of an extra delta solved in the same stack.  On a generic
-    source I~_0 = 0 by the paper's theorem.  Otherwise I~_0 is the curve's
-    value at the smallest positive delta, a last-value extrapolation toward
-    delta -> 0, or, when the grid has no positive delta, the value at
-    I0_TILDE_DELTA, one more delta of the stack; so the empty grid asks for
-    the estimates alone.  Both are lower bounds; since I~_0 >= I_0 holds
-    exactly, the I~_0 estimate is floored at the I_0 estimate.
-    """
+    by running maximum, with the I_0 and I~_0 estimates: both 0 on a generic
+    source by the paper's theorem, whatever the delta = 0 result reads.
+    Otherwise I_0 is the result at delta = 0, the grid's own or that of an
+    extra delta of the same stack, and I~_0, floored at I_0 since I~_0 >= I_0
+    holds exactly, is the curve's value at the smallest positive delta (a
+    last-value extrapolation toward delta -> 0) or, when the grid has none,
+    the value at I0_TILDE_DELTA, one more delta of the stack; so the empty
+    grid asks for the estimates alone.  Both are lower bounds."""
     deltas = sorted(float(d) + 0.0 for d in deltas)  # kill negative zero
     ens = _Ensemble.from_source(src)  # one object: deltas of one ensemble share candidates
     positive = [d for d in deltas if d > 0]
@@ -573,11 +572,11 @@ def idelta_curve(src: CqSource, deltas=(),
                 warnings.append(
                     f"concavity violation at delta={d1:g}: value {mono[i]:.4f} "
                     f"below chord {chord:.4f} (optimizer failure, not a curve feature)")
-    values = mono + [res.value for res in extra]  # in stack order
-    i0t = 0.0 if ens.generic else next(v for d, v in zip(stack, values) if d > 0)
-    i0t = max(i0t, res0.value)
+    i0 = 0.0 if ens.generic else res0.value
+    i0t = 0.0 if ens.generic else (mono[deltas.index(positive[0])] if positive
+                                   else extra[0].value)
     return IdeltaCurve(tuple(deltas), tuple(mono), tuple(raw), tuple(warnings),
-                       tuple(results), res0.value, i0t, res0)
+                       tuple(results), i0, max(i0t, i0), res0)
 
 
 def optimize_I0_minus(src: CqSource,

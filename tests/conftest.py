@@ -27,6 +27,20 @@ def optimize(src: source.CqSource, delta: float, opts: OptimizerOptions) -> idel
     return idelta._optimize_ensemble([(idelta._Ensemble.from_source(src), delta)], opts)[0]
 
 
+def unflagged(src: source.CqSource) -> idelta._Ensemble:
+    """The ensemble of `src` marked not generic, so that the climb, not the
+    theorem, answers a generic source's delta = 0 problem."""
+    ens = idelta._Ensemble.from_source(src)
+    ens.generic = False
+    return ens
+
+
+def optimize_unflagged(src: source.CqSource, delta: float,
+                       opts: OptimizerOptions) -> idelta.IdeltaResult:
+    """`optimize` on the ensemble of `src` marked not generic."""
+    return idelta._optimize_ensemble([(unflagged(src), delta)], opts)[0]
+
+
 def probe_source() -> source.CqSource:
     """Disjoint supports that are not orthogonal: |B| = 4, |R| = 2,
     psi_0 = (|e0>|r0> + |e1>|r1>)/sqrt2 and psi_1 = (|e2>|r0> + |u>|r1>)/sqrt2

@@ -307,6 +307,11 @@ def test_region_takes_the_generic_case_in_closed_form(spec, monkeypatch):
     assert calls == [[0.0]]
     assert climbs == []
     assert doc["estimates"] == {"I0": 0.0, "I0_tilde": 0.0, "gap": 0.0}
+    _assert_collapsed(doc)
+
+
+def _assert_collapsed(doc: dict):
+    """The QSR point is the merging point and inner and outer are one region."""
     assert doc["points"]["qsr"] == doc["points"]["merging"]
     inner, outer = doc["regions"]["inner"], doc["regions"]["outer"]
     assert inner["vertices"] == outer["vertices"]
@@ -325,6 +330,17 @@ def test_idelta_and_region_agree_on_a_generic_source(spec, monkeypatch):
                          "--delta-grid", "0.01,0.1", "--restarts", "2", "--iters", "10"]) == 0
     assert json.loads(out.getvalue())["estimates"] == region_doc["estimates"] == \
         {"I0": 0.0, "I0_tilde": 0.0, "gap": 0.0}
+
+
+def test_pinned_dims_keep_the_theorem_on_a_generic_source(monkeypatch):
+    """The pinned (2, 2) split has no trivial-W channel, so src_b's delta = 0
+    problem is climbed and reads a small positive value within TOL_FEAS;
+    the estimates still take the theorem's 0, and the regions collapse."""
+    doc, calls = _region_on("src_b", monkeypatch, "--cdim", "2", "--wdim", "2",
+                            "--restarts", "4", "--iters", "60")
+    assert calls == [[0.0]]
+    assert doc["estimates"] == {"I0": 0.0, "I0_tilde": 0.0, "gap": 0.0}
+    _assert_collapsed(doc)
 
 
 @pytest.mark.parametrize("command", [["region"], ["idelta", "--delta-grid", "0.1"]])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import optimize, probe_source
+from conftest import optimize, optimize_unflagged, probe_source
 from cqrate import cli, idelta, qcore, region, source
 from cqrate.idelta import OptimizerOptions
 
@@ -86,9 +86,11 @@ def test_optimize_src_c_delta_zero(src_c, light_opts):
     assert res.constraint <= idelta.TOL_FEAS
 
 
-def test_optimize_src_b_collapse(src_b, light_opts):
-    res = optimize(src_b, 0.0, light_opts)
+def test_optimize_src_b_collapse(src_b, light_opts, monkeypatch):
+    climbs = _count_climbs(monkeypatch)
+    res = optimize_unflagged(src_b, 0.0, light_opts)
     assert res.value <= 0.05
+    assert len(climbs) == 1  # the climb, not the theorem, answered
 
 
 def test_optimize_rejects_negative_delta(src_a, light_opts):
@@ -683,7 +685,7 @@ def test_data_processing_ceiling(src_a, src_b, light_opts):
     for src in (src_a, src_b):
         ixb = source.entropic_profile(src).i_x_b
         for delta in (0.0, 0.5):
-            res = optimize(src, delta, light_opts)
+            res = optimize_unflagged(src, delta, light_opts)
             assert res.value <= ixb + 1e-6
 
 
@@ -706,7 +708,7 @@ def test_oracle_src_b(src_b):
 def test_optimizer_beats_oracle(src_a, src_b, light_opts):
     for src in (src_a, src_b):
         for delta in (0.0, 0.1, 1.0):
-            res = optimize(src, delta, light_opts)
+            res = optimize_unflagged(src, delta, light_opts)  # src_b climbs at delta = 0 too
             ora = idelta.oracle_grid(src, delta)
             assert res.value >= ora - idelta.TOL_OPT
 
@@ -858,8 +860,8 @@ def test_estimates_take_I0_from_a_grid_that_holds_zero(monkeypatch, probe):
 
 
 def test_estimates_on_a_generic_source_take_the_theorem(monkeypatch, src_b):
-    """On a generic source I~0 = 0, floored at the I0 estimate, and no delta
-    is added for it."""
+    """On a generic source I0 = I~0 = 0, whatever the delta = 0 result reads,
+    and no delta is added for I~0."""
     calls = _fake_optimizer(monkeypatch, {0.0: 0.0, 0.05: 0.3, 0.1: 0.2})
     curve = idelta.idelta_curve(src_b, (0.1, 0.05))
     assert calls == [[0.05, 0.1, 0.0]]
@@ -869,7 +871,8 @@ def test_estimates_on_a_generic_source_take_the_theorem(monkeypatch, src_b):
     assert calls == [[0.0]]
     assert (curve.i0, curve.i0_tilde) == (0.0, 0.0)
     _fake_optimizer(monkeypatch, {0.0: 0.01})
-    assert idelta.idelta_curve(src_b).i0_tilde == 0.01
+    curve = idelta.idelta_curve(src_b)
+    assert (curve.i0, curve.i0_tilde, curve.i0_result.value) == (0.0, 0.0, 0.01)
 
 
 def test_estimates_src_a(src_a, light_opts):
@@ -914,11 +917,13 @@ def test_i0_minus_trivial_channel_feasible(src_b, light_opts):
 
 # --- generic collapse -------------------------------------------------------
 
-def test_i0_collapses_on_random_generic_sources(light_opts):
+def test_i0_collapses_on_random_generic_sources(light_opts, monkeypatch):
+    climbs = _count_climbs(monkeypatch)
     rng = np.random.default_rng(0)
     for _ in range(5):
         src = source.random_generic_source(rng, nx=2, dim_b=2, eps=1e-2)
-        assert optimize(src, 0.0, light_opts).value <= 0.05
+        assert optimize_unflagged(src, 0.0, light_opts).value <= 0.05
+    assert len(climbs) == 5
 
 
 def _generic(name: str) -> source.CqSource:

@@ -303,7 +303,7 @@ def _random_direction(rng: np.random.Generator, d: int) -> np.ndarray:
         a[i, i] = 1j * rng.standard_normal()
         a[j, j] = 1j * rng.standard_normal()
     else:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        g = qcore.ginibre((d, d), rng)
         a = (g - g.conj().T) / 2.0
     return a
 

@@ -478,7 +478,8 @@ def purify_of_stack(mats: np.ndarray) -> list[np.ndarray]:
 
 def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian array: real parts drawn first, then imaginary parts."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    re, im = rng.standard_normal((2, *shape))
+    return re + 1j * im
 
 
 def density_from_ginibre(g: np.ndarray) -> np.ndarray:
@@ -501,7 +502,7 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = ginibre(dim, rng)
+    v = ginibre((dim,), rng)
     return v / np.linalg.norm(v)
 
 

@@ -1,9 +1,12 @@
+import collections
 import contextlib
+import dataclasses
 import io
 
+import numpy as np
 import pytest
 
-from cqrate import cli, qcore, selftest
+from cqrate import cli, idelta, qcore, selftest
 from cqrate.errors import InternalError
 
 
@@ -58,3 +61,132 @@ def test_a_state_derived_in_a_suite_that_fails_validation_is_a_violation(monkeyp
     assert rc == 1
     assert "suite purify: 1000 checks, 1000 violations - FAIL" in out.getvalue()
     assert out.getvalue().endswith("selftest: FAIL (1000 checks, seed 0)\n")
+
+
+# The stacked suites as selftest builds them: name -> (key, draw, evaluate).
+STACKED = {
+    "fvdg": (1, selftest._draw_pair, selftest._fvdg),
+    "pinsker": (2, selftest._draw_pair, selftest._pinsker),
+    "fannes": (3, selftest._draw_pair, selftest._fannes),
+    "afw": (4, selftest._draw_bipartite_pair, selftest._afw),
+    "ssa": (5, selftest._draw_tripartite, selftest._ssa),
+    "purify": (6, selftest._draw_purify, selftest._purify),
+}
+
+
+def _ginibre_two_calls(shape, rng):
+    """A Ginibre draw as two calls: the real parts, then the imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _pair(rng):
+    d = int(rng.integers(2, 5))
+    return d, [_ginibre_two_calls((d, d), rng) for _ in range(2)]
+
+
+def _bipartite_pair(rng):
+    da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    return (da, db), [_ginibre_two_calls((da * db, da * db), rng) for _ in range(2)]
+
+
+def _tripartite(rng):
+    return (2, 2, 2), [_ginibre_two_calls((8, 8), rng)]
+
+
+def _purify_pair(rng):
+    d = int(rng.integers(2, 5))
+    rank = int(rng.integers(1, d + 1))
+    return (d, rank), [_ginibre_two_calls((d, rank), rng), _ginibre_two_calls((d, d), rng)]
+
+
+# Each draw helper's instances as successive one-matrix Ginibre draws.
+GINIBRE_ORDER = {selftest._draw_pair: _pair, selftest._draw_bipartite_pair: _bipartite_pair,
+                 selftest._draw_tripartite: _tripartite, selftest._draw_purify: _purify_pair}
+
+
+def test_ginibre_draws_the_stream_of_two_calls():
+    for shape in [(3,), (2, 5), (4, 3, 3)]:
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        assert qcore.ginibre(shape, a).tobytes() == _ginibre_two_calls(shape, b).tobytes()
+        assert a.random() == b.random()
+    # the dense branch of the optimizer's random direction (always taken at d = 2)
+    g = _ginibre_two_calls((2, 2), np.random.default_rng(5))
+    want = (g - g.conj().T) / 2.0
+    assert idelta._random_direction(np.random.default_rng(5), 2).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(STACKED))
+def test_suite_stacks_are_successive_ginibre_draws(monkeypatch, name):
+    key, draw, _ = STACKED[name]
+    rng = selftest._rng(3, key)
+    want = collections.defaultdict(list)
+    for _ in range(300):
+        group, mats = GINIBRE_ORDER[draw](rng)
+        want[group].append(mats)
+    for entries in (200, selftest.STACK_ENTRIES):
+        monkeypatch.setattr(selftest, "STACK_ENTRIES", entries)
+        seen = collections.defaultdict(list)
+
+        def record(group, *stacks):
+            seen[group].append(stacks)
+            return [None] * len(stacks[0])
+
+        assert selftest._seeded_suite(name, key, draw, record)(3, 300).passed
+        assert seen.keys() == want.keys()
+        for group, mats in want.items():
+            for got, expect in zip(zip(*seen[group]), zip(*mats), strict=True):
+                assert np.concatenate(got).tobytes() == np.array(expect).tobytes()
+        if entries == 200:
+            # every group spans several stacks
+            assert min(map(len, seen.values())) > 1
+
+
+def _problems_by_instance(monkeypatch, name: str, entries: int, count: int = 300):
+    """Every instance's problem at SLACK = -1e9, keyed by the instance's drawn
+    bits, with stacks of at most `entries` drawn reals; also the suite's result
+    and the number of stacks of each group."""
+    monkeypatch.setattr(selftest, "SLACK", -1e9)
+    monkeypatch.setattr(selftest, "STACK_ENTRIES", entries)
+    key, draw, evaluate = STACKED[name]
+    problems = {}
+    stacks_per_group = collections.Counter()
+
+    def record(group, *stacks):
+        found = evaluate(group, *stacks)
+        for k, problem in enumerate(found):
+            problems[b"".join(s[k].tobytes() for s in stacks)] = problem
+        stacks_per_group[group] += 1
+        return found
+
+    res = selftest._seeded_suite(name, key, draw, record)(0, count)
+    assert res == selftest.SUITES[name](0, count)
+    return problems, res, stacks_per_group
+
+
+@pytest.mark.parametrize("name", ["fvdg", "pinsker", "fannes", "afw"])
+def test_stack_grouping_changes_no_bit(monkeypatch, name):
+    # at SLACK = -1e9 every instance is a violation and prints its values
+    # in full: repr round-trips every bit
+    lone, lone_res, lone_stacks = _problems_by_instance(monkeypatch, name, 1)
+    assert lone_res.violations == len(lone) == sum(lone_stacks.values()) == 300
+    assert all(lone.values())
+    for entries in (1_000, selftest.STACK_ENTRIES):
+        stacked, res, stacks = _problems_by_instance(monkeypatch, name, entries)
+        assert stacked == lone and res == lone_res
+        if entries == 1_000:
+            # every group spans several stacks
+            assert min(stacks.values()) > 1
+
+
+def test_sandwich_flags_a_generic_i0_that_is_not_zero(monkeypatch):
+    # the theorem gives I0 = 0 on SRC-B; a value as small as 1e-9 is a violation
+    curve_of = idelta.idelta_curve
+
+    def nudged(src, *args, **kwargs):
+        curve = curve_of(src, *args, **kwargs)
+        return dataclasses.replace(curve, i0=1e-9) if src.name == "SRC-B" else curve
+
+    monkeypatch.setattr(idelta, "idelta_curve", nudged)
+    res = selftest.suite_sandwich(0)
+    assert (res.checks, res.violations) == (7502, 1)
+    assert res.details == ("SRC-B: I0 estimate 1e-09 is not the theorem's 0",)

@@ -45,8 +45,8 @@ def _rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
-# Drawn reals per evaluated stack: afw's 9x9 pairs at 32 instances, the largest
-# stack of the former 32-instance cap.  Small groups stack deep; memory stays bounded.
+# Drawn reals per evaluated stack (32 of afw's 9x9 pairs): small groups stack
+# deep, spreading numpy's per-call cost, and no stack raises the peak memory.
 STACK_ENTRIES = 10_368
 
 
@@ -65,7 +65,7 @@ def _seeded_suite(name: str, key: int, draw, evaluate):
         def flush(group):
             index, arrays = zip(*pending.pop(group))
             stacks = [x[:, j] + 1j * x[:, j + 1]  # the arithmetic of qcore.ginibre
-                      for x in map(np.array, zip(*arrays)) for j in range(0, len(x[0]), 2)]
+                      for x in map(np.array, zip(*arrays)) for j in range(0, x.shape[1], 2)]
             for i, problem in zip(index, evaluate(group, *stacks)):
                 problems[i] = problem
 

@@ -93,7 +93,7 @@ def _tripartite(rng):
     return (2, 2, 2), [_ginibre_two_calls((8, 8), rng)]
 
 
-def _purify_pair(rng):
+def _purify_instance(rng):
     d = int(rng.integers(2, 5))
     rank = int(rng.integers(1, d + 1))
     return (d, rank), [_ginibre_two_calls((d, rank), rng), _ginibre_two_calls((d, d), rng)]
@@ -101,7 +101,7 @@ def _purify_pair(rng):
 
 # Each draw helper's instances as successive one-matrix Ginibre draws.
 GINIBRE_ORDER = {selftest._draw_pair: _pair, selftest._draw_bipartite_pair: _bipartite_pair,
-                 selftest._draw_tripartite: _tripartite, selftest._draw_purify: _purify_pair}
+                 selftest._draw_tripartite: _tripartite, selftest._draw_purify: _purify_instance}
 
 
 def test_ginibre_draws_the_stream_of_two_calls():

@@ -82,6 +82,67 @@ def test_load_source_malformed_complex_entries(state):
         source.load_source({"probs": [1.0], "states": [state]})
 
 
+# Every accepted form of a complex entry with the number it parses to: ints
+# round as float() rounds them, and a -0.0 keeps its sign in the part it is in
+# (a bare real's imaginary part is +0.0, as in complex(x)).
+ACCEPTED_ENTRIES = [
+    ([[1, -2], [2 ** 53 + 1, 3 ** 40]], [[1, -2], [float(2 ** 53 + 1), float(3 ** 40)]]),
+    ([[0.5, -0.0], [1e-300, -2.5]], [[0.5, complex(-0.0, 0.0)], [1e-300, -2.5]]),
+    (np.array([[1 + 2j, complex(-0.0, -0.0)], [complex(0.0, -0.0), -3j]]).tolist(),
+     [[1 + 2j, complex(-0.0, -0.0)], [complex(0.0, -0.0), -3j]]),
+    ([[[0.6, -0.0], [-0.0, 0.8]], [[1, 2], [0, -0.0]]],
+     [[complex(0.6, -0.0), complex(-0.0, 0.8)], [1 + 2j, complex(0.0, -0.0)]]),
+    ([[[0.6, -0.0], 0.8, -0.0, (1, 2)]],
+     [[complex(0.6, -0.0), 0.8, complex(-0.0, 0.0), 1 + 2j]]),
+    ([[0.6, complex(-0.0, 0.8), [0, -0.0]]], [[0.6, complex(-0.0, 0.8), complex(0.0, -0.0)]]),
+    ([[[0.6, 0.0], [0.0, -0.8]]], [[0.6, complex(0.0, -0.8)]]),
+    ([[]], np.zeros((1, 0))),
+]
+
+
+@pytest.mark.parametrize("rows, want", ACCEPTED_ENTRIES,
+                         ids=["ints", "floats", "python-complex", "pairs",
+                              "mixed-row", "complex-mixed-row", "amplitude-row", "empty-row"])
+def test_parse_complex_matrix_accepted_forms(rows, want):
+    got = source._parse_complex_matrix(rows)
+    want = np.array(want, dtype=complex)
+    assert got.dtype == complex and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[True, 0]], "True is not a number"),
+    ([[0, "1"]], "'1' is not a number"),
+    ([[[1, False]]], "False is not a number"),
+    ([[["0.5", 0]]], "'0.5' is not a number"),
+    ([[[1, 0], 1, [0, True]]], "True is not a number"),
+], ids=["bool", "string", "pair-bool", "pair-string", "mixed-row-bool"])
+def test_parse_complex_matrix_rejects_a_non_number(rows, message):
+    with pytest.raises(SpecError) as exc:
+        source._parse_complex_matrix(rows)
+    assert str(exc.value) == f"malformed complex entries: {message}"
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0]],
+    [[[1, 0], [0, 1]], [[1, 0]]],
+    [[[1, 2, 3]]],
+    [[1, [1, 2, 3]]],
+    [[[1, 2], [3]]],
+    [[[[1, 2], [3, 4]]]],
+    [[[1, [2, 3]]]],
+    [[10 ** 400]],
+    [[[0, 10 ** 400]]],
+    [[None]],
+    5,
+    [5],
+], ids=["ragged", "ragged-pairs", "triple", "mixed-row-triple", "short-pair", "deeper",
+        "pair-of-list", "overflow", "pair-overflow", "null", "number", "number-row"])
+def test_parse_complex_matrix_rejects_malformed_entries(rows):
+    with pytest.raises(SpecError, match="^malformed complex entries: "):
+        source._parse_complex_matrix(rows)
+
+
 def test_load_source_density_inputs_purified():
     doc = {"probs": [0.5, 0.5],
            "states": [{"density": [[0.75, 0], [0, 0.25]], "dim": 2},

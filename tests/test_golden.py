@@ -9,7 +9,8 @@ blocks (`markov_interpolation`), the unassisted climb (`optimize_I0_minus`)
 and the brute-force oracle (`oracle_grid`).  The exact runs
 cover the entropic profile (`analyze`), the code evaluation at block lengths
 1 and 2 (`verify-code`, the n = 2 code specs are written to a temporary
-directory), the region geometry from given estimates (`region --i0
+directory) and of an explicit-matrix code whose entries mix [re, im] pairs,
+bare numbers and -0.0 (`specs/code_explicit.json`), the region geometry from given estimates (`region --i0
 --i0-tilde`, JSON and CSV), the closed forms at the default budget
 (`region` with no budget flags, where no problem is climbed: the generic
 case on src_b and mixed_example, whose delta = 0 problem the trivial-W
@@ -140,6 +141,9 @@ DOCUMENTS = {
     **{f"verify_{s}_{c}.json": (lambda tmp, s=s, c=c: _cli("verify-code", "--source", _spec(s),
                                                            "--code", _code(c, tmp)))
        for s in SOURCES for c in ("code_identity", "code_trunc1", *N2_CODES)},
+    **{f"verify_{s}_code_explicit.json": (lambda tmp, s=s: _cli("verify-code", "--source", _spec(s),
+                                                                "--code", _spec("code_explicit")))
+       for s in ("src_b", "mixed_example")},
     **{f"region_default_{s}.json": (lambda tmp, s=s: _cli("region", "--source", _spec(s)))
        for s in SOURCES},
     **{f"region_fixed_{s}.{fmt}": (lambda tmp, s=s, fmt=fmt: _cli(

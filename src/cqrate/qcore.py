@@ -5,7 +5,8 @@ factors are given by position: `dims` is a tuple of ints and a subsystem is
 a list of positions.  Labels live only on the two objects read by name,
 `DensityOperator` and `LabeledVector`.  Everything is exact dense numpy,
 base-2 logarithms throughout.  A purified state is its amplitude matrix
-m[system, reference]; `purify_of_stack` returns them.
+m[system, reference]; `purify_of_stack` returns them zero-padded to one
+stack, with their ranks.
 """
 
 from __future__ import annotations
@@ -458,18 +459,20 @@ def sorted_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _phase_fix_columns(vecs).reshape(vals.shape + (d,)))
 
 
-def purify_of_stack(mats: np.ndarray) -> list[np.ndarray]:
+def purify_of_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical purifications sum_i sqrt(l_i) |e_i>|i> of a stack (n, d, d)
-    of density matrices, each as its amplitude matrix m[system, reference] of
-    shape (d, rank)."""
+    of density matrices: their amplitude matrices m[system, reference],
+    zero-padded to one (n, d, d) stack, and their ranks.  Matrix k's
+    purification is amps[k, :, :ranks[k]], with the bits of a lone matrix's:
+    its kept eigenvalues are summed in the order a lone sum takes."""
     vals, vecs = sorted_eigh(mats)
-    vals = np.clip(vals, 0.0, None)
     ranks = np.maximum(np.count_nonzero(vals > TOL_RANK, axis=-1), 1)
-    amps = []
-    for lam, vec, rank in zip(vals, vecs, ranks.tolist()):
-        lam = lam[:rank] / lam[:rank].sum()
-        amps.append(vec[:, :rank] * np.sqrt(lam))
-    return amps
+    kept = np.arange(vals.shape[-1]) < ranks[:, np.newaxis]
+    lam = np.where(kept, np.clip(vals, 0.0, None), 0.0)
+    for rank in set(ranks.tolist()):  # a rank-r row sums its first r entries alone
+        rows = ranks == rank
+        lam[rows] /= lam[rows, :rank].sum(axis=-1, keepdims=True)
+    return np.where(kept[:, np.newaxis, :], vecs * np.sqrt(lam)[:, np.newaxis, :], 0.0), ranks
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ produce identical counts (and identical CLI output).  The inequality suites
 draw every instance in seed order, then evaluate the instances of each
 dimension in stacks of at most STACK_ENTRIES drawn reals; each stacked kernel
 gives a matrix the bits of a lone evaluation.  A state that fails validation
-is its instance's violation.
+is its instance's violation.  The transfer suite draws its sources in seed
+order and evaluates the sources of each |X| as one stack; a source that fails
+a check on the way is its violation.
 """
 
 from __future__ import annotations
@@ -52,35 +54,52 @@ STACK_ENTRIES = 10_368
 
 def _seeded_suite(name: str, key: int, draw, evaluate):
     """A suite of `count` instances from one seeded generator.  `draw(rng)`
-    draws an instance as (group, raw arrays) in seed order, each array the real
-    then imaginary parts of Ginibre matrices; stacks of a group's instances, at
-    most STACK_ENTRIES drawn reals each, go to `evaluate(group, *stacks)`, one
-    complex stack per matrix, which returns each instance's violation or None."""
+    draws an instance's group and returns it with the shapes of the
+    instance's normal draws, each shape's first axis the real then imaginary
+    parts of Ginibre matrices.  The suite draws those normals in seed order
+    into one preallocated stack per group of at most STACK_ENTRIES reals, and
+    hands each full stack to `evaluate(group, *stacks)`, one complex stack per
+    matrix, which returns each instance's violation or None."""
 
     def suite(seed: int, count: int = 1000) -> SuiteResult:
         rng = _rng(seed, key)
         problems: list[str | None] = [None] * count
-        pending: dict = {}
+        reals: dict = {}  # group -> one preallocated stack per shape
+        index: dict = {}  # group -> the instances held in its stacks
 
         def flush(group):
-            index, arrays = zip(*pending.pop(group))
-            stacks = [x[:, j] + 1j * x[:, j + 1]  # the arithmetic of qcore.ginibre
-                      for x in map(np.array, zip(*arrays)) for j in range(0, x.shape[1], 2)]
-            for i, problem in zip(index, evaluate(group, *stacks)):
+            n = len(index[group])
+            stacks = [x[:n, j] + 1j * x[:n, j + 1]  # the arithmetic of qcore.ginibre
+                      for x in reals[group] for j in range(0, x.shape[1], 2)]
+            for i, problem in zip(index.pop(group), evaluate(group, *stacks)):
                 problems[i] = problem
 
         for i in range(count):
-            group, arrays = draw(rng)
-            pending.setdefault(group, []).append((i, arrays))
-            if (len(pending[group]) + 1) * sum(a.size for a in arrays) > STACK_ENTRIES:
+            group, shapes = draw(rng)
+            held = index.setdefault(group, [])
+            stacks = reals.get(group) or [np.empty((0, *s)) for s in shapes]
+            if len(held) == len(stacks[0]):  # full short of its depth: double it
+                room = min(max(2 * len(held), 8), _depth(shapes)) - len(held)
+                stacks = reals[group] = [np.concatenate([x, np.empty((room, *x.shape[1:]))])
+                                         for x in stacks]
+            for x in stacks:
+                rng.standard_normal(out=x[len(held)])
+            held.append(i)
+            if len(held) == _depth(shapes):
                 flush(group)
-        for group in list(pending):
+        for group in list(index):
             flush(group)
         bad = [f"instance {i}: {p}" for i, p in enumerate(problems) if p is not None]
         return SuiteResult(name, count, len(bad), tuple(bad[:5]))
 
     suite.__doc__ = evaluate.__doc__
     return suite
+
+
+def _depth(shapes) -> int:
+    """Instances per evaluated stack: at most STACK_ENTRIES drawn reals, and
+    at least one instance."""
+    return max(STACK_ENTRIES // sum(math.prod(s) for s in shapes), 1)
 
 
 def _screen(problems: list, rows: np.ndarray, *states: np.ndarray) -> np.ndarray:
@@ -107,23 +126,23 @@ def _states(*draws: np.ndarray):
 
 def _draw_pair(rng):
     d = int(rng.integers(2, 5))
-    return d, (rng.standard_normal((4, d, d)),)
+    return d, [(4, d, d)]
 
 
 def _draw_bipartite_pair(rng):
     da = int(rng.integers(2, 4))
     db = int(rng.integers(2, 4))
-    return (da, db), (rng.standard_normal((4, da * db, da * db)),)
+    return (da, db), [(4, da * db, da * db)]
 
 
 def _draw_tripartite(rng):
-    return (2, 2, 2), (rng.standard_normal((2, 8, 8)),)
+    return (2, 2, 2), [(2, 8, 8)]
 
 
 def _draw_purify(rng):
     d = int(rng.integers(2, 5))
     rank = int(rng.integers(1, d + 1))
-    return (d, rank), (rng.standard_normal((2, d, rank)), rng.standard_normal((2, d, d)))
+    return (d, rank), [(2, d, rank), (2, d, d)]
 
 
 def _fvdg(d, g_rho, g_sig) -> list:
@@ -188,9 +207,8 @@ def _purify(_dims, g, g_u) -> list:
     """Purification round trip and basis invariance of the entropy."""
     problems, rows, (rho,) = _states(g)
     g_u = g_u[rows]
-    back = np.zeros_like(rho)
-    for k, amp in enumerate(qcore.purify_of_stack(rho)):
-        back[k] = amp @ amp.conj().T
+    amps = qcore.purify_of_stack(rho)[0]
+    back = amps @ amps.conj().swapaxes(-1, -2)
     keep = _screen(problems, rows, back)
     rows, rho, back, g_u = rows[keep], rho[keep], back[keep], g_u[keep]
     keep = qcore.trace_distance_of_stack(back, rho) <= 1e-10
@@ -214,27 +232,58 @@ suite_ssa = _seeded_suite("ssa", 5, _draw_tripartite, _ssa)
 suite_purify = _seeded_suite("purify", 6, _draw_purify, _purify)
 
 
+# The admixture of I/|B| that makes the transfer suite's sources generic.
+TRANSFER_EPS = 1e-2
+
+
 def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
     """Transfer-operator contract on random generic sources: exact state
-    reconstruction and the operator-norm bound 1/sqrt(lambda0)."""
+    reconstruction and the operator-norm bound 1/sqrt(lambda0).  The sources
+    are drawn in seed order, as `random_generic_source` draws them, and
+    evaluated in one stack per |X|; a source whose mixed states fail the
+    density checks or whose witness lacks full support is its violation."""
     rng = _rng(seed, 7)
-    bad = []
-    checks = 0
+    drawn: dict = {}  # |X| -> (source index, probs, amplitude vectors) per source
     for i in range(count):
         nx = int(rng.integers(2, 4))
-        src = source.random_generic_source(rng, nx=nx, dim_b=2, eps=1e-2)
-        rep = source.genericity_report(src)
-        t = source.transfer_operators(src, rep.witness)
-        # (1_B ⊗ T_x)|psi_x0> is the amplitude matrix m_x0 T_x^T
-        errs = np.linalg.norm(src.psi[rep.witness] @ t.swapaxes(1, 2) - src.psi, axis=(1, 2))
-        nrms = qcore.operator_norm(t)
-        checks += src.alphabet_size
-        for x, (err, nrm) in enumerate(zip(errs.tolist(), nrms.tolist())):
-            if err > 1e-8:
-                bad.append(f"source {i}, x={x}: reconstruction error {err}")
-            elif nrm > 1.0 / math.sqrt(rep.lambda0) + 1e-8:
-                bad.append(f"source {i}, x={x}: norm {nrm} over bound")
+        drawn.setdefault(nx, []).append((i, *source.random_states(rng, nx, 2, 2)))
+    found: list[list[str]] = [[] for _ in range(count)]
+    for nx, group in drawn.items():
+        index, probs, vecs = (np.array(a) for a in zip(*group))
+        problems, _, lam0, errs, nrms = _transfer_stack(probs, vecs)
+        for i, problem, lam, errs_i, nrms_i in zip(index.tolist(), problems, lam0.tolist(),
+                                                   errs.tolist(), nrms.tolist()):
+            if problem:
+                found[i].append(f"source {i}: {problem}")
+                continue
+            for x, (err, nrm) in enumerate(zip(errs_i, nrms_i)):
+                if err > 1e-8:
+                    found[i].append(f"source {i}, x={x}: reconstruction error {err}")
+                elif nrm > 1.0 / math.sqrt(lam) + 1e-8:
+                    found[i].append(f"source {i}, x={x}: norm {nrm} over bound")
+    bad = [line for lines in found for line in lines]
+    checks = sum(nx * len(group) for nx, group in drawn.items())
     return SuiteResult("transfer", checks, len(bad), tuple(bad[:5]))
+
+
+def _transfer_stack(probs: np.ndarray, vecs: np.ndarray):
+    """The transfer contract's values on a stack of drawn sources of one |X|,
+    probs (n, |X|) and amplitude vectors (n, |X|, 4): each source's first
+    problem or None, its witness and lambda0, and, NaN for a source with a
+    problem, the reconstruction error and operator norm of each T_x."""
+    psi, drawn = source.states_of_stack(vecs, 2, 2)
+    psi, mixed = source.mix_of_stack(psi, TRANSFER_EPS)
+    mins, witness = source.genericity_of_stack(probs, psi)
+    t, unsupported = source.transfer_operators_of_stack(psi, witness)
+    problems = [next(filter(None, found), None) for found in zip(drawn, mixed, unsupported)]
+    ok = np.array([p is None for p in problems], dtype=bool)
+    rows = np.arange(len(psi))
+    # (1_B ⊗ T_x)|psi_x0> is the amplitude matrix m_x0 T_x^T
+    m0 = psi[rows, witness][ok, np.newaxis]
+    errs, nrms = np.full((2,) + mins.shape, np.nan)
+    errs[ok] = np.linalg.norm(m0 @ t[ok].swapaxes(-1, -2) - psi[ok], axis=(-2, -1))
+    nrms[ok] = qcore.operator_norm(t[ok])
+    return problems, witness, mins[rows, witness], errs, nrms
 
 
 _ORACLE_OPTS = OptimizerOptions(restarts=6, iters_per_stage=40)

@@ -56,24 +56,47 @@ class CqSource:
     @property
     def rho_b(self) -> np.ndarray:
         """The reduced states psi_x^B, a stack of shape (|X|, |B|, |B|)."""
-        return self.psi @ self.psi.conj().swapaxes(1, 2)
+        return _rho_b(self.psi)
+
+
+def _rho_b(psi: np.ndarray) -> np.ndarray:
+    """The reduced states m m^† of amplitude matrices m, a stack (..., |B|, |R|)."""
+    return psi @ psi.conj().swapaxes(-1, -2)
+
+
+def _first_problems(problems: list, nx: int) -> list:
+    """The first problem of each source, from its states' problems in a
+    list of nx per source."""
+    return [next(filter(None, problems[k:k + nx]), None) for k in range(0, len(problems), nx)]
+
+
+def states_of_stack(vecs: np.ndarray, dim_b: int, dim_r: int) -> tuple[np.ndarray, list]:
+    """The states of a stack (..., |X|, |B||R|) of amplitude vectors: their
+    amplitude matrices (..., |X|, |B|, |R|), each vector phase-fixed, and for
+    each vector in stack order why it is not a state (non-finite amplitudes,
+    or a squared norm tr psi_x off 1 by more than a density entry's
+    qcore.TOL_TRACE), or None."""
+    flat = vecs.reshape(-1, vecs.shape[-1])
+    finite = np.isfinite(flat).all(axis=-1).tolist()  # a NaN would pass the norm test
+    nrm2 = np.einsum("ij,ij->i", flat.conj(), flat).real.tolist()
+    problems = [None if f and abs(n2 - 1.0) <= qcore.TOL_TRACE else
+                f"state not normalized (squared norm {n2})" if f else "non-finite amplitudes"
+                for f, n2 in zip(finite, nrm2)]
+    psi = qcore._phase_fix_columns(vecs.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return psi.reshape(vecs.shape[:-1] + (dim_b, dim_r)), problems
 
 
 def make_source(probs, vectors, dim_b: int, dim_r: int, name: str = "") -> CqSource:
     """Build a CqSource from raw amplitude vectors on B⊗R (phase-fixed)."""
-    cols = []
-    for v in vectors:
-        v = np.asarray(v, dtype=complex).reshape(-1)
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    for v in vecs:
         if v.shape[0] != dim_b * dim_r:
             raise SpecError(f"state length {v.shape[0]} != |B||R| = {dim_b * dim_r}")
-        if not np.all(np.isfinite(v)):  # a NaN would pass the norm test
-            raise SpecError("non-finite amplitudes")
-        nrm2 = float(np.vdot(v, v).real)  # tr psi_x, held to a density entry's bound
-        if abs(nrm2 - 1.0) > qcore.TOL_TRACE:
-            raise SpecError(f"state not normalized (squared norm {nrm2})")
-        cols.append(v)
-    mat = np.array(cols, dtype=complex).reshape(-1, dim_b * dim_r).T
-    psi = qcore._phase_fix_columns(mat).T.reshape(-1, dim_b, dim_r)
+    psi, problems = states_of_stack(np.array(vecs, dtype=complex).reshape(-1, dim_b * dim_r),
+                                    dim_b, dim_r)
+    problem = next(filter(None, problems), None)
+    if problem:
+        raise SpecError(problem)
     return CqSource(np.asarray(probs, dtype=float), psi, name)
 
 
@@ -92,21 +115,38 @@ def _parse_int(v) -> int:
     return n
 
 
-def _parse_scalar(v) -> complex:
-    if isinstance(_number(v), (int, float, complex)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(_number(v[0])), float(_number(v[1])))
-    raise SpecError(f"cannot parse complex entry {v!r}")
-
-
 def _parse_complex_matrix(rows) -> np.ndarray:
     """Rows of complex entries, each a number or an [re, im] pair; an
-    amplitude vector is parsed as one row.  Any malformed entry or ragged
-    row is a SpecError."""
+    amplitude vector is parsed as one row.  One numpy conversion reads the
+    entries; the pairs and the bare numbers' parts fill a float (rows, cols, 2)
+    array that is viewed as complex, so a -0.0 keeps its sign in either part
+    (a bare real's imaginary part is +0.0, as in complex(x)).  Any malformed
+    entry or ragged row is a SpecError."""
     try:
-        return np.array([[_parse_scalar(v) for v in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError, OverflowError, SpecError) as exc:
+        cells = np.array(rows, dtype=object)
+        if cells.ndim == 3:  # only pairs: numpy gave their parts an axis
+            is_pair = np.ones(cells.shape[:2], dtype=bool)
+            pairs = cells.reshape(-1, cells.shape[2])
+        elif cells.ndim == 2:  # bare numbers, perhaps with pairs among them
+            kinds = np.array(list(map(type, cells.flat)), dtype=object).reshape(cells.shape)
+            is_pair = (kinds == list) | (kinds == tuple)
+            pairs = np.array(cells[is_pair].tolist(), dtype=object) if is_pair.any() \
+                else np.empty((0, 2), dtype=object)
+        else:
+            raise ValueError(f"{rows!r} is not a list of rows")
+        bare = cells[~is_pair]
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("an entry is neither a number nor an [re, im] pair")
+        for leaves in (bare, pairs):
+            for kind in set(map(type, leaves.flat)):
+                if issubclass(kind, bool) or not issubclass(kind, (int, float, complex)):
+                    first = next(v for v in leaves.flat if type(v) is kind)
+                    raise TypeError(f"{first!r} is not a number")
+        parts = np.empty(is_pair.shape + (2,))
+        parts[is_pair] = pairs.astype(float)
+        parts[~is_pair] = bare.astype(complex).view(float).reshape(-1, 2)
+        return parts.view(complex)[..., 0]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed complex entries: {exc}") from exc
 
 
@@ -158,17 +198,19 @@ def load_source(doc: dict) -> CqSource:
                 rho = DensityOperator(mat, [("B", db)])
             except ValueError as exc:
                 raise SpecError(f"invalid density matrix: {exc}") from exc
-            mats.append(qcore.purify_of_stack(rho.mat[np.newaxis])[0])
+            amps, ranks = qcore.purify_of_stack(rho.mat[np.newaxis])
+            mats.append(amps[0, :, :ranks[0]])
         else:
             raise SpecError("state entry needs either amplitudes or density")
 
     db0 = mats[0].shape[0]
     if any(m.shape[0] != db0 for m in mats):
         raise SpecError("inconsistent B dimensions across states")
-    dr_common = max(m.shape[1] for m in mats)
     # pad each reference with zero amplitudes to the common |R|
-    vectors = [np.pad(m, ((0, 0), (0, dr_common - m.shape[1]))) for m in mats]
-    return make_source(probs, vectors, db0, dr_common, name=str(doc.get("name", "")))
+    psi = np.zeros((len(mats), db0, max(m.shape[1] for m in mats)), dtype=complex)
+    for x, m in enumerate(mats):
+        psi[x, :, :m.shape[1]] = m
+    return make_source(probs, psi, db0, psi.shape[2], name=str(doc.get("name", "")))
 
 
 def source_doc(src: CqSource) -> dict:
@@ -250,11 +292,20 @@ class GenericityReport:
                 "lambda0": self.lambda0, "is_generic": self.is_generic, "tol": self.tol}
 
 
+def genericity_of_stack(probs: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The genericity data of a source, probs (|X|,) and amplitudes
+    (|X|, |B|, |R|), or of a stack of them, (..., |X|) and (..., |X|, |B|, |R|):
+    the minimum eigenvalue of each reduced state, floored at 0, and each
+    source's witness."""
+    mins = np.maximum(np.linalg.eigvalsh(_rho_b(psi))[..., 0], 0.0)
+    return mins, np.argmax(np.where(probs > 0, mins, -1.0), axis=-1)
+
+
 def genericity_report(src: CqSource) -> GenericityReport:
     """The witness is the state with p > 0 whose reduced state has the largest
     minimum eigenvalue: a symbol with p = 0 constrains no channel."""
-    mins = np.maximum(np.linalg.eigvalsh(src.rho_b)[:, 0], 0.0).tolist()
-    witness = int(np.argmax(np.where(src.probs > 0, mins, -1.0)))
+    mins, witness = genericity_of_stack(src.probs, src.psi)
+    mins, witness = mins.tolist(), int(witness)
     lam0 = mins[witness]
     return GenericityReport(tuple(mins), witness, lam0, lam0 > TOL_GENERIC)
 
@@ -262,6 +313,23 @@ def genericity_report(src: CqSource) -> GenericityReport:
 # ---------------------------------------------------------------------------
 # full-support transfer operators
 # ---------------------------------------------------------------------------
+
+def transfer_operators_of_stack(psi: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, list]:
+    """`transfer_operators` of a stack of sources' amplitude arrays
+    (n, |X|, |B|, |R|) for witnesses x0 (n,): a stack (n, |X|, |R|, |R|), NaN
+    where the witness lacks full support on B, and each source's problem, or
+    None."""
+    m0 = psi[np.arange(len(psi)), x0]
+    gram = m0 @ m0.conj().swapaxes(-1, -2)
+    lam_min = np.linalg.eigvalsh(gram)[:, 0]
+    full = lam_min > TOL_GENERIC
+    t = np.full(psi.shape[:2] + psi.shape[3:] * 2, np.nan, dtype=complex)
+    t[full] = (m0[full, np.newaxis].conj().swapaxes(-1, -2)
+               @ np.linalg.solve(gram[full, np.newaxis], psi[full])).swapaxes(-1, -2)
+    return t, [None if ok else f"witness state {x} does not have full support on B "
+               f"(min eigenvalue {lam})"
+               for ok, x, lam in zip(full.tolist(), x0.tolist(), lam_min.tolist())]
+
 
 def transfer_operators(src: CqSource, x0: int) -> np.ndarray:
     """The operators T_x on R with (1_B ⊗ T_x)|psi_x0> = |psi_x>, a stack of
@@ -272,40 +340,55 @@ def transfer_operators(src: CqSource, x0: int) -> np.ndarray:
     that vanishes off the R-support of psi_x0, so ||T_x||_inf <=
     1/sqrt(lambda_min), and T_x0 is the projector onto that support.
     """
-    m0 = src.psi[x0]
-    gram = m0 @ m0.conj().T
-    lam_min = np.linalg.eigvalsh(gram)[0]
-    if lam_min <= TOL_GENERIC:
-        raise ValueError(f"witness state {x0} does not have full support on B "
-                         f"(min eigenvalue {lam_min})")
-    return (m0.conj().T @ np.linalg.solve(gram, src.psi)).swapaxes(1, 2)
+    t, problems = transfer_operators_of_stack(src.psi[np.newaxis], np.array([x0]))
+    if problems[0]:
+        raise ValueError(problems[0])
+    return t[0]
 
 
 # ---------------------------------------------------------------------------
 # derived sources
 # ---------------------------------------------------------------------------
 
+def mix_of_stack(psi: np.ndarray, eps: float) -> tuple[np.ndarray, list]:
+    """`mix_with_maximally_mixed` of a stack of sources' amplitude arrays
+    (n, |X|, |B|, |R|): the new arrays (n, |X|, |B|, |B|), zero for a source
+    with a problem, and each source's first problem (a mixed state that fails
+    the density checks, or a purification that is not a state), or None."""
+    n, nx, db = psi.shape[:3]
+    rho = (1.0 - eps) * _rho_b(psi) + eps * np.eye(db) / db
+    problems = _first_problems(qcore.density_problems(rho), nx)
+    ok = np.array([p is None for p in problems], dtype=bool)
+    amps = np.zeros((n, nx, db, db), dtype=complex)
+    amps[ok] = qcore.purify_of_stack(rho[ok].reshape(-1, db, db))[0].reshape(-1, nx, db, db)
+    psi, state_problems = states_of_stack(amps.reshape(n, nx, db * db), db, db)
+    return psi, [p or q for p, q in zip(problems, _first_problems(state_problems, nx))]
+
+
 def mix_with_maximally_mixed(src: CqSource, eps: float) -> CqSource:
     """Mix each reduced state with eps·I/|B| and re-purify canonically.
 
     The result is generic by construction (every marginal has full support).
     """
-    db = src.dim_b
-    rho = (1.0 - eps) * src.rho_b + eps * np.eye(db) / db
-    problem = next((p for p in qcore.density_problems(rho) if p), None)
-    if problem:
-        raise ValueError(problem)
-    vectors = [np.pad(m, ((0, 0), (0, db - m.shape[1]))) for m in qcore.purify_of_stack(rho)]
-    return make_source(src.probs, vectors, db, db, name=f"{src.name}+eps{eps:g}")
+    psi, problems = mix_of_stack(src.psi[np.newaxis], eps)
+    if problems[0]:
+        raise ValueError(problems[0])
+    return CqSource(src.probs, psi[0], name=f"{src.name}+eps{eps:g}")
+
+
+def random_states(rng: np.random.Generator, nx: int, dim_b: int,
+                  dim_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draw of `random_source`: probabilities, every one at least 0.1, and
+    nx random amplitude vectors on B⊗R."""
+    probs = rng.dirichlet(np.ones(nx))
+    probs = (1.0 - nx * 0.1) * probs + 0.1
+    return probs, np.array([qcore.random_pure(dim_b * dim_r, rng) for _ in range(nx)])
 
 
 def random_source(rng: np.random.Generator, nx: int = 2, dim_b: int = 2,
                   dim_r: int = 2) -> CqSource:
     """Random cq source with every probability at least 0.1."""
-    probs = rng.dirichlet(np.ones(nx))
-    probs = (1.0 - nx * 0.1) * probs + 0.1
-    vecs = [qcore.random_pure(dim_b * dim_r, rng) for _ in range(nx)]
-    return make_source(probs, vecs, dim_b, dim_r, name="random")
+    return make_source(*random_states(rng, nx, dim_b, dim_r), dim_b, dim_r, name="random")
 
 
 def random_generic_source(rng: np.random.Generator, nx: int = 2, dim_b: int = 2,

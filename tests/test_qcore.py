@@ -16,7 +16,8 @@ def dm(mat, pairs):
 
 
 def _purify(mat):
-    return qcore.purify_of_stack(np.asarray(mat, dtype=complex)[np.newaxis])[0]
+    amps, ranks = qcore.purify_of_stack(np.asarray(mat, dtype=complex)[np.newaxis])
+    return amps[0, :, :ranks[0]]
 
 
 def test_partial_trace_maximally_entangled():
@@ -316,9 +317,17 @@ def _phase_fix_loop(vecs):
     return out
 
 
+def _purify_loop(rho):
+    """One matrix at a time: the reference for the padded purification stack."""
+    lam, vec = qcore.sorted_eigh(rho)
+    lam = np.clip(lam, 0.0, None)
+    rank = max(np.count_nonzero(lam > qcore.TOL_RANK), 1)
+    return vec[:, :rank] * np.sqrt(lam[:rank] / lam[:rank].sum())
+
+
 def test_stacked_draws_and_purifications_match_lone_results_bitwise():
     rng = np.random.default_rng(14)
-    for d in (1, 2, 3, 4, 7):
+    for d in (1, 2, 3, 4, 7, 9):
         g = qcore.ginibre((12, d, d), rng)
         g[0, 0, :-1] = 0.0  # columns whose first entry is exactly zero
         g[1, :, 0] = 1e-13  # a column with no entry above 1e-12
@@ -327,17 +336,28 @@ def test_stacked_draws_and_purifications_match_lone_results_bitwise():
         for k in range(len(g)):
             assert fixed[k].tobytes() == _phase_fix_loop(g[k]).tobytes()
             assert isos[k].tobytes() == qcore.isometry_from_ginibre(g[k]).tobytes()
+        drawn = []
         for rank in range(1, d + 1):
             g = qcore.ginibre((8, d, rank), rng)
             rho = qcore.density_from_ginibre(g)
             vals, vecs = qcore.sorted_eigh(rho)
-            amps = qcore.purify_of_stack(rho)
+            amps, ranks = qcore.purify_of_stack(rho)
+            assert amps.shape == rho.shape and ranks.tolist() == [rank] * len(g)
+            # the padding is +0.0, as a zero-padded lone purification's
+            assert not amps[:, :, rank:].view(np.uint64).any()
             for k in range(len(g)):
                 assert rho[k].tobytes() == qcore.density_from_ginibre(g[k]).tobytes()
                 lone_vals, lone_vecs = qcore.sorted_eigh(rho[k])
                 assert vals[k].tobytes() == lone_vals.tobytes()
                 assert vecs[k].tobytes() == lone_vecs.tobytes()
-                assert amps[k].tobytes() == _purify(rho[k]).tobytes()
+                assert amps[k, :, :rank].tobytes() == _purify_loop(rho[k]).tobytes()
+            drawn.append(rho)
+        # one stack of every rank, interleaved
+        rho = rng.permutation(np.concatenate(drawn))
+        amps, ranks = qcore.purify_of_stack(rho)
+        for k, rank in enumerate(ranks.tolist()):
+            assert amps[k, :, :rank].tobytes() == _purify_loop(rho[k]).tobytes()
+            assert not amps[k, :, rank:].view(np.uint64).any()
 
 
 def test_psd_sqrt_cutoff_is_per_matrix():

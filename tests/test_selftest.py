@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from cqrate import cli, idelta, qcore, selftest
+from cqrate import cli, idelta, qcore, selftest, source
 from cqrate.errors import InternalError
 
 
@@ -51,7 +51,12 @@ def test_a_state_derived_in_a_suite_that_fails_validation_is_a_violation(monkeyp
     # a fault inside the suite, reported per instance and as exit 1, not as an
     # input error (exit 2)
     purify = qcore.purify_of_stack
-    monkeypatch.setattr(qcore, "purify_of_stack", lambda mats: [2.0 * a for a in purify(mats)])
+
+    def doubled(mats):
+        amps, ranks = purify(mats)
+        return 2.0 * amps, ranks
+
+    monkeypatch.setattr(qcore, "purify_of_stack", doubled)
     res = selftest.suite_purify(seed=0, count=20)
     assert res.violations == 20
     assert res.details[0].startswith("instance 0: density matrix trace 3.99")
@@ -190,3 +195,72 @@ def test_sandwich_flags_a_generic_i0_that_is_not_zero(monkeypatch):
     res = selftest.suite_sandwich(0)
     assert (res.checks, res.violations) == (7502, 1)
     assert res.details == ("SRC-B: I0 estimate 1e-09 is not the theorem's 0",)
+
+
+def _transfer_sources(seed: int, count: int = 100):
+    """The transfer suite's sources at `seed` by the one-source path, before
+    and after the admixture of I/|B|."""
+    rng = selftest._rng(seed, 7)
+    pairs = []
+    for _ in range(count):
+        nx = int(rng.integers(2, 4))
+        drawn = source.random_source(rng, nx, 2, 2)
+        pairs.append((drawn, source.mix_with_maximally_mixed(drawn, selftest.TRANSFER_EPS)))
+    return pairs
+
+
+OPTIMIZER_FREE = ["fvdg", "pinsker", "fannes", "afw", "ssa", "purify", "transfer"]
+
+
+def test_a_transfer_source_that_fails_the_density_checks_is_its_violation(monkeypatch):
+    # a negative admixture -eps makes a mixed state's smallest eigenvalue
+    # (1 + eps) lambda - eps/2, negative exactly where lambda < eps / (2 (1 + eps)):
+    # put that threshold between the two smallest lambdas of the sources
+    lams = [float(np.linalg.eigvalsh(drawn.rho_b)[:, 0].min()) for drawn, _ in _transfer_sources(0)]
+    first, second = sorted(lams)[:2]
+    cut = (first + second) / 2.0
+    checks = selftest.suite_transfer(0).checks
+    monkeypatch.setattr(selftest, "TRANSFER_EPS", -2.0 * cut / (1.0 - 2.0 * cut))
+    results = {r.name: r for r in selftest.run_selftest(0, OPTIMIZER_FREE)}
+    assert list(results) == OPTIMIZER_FREE
+    res = results.pop("transfer")
+    assert (res.checks, res.violations) == (checks, 1)
+    assert res.details[0].startswith(
+        f"source {lams.index(first)}: density matrix has negative eigenvalue")
+    assert all(r.passed for r in results.values())
+
+
+def test_a_transfer_source_whose_witness_lacks_full_support_is_its_violation(monkeypatch):
+    # with the full-support cutoff between the two smallest lambda0, only the
+    # source with the smallest fails it
+    lam0 = [source.genericity_report(mixed).lambda0 for _, mixed in _transfer_sources(0)]
+    first, second = sorted(lam0)[:2]
+    monkeypatch.setattr(source, "TOL_GENERIC", (first + second) / 2.0)
+    res = selftest.suite_transfer(0)
+    assert res.violations == 1
+    assert res.details[0].startswith(f"source {lam0.index(first)}: witness state")
+    assert "does not have full support on B" in res.details[0]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stacked_transfer_suite_matches_the_one_source_path(monkeypatch, seed):
+    stacked = {}
+    evaluate = selftest._transfer_stack
+
+    def record(probs, vecs):
+        out = evaluate(probs, vecs)
+        for k, p in enumerate(probs):
+            stacked[p.tobytes()] = [v[k] for v in out]
+        return out
+
+    monkeypatch.setattr(selftest, "_transfer_stack", record)
+    assert selftest.suite_transfer(seed).passed
+    for _, src in _transfer_sources(seed):
+        rep = source.genericity_report(src)
+        t = source.transfer_operators(src, rep.witness)
+        errs = np.linalg.norm(src.psi[rep.witness] @ t.swapaxes(1, 2) - src.psi, axis=(1, 2))
+        problem, witness, lam0, got_errs, got_nrms = stacked.pop(src.probs.tobytes())
+        assert problem is None and witness == rep.witness and lam0 == rep.lambda0
+        assert np.max(np.abs(got_errs - errs)) <= 1e-12
+        assert np.max(np.abs(got_nrms - qcore.operator_norm(t))) <= 1e-12
+    assert not stacked

@@ -115,37 +115,38 @@ def _parse_int(v) -> int:
     return n
 
 
+def _check_numbers(values: np.ndarray) -> None:
+    """TypeError naming the first of `values` that is not a number: a boolean
+    or a string is not one, although numpy would read either as one."""
+    for kind in set(map(type, values)):
+        if issubclass(kind, bool) or not issubclass(kind, (int, float, complex)):
+            raise TypeError(f"{next(v for v in values if type(v) is kind)!r} is not a number")
+
+
 def _parse_complex_matrix(rows) -> np.ndarray:
     """Rows of complex entries, each a number or an [re, im] pair; an
     amplitude vector is parsed as one row.  One numpy conversion reads the
-    entries; the pairs and the bare numbers' parts fill a float (rows, cols, 2)
-    array that is viewed as complex, so a -0.0 keeps its sign in either part
-    (a bare real's imaginary part is +0.0, as in complex(x)).  Any malformed
-    entry or ragged row is a SpecError."""
+    entries.  Bare numbers convert as complex(x); with pairs among them, each
+    is split into its real and imaginary parts, and the (rows, cols, 2) parts
+    as floats are viewed as complex, so a -0.0 keeps its sign in either part.
+    Any malformed entry or ragged row is a SpecError."""
     try:
         cells = np.array(rows, dtype=object)
-        if cells.ndim == 3:  # only pairs: numpy gave their parts an axis
-            is_pair = np.ones(cells.shape[:2], dtype=bool)
-            pairs = cells.reshape(-1, cells.shape[2])
-        elif cells.ndim == 2:  # bare numbers, perhaps with pairs among them
+        if cells.ndim == 2 and {list, tuple} & set(map(type, cells.flat)):
+            # bare numbers among pairs: split each number into its parts
             kinds = np.array(list(map(type, cells.flat)), dtype=object).reshape(cells.shape)
             is_pair = (kinds == list) | (kinds == tuple)
-            pairs = np.array(cells[is_pair].tolist(), dtype=object) if is_pair.any() \
-                else np.empty((0, 2), dtype=object)
-        else:
-            raise ValueError(f"{rows!r} is not a list of rows")
-        bare = cells[~is_pair]
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            grid, cells = cells, np.empty(cells.shape + (2,), dtype=object)
+            cells[is_pair] = grid[is_pair].tolist()
+            _check_numbers(grid[~is_pair])
+            cells[~is_pair] = grid[~is_pair].astype(complex).view(float).reshape(-1, 2)
+        if cells.ndim == 2:
+            _check_numbers(cells.ravel())
+            return cells.astype(complex)
+        if cells.ndim != 3 or cells.shape[2] != 2:
             raise ValueError("an entry is neither a number nor an [re, im] pair")
-        for leaves in (bare, pairs):
-            for kind in set(map(type, leaves.flat)):
-                if issubclass(kind, bool) or not issubclass(kind, (int, float, complex)):
-                    first = next(v for v in leaves.flat if type(v) is kind)
-                    raise TypeError(f"{first!r} is not a number")
-        parts = np.empty(is_pair.shape + (2,))
-        parts[is_pair] = pairs.astype(float)
-        parts[~is_pair] = bare.astype(complex).view(float).reshape(-1, 2)
-        return parts.view(complex)[..., 0]
+        _check_numbers(cells.ravel())
+        return cells.astype(float).view(complex)[..., 0]
     except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed complex entries: {exc}") from exc
 
@@ -323,9 +324,11 @@ def transfer_operators_of_stack(psi: np.ndarray, x0: np.ndarray) -> tuple[np.nda
     gram = m0 @ m0.conj().swapaxes(-1, -2)
     lam_min = np.linalg.eigvalsh(gram)[:, 0]
     full = lam_min > TOL_GENERIC
-    t = np.full(psi.shape[:2] + psi.shape[3:] * 2, np.nan, dtype=complex)
-    t[full] = (m0[full, np.newaxis].conj().swapaxes(-1, -2)
-               @ np.linalg.solve(gram[full, np.newaxis], psi[full])).swapaxes(-1, -2)
+    # a witness without full support is solved against 1 and its T_x set to NaN
+    gram = np.where(full[:, np.newaxis, np.newaxis], gram, np.eye(gram.shape[-1]))
+    t = (m0.conj().swapaxes(-1, -2)[:, np.newaxis]
+         @ np.linalg.solve(gram[:, np.newaxis], psi)).swapaxes(-1, -2)
+    t[~full] = np.nan
     return t, [None if ok else f"witness state {x} does not have full support on B "
                f"(min eigenvalue {lam})"
                for ok, x, lam in zip(full.tolist(), x0.tolist(), lam_min.tolist())]

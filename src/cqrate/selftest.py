@@ -57,14 +57,15 @@ def _seeded_suite(name: str, key: int, draw, evaluate):
     draws an instance's group and returns it with the shapes of the
     instance's normal draws, each shape's first axis the real then imaginary
     parts of Ginibre matrices.  The suite draws those normals in seed order
-    into one preallocated stack per group of at most STACK_ENTRIES reals, and
-    hands each full stack to `evaluate(group, *stacks)`, one complex stack per
-    matrix, which returns each instance's violation or None."""
+    into one stack per group, which doubles as it fills up to its depth of at
+    most STACK_ENTRIES reals, and hands each full stack to
+    `evaluate(group, *stacks)`, one complex stack per matrix, which returns
+    each instance's violation or None."""
 
     def suite(seed: int, count: int = 1000) -> SuiteResult:
         rng = _rng(seed, key)
         problems: list[str | None] = [None] * count
-        reals: dict = {}  # group -> one preallocated stack per shape
+        reals: dict = {}  # group -> its stack of each shape
         index: dict = {}  # group -> the instances held in its stacks
 
         def flush(group):

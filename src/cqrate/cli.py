@@ -13,14 +13,72 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import __version__, codes, idelta, qcore, region, selftest, source
 from .errors import DimensionCapError, SpecError
 from .idelta import OptimizerOptions
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _dump(doc) -> str:
+    """The text of json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    plus a newline, without the stdlib's pure-Python indent encoder."""
+    return _json(doc, "") + "\n"
+
+
+def _json(obj, pad: str) -> str:
+    """obj, indented by pad past its first line, as json.dumps writes it:
+    dicts with str keys, lists and tuples, str, int, float (subclasses
+    included), bool and None; NaN and ±inf raise ValueError, any other type
+    TypeError."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        try:  # a list of floats in one join
+            body = sep.join(map(float.__repr__, obj))
+        except TypeError:
+            body = None
+        if body is None or not all(map(math.isfinite, obj)):
+            body = _float_rows(obj, inner) or sep.join([_json(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if not isinstance(obj, dict):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    # a key that is not a str fails in sorted or in the encoder: TypeError
+    body = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_json(obj[k], inner)}"
+                               for k in sorted(obj)])
+    return f"{{\n{inner}{body}\n{pad}}}"
+
+
+def _float_rows(obj: list, pad: str) -> str | None:
+    """The rows of a list of non-empty lists of finite floats (boundary
+    samples, Stinespring entries), indented by pad, from one list.__repr__,
+    which joins float.__repr__ with ", "; None for any other list."""
+    if type(obj) is not list or set(map(type, obj)) != {list} or not all(obj):
+        return None
+    flat = list(chain.from_iterable(obj))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    row = pad + "  "
+    body = repr(obj)[2:-2].replace("], [", f"\n{pad}],\n{pad}[\n{row}").replace(", ", f",\n{row}")
+    return f"[\n{row}{body}\n{pad}]"
 
 
 def _emit(text: str, out_path: str | None):
@@ -55,7 +113,9 @@ def _load_json(path: str) -> dict:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, the int digit limit: ValueErrors;
+        # nesting past the recursion limit: RecursionError
+        except (ValueError, RecursionError) as exc:
             raise SpecError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -155,8 +215,8 @@ def cmd_idelta(args) -> int:
             # a result with no channel has constraint inf, written as null
             mat = c_dim = w_dim = constraint = None
             if res.param is not None:
-                mat = [[[float(z.real), float(z.imag)] for z in row]
-                       for row in res.param.mat]
+                m = res.param.mat
+                mat = np.stack((m.real, m.imag), -1).tolist()
                 c_dim, w_dim = res.param.out_dims
                 constraint = res.constraint
             channels.append({"delta": d, "value": res.value,

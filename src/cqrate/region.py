@@ -257,15 +257,20 @@ def _pareto_filter(points: list[RatePoint]) -> list[RatePoint]:
 # sampling, export, distances
 # ---------------------------------------------------------------------------
 
-def lower_boundary(region: RateRegion2D, rx: float) -> float:
-    """Smallest feasible R_B at classical rate rx (inf if rx infeasible)."""
-    rb = 0.0
+def lower_boundary(region: RateRegion2D, rx) -> np.ndarray:
+    """Smallest feasible R_B at each classical rate in rx (inf where that
+    rate is infeasible).  The running maximum keeps its value on a tie, as
+    Python's max does, so the sign of a zero is the first half-plane's."""
+    rx = np.asarray(rx, dtype=float)
+    rb = np.zeros_like(rx)
+    cut = np.zeros(rx.shape, dtype=bool)
     for hp in region.half_planes:
         if hp.ab > 0:
-            rb = max(rb, (hp.b - hp.ax * rx) / hp.ab)
-        elif hp.ax * rx < hp.b - VERTEX_TOL:
-            return float("inf")
-    return rb
+            v = (hp.b - hp.ax * rx) / hp.ab
+            rb = np.where(v > rb, v, rb)
+        else:
+            cut |= hp.ax * rx < hp.b - VERTEX_TOL
+    return np.where(cut, np.inf, rb)
 
 
 def rx_floor(region: RateRegion2D) -> float:
@@ -277,10 +282,11 @@ def rx_floor(region: RateRegion2D) -> float:
     return lo
 
 
-def boundary_samples(region: RateRegion2D, n: int = 200, *, rx_hi: float) -> list[RatePoint]:
-    """n points along the lower boundary, from the vertical edge to rx_hi."""
+def boundary_samples(region: RateRegion2D, n: int = 200, *, rx_hi: float) -> np.ndarray:
+    """(n, 2) array of points (R_X, R_B) along the lower boundary, from the
+    vertical edge to rx_hi."""
     xs = np.linspace(rx_floor(region), rx_hi, n)
-    return [RatePoint(float(x), lower_boundary(region, float(x))) for x in xs]
+    return np.stack((xs, lower_boundary(region, xs)), axis=-1)
 
 
 def region_to_doc(region: RateRegion2D, rx_hi: float) -> dict:
@@ -289,7 +295,7 @@ def region_to_doc(region: RateRegion2D, rx_hi: float) -> dict:
         "vertices": [v.as_dict() for v in region.vertices],
         "kind": region.kind,
         "provenance": region.provenance,
-        "boundary_samples": [[p.rx, p.rb] for p in boundary_samples(region, rx_hi=rx_hi)],
+        "boundary_samples": boundary_samples(region, rx_hi=rx_hi).tolist(),
     }
 
 
@@ -305,13 +311,10 @@ def boundary_hausdorff(r1: RateRegion2D, r2: RateRegion2D) -> float:
               lower_boundary(r2, rx_floor(r2))) + 1.0
 
     def curve(region: RateRegion2D) -> np.ndarray:
-        pts = []
         flo = rx_floor(region)
-        rb0 = lower_boundary(region, flo)
-        for t in np.linspace(rb0, top, n // 4):
-            pts.append((flo, t))  # vertical edge
-        pts += [(p.rx, p.rb) for p in boundary_samples(region, n, rx_hi=rx_hi)]
-        return np.asarray(pts)
+        edge = np.linspace(lower_boundary(region, flo), top, n // 4)
+        return np.concatenate((np.stack((np.full_like(edge, flo), edge), axis=-1),
+                               boundary_samples(region, n, rx_hi=rx_hi)))
 
     c1, c2 = curve(r1), curve(r2)
     d12 = np.max(np.min(np.linalg.norm(c1[:, None, :] - c2[None, :, :], axis=2), axis=1))

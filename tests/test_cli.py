@@ -474,6 +474,43 @@ def test_dump_writes_strict_json():
     for bad in (math.nan, np.float64("nan"), math.inf, -math.inf):
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._dump({"a": bad})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._dump({"a": [0.5, bad]})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._dump({"a": [[0.5], [0.5, float(bad)]]})
+    for bad in (np.int64(1), {1.0}, object()):
+        for doc in ({"a": bad}, [0.5, bad], [[0.5], [0.5, bad]]):
+            with pytest.raises(TypeError):
+                json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+            with pytest.raises(TypeError):
+                cli._dump(doc)
+
+
+# floats json.dumps writes in each of its forms: -0.0, subnormals, the
+# switch to exponent notation at 1e16 and 1e-5, and np.float64
+DOC_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from([-0.0, 5e-324, 2.225e-308, 1e16, 1e-7, 0.1, 1e-5, 9999999999999998.0])
+              | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+DOC_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+               | DOC_FLOATS | st.text())
+# rows of floats, as boundary samples and Stinespring entries are written
+DOC_ROWS = st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                             | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7]), max_size=3),
+                    min_size=1, max_size=4)
+DOC_TREES = st.recursive(
+    DOC_SCALARS | DOC_ROWS,
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=DOC_TREES | st.lists(DOC_TREES, max_size=4) | st.lists(DOC_FLOATS, max_size=6))
+def test_dump_writes_what_json_dumps_writes(doc):
+    """Nested dicts, lists and tuples (empty ones, a top-level list and
+    rows of floats among them), any str (non-ASCII, quotes, backslashes, control characters),
+    big and negative ints, floats, np.float64, bools and None."""
+    assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def test_non_finite_document_value_is_an_internal_error(monkeypatch):
@@ -796,6 +833,41 @@ def test_a_spec_that_is_not_utf8_is_an_input_error_exit_2(tmp_path):
         rc = cli.main(["analyze", "--source", str(spec)])
     assert rc == 2
     assert err.getvalue().startswith("error:") and "not valid JSON" in err.getvalue()
+
+
+def _undecodable_specs(tmp_path) -> dict:
+    """Files the JSON decoder rejects without a JSONDecodeError: nesting past
+    the recursion limit, and a 5,000-digit integer in a source's probs and in
+    a code's n."""
+    deep = "[" * 200_000 + "]" * 200_000
+    src = json.loads(Path(SRC_B_SPEC).read_text())
+    code = json.loads((SPECS / "code_identity.json").read_text())
+    big = "1" * 5000
+    specs = {"deep": deep,
+             "source-digits": json.dumps(src).replace('"probs": [', f'"probs": [{big}, ', 1),
+             "code-digits": json.dumps(code).replace('"n": ', f'"n": {big}', 1)}
+    paths = {}
+    for name, text in specs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    return paths
+
+
+@pytest.mark.parametrize("flag,name", [("--source", "deep"), ("--source", "source-digits"),
+                                       ("--code", "deep"), ("--code", "code-digits")])
+def test_a_spec_the_decoder_rejects_without_a_decode_error_exits_2(flag, name, tmp_path):
+    paths = {"--source": SRC_B_SPEC, "--code": str(SPECS / "code_identity.json"),
+             flag: str(_undecodable_specs(tmp_path)[name])}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["verify-code", *(a for kv in paths.items() for a in kv)])
+    assert rc == 2, err.getvalue()
+    assert err.getvalue().startswith("error:") and "not valid JSON" in err.getvalue()
+    if flag == "--source":
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(["analyze", "--source", paths["--source"]]) == 2
+        assert err.getvalue().startswith("error:") and "not valid JSON" in err.getvalue()
 
 
 @pytest.mark.parametrize("flag", ["--source", "--code", "--out"])

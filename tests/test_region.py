@@ -314,9 +314,48 @@ def test_boundary_samples_feasible(src_b):
     reg = region.outer_bound_region(prof, 0.0)
     pts = region.boundary_samples(reg, 200, rx_hi=max(v.rx for v in reg.vertices) + 1.0)
     assert len(pts) == 200
-    for p in pts:
+    for row in pts:
+        p = RatePoint(*row)
         assert region.region_contains(reg, p, slack=1e-9)
         assert region.region_contains(reg, RatePoint(p.rx, p.rb - 1e-6), slack=0) is False
+
+
+def _lower_boundary_loop(reg: region.RateRegion2D, rx: float) -> float:
+    """The scalar rule lower_boundary evaluates over arrays: smallest feasible
+    R_B at rx, by Python's max over the half-planes (inf if rx infeasible)."""
+    rb = 0.0
+    for hp in reg.half_planes:
+        if hp.ab > 0:
+            rb = max(rb, (hp.b - hp.ax * rx) / hp.ab)
+        elif hp.ax * rx < hp.b - region.VERTEX_TOL:
+            return float("inf")
+    return rb
+
+
+COEFFS = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(1e-3, 10.0)
+HALF_PLANES = st.tuples(COEFFS, COEFFS, st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-10.0, 10.0)
+                        ).filter(lambda t: t[0] > 0 or t[1] > 0).map(lambda t: HalfPlane(*t))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hps=st.lists(HALF_PLANES, min_size=1, max_size=5),
+       vertical=st.sampled_from([None, 0.0, -0.0, 1.5]), lo=st.floats(-2.0, 2.0),
+       span=st.floats(0.0, 5.0), n=st.integers(1, 50))
+def test_boundary_samples_equal_the_scalar_rule_bitwise(hps, vertical, lo, span, n):
+    """Vertical half-planes (aB = 0) give inf left of their edge, and b = -0.0
+    keeps the first zero's sign; samples start left of the floor so both
+    show."""
+    if vertical is not None:
+        hps = [*hps, HalfPlane(1.0, 0.0, vertical)]
+    reg = region.RateRegion2D(tuple(hps), (), "outer")
+    got = region.boundary_samples(reg, n, rx_hi=lo + span)
+    xs = np.linspace(region.rx_floor(reg), lo + span, n)
+    want = np.array([[x, _lower_boundary_loop(reg, float(x))] for x in xs])
+    assert got.shape == (n, 2)
+    assert got.tobytes() == want.tobytes()
+    rxs = np.linspace(lo, lo + span, n)  # left of the floor too
+    assert region.lower_boundary(reg, rxs).tobytes() == np.array(
+        [_lower_boundary_loop(reg, float(x)) for x in rxs]).tobytes()
 
 
 def test_markov_endpoints_src_c(src_c, light_opts, monkeypatch):

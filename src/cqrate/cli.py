@@ -39,12 +39,12 @@ def _json(obj, pad: str) -> str:
             return "[]"
         inner = pad + "  "
         sep = ",\n" + inner
-        try:  # a list of floats in one join
+        kinds = set(map(type, obj))
+        if kinds == {float} and all(map(math.isfinite, obj)):  # floats in one join
             body = sep.join(map(float.__repr__, obj))
-        except TypeError:
-            body = None
-        if body is None or not all(map(math.isfinite, obj)):
-            body = _float_rows(obj, inner) or sep.join([_json(v, inner) for v in obj])
+        else:
+            body = (kinds == {list} and _float_rows(obj, inner)
+                    or sep.join([_json(v, inner) for v in obj]))
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -67,11 +67,12 @@ def _json(obj, pad: str) -> str:
     return f"{{\n{inner}{body}\n{pad}}}"
 
 
-def _float_rows(obj: list, pad: str) -> str | None:
-    """The rows of a list of non-empty lists of finite floats (boundary
-    samples, Stinespring entries), indented by pad, from one list.__repr__,
-    which joins float.__repr__ with ", "; None for any other list."""
-    if type(obj) is not list or set(map(type, obj)) != {list} or not all(obj):
+def _float_rows(obj, pad: str) -> str | None:
+    """The rows of a list of lists, indented by pad, from one list.__repr__
+    (which joins float.__repr__ with ", ") when every row is a non-empty list
+    of finite floats, as boundary samples and Stinespring entries are; None
+    otherwise."""
+    if type(obj) is not list or not all(obj):
         return None
     flat = list(chain.from_iterable(obj))
     if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
@@ -110,11 +111,12 @@ def _provenance(args, command: str) -> dict:
 
 
 def _load_json(path: str) -> dict:
+    """The decoded file; whatever the decoder rejects is an input error: its
+    ValueErrors (JSONDecodeError, UnicodeDecodeError, an integer past the
+    digit limit) and nesting past the recursion limit."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        # JSONDecodeError, UnicodeDecodeError, the int digit limit: ValueErrors;
-        # nesting past the recursion limit: RecursionError
         except (ValueError, RecursionError) as exc:
             raise SpecError(f"{path}: not valid JSON ({exc})") from exc
 

@@ -505,7 +505,8 @@ DOC_TREES = st.recursive(
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(doc=DOC_TREES | st.lists(DOC_TREES, max_size=4) | st.lists(DOC_FLOATS, max_size=6))
+@given(doc=DOC_TREES | st.lists(DOC_TREES, max_size=4) | st.lists(DOC_FLOATS, max_size=6)
+       | DOC_ROWS.map(tuple))
 def test_dump_writes_what_json_dumps_writes(doc):
     """Nested dicts, lists and tuples (empty ones, a top-level list and
     rows of floats among them), any str (non-ASCII, quotes, backslashes, control characters),

@@ -342,9 +342,9 @@ HALF_PLANES = st.tuples(COEFFS, COEFFS, st.sampled_from([0.0, -0.0, 1.0]) | st.f
        vertical=st.sampled_from([None, 0.0, -0.0, 1.5]), lo=st.floats(-2.0, 2.0),
        span=st.floats(0.0, 5.0), n=st.integers(1, 50))
 def test_boundary_samples_equal_the_scalar_rule_bitwise(hps, vertical, lo, span, n):
-    """Vertical half-planes (aB = 0) give inf left of their edge, and b = -0.0
-    keeps the first zero's sign; samples start left of the floor so both
-    show."""
+    """Samples and rates from lo, left of the floor too: vertical half-planes
+    (aB = 0) give inf left of their edge, and b = -0.0 keeps the first
+    zero's sign."""
     if vertical is not None:
         hps = [*hps, HalfPlane(1.0, 0.0, vertical)]
     reg = region.RateRegion2D(tuple(hps), (), "outer")

@@ -352,15 +352,13 @@ def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
     variant.
 
     The starts and the directions depend neither on the ensemble nor on
-    delta, so v0 is evaluated once per ensemble and each step draws one
-    direction per restart for all problems: the delta grid of a curve and
-    the markov maps of an interpolation are climbed in one stack.  The three
-    candidates of every (problem, restart) are then retracted and evaluated
-    as one stack, once per distinct (ensemble, restart, point, step size):
-    deltas on one ensemble whose climbs have made the same moves share them.
-    A (problem, restart) takes its candidates in order and stops at the
-    first accepted one; the later ones change neither `best` nor the step
-    size, exactly as if they had not been evaluated, so its result depends
+    delta, so each step draws one direction per restart for all problems:
+    the delta grid of a curve and the markov maps of an interpolation are
+    climbed in one stack.  Row r = g·n + i holds restart i of problem g, and
+    each step retracts and evaluates the three candidates of every row as
+    one stack.  A row takes its candidates in order and stops at the first
+    accepted one; the later ones change neither `best` nor the step size,
+    exactly as if they had not been evaluated, so its result depends
     neither on the other restarts nor on the other problems."""
 
     unassisted = ev.want_c
@@ -378,58 +376,40 @@ def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
         cols = {k: a.tolist() for k, a in stacked.items()}
         return [dict(zip(cols, vals)) for vals in zip(*cols.values())]
 
-    n, d, n_ens = len(rngs), ev.dim_v_out, len(ev.mats)
-    ens_of = np.array([j for j, _ in problems])
-    info0 = per_matrix(ev.informations(np.concatenate([v0] * n_ens),
-                                       np.repeat(np.arange(n_ens), n)))
-    info = [info0[j * n:(j + 1) * n] for j in ens_of]
-    v = np.repeat(v0[np.newaxis], len(problems), axis=0)  # v[g, i], updated in place
-    best = [[(inf["ixw"], inf["irwx"], v0[i].copy())
-             if _feasible(inf, delta, unassisted) else None
-             for i, inf in enumerate(row)] for row, (_, delta) in zip(info, problems)]
+    n, d, n_prob = len(rngs), ev.dim_v_out, len(problems)
+    ens_of = np.repeat([j for j, _ in problems], n)
+    delta = [dl for _, dl in problems for _ in range(n)]
+    v = np.tile(v0, (n_prob, 1, 1))  # v[r], updated in place
+    info = per_matrix(ev.informations(v, ens_of))
+    best = [(inf["ixw"], inf["irwx"], v[r].copy()) if _feasible(inf, delta[r], unassisted)
+            else None for r, inf in enumerate(info)]
     for mu in PENALTY_SCHEDULE:
-        f = [[penalty(inf, mu, delta) for inf in row] for row, (_, delta) in zip(info, problems)]
-        step = [[STEP_INIT] * n for _ in problems]
+        f = [penalty(inf, mu, dl) for inf, dl in zip(info, delta)]
+        step = [STEP_INIT] * len(v)
         for _ in range(opts.iters_per_stage):
             a = np.stack([_random_direction(rng, d) for rng in rngs])
             # unit operator norm, from one SVD call for all restarts
             a /= np.maximum(np.linalg.svd(a, compute_uv=False)[:, 0],
                             1e-12)[:, np.newaxis, np.newaxis]
-            # (problem, restart) pairs on one ensemble at the same point with
-            # the same step size have the same candidates, so each distinct
-            # state is stepped once; slot[g][i] indexes the state of pair
-            # (g, i) in `states`
-            index, states, slot = {}, [], []
-            for g, (j, _) in enumerate(problems):
-                slot.append([])
-                for i in range(n):
-                    key = (j, i, step[g][i], v[g, i].tobytes())
-                    if key not in index:
-                        index[key] = len(states)
-                        states.append((g, i))
-                    slot[g].append(index[key])
-            gs, rs = np.array(states).T
-            pts = v[gs, rs]
-            eps = np.array([(step[g][i], step[g][i] / 4.0, -step[g][i]) for g, i in states])
-            cands = _qr_retract((pts[:, np.newaxis] + eps[:, :, np.newaxis, np.newaxis]
-                                 * (a[rs] @ pts)[:, np.newaxis]).reshape(-1, d, pts.shape[-1]))
-            cinfo = per_matrix(ev.informations(cands, np.repeat(ens_of[gs], 3)))
-            for g, (_, delta) in enumerate(problems):
-                for i in range(n):
-                    improved = False
-                    for k in range(3 * slot[g][i], 3 * slot[g][i] + 3):
-                        ci = cinfo[k]
-                        cf = penalty(ci, mu, delta)
-                        if _feasible(ci, delta, unassisted) and \
-                                (best[g][i] is None or ci["ixw"] > best[g][i][0]):
-                            best[g][i] = (ci["ixw"], ci["irwx"], cands[k].copy())
-                        if cf > f[g][i] + 1e-12:
-                            v[g, i], info[g][i], f[g][i] = cands[k], ci, cf
-                            improved = True
-                            break
-                    step[g][i] = (min(step[g][i] * 1.3, 1.0) if improved
-                                  else max(step[g][i] * 0.6, 1e-4))
-    return best
+            eps = np.array([(s, s / 4.0, -s) for s in step])
+            cands = _qr_retract((v[:, np.newaxis] + eps[:, :, np.newaxis, np.newaxis]
+                                 * (np.tile(a, (n_prob, 1, 1)) @ v)[:, np.newaxis])
+                                .reshape(-1, d, v.shape[-1]))
+            cinfo = per_matrix(ev.informations(cands, np.repeat(ens_of, 3)))
+            for r in range(len(v)):
+                improved = False
+                for k in range(3 * r, 3 * r + 3):
+                    ci = cinfo[k]
+                    cf = penalty(ci, mu, delta[r])
+                    if _feasible(ci, delta[r], unassisted) and \
+                            (best[r] is None or ci["ixw"] > best[r][0]):
+                        best[r] = (ci["ixw"], ci["irwx"], cands[k].copy())
+                    if cf > f[r] + 1e-12:
+                        v[r], info[r], f[r] = cands[k], ci, cf
+                        improved = True
+                        break
+                step[r] = min(step[r] * 1.3, 1.0) if improved else max(step[r] * 0.6, 1e-4)
+    return [best[g * n:(g + 1) * n] for g in range(n_prob)]
 
 
 def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerOptions,
@@ -550,7 +530,7 @@ def idelta_curve(src: CqSource, deltas=(),
     the value at I0_TILDE_DELTA, one more delta of the stack; so the empty
     grid asks for the estimates alone.  Both are lower bounds."""
     deltas = sorted(float(d) + 0.0 for d in deltas)  # kill negative zero
-    ens = _Ensemble.from_source(src)  # one object: deltas of one ensemble share candidates
+    ens = _Ensemble.from_source(src)  # one object: one product per block for all the grid's rows
     positive = [d for d in deltas if d > 0]
     stack = deltas + ([] if ens.generic or positive else [I0_TILDE_DELTA])
     stack += [] if 0.0 in deltas else [0.0]  # delta = 0 rides in the stack

@@ -1,9 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cqrate import idelta, source
 from cqrate.idelta import OptimizerOptions
 from cqrate.reference import source_a, source_b, source_c
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """`python -m cqrate.cli *args` in a child process that imports this
+    checkout's package: the repository's src leads its PYTHONPATH."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "cqrate.cli", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture(scope="session")

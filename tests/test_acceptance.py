@@ -7,14 +7,12 @@ lines; every tolerance is pinned here.
 import contextlib
 import io
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from conftest import optimize, optimize_unflagged, unflagged
+from conftest import optimize, optimize_unflagged, run_cli, unflagged
 from cqrate import cli, codes, idelta, region, selftest, source
 from cqrate.idelta import OptimizerOptions
 from cqrate.reference import source_a, source_b, source_c
@@ -199,10 +197,7 @@ def test_criterion_9_selftest_determinism(tmp_path):
         docs = []
         for i in range(2):
             doc_path = tmp_path / f"selftest{i}.json"
-            proc = subprocess.run(
-                [sys.executable, "-m", "cqrate.cli", "selftest", "--seed", "0",
-                 "--out", str(doc_path)],
-                capture_output=True, text=True)
+            proc = run_cli("selftest", "--seed", "0", "--out", str(doc_path))
             assert proc.returncode == 0, proc.stdout + proc.stderr
             outs.append(proc.stdout)
             docs.append(doc_path.read_bytes())

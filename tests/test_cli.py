@@ -4,8 +4,6 @@ import io
 import json
 import math
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -14,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from cqrate import cli, codes, idelta, qcore, region, source
 from cqrate.qcore import DensityOperator
 from cqrate.reference import source_a, source_b
@@ -29,11 +28,6 @@ EXPLICIT_IDENTITY = {
     "V": {"matrix": np.eye(4).tolist(), "dims": {"W_D": 1}},
 }
 TRUNCATION = {"builder": "truncation", "n": 1, "rank": 1}
-
-
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "cqrate.cli", *args],
-                          capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")

@@ -256,7 +256,9 @@ def test_estimates_draw_each_direction_once_for_the_whole_grid(monkeypatch, prob
     assert len(drawn) == sum(restarts) * len(idelta.PENALTY_SCHEDULE) * opts.iters_per_stage
 
 
-def test_deltas_on_the_same_path_share_their_candidates(monkeypatch, src_b):
+def test_each_retraction_takes_three_rows_per_restart_and_problem(monkeypatch, src_b):
+    """Row r = g·n + i of the climb is restart i of problem g, each row
+    steps on its own, and two equal problems give equal results."""
     rows = []
     retract = idelta._qr_retract
 
@@ -267,8 +269,10 @@ def test_deltas_on_the_same_path_share_their_candidates(monkeypatch, src_b):
     monkeypatch.setattr(idelta, "_qr_retract", counted)
     opts = OptimizerOptions(seed=1, restarts=3, iters_per_stage=5, c_dim=2, w_dim=2)
     ens = idelta._Ensemble.from_source(src_b)
-    once, twice = idelta._optimize_ensemble([(ens, 0.05), (ens, 0.05)], opts)
-    assert rows == [3 * opts.restarts] * (len(idelta.PENALTY_SCHEDULE) * opts.iters_per_stage)
+    problems = [(ens, 0.05), (ens, 0.05), (ens, 0.2)]
+    once, twice, _ = idelta._optimize_ensemble(problems, opts)
+    assert rows == [3 * opts.restarts * len(problems)] * (
+        len(idelta.PENALTY_SCHEDULE) * opts.iters_per_stage)
     _assert_same_result(once, twice)
 
 
@@ -816,7 +820,7 @@ def test_an_unsorted_grid_gives_the_sorted_curve(name):
 def _fake_optimizer(monkeypatch, values: dict[float, float]) -> list[list[float]]:
     """Replace the batched optimizer by a lookup in `values`; returns the
     delta lists it is called with.  Every call must pass one ensemble
-    object, so that deltas on the same path share their candidates."""
+    object, so that the grid's rows go through one product per block."""
     calls = []
 
     def fake(problems, opts, unassisted=False):

@@ -38,13 +38,8 @@ def _json(obj, pad: str) -> str:
         if not obj:
             return "[]"
         inner = pad + "  "
-        sep = ",\n" + inner
-        kinds = set(map(type, obj))
-        if kinds == {float} and all(map(math.isfinite, obj)):  # floats in one join
-            body = sep.join(map(float.__repr__, obj))
-        else:
-            body = (kinds == {list} and _float_rows(obj, inner)
-                    or sep.join([_json(v, inner) for v in obj]))
+        body = (set(map(type, obj)) == {list} and _float_rows(obj, inner)
+                or f",\n{inner}".join([_json(v, inner) for v in obj]))
         return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)

@@ -218,6 +218,7 @@ def _evaluate(src: CqSource, code: BlockCode) -> tuple[FidelityReport, float]:
     return FidelityReport(avg, tuple(rows), 1.0 - avg), cmi
 
 
+# No command calls it (verify-code reads decoupling_cmi); the bench tracer hooks it.
 def average_fidelity(src: CqSource, code: BlockCode) -> FidelityReport:
     """Exact average fidelity over the source sequences, weighted by p(x^n)."""
     return _evaluate(src, code)[0]

@@ -217,18 +217,11 @@ class _Evaluator:
             stacks += [rho_c, qcore.weighted_average(probs, rho_c)[np.newaxis],
                        qcore.weighted_average(probs, rho_cw)]
         s_w, s_w_avg, s_wr, *s_c = _entropies(stacks)
-
-        def in_x_order(terms):  # sum over blocks, x by x
-            total = 0.0
-            for t in terms:
-                total += t
-            return total
-
-        out = {"ixw": np.maximum(s_w_avg[0] - in_x_order(probs * s_w), 0.0),
-               "irwx": in_x_order(probs * np.maximum(s_w + s_r - s_wr, 0.0))}
+        out = {"ixw": np.maximum(s_w_avg[0] - qcore.sum_in_order(probs * s_w), 0.0),
+               "irwx": qcore.sum_in_order(probs * np.maximum(s_w + s_r - s_wr, 0.0))}
         if self.want_c:
             s_c, s_c_avg, s_cw = s_c
-            out["icx"] = np.maximum(s_c_avg[0] - in_x_order(probs * s_c), 0.0)
+            out["icx"] = np.maximum(s_c_avg[0] - qcore.sum_in_order(probs * s_c), 0.0)
             out["icw"] = np.maximum(s_c_avg[0] + s_w_avg[0] - s_cw, 0.0)
         return out
 
@@ -284,11 +277,8 @@ def channel_marginal_informations(src: CqSource, param: Isometry) -> dict[str, f
 
 def _qr_retract(v: np.ndarray) -> np.ndarray:
     """Project each matrix of a stack back onto the isometry manifold (QR
-    with positive diagonal)."""
-    q, r = np.linalg.qr(v)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    d = np.where(np.abs(d) < 1e-14, 1.0, d)
-    return q * (d / np.abs(d))[..., np.newaxis, :]
+    with positive diagonal), under a name the benchmark's tracer times."""
+    return qcore.isometry_from_ginibre(v)
 
 
 def _random_direction(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -559,6 +549,7 @@ def idelta_curve(src: CqSource, deltas=(),
                        tuple(results), i0, max(i0t, i0), res0)
 
 
+# No command calls it yet: it is the I0^- that the unassisted region is to read.
 def optimize_I0_minus(src: CqSource,
                       opts: OptimizerOptions = OptimizerOptions()) -> IdeltaResult:
     """Unassisted variant: maximize I(X:W) over isometries B -> C⊗W subject

@@ -271,14 +271,20 @@ def entropy_of_stack(mats: np.ndarray) -> np.ndarray:
     return (np.maximum(out, 0.0) + 0.0).reshape(vals.shape[:-1])  # kill negative zero
 
 
+def sum_in_order(terms: Iterable):
+    """The sum of `terms` (numbers or equally shaped arrays) added one at a
+    time from 0.0 in the order given, so that a sum over x runs in x order."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def weighted_average(probs: Sequence, mats: Sequence[np.ndarray]) -> np.ndarray:
     """sum_x p(x) mats[x], accumulated in the order of x.  For stacks
     (n, d, d), each p(x) is a number or one probability per matrix."""
     probs = np.asarray(probs)[..., np.newaxis, np.newaxis]  # broadcast over (d, d)
-    avg = np.zeros(mats[0].shape, dtype=complex)
-    for p, m in zip(probs, mats):
-        avg += p * m
-    return avg
+    return sum_in_order(p * m for p, m in zip(probs, mats))
 
 
 def holevo_of_stack(probs: Sequence,
@@ -288,10 +294,7 @@ def holevo_of_stack(probs: Sequence,
     p(x) a number or one probability per matrix; also returns the entropies
     S(rho_x) followed by S(sum_x p rho_x)."""
     s = entropy_of_stack(np.stack(list(blocks) + [weighted_average(probs, blocks)]))
-    hol = 0.0
-    for p, s_x in zip(probs, s):
-        hol += p * s_x
-    return np.maximum(s[-1] - hol, 0.0), s
+    return np.maximum(s[-1] - sum_in_order(p * s_x for p, s_x in zip(probs, s)), 0.0), s
 
 
 def _entropy_of_subsystems(mats: np.ndarray, dims: Sequence[int],
@@ -493,15 +496,12 @@ def density_from_ginibre(g: np.ndarray) -> np.ndarray:
 
 def isometry_from_ginibre(g: np.ndarray) -> np.ndarray:
     """The Q factor of g = QR with the phases of R's diagonal moved into Q,
-    of a matrix or of each matrix of a stack."""
+    of a matrix or of each matrix of a stack (a diagonal entry below 1e-14
+    leaves its column as it is): a Haar isometry, or the climb's retraction."""
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
+    diag = np.where(np.abs(diag) < 1e-14, 1.0, diag)
     return q * (diag / np.abs(diag))[..., np.newaxis, :]
-
-
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Ginibre-induced random density matrix (full rank by default)."""
-    return density_from_ginibre(ginibre((dim, dim if rank is None else rank), rng))
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -297,26 +297,3 @@ def region_to_doc(region: RateRegion2D, rx_hi: float) -> dict:
         "provenance": region.provenance,
         "boundary_samples": boundary_samples(region, rx_hi=rx_hi).tolist(),
     }
-
-
-def boundary_hausdorff(r1: RateRegion2D, r2: RateRegion2D) -> float:
-    """Symmetric Hausdorff distance between the two lower boundaries
-    (vertical edges included), restricted to a common bounding box and
-    sampled at n = 400 points per boundary plus n / 4 per vertical edge."""
-    n = 400
-    lo = min(rx_floor(r1), rx_floor(r2))
-    vmax = [v.rx for v in r1.vertices] + [v.rx for v in r2.vertices]
-    rx_hi = max(vmax + [lo]) + 1.0
-    top = max(lower_boundary(r1, rx_floor(r1)),
-              lower_boundary(r2, rx_floor(r2))) + 1.0
-
-    def curve(region: RateRegion2D) -> np.ndarray:
-        flo = rx_floor(region)
-        edge = np.linspace(lower_boundary(region, flo), top, n // 4)
-        return np.concatenate((np.stack((np.full_like(edge, flo), edge), axis=-1),
-                               boundary_samples(region, n, rx_hi=rx_hi)))
-
-    c1, c2 = curve(r1), curve(r2)
-    d12 = np.max(np.min(np.linalg.norm(c1[:, None, :] - c2[None, :, :], axis=2), axis=1))
-    d21 = np.max(np.min(np.linalg.norm(c2[:, None, :] - c1[None, :, :], axis=2), axis=1))
-    return float(max(d12, d21))

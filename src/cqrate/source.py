@@ -214,17 +214,6 @@ def load_source(doc: dict) -> CqSource:
     return make_source(probs, psi, db0, psi.shape[2], name=str(doc.get("name", "")))
 
 
-def source_doc(src: CqSource) -> dict:
-    """Spec document for a source (inverse of load_source for pure inputs)."""
-    states = []
-    for m in src.psi:
-        states.append({
-            "amplitudes": [[float(a.real), float(a.imag)] for a in m.reshape(-1)],
-            "dims": {"B": src.dim_b, "R": src.dim_r},
-        })
-    return {"name": src.name, "probs": [float(p) for p in src.probs], "states": states}
-
-
 # ---------------------------------------------------------------------------
 # ensemble states
 # ---------------------------------------------------------------------------
@@ -334,6 +323,7 @@ def transfer_operators_of_stack(psi: np.ndarray, x0: np.ndarray) -> tuple[np.nda
                for ok, x, lam in zip(full.tolist(), x0.tolist(), lam_min.tolist())]
 
 
+# No command calls it: it is exported API, documented in the README.
 def transfer_operators(src: CqSource, x0: int) -> np.ndarray:
     """The operators T_x on R with (1_B ⊗ T_x)|psi_x0> = |psi_x>, a stack of
     shape (|X|, |R|, |R|), for a witness x0 whose reduced state has full
@@ -354,10 +344,12 @@ def transfer_operators(src: CqSource, x0: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def mix_of_stack(psi: np.ndarray, eps: float) -> tuple[np.ndarray, list]:
-    """`mix_with_maximally_mixed` of a stack of sources' amplitude arrays
-    (n, |X|, |B|, |R|): the new arrays (n, |X|, |B|, |B|), zero for a source
-    with a problem, and each source's first problem (a mixed state that fails
-    the density checks, or a purification that is not a state), or None."""
+    """Each reduced state of a stack of sources' amplitude arrays
+    (n, |X|, |B|, |R|) mixed with eps·I/|B| and re-purified canonically, which
+    makes every source generic: the new arrays (n, |X|, |B|, |B|), zero for a
+    source with a problem, and each source's first problem (a mixed state
+    that fails the density checks, or a purification that is not a state), or
+    None."""
     n, nx, db = psi.shape[:3]
     rho = (1.0 - eps) * _rho_b(psi) + eps * np.eye(db) / db
     problems = _first_problems(qcore.density_problems(rho), nx)
@@ -368,43 +360,10 @@ def mix_of_stack(psi: np.ndarray, eps: float) -> tuple[np.ndarray, list]:
     return psi, [p or q for p, q in zip(problems, _first_problems(state_problems, nx))]
 
 
-def mix_with_maximally_mixed(src: CqSource, eps: float) -> CqSource:
-    """Mix each reduced state with eps·I/|B| and re-purify canonically.
-
-    The result is generic by construction (every marginal has full support).
-    """
-    psi, problems = mix_of_stack(src.psi[np.newaxis], eps)
-    if problems[0]:
-        raise ValueError(problems[0])
-    return CqSource(src.probs, psi[0], name=f"{src.name}+eps{eps:g}")
-
-
 def random_states(rng: np.random.Generator, nx: int, dim_b: int,
                   dim_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draw of `random_source`: probabilities, every one at least 0.1, and
-    nx random amplitude vectors on B⊗R."""
+    """A random source's draw: probabilities, every one at least 0.1, and nx
+    random amplitude vectors on B⊗R."""
     probs = rng.dirichlet(np.ones(nx))
     probs = (1.0 - nx * 0.1) * probs + 0.1
     return probs, np.array([qcore.random_pure(dim_b * dim_r, rng) for _ in range(nx)])
-
-
-def random_source(rng: np.random.Generator, nx: int = 2, dim_b: int = 2,
-                  dim_r: int = 2) -> CqSource:
-    """Random cq source with every probability at least 0.1."""
-    return make_source(*random_states(rng, nx, dim_b, dim_r), dim_b, dim_r, name="random")
-
-
-def random_generic_source(rng: np.random.Generator, nx: int = 2, dim_b: int = 2,
-                          eps: float = 1e-3) -> CqSource:
-    """Random source made generic by an eps admixture of the maximally mixed
-    state on B (reference dim |B| after re-purification)."""
-    return mix_with_maximally_mixed(random_source(rng, nx, dim_b, dim_b), eps)
-
-
-def tensor_sources(s1: CqSource, s2: CqSource) -> CqSource:
-    """Product source: alphabet X1×X2, states |psi_x1>⊗|psi_x2>, whose amplitude
-    matrices are the krons of the factors' (legs grouped as B1B2, R1R2)."""
-    probs = np.outer(s1.probs, s2.probs).reshape(-1)
-    vectors = [np.kron(m1, m2) for m1 in s1.psi for m2 in s2.psi]
-    return make_source(probs, vectors, s1.dim_b * s2.dim_b, s1.dim_r * s2.dim_r,
-                       name=f"{s1.name}x{s2.name}")

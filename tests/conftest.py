@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqrate import idelta, source
+from cqrate import idelta, qcore, region, source
 from cqrate.idelta import OptimizerOptions
 from cqrate.reference import source_a, source_b, source_c
 
@@ -20,6 +20,79 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "cqrate.cli", *args],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """Ginibre-induced random density matrix (full rank by default)."""
+    return qcore.density_from_ginibre(qcore.ginibre((dim, dim if rank is None else rank), rng))
+
+
+def random_source(rng: np.random.Generator, nx: int = 2, dim_b: int = 2,
+                  dim_r: int = 2) -> source.CqSource:
+    """Random cq source with every probability at least 0.1."""
+    return source.make_source(*source.random_states(rng, nx, dim_b, dim_r), dim_b, dim_r,
+                              name="random")
+
+
+def mix_with_maximally_mixed(src: source.CqSource, eps: float) -> source.CqSource:
+    """Mix each reduced state with eps·I/|B| and re-purify canonically.
+
+    The result is generic by construction (every marginal has full support).
+    """
+    psi, problems = source.mix_of_stack(src.psi[np.newaxis], eps)
+    if problems[0]:
+        raise ValueError(problems[0])
+    return source.CqSource(src.probs, psi[0], name=f"{src.name}+eps{eps:g}")
+
+
+def random_generic_source(rng: np.random.Generator, nx: int = 2, dim_b: int = 2,
+                          eps: float = 1e-3) -> source.CqSource:
+    """Random source made generic by an eps admixture of the maximally mixed
+    state on B (reference dim |B| after re-purification)."""
+    return mix_with_maximally_mixed(random_source(rng, nx, dim_b, dim_b), eps)
+
+
+def tensor_sources(s1: source.CqSource, s2: source.CqSource) -> source.CqSource:
+    """Product source: alphabet X1×X2, states |psi_x1>⊗|psi_x2>, whose amplitude
+    matrices are the krons of the factors' (legs grouped as B1B2, R1R2)."""
+    probs = np.outer(s1.probs, s2.probs).reshape(-1)
+    vectors = [np.kron(m1, m2) for m1 in s1.psi for m2 in s2.psi]
+    return source.make_source(probs, vectors, s1.dim_b * s2.dim_b, s1.dim_r * s2.dim_r,
+                              name=f"{s1.name}x{s2.name}")
+
+
+def source_doc(src: source.CqSource) -> dict:
+    """Spec document for a source (inverse of load_source for pure inputs)."""
+    states = []
+    for m in src.psi:
+        states.append({
+            "amplitudes": [[float(a.real), float(a.imag)] for a in m.reshape(-1)],
+            "dims": {"B": src.dim_b, "R": src.dim_r},
+        })
+    return {"name": src.name, "probs": [float(p) for p in src.probs], "states": states}
+
+
+def boundary_hausdorff(r1: region.RateRegion2D, r2: region.RateRegion2D) -> float:
+    """Symmetric Hausdorff distance between the two lower boundaries
+    (vertical edges included), restricted to a common bounding box and
+    sampled at n = 400 points per boundary plus n / 4 per vertical edge."""
+    n = 400
+    lo = min(region.rx_floor(r1), region.rx_floor(r2))
+    vmax = [v.rx for v in r1.vertices] + [v.rx for v in r2.vertices]
+    rx_hi = max(vmax + [lo]) + 1.0
+    top = max(region.lower_boundary(r1, region.rx_floor(r1)),
+              region.lower_boundary(r2, region.rx_floor(r2))) + 1.0
+
+    def curve(reg: region.RateRegion2D) -> np.ndarray:
+        flo = region.rx_floor(reg)
+        edge = np.linspace(region.lower_boundary(reg, flo), top, n // 4)
+        return np.concatenate((np.stack((np.full_like(edge, flo), edge), axis=-1),
+                               region.boundary_samples(reg, n, rx_hi=rx_hi)))
+
+    c1, c2 = curve(r1), curve(r2)
+    d12 = np.max(np.min(np.linalg.norm(c1[:, None, :] - c2[None, :, :], axis=2), axis=1))
+    d21 = np.max(np.min(np.linalg.norm(c2[:, None, :] - c1[None, :, :], axis=2), axis=1))
+    return float(max(d12, d21))
 
 
 @pytest.fixture(scope="session")

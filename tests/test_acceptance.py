@@ -12,7 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import optimize, optimize_unflagged, run_cli, unflagged
+from conftest import (
+    boundary_hausdorff, optimize, optimize_unflagged, random_generic_source, run_cli,
+    source_doc, tensor_sources, unflagged,
+)
 from cqrate import cli, codes, idelta, region, selftest, source
 from cqrate.idelta import OptimizerOptions
 from cqrate.reference import source_a, source_b, source_c
@@ -31,7 +34,7 @@ def criterion(num, name):
 
 
 def run_analyze(src) -> dict:
-    doc = source.source_doc(src)
+    doc = source_doc(src)
     buf = io.StringIO()
     import tempfile, os
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
@@ -78,7 +81,7 @@ def test_criterion_2_generic_collapse(monkeypatch):
         rng = np.random.default_rng(0)
         sources = [source_b()]
         for _ in range(20):
-            sources.append(source.random_generic_source(rng, nx=2, dim_b=2, eps=1e-3))
+            sources.append(random_generic_source(rng, nx=2, dim_b=2, eps=1e-3))
         for src in sources:
             prof = source.entropic_profile(src)
             est = idelta.idelta_curve(src, opts=opts)
@@ -88,7 +91,7 @@ def test_criterion_2_generic_collapse(monkeypatch):
                 [(ens, 0.0), (ens, idelta.I0_TILDE_DELTA)], opts))
             assert i0 <= 0.05, f"{src.name}: climbed I0 {i0}"
             _, _, inner, outer = region.estimated_regions(prof, i0, i0t)
-            gap = region.boundary_hausdorff(inner, outer)
+            gap = boundary_hausdorff(inner, outer)
             assert gap <= 0.1, f"{src.name}: Hausdorff gap {gap}"
         assert len(climbs) == len(sources)  # the one (2, 2) split of each unflagged stack
         assert time.time() - t0 < 300.0
@@ -134,7 +137,7 @@ def test_criterion_5_definition_properties():
                 assert res.value >= ora - 0.02, \
                     f"{src.name} delta={delta}: {res.value} < oracle {ora}"
         single = optimize(source_a(), 0.0, opts)
-        doubled = source.tensor_sources(source_a(), source_a())
+        doubled = tensor_sources(source_a(), source_a())
         double = optimize(
             doubled, 0.0,
             OptimizerOptions(seed=0, restarts=4, iters_per_stage=30, c_dim=4, w_dim=4))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli
+from conftest import random_density, run_cli, source_doc
 from cqrate import cli, codes, idelta, qcore, region, source
 from cqrate.qcore import DensityOperator
 from cqrate.reference import source_a, source_b
@@ -36,7 +36,7 @@ def spec_paths(tmp_path_factory):
     paths = {}
     for name, builder in [("a", source_a), ("b", source_b)]:
         p = d / f"src_{name}.json"
-        p.write_text(json.dumps(source.source_doc(builder())))
+        p.write_text(json.dumps(source_doc(builder())))
         paths[name] = str(p)
     code = d / "identity.json"
     code.write_text(json.dumps({"builder": "identity", "n": 1}))
@@ -194,7 +194,7 @@ def test_built_code_maps_are_capped(nx, rc, tmp_path):
     at |X| = 16 and |B| = |R| = 1, the cap, and 83,521 at |X| = 17, which
     exits 3 before any matrix is formed."""
     src = source.make_source([1 / nx] * nx, [[1.0]] * nx, 1, 1)
-    (tmp_path / "src.json").write_text(json.dumps(source.source_doc(src)))
+    (tmp_path / "src.json").write_text(json.dumps(source_doc(src)))
     (tmp_path / "code.json").write_text(json.dumps({"builder": "identity", "n": 2}))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -776,7 +776,7 @@ def test_ssa_violation_is_an_internal_error_exit_1(monkeypatch):
         return entropy(mats, dims, labels) + (1.0 if len(labels) == 3 else 0.0)
 
     def profile_with_cmi(src):
-        rho = DensityOperator(qcore.random_density(8, np.random.default_rng(0)),
+        rho = DensityOperator(random_density(8, np.random.default_rng(0)),
                               [("A", 2), ("B", 2), ("C", 2)])
         qcore.conditional_mutual_information(rho, ["A"], ["B"], ["C"])
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_source
 from cqrate import codes, qcore, source
 from cqrate.errors import DimensionCapError, SpecError
 from cqrate.qcore import DensityOperator, Isometry, LabeledVector
@@ -245,7 +246,7 @@ def test_fidelity_matches_the_dense_reference(src_b, assisted):
 def test_coded_outputs_enumerate_sequences_in_basis_order():
     """On a 3-symbol source at n = 2, the identity code's outputs come in
     itertools.product order, and the classical copy of x^n is |3·x_1 + x_2>."""
-    src = source.random_source(np.random.default_rng(4), 3, 2, 2)
+    src = random_source(np.random.default_rng(4), 3, 2, 2)
     outputs = list(codes.coded_outputs(src, codes.identity_code(src, 2)))
     assert [xs for xs, _, _ in outputs] == [(x1, x2) for x1 in range(3) for x2 in range(3)]
     for xs, _, lv in outputs:

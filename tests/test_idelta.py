@@ -10,7 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import optimize, optimize_unflagged, probe_source
+from conftest import (
+    optimize, optimize_unflagged, probe_source, random_generic_source, random_source,
+    tensor_sources,
+)
 from cqrate import cli, idelta, qcore, region, source
 from cqrate.idelta import OptimizerOptions
 
@@ -401,10 +404,10 @@ def test_fused_informations_equal_the_per_block_reference(
     ensembles in one stack, and |W| = |C||E| (one entropy call) or not."""
     rng = np.random.default_rng(seed)
     if kind == "pure":  # sources of equal |X|, |B| and |R|
-        ensembles = [idelta._Ensemble.from_source(source.random_source(rng, nx, dim_b, 2))
+        ensembles = [idelta._Ensemble.from_source(random_source(rng, nx, dim_b, 2))
                      for _ in range(n_ens)]
     else:
-        src = source.random_source(rng, nx, dim_b, 2)
+        src = random_source(rng, nx, dim_b, 2)
         ensembles = [idelta._Ensemble.conditioned(src, rng.dirichlet(np.ones(y_dim), size=nx).T)
                      for _ in range(n_ens)]
     if w_is_ce:
@@ -925,7 +928,7 @@ def test_i0_collapses_on_random_generic_sources(light_opts, monkeypatch):
     climbs = _count_climbs(monkeypatch)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        src = source.random_generic_source(rng, nx=2, dim_b=2, eps=1e-2)
+        src = random_generic_source(rng, nx=2, dim_b=2, eps=1e-2)
         assert optimize_unflagged(src, 0.0, light_opts).value <= 0.05
     assert len(climbs) == 5
 
@@ -933,7 +936,7 @@ def test_i0_collapses_on_random_generic_sources(light_opts, monkeypatch):
 def _generic(name: str) -> source.CqSource:
     if name.startswith("random"):  # random-B<|B|>-X<|X|>
         dim_b, nx = (int(part[1:]) for part in name.split("-")[1:])
-        return source.random_generic_source(np.random.default_rng(7), nx=nx, dim_b=dim_b)
+        return random_generic_source(np.random.default_rng(7), nx=nx, dim_b=dim_b)
     return _load(name)
 
 
@@ -982,7 +985,7 @@ def test_a_symbol_with_zero_probability_is_no_witness(light_opts):
 
 def test_two_copy_additivity_src_a(src_a, light_opts):
     single = optimize(src_a, 0.0, light_opts)
-    double = optimize(source.tensor_sources(src_a, src_a), 0.0,
+    double = optimize(tensor_sources(src_a, src_a), 0.0,
                       OptimizerOptions(seed=0, restarts=4, iters_per_stage=30, w_dim=4, c_dim=4))
     assert abs(double.value - 2 * single.value) <= 0.05
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_density
 from cqrate import qcore
 from cqrate.qcore import DensityOperator
 from cqrate.source import cq_state_xb
@@ -111,13 +112,13 @@ def test_mutual_information_examples(src_b):
 def test_cmi_nonnegative_random():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        rho = dm(qcore.random_density(8, rng), [("A", 2), ("B", 2), ("C", 2)])
+        rho = dm(random_density(8, rng), [("A", 2), ("B", 2), ("C", 2)])
         assert qcore.conditional_mutual_information(rho, ["A"], ["B"], ["C"]) >= -1e-8
 
 
 def test_fidelity_examples():
     rng = np.random.default_rng(3)
-    rho = qcore.random_density(3, rng)
+    rho = random_density(3, rng)
     assert qcore.fidelity_of_stack(rho, rho) == pytest.approx(1.0, abs=1e-9)
     k0 = np.diag([1.0, 0.0])
     k1 = np.diag([0.0, 1.0])
@@ -129,8 +130,8 @@ def test_fidelity_examples():
 def test_fidelity_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(25):
-        r1 = qcore.random_density(3, rng)
-        r2 = qcore.random_density(3, rng)
+        r1 = random_density(3, rng)
+        r2 = random_density(3, rng)
         assert qcore.fidelity_of_stack(r1, r2) == pytest.approx(
             qcore.fidelity_of_stack(r2, r1), abs=1e-9)
 
@@ -179,7 +180,7 @@ def test_purify_roundtrip_random():
     for _ in range(50):
         d = int(rng.integers(2, 5))
         rank = int(rng.integers(1, d + 1))
-        rho = qcore.random_density(d, rng, rank=rank)
+        rho = random_density(d, rng, rank=rank)
         amp = _purify(rho)
         assert amp.shape == (d, rank)
         assert qcore.trace_distance_of_stack(amp @ amp.conj().T, rho) < 1e-10
@@ -188,7 +189,7 @@ def test_purify_roundtrip_random():
 def test_entropy_unitary_invariance():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        m = qcore.random_density(4, rng)
+        m = random_density(4, rng)
         u = qcore.random_isometry(4, 4, rng)
         s1 = qcore.entropy_of_mat(m)
         s2 = qcore.entropy_of_mat(u @ m @ u.conj().T)
@@ -390,7 +391,7 @@ def test_density_problems_match_density_operator_messages():
 # --- inequality property suites (small count here; the selftest runs 1000) ---
 
 def _pair(rng, d):
-    return qcore.random_density(d, rng), qcore.random_density(d, rng)
+    return random_density(d, rng), random_density(d, rng)
 
 
 def test_fuchs_van_de_graaf_random():
@@ -427,8 +428,8 @@ def test_alicki_fannes_winter_random():
     rng = np.random.default_rng(104)
     for _ in range(200):
         da, db = 2, int(rng.integers(2, 4))
-        rho = qcore.random_density(da * db, rng)
-        sig = qcore.random_density(da * db, rng)
+        rho = random_density(da * db, rng)
+        sig = random_density(da * db, rng)
         eps = qcore.trace_distance_of_stack(rho, sig)
         gap = abs(qcore.conditional_entropy_of_stack(rho, (da, db), [0], [1])
                   - qcore.conditional_entropy_of_stack(sig, (da, db), [0], [1]))

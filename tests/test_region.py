@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import optimize
+from conftest import boundary_hausdorff, optimize, random_source
 from cqrate import idelta, region, source
 from cqrate.errors import InternalError
 from cqrate.region import HalfPlane, RatePoint
@@ -290,7 +290,7 @@ def test_generic_collapse_hausdorff(src_b, light_opts):
     prof = source.entropic_profile(src_b)
     est = idelta.idelta_curve(src_b, opts=light_opts)
     _, _, inner, outer = region.estimated_regions(prof, est.i0, est.i0_tilde)
-    assert region.boundary_hausdorff(inner, outer) <= 0.1
+    assert boundary_hausdorff(inner, outer) <= 0.1
 
 
 @pytest.mark.parametrize("i0, i0_tilde, expected", [
@@ -378,7 +378,7 @@ def test_markov_interior_point_on_or_below_line(src_c, light_opts, monkeypatch):
 
 def test_markov_dw_endpoint_is_exact(light_opts):
     # on the random source, a climb of the constant map lands 3.4e-16 off DW
-    for src in _spec_sources() + [source.random_source(np.random.default_rng(0), 3, 2, 2)]:
+    for src in _spec_sources() + [random_source(np.random.default_rng(0), 3, 2, 2)]:
         pts = region.markov_interpolation(src, 1, light_opts)
         assert pts[0] == region.dw_point(source.entropic_profile(src))
 

@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from conftest import mix_with_maximally_mixed, random_source
 from cqrate import cli, idelta, qcore, selftest, source
 from cqrate.errors import InternalError
 
@@ -197,6 +198,20 @@ def test_sandwich_flags_a_generic_i0_that_is_not_zero(monkeypatch):
     assert res.details == ("SRC-B: I0 estimate 1e-09 is not the theorem's 0",)
 
 
+def test_sandwich_flags_a_generic_i0_tilde_that_is_not_zero(monkeypatch):
+    # the theorem gives I~0 = 0 on SRC-B as well; 1e-9 is a violation
+    curve_of = idelta.idelta_curve
+
+    def nudged(src, *args, **kwargs):
+        curve = curve_of(src, *args, **kwargs)
+        return dataclasses.replace(curve, i0_tilde=1e-9) if src.name == "SRC-B" else curve
+
+    monkeypatch.setattr(idelta, "idelta_curve", nudged)
+    res = selftest.suite_sandwich(0)
+    assert (res.checks, res.violations) == (7502, 1)
+    assert res.details == ("SRC-B: I~0 estimate 1e-09 is not the theorem's 0",)
+
+
 def _transfer_sources(seed: int, count: int = 100):
     """The transfer suite's sources at `seed` by the one-source path, before
     and after the admixture of I/|B|."""
@@ -204,8 +219,8 @@ def _transfer_sources(seed: int, count: int = 100):
     pairs = []
     for _ in range(count):
         nx = int(rng.integers(2, 4))
-        drawn = source.random_source(rng, nx, 2, 2)
-        pairs.append((drawn, source.mix_with_maximally_mixed(drawn, selftest.TRANSFER_EPS)))
+        drawn = random_source(rng, nx, 2, 2)
+        pairs.append((drawn, mix_with_maximally_mixed(drawn, selftest.TRANSFER_EPS)))
     return pairs
 
 

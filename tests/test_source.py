@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    mix_with_maximally_mixed, random_density, random_generic_source, random_source, source_doc,
+    tensor_sources,
+)
 from cqrate import qcore, source
 from cqrate.errors import SpecError
 
@@ -53,7 +57,7 @@ def test_load_source_rejects_non_positive_dims(state):
 
 
 def test_load_source_src_b_round_trip(src_b):
-    doc = source.source_doc(src_b)
+    doc = source_doc(src_b)
     again = source.load_source(doc)
     assert np.allclose(src_b.psi, again.psi, atol=1e-12)
 
@@ -219,7 +223,7 @@ def test_profile_identities_random(db, states, seed):
             m = amp.reshape(db, k)
             inputs.append(m @ m.conj().T)
         else:
-            rho = qcore.random_density(db, rng, rank=min(k, db))
+            rho = random_density(db, rng, rank=min(k, db))
             entries.append({"density": [_pairs(row) for row in rho], "dim": db})
             inputs.append(rho)
     probs = rng.dirichlet(np.ones(len(states)))
@@ -259,15 +263,15 @@ def test_genericity_src_c(src_c):
 def test_perturbed_source_always_generic():
     rng = np.random.default_rng(37)
     for _ in range(10):
-        src = source.random_source(rng, nx=2, dim_b=2, dim_r=2)
-        mixed = source.mix_with_maximally_mixed(src, 1e-3)
+        src = random_source(rng, nx=2, dim_b=2, dim_r=2)
+        mixed = mix_with_maximally_mixed(src, 1e-3)
         assert source.genericity_report(mixed).is_generic
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5, 1.0])
 def test_mix_with_maximally_mixed_values(src_a, src_c, eps):
     for src in (src_a, src_c):
-        mixed = source.mix_with_maximally_mixed(src, eps)
+        mixed = mix_with_maximally_mixed(src, eps)
         db = src.dim_b
         assert mixed.dim_r == db  # src_a's rank-1 states are padded at eps = 0
         want = (1.0 - eps) * src.rho_b + eps * np.eye(db) / db
@@ -277,7 +281,7 @@ def test_mix_with_maximally_mixed_values(src_a, src_c, eps):
 @pytest.mark.parametrize("eps", [-0.5, 3.0])
 def test_mix_with_maximally_mixed_rejects_a_non_state(src_c, eps):
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        source.mix_with_maximally_mixed(src_c, eps)
+        mix_with_maximally_mixed(src_c, eps)
 
 
 # --- transfer operator ------------------------------------------------------
@@ -303,7 +307,7 @@ def test_transfer_requires_full_support(src_a):
 def test_transfer_random_generic_sources():
     rng = np.random.default_rng(41)
     for _ in range(20):
-        src = source.random_generic_source(rng, nx=3, dim_b=2, eps=1e-2)
+        src = random_generic_source(rng, nx=3, dim_b=2, eps=1e-2)
         rep = source.genericity_report(src)
         bound = 1.0 / math.sqrt(rep.lambda0) + 1e-8
         ts = source.transfer_operators(src, rep.witness)
@@ -318,7 +322,7 @@ def test_transfer_operators_with_a_larger_reference():
     and on which T_x0 is the identity."""
     rng = np.random.default_rng(7)
     for _ in range(10):
-        src = source.random_source(rng, nx=3, dim_b=2, dim_r=3)
+        src = random_source(rng, nx=3, dim_b=2, dim_r=3)
         rep = source.genericity_report(src)
         x0 = rep.witness
         m0 = src.psi[x0]
@@ -340,7 +344,7 @@ def test_transfer_operators_with_a_larger_reference():
 # --- tensor products --------------------------------------------------------
 
 def test_tensor_sources_profile_adds(src_a, src_b):
-    prod = source.tensor_sources(src_a, src_b)
+    prod = tensor_sources(src_a, src_b)
     pa = source.entropic_profile(src_a)
     pb = source.entropic_profile(src_b)
     pp = source.entropic_profile(prod)
@@ -351,8 +355,8 @@ def test_tensor_sources_profile_adds(src_a, src_b):
 
 def test_tensor_sources_states_are_krons_bit_for_bit():
     rng = np.random.default_rng(5)
-    s1, s2 = source.random_source(rng, 2, 2, 3), source.random_source(rng, 3, 2, 2)
-    prod = source.tensor_sources(s1, s2)
+    s1, s2 = random_source(rng, 2, 2, 3), random_source(rng, 3, 2, 2)
+    prod = tensor_sources(s1, s2)
     for x1 in range(2):
         for x2 in range(3):  # kron of the (|B|, |R|) matrices groups B1 B2 and R1 R2
             vec = np.kron(s1.psi[x1], s2.psi[x2]).reshape(-1, 1)
@@ -361,6 +365,6 @@ def test_tensor_sources_states_are_krons_bit_for_bit():
 
 
 def test_tensor_sources_states_normalized(src_b):
-    prod = source.tensor_sources(src_b, src_b)
+    prod = tensor_sources(src_b, src_b)
     assert prod.dim_b == 4 and prod.dim_r == 4 and prod.alphabet_size == 4
     assert np.allclose(np.linalg.norm(prod.psi, axis=(1, 2)), 1.0, atol=1e-10)

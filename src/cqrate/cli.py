@@ -201,7 +201,7 @@ def cmd_idelta(args) -> int:
         "provenance": _provenance(args, "idelta"),
         "source": {"name": src.name},
         "curve": {"deltas": list(curve.deltas), "values": list(curve.values),
-                  "raw_values": list(curve.raw_values),
+                  "raw_values": [r.value for r in curve.results],
                   "warnings": list(curve.warnings)},
         "estimates": {"I0": curve.i0, "I0_tilde": curve.i0_tilde,
                       "gap": curve.i0_tilde - curve.i0},

@@ -70,7 +70,6 @@ class IdeltaResult:
 class IdeltaCurve:
     deltas: tuple[float, ...]       # sorted ascending
     values: tuple[float, ...]       # monotonized lower bounds
-    raw_values: tuple[float, ...]
     warnings: tuple[str, ...]
     results: tuple[IdeltaResult, ...]  # per delta, with the channel found
     i0: float                       # I_0 estimate: 0 if generic, else i0_result's value
@@ -330,6 +329,12 @@ def _feasible(info, delta: float, unassisted: bool):
     return ok & (info["icw"] - info["icx"] <= TOL_FEAS) if unassisted else ok
 
 
+def _per_row(info: dict[str, np.ndarray]) -> list[dict[str, float]]:
+    """`_Evaluator.informations`' arrays as one dict of floats per row."""
+    cols = {k: a.tolist() for k, a in info.items()}
+    return [dict(zip(cols, vals)) for vals in zip(*cols.values())]
+
+
 def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
            opts: OptimizerOptions,
            rngs: list[np.random.Generator]) -> list[list[tuple[float, float, np.ndarray] | None]]:
@@ -362,15 +367,11 @@ def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
             pen += mu * (e * e)
         return info["ixw"] - pen
 
-    def per_matrix(stacked: dict[str, np.ndarray]) -> list[dict[str, float]]:
-        cols = {k: a.tolist() for k, a in stacked.items()}
-        return [dict(zip(cols, vals)) for vals in zip(*cols.values())]
-
     n, d, n_prob = len(rngs), ev.dim_v_out, len(problems)
     ens_of = np.repeat([j for j, _ in problems], n)
     delta = [dl for _, dl in problems for _ in range(n)]
     v = np.tile(v0, (n_prob, 1, 1))  # v[r], updated in place
-    info = per_matrix(ev.informations(v, ens_of))
+    info = _per_row(ev.informations(v, ens_of))
     best = [(inf["ixw"], inf["irwx"], v[r].copy()) if _feasible(inf, delta[r], unassisted)
             else None for r, inf in enumerate(info)]
     for mu in PENALTY_SCHEDULE:
@@ -385,7 +386,7 @@ def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
             cands = _qr_retract((v[:, np.newaxis] + eps[:, :, np.newaxis, np.newaxis]
                                  * (np.tile(a, (n_prob, 1, 1)) @ v)[:, np.newaxis])
                                 .reshape(-1, d, v.shape[-1]))
-            cinfo = per_matrix(ev.informations(cands, np.repeat(ens_of, 3)))
+            cinfo = _per_row(ev.informations(cands, np.repeat(ens_of, 3)))
             for r in range(len(v)):
                 improved = False
                 for k in range(3 * r, 3 * r + 3):
@@ -462,10 +463,8 @@ def _optimize_ensemble(problems: list[tuple[_Ensemble, float]], opts: OptimizerO
             g, v = zip(*chans)
             info = _Evaluator(ensembles, c_dim, w_dim, want_c=unassisted).informations(
                 np.stack(v), np.array(g))
-            cols = {key: vals.tolist() for key, vals in info.items()}
-            for k, (j, vk) in enumerate(chans):
-                closed[j].append((mi, c_dim, w_dim, {key: col[k] for key, col in cols.items()},
-                                  vk))
+            for (j, vk), row in zip(chans, _per_row(info)):
+                closed[j].append((mi, c_dim, w_dim, row, vk))
 
     results, climbing = [], []  # per problem: (menu index, restart, c, w, outcome); unretired
     for g, (j, delta) in enumerate(stack):
@@ -545,7 +544,7 @@ def idelta_curve(src: CqSource, deltas=(),
     i0 = 0.0 if ens.generic else res0.value
     i0t = 0.0 if ens.generic else (mono[deltas.index(positive[0])] if positive
                                    else extra[0].value)
-    return IdeltaCurve(tuple(deltas), tuple(mono), tuple(raw), tuple(warnings),
+    return IdeltaCurve(tuple(deltas), tuple(mono), tuple(warnings),
                        tuple(results), i0, max(i0t, i0), res0)
 
 

@@ -134,26 +134,28 @@ class Isometry:
 # raw-array helpers (no label bookkeeping; used by hot paths)
 # ---------------------------------------------------------------------------
 
+def _trace_subscripts(dims: Sequence[int], keep: Sequence[int]) -> tuple[str, str, str, int]:
+    """The einsum letters of a partial trace over the factors not in `keep`:
+    the row letters, the column letters (a traced factor's column letter is
+    its row letter), the kept row then column letters, and the kept dim."""
+    n = len(dims)
+    if 2 * n > len(string.ascii_letters):
+        raise ValueError("too many tensor factors")
+    keep = sorted(keep)
+    row = string.ascii_letters[:n]
+    col = "".join(string.ascii_letters[n + i] if i in keep else row[i] for i in range(n))
+    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    return row, col, out, math.prod(dims[i] for i in keep)
+
+
 def reduced_density_from_mat(mat: np.ndarray, dims: Sequence[int],
                              keep: Sequence[int]) -> np.ndarray:
     """Partial trace of a square matrix, or of each matrix of a stack
     (..., d, d), over the factors not in `keep`."""
-    n = len(dims)
-    keep = sorted(keep)
-    letters = string.ascii_letters
-    if 2 * n > len(letters):
-        raise ValueError("too many tensor factors")
-    row = list(letters[:n])
-    col = list(letters[n:2 * n])
-    for i in range(n):
-        if i not in keep:
-            col[i] = row[i]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    expr = "..." + "".join(row) + "".join(col) + "->..." + out
+    row, col, out, d_keep = _trace_subscripts(dims, keep)
     stack = mat.shape[:-2]
     resh = mat.reshape(stack + tuple(dims) * 2)
-    d_keep = int(np.prod([dims[i] for i in keep], dtype=np.int64)) if keep else 1
-    return np.einsum(expr, resh).reshape(stack + (d_keep, d_keep))
+    return np.einsum(f"...{row}{col}->...{out}", resh).reshape(stack + (d_keep, d_keep))
 
 
 def block_diagonal(probs: Sequence[float], blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -168,18 +170,9 @@ def block_diagonal(probs: Sequence[float], blocks: Sequence[np.ndarray]) -> np.n
 def reduced_density_from_vec(vec: np.ndarray, dims: Sequence[int],
                              keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix of a pure state vector, tracing the rest."""
-    n = len(dims)
-    keep = sorted(keep)
-    letters = string.ascii_letters
-    ket = list(letters[:n])
-    bra = list(ket)
-    for i in keep:
-        bra[i] = letters[n + i]
-    out = "".join(ket[i] for i in keep) + "".join(bra[i] for i in keep)
-    expr = "".join(ket) + "," + "".join(bra) + "->" + out
+    row, col, out, d_keep = _trace_subscripts(dims, keep)
     t = vec.reshape(tuple(dims))
-    d_keep = int(np.prod([dims[i] for i in keep], dtype=np.int64)) if keep else 1
-    return np.einsum(expr, t, t.conj()).reshape(d_keep, d_keep)
+    return np.einsum(f"{row},{col}->{out}", t, t.conj()).reshape(d_keep, d_keep)
 
 
 class LabeledVector:

@@ -3,12 +3,12 @@ operator contract, optimizer-vs-oracle, and the region sandwich.
 
 Each suite is a pure function of its seed, so two runs with the same seed
 produce identical counts (and identical CLI output).  The inequality suites
-draw every instance in seed order, then evaluate the instances of each
-dimension in stacks of at most STACK_ENTRIES drawn reals; each stacked kernel
-gives a matrix the bits of a lone evaluation.  A state that fails validation
-is its instance's violation.  The transfer suite draws its sources in seed
-order and evaluates the sources of each |X| as one stack; a source that fails
-a check on the way is its violation.
+and the transfer suite share one loop, `_stacks`: it draws every instance in
+seed order and hands on the instances of each group (a dimension, or a
+source's |X|) in stacks of at most STACK_ENTRIES drawn entries; each stacked
+kernel gives an instance the bits of a lone evaluation.  A state that fails
+validation, or a source that fails a check on the way, is its instance's
+violation.
 """
 
 from __future__ import annotations
@@ -47,60 +47,53 @@ def _rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
-# Drawn reals per evaluated stack (32 of afw's 9x9 pairs): small groups stack
+# Drawn entries per evaluated stack (32 of afw's 9x9 pairs): small groups stack
 # deep, spreading numpy's per-call cost, and no stack raises the peak memory.
 STACK_ENTRIES = 10_368
 
 
+def _stacks(rng: np.random.Generator, count: int, draw):
+    """Draw `count` instances in seed order, `draw(rng)` returning an
+    instance's group and its arrays, and yield (group, instance indices, one
+    np.stack per array) whenever a group holds its depth of instances: at
+    most STACK_ENTRIES drawn entries, and at least one instance.  The groups
+    left over follow, in order of first appearance."""
+    held: dict = {}  # group -> [(instance index, its arrays)]
+
+    def stacked(group):
+        index, drawn = zip(*held[group])
+        held[group] = []
+        return group, index, [np.stack(a) for a in zip(*drawn)]
+
+    for i in range(count):
+        group, arrays = draw(rng)
+        held.setdefault(group, []).append((i, arrays))
+        if len(held[group]) == max(STACK_ENTRIES // sum(a.size for a in arrays), 1):
+            yield stacked(group)
+    for group in held:
+        if held[group]:
+            yield stacked(group)
+
+
 def _seeded_suite(name: str, key: int, draw, evaluate):
     """A suite of `count` instances from one seeded generator.  `draw(rng)`
-    draws an instance's group and returns it with the shapes of the
-    instance's normal draws, each shape's first axis the real then imaginary
-    parts of Ginibre matrices.  The suite draws those normals in seed order
-    into one stack per group, which doubles as it fills up to its depth of at
-    most STACK_ENTRIES reals, and hands each full stack to
-    `evaluate(group, *stacks)`, one complex stack per matrix, which returns
-    each instance's violation or None."""
+    draws an instance's group and its normals, each array's first axis the
+    real then imaginary parts of Ginibre matrices.  Each stack of `_stacks`
+    goes to `evaluate(group, *stacks)`, one complex stack per matrix, which
+    returns each instance's violation or None."""
 
     def suite(seed: int, count: int = 1000) -> SuiteResult:
-        rng = _rng(seed, key)
         problems: list[str | None] = [None] * count
-        reals: dict = {}  # group -> its stack of each shape
-        index: dict = {}  # group -> the instances held in its stacks
-
-        def flush(group):
-            n = len(index[group])
-            stacks = [x[:n, j] + 1j * x[:n, j + 1]  # the arithmetic of qcore.ginibre
-                      for x in reals[group] for j in range(0, x.shape[1], 2)]
-            for i, problem in zip(index.pop(group), evaluate(group, *stacks)):
+        for group, index, reals in _stacks(_rng(seed, key), count, draw):
+            stacks = [x[:, j] + 1j * x[:, j + 1]  # the arithmetic of qcore.ginibre
+                      for x in reals for j in range(0, x.shape[1], 2)]
+            for i, problem in zip(index, evaluate(group, *stacks)):
                 problems[i] = problem
-
-        for i in range(count):
-            group, shapes = draw(rng)
-            held = index.setdefault(group, [])
-            stacks = reals.get(group) or [np.empty((0, *s)) for s in shapes]
-            if len(held) == len(stacks[0]):  # full short of its depth: double it
-                room = min(max(2 * len(held), 8), _depth(shapes)) - len(held)
-                stacks = reals[group] = [np.concatenate([x, np.empty((room, *x.shape[1:]))])
-                                         for x in stacks]
-            for x in stacks:
-                rng.standard_normal(out=x[len(held)])
-            held.append(i)
-            if len(held) == _depth(shapes):
-                flush(group)
-        for group in list(index):
-            flush(group)
         bad = [f"instance {i}: {p}" for i, p in enumerate(problems) if p is not None]
         return SuiteResult(name, count, len(bad), tuple(bad[:5]))
 
     suite.__doc__ = evaluate.__doc__
     return suite
-
-
-def _depth(shapes) -> int:
-    """Instances per evaluated stack: at most STACK_ENTRIES drawn reals, and
-    at least one instance."""
-    return max(STACK_ENTRIES // sum(math.prod(s) for s in shapes), 1)
 
 
 def _screen(problems: list, rows: np.ndarray, *states: np.ndarray) -> np.ndarray:
@@ -127,23 +120,23 @@ def _states(*draws: np.ndarray):
 
 def _draw_pair(rng):
     d = int(rng.integers(2, 5))
-    return d, [(4, d, d)]
+    return d, [rng.standard_normal((4, d, d))]
 
 
 def _draw_bipartite_pair(rng):
     da = int(rng.integers(2, 4))
     db = int(rng.integers(2, 4))
-    return (da, db), [(4, da * db, da * db)]
+    return (da, db), [rng.standard_normal((4, da * db, da * db))]
 
 
 def _draw_tripartite(rng):
-    return (2, 2, 2), [(2, 8, 8)]
+    return (2, 2, 2), [rng.standard_normal((2, 8, 8))]
 
 
 def _draw_purify(rng):
     d = int(rng.integers(2, 5))
     rank = int(rng.integers(1, d + 1))
-    return (d, rank), [(2, d, rank), (2, d, d)]
+    return (d, rank), [rng.standard_normal((2, d, rank)), rng.standard_normal((2, d, d))]
 
 
 def _fvdg(d, g_rho, g_sig) -> list:
@@ -237,22 +230,23 @@ suite_purify = _seeded_suite("purify", 6, _draw_purify, _purify)
 TRANSFER_EPS = 1e-2
 
 
+def _draw_source(rng):
+    nx = int(rng.integers(2, 4))
+    return nx, source.random_states(rng, nx, 2, 2)
+
+
 def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
     """Transfer-operator contract on random generic sources: exact state
     reconstruction and the operator-norm bound 1/sqrt(lambda0).  The sources
     are drawn in seed order, mixed with TRANSFER_EPS·I/|B|, and evaluated in
-    one stack per |X|; a source whose mixed states fail the density checks or
+    stacks of one |X|; a source whose mixed states fail the density checks or
     whose witness lacks full support is its violation."""
-    rng = _rng(seed, 7)
-    drawn: dict = {}  # |X| -> (source index, probs, amplitude vectors) per source
-    for i in range(count):
-        nx = int(rng.integers(2, 4))
-        drawn.setdefault(nx, []).append((i, *source.random_states(rng, nx, 2, 2)))
     found: list[list[str]] = [[] for _ in range(count)]
-    for nx, group in drawn.items():
-        index, probs, vecs = (np.array(a) for a in zip(*group))
+    checks = 0
+    for nx, index, (probs, vecs) in _stacks(_rng(seed, 7), count, _draw_source):
+        checks += nx * len(index)
         problems, _, lam0, errs, nrms = _transfer_stack(probs, vecs)
-        for i, problem, lam, errs_i, nrms_i in zip(index.tolist(), problems, lam0.tolist(),
+        for i, problem, lam, errs_i, nrms_i in zip(index, problems, lam0.tolist(),
                                                    errs.tolist(), nrms.tolist()):
             if problem:
                 found[i].append(f"source {i}: {problem}")
@@ -263,7 +257,6 @@ def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
                 elif nrm > 1.0 / math.sqrt(lam) + 1e-8:
                     found[i].append(f"source {i}, x={x}: norm {nrm} over bound")
     bad = [line for lines in found for line in lines]
-    checks = sum(nx * len(group) for nx, group in drawn.items())
     return SuiteResult("transfer", checks, len(bad), tuple(bad[:5]))
 
 

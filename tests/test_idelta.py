@@ -800,7 +800,7 @@ def test_curve_flat_src_a(src_a, light_opts):
 def test_curve_monotone(src_b, light_opts):
     curve = idelta.idelta_curve(src_b, [0.0, 0.05, 0.1, 0.2], light_opts)
     assert all(v2 >= v1 for v1, v2 in zip(curve.values, curve.values[1:]))
-    assert curve.values == tuple(np.maximum.accumulate(curve.raw_values))
+    assert curve.values == tuple(np.maximum.accumulate([r.value for r in curve.results]))
 
 
 def test_curve_grid_validation(src_a, light_opts):
@@ -813,8 +813,9 @@ def test_an_unsorted_grid_gives_the_sorted_curve(name):
     opts = OptimizerOptions(seed=3, restarts=3, iters_per_stage=6)
     unsorted = idelta.idelta_curve(src, [0.2, 0.1], opts)
     curve = idelta.idelta_curve(src, [0.1, 0.2], opts)
-    assert (unsorted.deltas, unsorted.values, unsorted.raw_values, unsorted.warnings) == \
-        (curve.deltas, curve.values, curve.raw_values, curve.warnings)
+    assert (unsorted.deltas, unsorted.values, unsorted.warnings) == \
+        (curve.deltas, curve.values, curve.warnings)
+    assert [r.value for r in unsorted.results] == [r.value for r in curve.results]
     assert (unsorted.i0, unsorted.i0_tilde) == (curve.i0, curve.i0_tilde)
     for a, b in zip(unsorted.results + (unsorted.i0_result,), curve.results + (curve.i0_result,)):
         _assert_same_result(a, b)
@@ -837,7 +838,7 @@ def _fake_optimizer(monkeypatch, values: dict[float, float]) -> list[list[float]
 def test_curve_warns_when_a_raw_value_drops(monkeypatch, src_b):
     _fake_optimizer(monkeypatch, {0.0: 0.3, 0.05: 0.2, 0.1: 0.25})
     curve = idelta.idelta_curve(src_b, [0.0, 0.05, 0.1])
-    assert curve.raw_values == (0.3, 0.2, 0.25)
+    assert [r.value for r in curve.results] == [0.3, 0.2, 0.25]
     assert curve.values == (0.3, 0.3, 0.3)
     assert [w.split(":")[0] for w in curve.warnings] == [
         "monotonicity violation at delta=0.05", "monotonicity violation at delta=0.1"]

@@ -38,6 +38,15 @@ def test_partial_trace_cq_source(src_b):
     assert np.allclose(red, np.diag([0.5, 0.5]), atol=1e-12)
 
 
+def test_partial_traces_share_the_factor_limit():
+    # 26 factors use all 52 einsum letters; 27 would need 54
+    for trace, state in [(qcore.reduced_density_from_mat, np.eye(1)),
+                         (qcore.reduced_density_from_vec, np.ones(1))]:
+        assert trace(state, (1,) * 26, [25]).tolist() == [[1.0]]
+        with pytest.raises(ValueError, match="too many tensor factors"):
+            trace(state, (1,) * 27, [26])
+
+
 def test_partial_trace_label_errors():
     rho = dm(np.eye(4) / 4, [("A", 2), ("B", 2)])
     with pytest.raises(KeyError):

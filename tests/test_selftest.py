@@ -279,3 +279,20 @@ def test_stacked_transfer_suite_matches_the_one_source_path(monkeypatch, seed):
         assert np.max(np.abs(got_errs - errs)) <= 1e-12
         assert np.max(np.abs(got_nrms - qcore.operator_norm(t))) <= 1e-12
     assert not stacked
+
+
+def test_the_transfer_suite_obeys_the_stack_cap(monkeypatch):
+    want = selftest.suite_transfer(0)
+    sizes = collections.defaultdict(list)  # |X| -> sources per evaluated stack
+    evaluate = selftest._transfer_stack
+
+    def record(probs, vecs):
+        sizes[probs.shape[1]].append(len(probs))
+        return evaluate(probs, vecs)
+
+    monkeypatch.setattr(selftest, "_transfer_stack", record)
+    monkeypatch.setattr(selftest, "STACK_ENTRIES", 60)
+    assert selftest.suite_transfer(0) == want
+    # a source draws |X| probabilities and |X| amplitude vectors of length 4
+    assert all(n <= 60 // (5 * nx) for nx, ns in sizes.items() for n in ns)
+    assert max(map(len, sizes.values())) > 1

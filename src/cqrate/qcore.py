@@ -68,7 +68,7 @@ class DensityOperator:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         if mat.shape[0] != math.prod(dims):
             raise ValueError(f"matrix dim {mat.shape[0]} != product of dims {dims}")
-        problem = density_problems(mat)[0]
+        problem = density_problems(mat)[0][0]
         if problem:
             raise ValueError(problem)
         object.__setattr__(self, "mat", mat)
@@ -76,11 +76,13 @@ class DensityOperator:
         object.__setattr__(self, "dims", dims)
 
 
-def density_problems(mats: np.ndarray) -> list[str | None]:
+def density_problems(mats: np.ndarray) -> tuple[list[str | None], np.ndarray]:
     """The checks of a density matrix, run once over a matrix or a stack
     (..., d, d): for each matrix in stack order, the message of the first
     check it fails (finite entries, Hermitian, unit trace, no eigenvalue below
-    -TOL_PSD), or None when it passes them all."""
+    -TOL_PSD), or None when it passes them all; and the ascending spectra
+    (..., d) of the Hermitian parts that the eigenvalue check solved, NaN for
+    a matrix with non-finite entries."""
     mats = np.asarray(mats, dtype=complex)
     flat = mats.reshape((-1,) + mats.shape[-2:])
     finite = np.isfinite(flat).all(axis=(-2, -1))
@@ -89,7 +91,9 @@ def density_problems(mats: np.ndarray) -> list[str | None]:
     adj = m.conj().swapaxes(-1, -2)
     herm = np.abs(m - adj).max(axis=(-2, -1)).tolist()
     tr = np.trace(m, axis1=-2, axis2=-1).real.tolist()
-    lo = np.linalg.eigvalsh((m + adj) / 2).min(axis=-1).tolist()
+    spectra = np.full(flat.shape[:-1], np.nan)
+    spectra[finite] = np.linalg.eigvalsh((m + adj) / 2)
+    lo = spectra[finite, 0].tolist()  # eigvalsh sorts each spectrum ascending
     for k, h, t, e in zip(np.flatnonzero(finite).tolist(), herm, tr, lo):
         if h > TOL_HERM:
             out[k] = "density matrix is not Hermitian within tolerance"
@@ -97,7 +101,7 @@ def density_problems(mats: np.ndarray) -> list[str | None]:
             out[k] = f"density matrix trace {t} != 1 within tolerance"
         elif e < -TOL_PSD:
             out[k] = f"density matrix has negative eigenvalue {e}"
-    return out
+    return out, spectra.reshape(mats.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,18 +254,23 @@ def _xlogx_sums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def entropy_of_stack(mats: np.ndarray) -> np.ndarray:
-    """Entropies (bits) of a stack (..., n, n) of Hermitian matrices from one
-    `eigvalsh` call; each equals `entropy_of_mat` of its matrix bit for bit."""
-    vals = np.linalg.eigvalsh(mats)
+def entropy_of_spectra(vals: np.ndarray) -> np.ndarray:
+    """Entropies (bits) of ascending spectra (..., n), such as `eigvalsh`
+    returns; ValueError when an eigenvalue is below the PSD tolerance."""
     n = vals.shape[-1]
     rows = vals.reshape(-1, n)
-    lo = rows[:, 0]  # eigvalsh sorts each spectrum ascending
+    lo = rows[:, 0]
     below = lo < -TOL_PSD * max(n, 1)
     if below.any():
         raise ValueError(f"eigenvalue {lo[below][0]} below PSD tolerance")
     out = -_xlogx_sums(np.maximum(rows, 0.0))
     return (np.maximum(out, 0.0) + 0.0).reshape(vals.shape[:-1])  # kill negative zero
+
+
+def entropy_of_stack(mats: np.ndarray) -> np.ndarray:
+    """Entropies (bits) of a stack (..., n, n) of Hermitian matrices from one
+    `eigvalsh` call; each equals `entropy_of_mat` of its matrix bit for bit."""
+    return entropy_of_spectra(np.linalg.eigvalsh(mats))
 
 
 def sum_in_order(terms: Iterable):
@@ -301,15 +310,6 @@ def _check_disjoint(*groups: Sequence[int]):
     flat = [i for g in groups for i in g]
     if len(set(flat)) != len(flat):
         raise ValueError(f"subsystem positions overlap: {list(groups)}")
-
-
-def conditional_entropy_of_stack(mats: np.ndarray, dims: Sequence[int], a: Sequence[int],
-                                 b: Sequence[int]) -> np.ndarray:
-    """S(A|B) = S(AB) - S(B) of a density matrix, or of each matrix of a
-    stack (..., d, d), on the factors `dims`; `a` and `b` are positions."""
-    _check_disjoint(a, b)
-    return _entropy_of_subsystems(mats, dims, list(a) + list(b)) - \
-        (_entropy_of_subsystems(mats, dims, b) if b else 0.0)
 
 
 def mutual_information(rho: DensityOperator, a: Sequence[str], b: Sequence[str]) -> float:
@@ -352,31 +352,37 @@ def conditional_mutual_information(rho: DensityOperator, a: Sequence[str],
     return check_ssa(float(conditional_mutual_information_of_stack(rho.mat, rho.dims, a, b, c)))
 
 
-def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian PSD matrix, or of each matrix of a stack
-    (..., d, d).  A matrix's eigenvalues below 1e-14 times its largest are
-    zeroed, so the sqrt does not amplify machine noise."""
-    vals, vecs = np.linalg.eigh(mat)
+def _noise_floored(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., d) of PSD matrices clipped at 0, each spectrum's
+    values below 1e-14 times its largest zeroed: below that they are
+    eigensolver noise, which a square root would amplify."""
     vals = np.clip(vals, 0.0, None)
     if vals.shape[-1]:
         vals[vals < 1e-14 * vals.max(axis=-1, keepdims=True)] = 0.0
+    return vals
+
+
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian PSD matrix, or of each matrix of a stack
+    (..., d, d), from its noise-floored eigenvalues."""
+    vals, vecs = np.linalg.eigh(mat)
+    vals = _noise_floored(vals)
     return (vecs * np.sqrt(vals)[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def fidelity_of_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Root fidelity F = ||sqrt(rho) sqrt(sigma)||_1, capped at 1, of two
-    density matrices or of each pair of two stacks (..., d, d)."""
-    return np.minimum(trace_norm(psd_sqrt(rhos) @ psd_sqrt(sigmas)), 1.0)
-
-
-def trace_norm(mat: np.ndarray) -> np.ndarray:
-    """Sum of the singular values of a matrix, or of each matrix of a stack."""
-    return np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False).sum(axis=-1)
+    """Root fidelity F = tr sqrt(sqrt(rho) sigma sqrt(rho)), the sum of the
+    square roots of its noise-floored eigenvalues, capped at 1, of two density
+    matrices or of each pair of two stacks (..., d, d)."""
+    root = psd_sqrt(rhos)
+    lam = _noise_floored(np.linalg.eigvalsh(root @ sigmas @ root))
+    return np.minimum(np.sqrt(lam).sum(axis=-1), 1.0)
 
 
 def trace_distance_of_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """(1/2)||rho - sigma||_1 of two matrices or of each pair of two stacks."""
-    return 0.5 * trace_norm(rhos - sigmas)
+    """(1/2)||rho - sigma||_1, half the sum of the absolute eigenvalues of the
+    Hermitian rho - sigma, of two matrices or of each pair of two stacks."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(rhos - sigmas)).sum(axis=-1)
 
 
 def operator_norm(mat: np.ndarray) -> np.ndarray:

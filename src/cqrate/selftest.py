@@ -56,9 +56,11 @@ def _stacks(rng: np.random.Generator, count: int, draw):
     """Draw `count` instances in seed order, `draw(rng)` returning an
     instance's group and its arrays, and yield (group, instance indices, one
     np.stack per array) whenever a group holds its depth of instances: at
-    most STACK_ENTRIES drawn entries, and at least one instance.  The groups
-    left over follow, in order of first appearance."""
+    most STACK_ENTRIES drawn entries, and at least one instance.  A group's
+    arrays have fixed shapes, so its depth is set when it first appears.  The
+    groups left over follow, in order of first appearance."""
     held: dict = {}  # group -> [(instance index, its arrays)]
+    depth: dict = {}  # group -> instances per stack
 
     def stacked(group):
         index, drawn = zip(*held[group])
@@ -67,8 +69,11 @@ def _stacks(rng: np.random.Generator, count: int, draw):
 
     for i in range(count):
         group, arrays = draw(rng)
-        held.setdefault(group, []).append((i, arrays))
-        if len(held[group]) == max(STACK_ENTRIES // sum(a.size for a in arrays), 1):
+        if group not in depth:
+            depth[group] = max(STACK_ENTRIES // sum(a.size for a in arrays), 1)
+            held[group] = []
+        held[group].append((i, arrays))
+        if len(held[group]) == depth[group]:
             yield stacked(group)
     for group in held:
         if held[group]:
@@ -96,26 +101,31 @@ def _seeded_suite(name: str, key: int, draw, evaluate):
     return suite
 
 
-def _screen(problems: list, rows: np.ndarray, *states: np.ndarray) -> np.ndarray:
+def _screen(problems: list, rows: np.ndarray, *states: np.ndarray):
     """Validate the states of the instances `rows`, one stack per state with
     one matrix per row: record each failing instance's first problem, and
-    return the mask of rows whose states all pass."""
+    return the mask of rows whose states all pass and the ascending spectra
+    that validated each stack."""
     keep = np.ones(len(rows), dtype=bool)
+    spectra = []
     for stack in states:
-        for k, problem in enumerate(qcore.density_problems(stack)):
+        found, vals = qcore.density_problems(stack)
+        spectra.append(vals)
+        for k, problem in enumerate(found):
             if problem and keep[k]:
                 problems[rows[k]] = problem
                 keep[k] = False
-    return keep
+    return keep, spectra
 
 
 def _states(*draws: np.ndarray):
     """Density stacks from stacks of Ginibre draws: each instance's problem
-    list, the instances whose states are valid, and those states."""
+    list, the instances whose states are valid, those states and their
+    ascending spectra."""
     states = [qcore.density_from_ginibre(g) for g in draws]
     problems: list[str | None] = [None] * len(draws[0])
-    keep = _screen(problems, np.arange(len(problems)), *states)
-    return problems, np.flatnonzero(keep), [s[keep] for s in states]
+    keep, spectra = _screen(problems, np.arange(len(problems)), *states)
+    return problems, np.flatnonzero(keep), [s[keep] for s in states], [v[keep] for v in spectra]
 
 
 def _draw_pair(rng):
@@ -141,7 +151,7 @@ def _draw_purify(rng):
 
 def _fvdg(d, g_rho, g_sig) -> list:
     """1 - F <= T <= sqrt(1 - F^2) on random state pairs."""
-    problems, rows, (rho, sig) = _states(g_rho, g_sig)
+    problems, rows, (rho, sig), _ = _states(g_rho, g_sig)
     fs = qcore.fidelity_of_stack(rho, sig).tolist()
     ts = qcore.trace_distance_of_stack(rho, sig).tolist()
     for i, f, t in zip(rows, fs, ts):
@@ -152,7 +162,7 @@ def _fvdg(d, g_rho, g_sig) -> list:
 
 def _pinsker(d, g_rho, g_sig) -> list:
     """||rho - sigma||_1 <= sqrt(2 ln2 S(rho||sigma)) on full-rank pairs."""
-    problems, rows, (rho, sig) = _states(g_rho, g_sig)
+    problems, rows, (rho, sig), _ = _states(g_rho, g_sig)
     lhss = (2.0 * qcore.trace_distance_of_stack(rho, sig)).tolist()
     rels = qcore.relative_entropy_of_stack(rho, sig).tolist()
     for i, lhs, rel in zip(rows, lhss, rels):
@@ -163,9 +173,9 @@ def _pinsker(d, g_rho, g_sig) -> list:
 
 def _fannes(d, g_rho, g_sig) -> list:
     """|S(rho) - S(sigma)| <= eps log d + h(eps) with eps the trace distance."""
-    problems, rows, (rho, sig) = _states(g_rho, g_sig)
+    problems, rows, (rho, sig), (v_rho, v_sig) = _states(g_rho, g_sig)
     epss = qcore.trace_distance_of_stack(rho, sig).tolist()
-    gaps = np.abs(qcore.entropy_of_stack(rho) - qcore.entropy_of_stack(sig)).tolist()
+    gaps = np.abs(qcore.entropy_of_spectra(v_rho) - qcore.entropy_of_spectra(v_sig)).tolist()
     for i, eps, gap in zip(rows, epss, gaps):
         if gap > eps * math.log2(d) + qcore.binary_entropy(min(eps, 1.0)) + SLACK:
             problems[i] = f"gap={gap}, eps={eps}"
@@ -175,10 +185,11 @@ def _fannes(d, g_rho, g_sig) -> list:
 def _afw(dims, g_rho, g_sig) -> list:
     """|S(A|B)_rho - S(A|B)_sigma| <= 2 eps log|A| + 2 h(eps)."""
     da, db = dims
-    problems, rows, (rho, sig) = _states(g_rho, g_sig)
+    problems, rows, (rho, sig), (v_rho, v_sig) = _states(g_rho, g_sig)
     epss = qcore.trace_distance_of_stack(rho, sig).tolist()
-    gaps = np.abs(qcore.conditional_entropy_of_stack(rho, dims, [0], [1])
-                  - qcore.conditional_entropy_of_stack(sig, dims, [0], [1])).tolist()
+    s_b = qcore.entropy_of_stack(qcore.reduced_density_from_mat(np.stack([rho, sig]), dims, [1]))
+    gaps = np.abs((qcore.entropy_of_spectra(v_rho) - s_b[0])
+                  - (qcore.entropy_of_spectra(v_sig) - s_b[1])).tolist()
     for i, eps, gap in zip(rows, epss, gaps):
         if gap > 2.0 * eps * math.log2(da) + 2.0 * qcore.binary_entropy(min(eps, 1.0)) + SLACK:
             problems[i] = f"gap={gap}, eps={eps}"
@@ -187,7 +198,7 @@ def _afw(dims, g_rho, g_sig) -> list:
 
 def _ssa(dims, g) -> list:
     """Strong subadditivity: I(A:B|C) >= -TOL_SSA on random tripartite states."""
-    problems, rows, (rho,) = _states(g)
+    problems, rows, (rho,), _ = _states(g)
     cmis = qcore.conditional_mutual_information_of_stack(rho, dims, [0], [1], [2]).tolist()
     for i, cmi in zip(rows, cmis):
         try:
@@ -199,21 +210,22 @@ def _ssa(dims, g) -> list:
 
 def _purify(_dims, g, g_u) -> list:
     """Purification round trip and basis invariance of the entropy."""
-    problems, rows, (rho,) = _states(g)
+    problems, rows, (rho,), (v_rho,) = _states(g)
     g_u = g_u[rows]
     amps = qcore.purify_of_stack(rho)[0]
     back = amps @ amps.conj().swapaxes(-1, -2)
-    keep = _screen(problems, rows, back)
-    rows, rho, back, g_u = rows[keep], rho[keep], back[keep], g_u[keep]
+    keep = _screen(problems, rows, back)[0]
+    rows, rho, v_rho, back, g_u = rows[keep], rho[keep], v_rho[keep], back[keep], g_u[keep]
     keep = qcore.trace_distance_of_stack(back, rho) <= 1e-10
     for i in rows[~keep]:
         problems[i] = "purify round trip error"
-    rows, rho, g_u = rows[keep], rho[keep], g_u[keep]
+    rows, rho, v_rho, g_u = rows[keep], rho[keep], v_rho[keep], g_u[keep]
     u = qcore.isometry_from_ginibre(g_u)
     rot = u @ rho @ u.conj().swapaxes(-1, -2)
-    keep = _screen(problems, rows, rot)
-    rows, rho, rot = rows[keep], rho[keep], rot[keep]
-    for i in rows[np.abs(qcore.entropy_of_stack(rot) - qcore.entropy_of_stack(rho)) > 1e-10]:
+    keep, (v_rot,) = _screen(problems, rows, rot)
+    rows, v_rho, v_rot = rows[keep], v_rho[keep], v_rot[keep]
+    s_gap = np.abs(qcore.entropy_of_spectra(v_rot) - qcore.entropy_of_spectra(v_rho))
+    for i in rows[s_gap > 1e-10]:
         problems[i] = "entropy not unitarily invariant"
     return problems
 

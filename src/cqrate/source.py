@@ -323,7 +323,7 @@ def transfer_operators_of_stack(psi: np.ndarray, x0: np.ndarray) -> tuple[np.nda
                for ok, x, lam in zip(full.tolist(), x0.tolist(), lam_min.tolist())]
 
 
-# No command calls it: it is exported API, documented in the README.
+# No command calls it: it is the one-source form the README documents.
 def transfer_operators(src: CqSource, x0: int) -> np.ndarray:
     """The operators T_x on R with (1_B ⊗ T_x)|psi_x0> = |psi_x>, a stack of
     shape (|X|, |R|, |R|), for a witness x0 whose reduced state has full
@@ -352,7 +352,7 @@ def mix_of_stack(psi: np.ndarray, eps: float) -> tuple[np.ndarray, list]:
     None."""
     n, nx, db = psi.shape[:3]
     rho = (1.0 - eps) * _rho_b(psi) + eps * np.eye(db) / db
-    problems = _first_problems(qcore.density_problems(rho), nx)
+    problems = _first_problems(qcore.density_problems(rho)[0], nx)
     ok = np.array([p is None for p in problems], dtype=bool)
     amps = np.zeros((n, nx, db, db), dtype=complex)
     amps[ok] = qcore.purify_of_stack(rho[ok].reshape(-1, db, db))[0].reshape(-1, nx, db, db)

@@ -14,12 +14,17 @@ from cqrate.reference import source_a, source_b, source_c
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """`python -m cqrate.cli *args` in a child process that imports this
-    checkout's package: the repository's src leads its PYTHONPATH."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a child process that imports this checkout's
+    package: the repository's src leads its PYTHONPATH."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "cqrate.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """`python -m cqrate.cli *args` in a child process, as `run_python`."""
+    return run_python("-m", "cqrate.cli", *args)
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, run_cli, source_doc
+from conftest import SRC, random_density, run_cli, run_python, source_doc
 from cqrate import cli, codes, idelta, qcore, region, source
 from cqrate.qcore import DensityOperator
 from cqrate.reference import source_a, source_b
@@ -77,6 +77,15 @@ def test_analyze_missing_file():
 
 def test_analyze_malformed_json(spec_paths):
     assert run_cli("analyze", "--source", spec_paths["bad"]).returncode == 2
+
+
+def test_package_import_loads_no_submodule():
+    # `import cqrate` runs the docstring and version alone: start-up pays
+    # only for the modules that a command imports
+    out = run_python("-c", "import cqrate, sys; print(cqrate.__file__); "
+                           "print(sorted(m for m in sys.modules if m.startswith('cqrate.')))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [str(SRC / "cqrate" / "__init__.py"), "[]"]
 
 
 def test_analyze_rejects_a_state_off_by_a_trace_tolerance(tmp_path):

@@ -36,7 +36,7 @@ BUDGET = ["--seed", "0", "--restarts", "1", "--iters", "2"]
 KEPT = {
     "codes.average_fidelity",  # a hook of the benchmark's tracer (bench/tracer.py)
     "idelta.optimize_I0_minus",  # the unassisted I0^-, for the unassisted region
-    "source.transfer_operators",  # exported one-source form of the generic-case ingredient
+    "source.transfer_operators",  # the one-source form the README documents
 }
 
 

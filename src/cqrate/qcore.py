@@ -89,12 +89,14 @@ def density_problems(mats: np.ndarray) -> tuple[list[str | None], np.ndarray]:
     out = [None if f else "non-finite entries in density matrix" for f in finite.tolist()]
     m = flat[finite]
     adj = m.conj().swapaxes(-1, -2)
-    herm = np.abs(m - adj).max(axis=(-2, -1)).tolist()
-    tr = np.trace(m, axis1=-2, axis2=-1).real.tolist()
+    herm = np.abs(m - adj).max(axis=(-2, -1))
+    tr = np.trace(m, axis1=-2, axis2=-1).real
     spectra = np.full(flat.shape[:-1], np.nan)
     spectra[finite] = np.linalg.eigvalsh((m + adj) / 2)
-    lo = spectra[finite, 0].tolist()  # eigvalsh sorts each spectrum ascending
-    for k, h, t, e in zip(np.flatnonzero(finite).tolist(), herm, tr, lo):
+    lo = spectra[finite, 0]  # eigvalsh sorts each spectrum ascending
+    bad = (herm > TOL_HERM) | (np.abs(tr - 1.0) > TOL_TRACE) | (lo < -TOL_PSD)
+    for k, h, t, e in zip(np.flatnonzero(finite)[bad].tolist(), herm[bad].tolist(),
+                          tr[bad].tolist(), lo[bad].tolist()):
         if h > TOL_HERM:
             out[k] = "density matrix is not Hermitian within tolerance"
         elif abs(t - 1.0) > TOL_TRACE:

@@ -107,7 +107,7 @@ def truncation_code(src: CqSource, n: int, rank: int) -> BlockCode:
     _check_cap(src, n, wx=1, l=1, wb=wb, wd=1)
     omega_b = qcore.reduced_density_from_mat(
         cq_state_xb(src), (src.alphabet_size, src.dim_b), [1])
-    _, basis = qcore.sorted_eigh(functools.reduce(np.kron, [omega_b] * n))
+    _, basis = qcore.sorted_eigh(functools.reduce(qcore.kron, [omega_b] * n))
     nxn = src.alphabet_size ** n
     u_x = Isometry(np.eye(nxn), (nxn,), (nxn, 1))
     u_b = np.zeros((rank * wb, dbn), dtype=complex)
@@ -115,7 +115,7 @@ def truncation_code(src: CqSource, n: int, rank: int) -> BlockCode:
     u_b[np.where(i < rank, i * wb, 1 + i - rank)] = basis.conj().T
     u_b = Isometry(u_b, (dbn, 1), (rank, 1, wb))
     emb = basis[:, :rank]  # decoder embeds C_B back into Bhat^n
-    v = Isometry(np.kron(np.eye(nxn), emb), (nxn, rank, 1), (nxn, dbn, 1, 1))
+    v = Isometry(qcore.kron(np.eye(nxn), emb), (nxn, rank, 1), (nxn, dbn, 1, 1))
     return BlockCode(n, u_x, u_b, v)
 
 
@@ -171,7 +171,7 @@ def coded_outputs(src: CqSource, code: BlockCode):
     for i, xs in enumerate(itertools.product(range(src.alphabet_size), repeat=n)):
         p = float(np.prod([src.probs[x] for x in xs]))
         ket_x = np.eye(1, nxn, i, dtype=complex)[0]  # |x^n>, without an nxn × nxn identity
-        lv = LabeledVector(np.kron(np.kron(ket_x, sequence_state(src, xs)), phi_k),
+        lv = LabeledVector(qcore.kron(qcore.kron(ket_x, sequence_state(src, xs)), phi_k),
                            [("Xn", nxn), ("Bn", dbn), ("Rn", drn), ("B0", code.k), ("D0", code.k)])
         lv = lv.apply_isometry(code.u_x.mat, ["Xn"],
                                [("CX", code.u_x.out_dims[0]), ("WX", wx)])
@@ -201,7 +201,7 @@ def _evaluate(src: CqSource, code: BlockCode) -> tuple[FidelityReport, float]:
     avg = cmi = 0.0
     for i, (xs, p, lv) in enumerate(coded_outputs(src, code)):
         ket_x = np.eye(1, nxn, i, dtype=complex)[0]
-        t = np.kron(np.kron(ket_x, sequence_state(src, xs)), phi_l)  # Xhat Bhat Rn B0p D0p
+        t = qcore.kron(qcore.kron(ket_x, sequence_state(src, xs)), phi_l)  # Xhat Bhat Rn B0p D0p
         m = lv.reorder(["Xhat", "Bhat", "Rn", "B0p", "D0p", "WD", "WB", "WX"]).vec
         m = m.reshape(t.size, -1)
         f2 = float(np.real(np.vdot(t, m @ (m.conj().T @ t))))

@@ -164,6 +164,14 @@ def reduced_density_from_mat(mat: np.ndarray, dims: Sequence[int],
     return np.einsum(f"...{row}{col}->...{out}", resh).reshape(stack + (d_keep, d_keep))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors or of two matrices, bit for bit (each entry is
+    one product a_i b_k), as one outer product moved into place."""
+    out = np.multiply.outer(a, b)
+    out = out.transpose(0, 2, 1, 3) if a.ndim == 2 else out
+    return out.reshape([m * n for m, n in zip(a.shape, b.shape)])
+
+
 def block_diagonal(probs: Sequence[float], blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Matrix of the cq operator sum_x p(x) |x><x| ⊗ blocks[x]."""
     d = blocks[0].shape[0]
@@ -325,15 +333,20 @@ def mutual_information(rho: DensityOperator, a: Sequence[str], b: Sequence[str])
 
 def conditional_mutual_information_of_stack(mats: np.ndarray, dims: Sequence[int],
                                             a: Sequence[int], b: Sequence[int],
-                                            c: Sequence[int]) -> np.ndarray:
+                                            c: Sequence[int],
+                                            spectra: np.ndarray | None = None) -> np.ndarray:
     """I(A:B|C) = S(A|C) - S(A|BC) of a density matrix, or of each matrix of
     a stack (..., d, d), on the factors `dims`; `a`, `b` and `c` are
-    positions.  `check_ssa` enforces strong subadditivity on each value."""
+    positions.  When A, B and C cover every factor, `spectra` may give the
+    matrices' ascending spectra, which then give S(ABC).  `check_ssa`
+    enforces strong subadditivity on each value."""
     _check_disjoint(a, b, c)
     a, b, c = list(a), list(b), list(c)
+    whole = spectra is not None and len(a + b + c) == len(dims)
     return (_entropy_of_subsystems(mats, dims, a + c)
             + _entropy_of_subsystems(mats, dims, b + c)
-            - _entropy_of_subsystems(mats, dims, a + b + c)
+            - (entropy_of_spectra(spectra) if whole else
+               _entropy_of_subsystems(mats, dims, a + b + c))
             - (_entropy_of_subsystems(mats, dims, c) if c else 0.0))
 
 
@@ -401,34 +414,28 @@ def binary_entropy(eps: float) -> float:
     return float(-eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps))
 
 
-def relative_entropy_of_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """S(rho || sigma) in bits of two density matrices, or of each pair of two
-    stacks (..., d, d), computed spectrally; inf where a weight a_i |<u_i|v_j>|^2
-    above 1e-15 meets an eigenvalue b_j of sigma at most TOL_RANK."""
-    a, u = np.linalg.eigh(rhos)
+def relative_entropy_of_stack(rhos: np.ndarray, sigmas: np.ndarray,
+                              rho_spectra: np.ndarray | None = None) -> np.ndarray:
+    """S(rho || sigma) = sum_i a_i log2 a_i - sum_j <v_j|rho|v_j> log2 b_j in
+    bits of two density matrices, or of each pair of two stacks (..., d, d),
+    in sigma's eigenbasis {v_j}; `rho_spectra` may give rho's ascending
+    spectra a.  inf where a weight <v_j|rho|v_j> above 1e-15 meets an
+    eigenvalue b_j of sigma at most TOL_RANK."""
+    a = np.linalg.eigvalsh(rhos) if rho_spectra is None else rho_spectra
     b, v = np.linalg.eigh(sigmas)
     shape, d = a.shape[:-1], a.shape[-1]
     a = np.clip(a, 0.0, None).reshape(-1, d)
     b = np.clip(b, 0.0, None).reshape(-1, d)
-    # overlap[:, i, j] = |<u_i|v_j>|^2
-    overlap = (np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2).reshape(-1, d, d)
+    w = (v.conj() * (rhos @ v)).sum(axis=-2).real.reshape(-1, d)
     support = b > TOL_RANK
     # math.log2, not np.log2: the two can differ in the last bit
     log_b = np.zeros_like(b)
     log_b[support] = [math.log2(x) for x in b[support].tolist()]
-    infinite = np.zeros(len(a), dtype=bool)
-    term2 = np.zeros(len(a))
-    # one pair (i, j) at a time across the stack: each matrix sums its terms
-    # in (i, j) order, as a loop over one matrix's pairs would
-    for i in range(d):
-        for j in range(d):
-            w = a[:, i] * overlap[:, i, j]
-            used = (a[:, i] > 0.0) & (w > 1e-15)
-            infinite |= used & ~support[:, j]
-            add = used & support[:, j]
-            term2[add] += w[add] * log_b[add, j]
+    used = w > 1e-15
+    # one j at a time across the stack: each pair sums its terms in j order
+    term2 = sum_in_order(np.where(used[:, j], w[:, j] * log_b[:, j], 0.0) for j in range(d))
     out = _xlogx_sums(a) - term2
-    out[infinite] = math.inf
+    out[(used & ~support).any(axis=-1)] = math.inf
     return out.reshape(shape)
 
 
@@ -503,11 +510,6 @@ def isometry_from_ginibre(g: np.ndarray) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     diag = np.where(np.abs(diag) < 1e-14, 1.0, diag)
     return q * (diag / np.abs(diag))[..., np.newaxis, :]
-
-
-def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = ginibre((dim,), rng)
-    return v / np.linalg.norm(v)
 
 
 def random_isometry(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.ndarray:

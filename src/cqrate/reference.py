@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .qcore import kron
 from .source import CqSource, make_source
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -23,5 +24,5 @@ def source_b() -> CqSource:
 
 def source_c() -> CqSource:
     """Product-removable source: B = B'⊗B'' (2·2), psi_x = Phi+^{B'R} ⊗ |x>^{B''}."""
-    vecs = [np.kron(_SQ2 * np.eye(2), np.eye(2)[:, [x]]) for x in range(2)]  # m[B'B'', R]
+    vecs = [kron(_SQ2 * np.eye(2), np.eye(2)[:, [x]]) for x in range(2)]  # m[B'B'', R]
     return make_source([0.5, 0.5], vecs, dim_b=4, dim_r=2, name="SRC-C")

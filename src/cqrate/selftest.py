@@ -3,9 +3,9 @@ operator contract, optimizer-vs-oracle, and the region sandwich.
 
 Each suite is a pure function of its seed, so two runs with the same seed
 produce identical counts (and identical CLI output).  The inequality suites
-and the transfer suite share one loop, `_stacks`: it draws every instance in
-seed order and hands on the instances of each group (a dimension, or a
-source's |X|) in stacks of at most STACK_ENTRIES drawn entries; each stacked
+and the transfer suite share one loop, `_stacks`: it draws every instance's
+group (a dimension, or a source's |X|), then each group's instances whole, and
+hands them on in stacks of at most STACK_ENTRIES drawn entries; each stacked
 kernel gives an instance the bits of a lone evaluation.  A state that fails
 validation, or a source that fails a check on the way, is its instance's
 violation.
@@ -52,44 +52,42 @@ def _rng(seed: int, key: int) -> np.random.Generator:
 STACK_ENTRIES = 10_368
 
 
-def _stacks(rng: np.random.Generator, count: int, draw):
-    """Draw `count` instances in seed order, `draw(rng)` returning an
-    instance's group and its arrays, and yield (group, instance indices, one
-    np.stack per array) whenever a group holds its depth of instances: at
-    most STACK_ENTRIES drawn entries, and at least one instance.  A group's
-    arrays have fixed shapes, so its depth is set when it first appears.  The
-    groups left over follow, in order of first appearance."""
-    held: dict = {}  # group -> [(instance index, its arrays)]
-    depth: dict = {}  # group -> instances per stack
-
-    def stacked(group):
-        index, drawn = zip(*held[group])
-        held[group] = []
-        return group, index, [np.stack(a) for a in zip(*drawn)]
-
-    for i in range(count):
-        group, arrays = draw(rng)
-        if group not in depth:
-            depth[group] = max(STACK_ENTRIES // sum(a.size for a in arrays), 1)
-            held[group] = []
-        held[group].append((i, arrays))
-        if len(held[group]) == depth[group]:
-            yield stacked(group)
-    for group in held:
-        if held[group]:
-            yield stacked(group)
+def _stacks(rng: np.random.Generator, count: int, keys, draw):
+    """Draw `count` instances in two phases and yield (group, instance
+    indices, one stack per array) in stacks of at most STACK_ENTRIES drawn
+    entries, and at least one instance.  First `keys(rng, count)` draws every
+    instance's group at once; then, group by group in order of first
+    appearance, `draw(rng, group, k)` draws the arrays of the group's k
+    instances, one call per array with the instance on its first axis.  A
+    group is drawn whole before it is cut into stacks, so no instance's bits
+    depend on STACK_ENTRIES."""
+    members: dict = {}  # group -> its instances, groups in order of first appearance
+    for i, group in enumerate(keys(rng, count)):
+        members.setdefault(group, []).append(i)
+    for group, index in members.items():
+        arrays = draw(rng, group, len(index))
+        depth = max(STACK_ENTRIES // sum(a[0].size for a in arrays), 1)
+        for start in range(0, len(index), depth):
+            yield group, index[start:start + depth], [a[start:start + depth] for a in arrays]
 
 
-def _seeded_suite(name: str, key: int, draw, evaluate):
-    """A suite of `count` instances from one seeded generator.  `draw(rng)`
-    draws an instance's group and its normals, each array's first axis the
-    real then imaginary parts of Ginibre matrices.  Each stack of `_stacks`
-    goes to `evaluate(group, *stacks)`, one complex stack per matrix, which
-    returns each instance's violation or None."""
+def _seeded_suite(name: str, key: int, kind, evaluate):
+    """A suite of `count` instances from one seeded generator, drawn as
+    `kind` = (keys, shapes) says: `keys(rng, count)` draws the instances'
+    groups, and `shapes(group)` gives the shapes of an instance's normals in
+    a group, each array's first axis the real then imaginary parts of
+    Ginibre matrices, drawn for the whole group with one `standard_normal`
+    call per array.  Each stack of `_stacks` goes to `evaluate(group,
+    *stacks)`, one complex stack per matrix, which returns each instance's
+    violation or None."""
+    keys, shapes = kind
+
+    def draw(rng, group, k):
+        return [rng.standard_normal((k,) + shape) for shape in shapes(group)]
 
     def suite(seed: int, count: int = 1000) -> SuiteResult:
         problems: list[str | None] = [None] * count
-        for group, index, reals in _stacks(_rng(seed, key), count, draw):
+        for group, index, reals in _stacks(_rng(seed, key), count, keys, draw):
             stacks = [x[:, j] + 1j * x[:, j + 1]  # the arithmetic of qcore.ginibre
                       for x in reals for j in range(0, x.shape[1], 2)]
             for i, problem in zip(index, evaluate(group, *stacks)):
@@ -128,25 +126,18 @@ def _states(*draws: np.ndarray):
     return problems, np.flatnonzero(keep), [s[keep] for s in states], [v[keep] for v in spectra]
 
 
-def _draw_pair(rng):
-    d = int(rng.integers(2, 5))
-    return d, [rng.standard_normal((4, d, d))]
+def _purify_keys(rng, count):
+    d = rng.integers(2, 5, size=count)
+    return list(zip(d.tolist(), rng.integers(1, d + 1).tolist()))
 
 
-def _draw_bipartite_pair(rng):
-    da = int(rng.integers(2, 4))
-    db = int(rng.integers(2, 4))
-    return (da, db), [rng.standard_normal((4, da * db, da * db))]
-
-
-def _draw_tripartite(rng):
-    return (2, 2, 2), [rng.standard_normal((2, 8, 8))]
-
-
-def _draw_purify(rng):
-    d = int(rng.integers(2, 5))
-    rank = int(rng.integers(1, d + 1))
-    return (d, rank), [rng.standard_normal((2, d, rank)), rng.standard_normal((2, d, d))]
+# How each kind of instance is drawn: the groups of `count` instances from one
+# call, and the shapes of an instance's normals in a group.
+_PAIR = (lambda rng, count: rng.integers(2, 5, size=count).tolist(), lambda d: [(4, d, d)])
+_BIPARTITE_PAIR = (lambda rng, count: list(map(tuple, rng.integers(2, 4, (count, 2)).tolist())),
+                   lambda dims: [(4, math.prod(dims), math.prod(dims))])
+_TRIPARTITE = (lambda _, count: [(2, 2, 2)] * count, lambda _: [(2, 8, 8)])
+_PURIFY = (_purify_keys, lambda key: [(2, *key), (2, key[0], key[0])])
 
 
 def _fvdg(d, g_rho, g_sig) -> list:
@@ -162,9 +153,9 @@ def _fvdg(d, g_rho, g_sig) -> list:
 
 def _pinsker(d, g_rho, g_sig) -> list:
     """||rho - sigma||_1 <= sqrt(2 ln2 S(rho||sigma)) on full-rank pairs."""
-    problems, rows, (rho, sig), _ = _states(g_rho, g_sig)
+    problems, rows, (rho, sig), (v_rho, _) = _states(g_rho, g_sig)
     lhss = (2.0 * qcore.trace_distance_of_stack(rho, sig)).tolist()
-    rels = qcore.relative_entropy_of_stack(rho, sig).tolist()
+    rels = qcore.relative_entropy_of_stack(rho, sig, v_rho).tolist()
     for i, lhs, rel in zip(rows, lhss, rels):
         if lhs > math.sqrt(2.0 * math.log(2.0) * rel) + SLACK:
             problems[i] = f"||.||_1={lhs}, S(rho||sigma)={rel}"
@@ -198,8 +189,9 @@ def _afw(dims, g_rho, g_sig) -> list:
 
 def _ssa(dims, g) -> list:
     """Strong subadditivity: I(A:B|C) >= -TOL_SSA on random tripartite states."""
-    problems, rows, (rho,), _ = _states(g)
-    cmis = qcore.conditional_mutual_information_of_stack(rho, dims, [0], [1], [2]).tolist()
+    problems, rows, (rho,), (v_rho,) = _states(g)
+    cmis = qcore.conditional_mutual_information_of_stack(rho, dims, [0], [1], [2],
+                                                         v_rho).tolist()
     for i, cmi in zip(rows, cmis):
         try:
             qcore.check_ssa(cmi)
@@ -230,21 +222,28 @@ def _purify(_dims, g, g_u) -> list:
     return problems
 
 
-suite_fvdg = _seeded_suite("fvdg", 1, _draw_pair, _fvdg)
-suite_pinsker = _seeded_suite("pinsker", 2, _draw_pair, _pinsker)
-suite_fannes = _seeded_suite("fannes", 3, _draw_pair, _fannes)
-suite_afw = _seeded_suite("afw", 4, _draw_bipartite_pair, _afw)
-suite_ssa = _seeded_suite("ssa", 5, _draw_tripartite, _ssa)
-suite_purify = _seeded_suite("purify", 6, _draw_purify, _purify)
+suite_fvdg = _seeded_suite("fvdg", 1, _PAIR, _fvdg)
+suite_pinsker = _seeded_suite("pinsker", 2, _PAIR, _pinsker)
+suite_fannes = _seeded_suite("fannes", 3, _PAIR, _fannes)
+suite_afw = _seeded_suite("afw", 4, _BIPARTITE_PAIR, _afw)
+suite_ssa = _seeded_suite("ssa", 5, _TRIPARTITE, _ssa)
+suite_purify = _seeded_suite("purify", 6, _PURIFY, _purify)
 
 
 # The admixture of I/|B| that makes the transfer suite's sources generic.
 TRANSFER_EPS = 1e-2
 
 
-def _draw_source(rng):
-    nx = int(rng.integers(2, 4))
-    return nx, source.random_states(rng, nx, 2, 2)
+def _alphabet_sizes(rng, count):
+    return rng.integers(2, 4, size=count).tolist()
+
+
+def _draw_sources(rng, nx, k):
+    """k random sources of |X| = nx on |B| = |R| = 2: probabilities, every
+    one at least 0.1, then unit amplitude vectors from one Ginibre draw."""
+    probs = (1.0 - nx * 0.1) * rng.dirichlet(np.ones(nx), size=k) + 0.1
+    vecs = qcore.ginibre((k, nx, 4), rng)
+    return [probs, vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)]
 
 
 def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
@@ -255,7 +254,8 @@ def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
     whose witness lacks full support is its violation."""
     found: list[list[str]] = [[] for _ in range(count)]
     checks = 0
-    for nx, index, (probs, vecs) in _stacks(_rng(seed, 7), count, _draw_source):
+    for nx, index, (probs, vecs) in _stacks(_rng(seed, 7), count, _alphabet_sizes,
+                                            _draw_sources):
         checks += nx * len(index)
         problems, _, lam0, errs, nrms = _transfer_stack(probs, vecs)
         for i, problem, lam, errs_i, nrms_i in zip(index, problems, lam0.tolist(),

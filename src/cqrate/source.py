@@ -226,7 +226,7 @@ def cq_state_xb(src: CqSource) -> np.ndarray:
 def sequence_state(src: CqSource, xs) -> np.ndarray:
     """|psi_{x^n}> = |psi_{x_1}> ⊗ ... ⊗ |psi_{x_n}> on (B^n, R^n): the kron of
     the amplitude matrices groups the B legs and the R legs."""
-    return functools.reduce(np.kron, [src.psi[x] for x in xs]).reshape(-1)
+    return functools.reduce(qcore.kron, [src.psi[x] for x in xs]).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +358,3 @@ def mix_of_stack(psi: np.ndarray, eps: float) -> tuple[np.ndarray, list]:
     amps[ok] = qcore.purify_of_stack(rho[ok].reshape(-1, db, db))[0].reshape(-1, nx, db, db)
     psi, state_problems = states_of_stack(amps.reshape(n, nx, db * db), db, db)
     return psi, [p or q for p, q in zip(problems, _first_problems(state_problems, nx))]
-
-
-def random_states(rng: np.random.Generator, nx: int, dim_b: int,
-                  dim_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """A random source's draw: probabilities, every one at least 0.1, and nx
-    random amplitude vectors on B⊗R."""
-    probs = rng.dirichlet(np.ones(nx))
-    probs = (1.0 - nx * 0.1) * probs + 0.1
-    return probs, np.array([qcore.random_pure(dim_b * dim_r, rng) for _ in range(nx)])

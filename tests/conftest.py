@@ -32,10 +32,25 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     return qcore.density_from_ginibre(qcore.ginibre((dim, dim if rank is None else rank), rng))
 
 
+def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A random unit vector from one Ginibre draw."""
+    v = qcore.ginibre((dim,), rng)
+    return v / np.linalg.norm(v)
+
+
+def random_states(rng: np.random.Generator, nx: int, dim_b: int,
+                  dim_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random source's draw: probabilities, every one at least 0.1, and nx
+    random amplitude vectors on B⊗R."""
+    probs = rng.dirichlet(np.ones(nx))
+    probs = (1.0 - nx * 0.1) * probs + 0.1
+    return probs, np.array([random_pure(dim_b * dim_r, rng) for _ in range(nx)])
+
+
 def random_source(rng: np.random.Generator, nx: int = 2, dim_b: int = 2,
                   dim_r: int = 2) -> source.CqSource:
     """Random cq source with every probability at least 0.1."""
-    return source.make_source(*source.random_states(rng, nx, dim_b, dim_r), dim_b, dim_r,
+    return source.make_source(*random_states(rng, nx, dim_b, dim_r), dim_b, dim_r,
                               name="random")
 
 

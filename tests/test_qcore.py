@@ -107,6 +107,29 @@ def test_overlapping_positions_rejected():
             qcore.conditional_mutual_information_of_stack(mats, (2, 2, 2), [0], [1, 2], [2])
 
 
+def test_cmi_reads_s_abc_from_the_given_spectra():
+    # Ginibre states are exactly Hermitian, so the spectra that validation
+    # solves from their Hermitian parts are eigvalsh's own, bit for bit
+    rho = _random_stack(np.random.default_rng(17), 200, 8, 8)
+    spectra = qcore.density_problems(rho)[1]
+    want = qcore.conditional_mutual_information_of_stack(rho, (2, 2, 2), [0], [1], [2])
+    got = qcore.conditional_mutual_information_of_stack(rho, (2, 2, 2), [0], [1], [2], spectra)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kron_is_np_kron_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for shape_a, shape_b in (((3,), (4,)), ((1,), (5,)), ((2, 3), (4, 1)), ((3, 3), (2, 2))):
+        for dtype in (float, complex):
+            a = rng.standard_normal(shape_a).astype(dtype)
+            b = rng.standard_normal(shape_b) * (1 + 1j if dtype is complex else 1)
+            a.flat[0], b.flat[-1] = -0.0, -0.0
+            for x, y in ((a, b), (b, a), (a, a), (a.real.copy(), b)):
+                got, want = qcore.kron(x, y), np.kron(x, y)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
 def test_mutual_information_examples(src_b):
     prod = dm(np.kron(np.diag([0.75, 0.25]), np.eye(2) / 2), [("A", 2), ("B", 2)])
     assert qcore.mutual_information(prod, ["A"], ["B"]) == pytest.approx(0.0, abs=1e-10)
@@ -261,8 +284,26 @@ def test_partial_trace_of_stack_matches_each_matrix():
 
 
 def _relative_entropy_loop(rho, sigma):
-    """One matrix pair, one (i, j) term at a time: the reference that the
-    stacked kernel must reproduce bit for bit."""
+    """One matrix pair in sigma's eigenbasis, one j term at a time: the
+    reference that the stacked kernel must reproduce bit for bit."""
+    a = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    b, v = np.linalg.eigh(sigma)
+    b = np.clip(b, 0.0, None)
+    w = (v.conj() * (rho @ v)).sum(axis=0).real  # w[j] = <v_j|rho|v_j>
+    term1 = float((a[a > 0] * np.log2(a[a > 0])).sum())
+    term2 = 0.0
+    for j in range(len(b)):
+        if w[j] <= 1e-15:
+            continue
+        if b[j] <= qcore.TOL_RANK:
+            return math.inf
+        term2 += w[j] * math.log2(b[j])
+    return term1 - term2
+
+
+def _relative_entropy_two_bases(rho, sigma):
+    """One matrix pair from both eigenbases, sum_ij a_i |<u_i|v_j>|^2 log2 b_j:
+    the form the kernel must agree with to rounding."""
     a, u = np.linalg.eigh(rho)
     b, v = np.linalg.eigh(sigma)
     a = np.clip(a, 0.0, None)
@@ -325,6 +366,19 @@ def test_stacked_kernels_match_one_matrix_results_bitwise():
         roots = qcore.psd_sqrt(rho)
         for root, r in zip(roots, rho):
             assert root.tobytes() == qcore.psd_sqrt(r).tobytes()
+
+
+def test_relative_entropy_matches_the_two_basis_form():
+    rng = np.random.default_rng(14)
+    for d in (2, 3, 4, 6):
+        rho, sig = _kernel_stacks(rng, d)
+        for a, b in ((rho, sig), (sig, rho)):
+            want = np.array([_relative_entropy_two_bases(r, s) for r, s in zip(a, b)])
+            for spectra in (None, qcore.density_problems(a)[1]):
+                got = qcore.relative_entropy_of_stack(a, b, spectra)
+                assert (np.isinf(got) == np.isinf(want)).all()
+                fin = np.isfinite(want)
+                assert np.abs(got[fin] - want[fin]).max() < 1e-12
 
 
 def test_eigenvalue_kernels_match_svd_references():

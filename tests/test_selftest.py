@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import mix_with_maximally_mixed, random_source
+from conftest import mix_with_maximally_mixed
 from cqrate import cli, idelta, qcore, selftest, source
 from cqrate.errors import InternalError
 
@@ -69,15 +69,16 @@ def test_a_state_derived_in_a_suite_that_fails_validation_is_a_violation(monkeyp
     assert out.getvalue().endswith("selftest: FAIL (1000 checks, seed 0)\n")
 
 
-# The stacked suites as selftest builds them: name -> (key, draw, evaluate).
+# The stacked suites as selftest builds them: name -> (key, kind, evaluate).
 STACKED = {
-    "fvdg": (1, selftest._draw_pair, selftest._fvdg),
-    "pinsker": (2, selftest._draw_pair, selftest._pinsker),
-    "fannes": (3, selftest._draw_pair, selftest._fannes),
-    "afw": (4, selftest._draw_bipartite_pair, selftest._afw),
-    "ssa": (5, selftest._draw_tripartite, selftest._ssa),
-    "purify": (6, selftest._draw_purify, selftest._purify),
+    "fvdg": (1, selftest._PAIR, selftest._fvdg),
+    "pinsker": (2, selftest._PAIR, selftest._pinsker),
+    "fannes": (3, selftest._PAIR, selftest._fannes),
+    "afw": (4, selftest._BIPARTITE_PAIR, selftest._afw),
+    "ssa": (5, selftest._TRIPARTITE, selftest._ssa),
+    "purify": (6, selftest._PURIFY, selftest._purify),
 }
+STACKS = selftest._stacks
 
 
 def _ginibre_two_calls(shape, rng):
@@ -85,29 +86,35 @@ def _ginibre_two_calls(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _pair(rng):
-    d = int(rng.integers(2, 5))
-    return d, [_ginibre_two_calls((d, d), rng) for _ in range(2)]
+def _purify_keys(rng, count):
+    d = rng.integers(2, 5, size=count)
+    return list(zip(d.tolist(), rng.integers(1, d + 1).tolist()))
 
 
-def _bipartite_pair(rng):
-    da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-    return (da, db), [_ginibre_two_calls((da * db, da * db), rng) for _ in range(2)]
+# Each suite's draw: every instance's group from one call, then, group by
+# group, each of an instance's arrays for all of the group's instances in
+# turn, an array given as its matrices' successive one-matrix Ginibre draws.
+GINIBRE_ORDER = {
+    "pair": (lambda rng, n: rng.integers(2, 5, size=n).tolist(),
+             [lambda rng, d: [_ginibre_two_calls((d, d), rng) for _ in range(2)]]),
+    "bipartite": (lambda rng, n: [tuple(k) for k in rng.integers(2, 4, size=(n, 2)).tolist()],
+                  [lambda rng, k: [_ginibre_two_calls((k[0] * k[1],) * 2, rng)
+                                   for _ in range(2)]]),
+    "tripartite": (lambda rng, n: [(2, 2, 2)] * n,
+                   [lambda rng, _: [_ginibre_two_calls((8, 8), rng)]]),
+    "purify": (_purify_keys, [lambda rng, k: [_ginibre_two_calls((k[0], k[1]), rng)],
+                              lambda rng, k: [_ginibre_two_calls((k[0], k[0]), rng)]]),
+}
+DRAW = {"fvdg": "pair", "pinsker": "pair", "fannes": "pair", "afw": "bipartite",
+        "ssa": "tripartite", "purify": "purify"}
 
 
-def _tripartite(rng):
-    return (2, 2, 2), [_ginibre_two_calls((8, 8), rng)]
-
-
-def _purify_instance(rng):
-    d = int(rng.integers(2, 5))
-    rank = int(rng.integers(1, d + 1))
-    return (d, rank), [_ginibre_two_calls((d, rank), rng), _ginibre_two_calls((d, d), rng)]
-
-
-# Each draw helper's instances as successive one-matrix Ginibre draws.
-GINIBRE_ORDER = {selftest._draw_pair: _pair, selftest._draw_bipartite_pair: _bipartite_pair,
-                 selftest._draw_tripartite: _tripartite, selftest._draw_purify: _purify_instance}
+def _by_group(groups: list) -> dict:
+    """The instances of each group, the groups in order of first appearance."""
+    members = {}
+    for i, group in enumerate(groups):
+        members.setdefault(group, []).append(i)
+    return members
 
 
 def test_ginibre_draws_the_stream_of_two_calls():
@@ -121,30 +128,71 @@ def test_ginibre_draws_the_stream_of_two_calls():
     assert idelta._random_direction(np.random.default_rng(5), 2).tobytes() == want.tobytes()
 
 
+def _spy_stacks(monkeypatch, entries: int) -> list:
+    """Cap the stacks at `entries` drawn entries and record the (group,
+    instance indices, arrays) of every stack that `_stacks` hands on."""
+    monkeypatch.setattr(selftest, "STACK_ENTRIES", entries)
+    handed = []
+
+    def spy(*args):
+        for stack in STACKS(*args):
+            handed.append(stack)
+            yield stack
+
+    monkeypatch.setattr(selftest, "_stacks", spy)
+    return handed
+
+
+def _spans_several_stacks(handed: list) -> bool:
+    return min(collections.Counter(group for group, _, _ in handed).values()) > 1
+
+
 @pytest.mark.parametrize("name", list(STACKED))
 def test_suite_stacks_are_successive_ginibre_draws(monkeypatch, name):
-    key, draw, _ = STACKED[name]
+    # the group keys first, then each group's instances in turn, the groups
+    # in order of first appearance
+    key, kind, _ = STACKED[name]
+    draw_keys, draw_arrays = GINIBRE_ORDER[DRAW[name]]
     rng = selftest._rng(3, key)
-    want = collections.defaultdict(list)
-    for _ in range(300):
-        group, mats = GINIBRE_ORDER[draw](rng)
-        want[group].append(mats)
+    members = _by_group(draw_keys(rng, 300))
+    want = {i: (group, []) for group, index in members.items() for i in index}
+    for group, index in members.items():
+        for draw in draw_arrays:
+            for i in index:
+                want[i][1].extend(draw(rng, group))
     for entries in (200, selftest.STACK_ENTRIES):
-        monkeypatch.setattr(selftest, "STACK_ENTRIES", entries)
-        seen = collections.defaultdict(list)
+        handed = _spy_stacks(monkeypatch, entries)
+        seen = []
 
         def record(group, *stacks):
-            seen[group].append(stacks)
+            seen.append(stacks)
             return [None] * len(stacks[0])
 
-        assert selftest._seeded_suite(name, key, draw, record)(3, 300).passed
-        assert seen.keys() == want.keys()
-        for group, mats in want.items():
-            for got, expect in zip(zip(*seen[group]), zip(*mats), strict=True):
-                assert np.concatenate(got).tobytes() == np.array(expect).tobytes()
+        assert selftest._seeded_suite(name, key, kind, record)(3, 300).passed
+        got = {i: (group, [s[row] for s in stacks])
+               for (group, index, _), stacks in zip(handed, seen, strict=True)
+               for row, i in enumerate(index)}
+        assert got.keys() == want.keys()
+        for i, (group, mats) in want.items():
+            assert got[i][0] == group
+            for a, b in zip(got[i][1], mats, strict=True):
+                assert a.tobytes() == b.tobytes()
         if entries == 200:
-            # every group spans several stacks
-            assert min(map(len, seen.values())) > 1
+            assert _spans_several_stacks(handed)
+
+
+@pytest.mark.parametrize("name", list(STACKED) + ["transfer"])
+def test_no_instance_bit_depends_on_the_stack_cap(monkeypatch, name):
+    count = 100 if name == "transfer" else 300
+    bits = {}
+    for entries in (200, selftest.STACK_ENTRIES):
+        handed = _spy_stacks(monkeypatch, entries)
+        assert selftest.SUITES[name](3, count).passed
+        bits[entries] = {i: [a[row].tobytes() for a in arrays]
+                         for _, index, arrays in handed for row, i in enumerate(index)}
+        if entries == 200:
+            assert _spans_several_stacks(handed)
+    assert len(bits[200]) == count and bits[200] == bits[selftest.STACK_ENTRIES]
 
 
 def _problems_by_instance(monkeypatch, name: str, entries: int, count: int = 300):
@@ -153,7 +201,7 @@ def _problems_by_instance(monkeypatch, name: str, entries: int, count: int = 300
     and the number of stacks of each group."""
     monkeypatch.setattr(selftest, "SLACK", -1e9)
     monkeypatch.setattr(selftest, "STACK_ENTRIES", entries)
-    key, draw, evaluate = STACKED[name]
+    key, kind, evaluate = STACKED[name]
     problems = {}
     stacks_per_group = collections.Counter()
 
@@ -164,7 +212,7 @@ def _problems_by_instance(monkeypatch, name: str, entries: int, count: int = 300
         stacks_per_group[group] += 1
         return found
 
-    res = selftest._seeded_suite(name, key, draw, record)(0, count)
+    res = selftest._seeded_suite(name, key, kind, record)(0, count)
     assert res == selftest.SUITES[name](0, count)
     return problems, res, stacks_per_group
 
@@ -214,14 +262,19 @@ def test_sandwich_flags_a_generic_i0_tilde_that_is_not_zero(monkeypatch):
 
 def _transfer_sources(seed: int, count: int = 100):
     """The transfer suite's sources at `seed` by the one-source path, before
-    and after the admixture of I/|B|."""
+    and after the admixture of I/|B|.  The |X| of every source come from one
+    call; then, |X| by |X| in order of first appearance, each source draws
+    its probabilities, and the group its unit amplitude vectors from one
+    Ginibre draw."""
     rng = selftest._rng(seed, 7)
-    pairs = []
-    for _ in range(count):
-        nx = int(rng.integers(2, 4))
-        drawn = random_source(rng, nx, 2, 2)
-        pairs.append((drawn, mix_with_maximally_mixed(drawn, selftest.TRANSFER_EPS)))
-    return pairs
+    drawn = [None] * count
+    for nx, index in _by_group(rng.integers(2, 4, size=count).tolist()).items():
+        probs = [(1.0 - nx * 0.1) * rng.dirichlet(np.ones(nx)) + 0.1 for _ in index]
+        vecs = qcore.ginibre((len(index), nx, 4), rng)
+        vecs = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+        for i, p, v in zip(index, probs, vecs):
+            drawn[i] = source.make_source(p, v, 2, 2, name="random")
+    return [(src, mix_with_maximally_mixed(src, selftest.TRANSFER_EPS)) for src in drawn]
 
 
 OPTIMIZER_FREE = ["fvdg", "pinsker", "fannes", "afw", "ssa", "purify", "transfer"]

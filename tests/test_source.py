@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    mix_with_maximally_mixed, random_density, random_generic_source, random_source, source_doc,
-    tensor_sources,
+    mix_with_maximally_mixed, random_density, random_generic_source, random_pure, random_source,
+    source_doc, tensor_sources,
 )
 from cqrate import qcore, source
 from cqrate.errors import SpecError
@@ -218,7 +218,7 @@ def test_profile_identities_random(db, states, seed):
     entries, inputs = [], []
     for kind, k in states:
         if kind == "amplitudes":
-            amp = qcore.random_pure(db * k, rng)
+            amp = random_pure(db * k, rng)
             entries.append({"amplitudes": _pairs(amp), "dims": {"B": db, "R": k}})
             m = amp.reshape(db, k)
             inputs.append(m @ m.conj().T)

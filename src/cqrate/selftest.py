@@ -249,9 +249,9 @@ def _draw_sources(rng, nx, k):
 def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
     """Transfer-operator contract on random generic sources: exact state
     reconstruction and the operator-norm bound 1/sqrt(lambda0).  The sources
-    are drawn in seed order, mixed with TRANSFER_EPS·I/|B|, and evaluated in
-    stacks of one |X|; a source whose mixed states fail the density checks or
-    whose witness lacks full support is its violation."""
+    are drawn |X| by |X| (`_stacks`), mixed with TRANSFER_EPS·I/|B|, and
+    evaluated in stacks of one |X|; a source whose mixed states fail the
+    density checks or whose witness lacks full support is its violation."""
     found: list[list[str]] = [[] for _ in range(count)]
     checks = 0
     for nx, index, (probs, vecs) in _stacks(_rng(seed, 7), count, _alphabet_sizes,

@@ -94,19 +94,18 @@ def _purify_keys(rng, count):
 # Each suite's draw: every instance's group from one call, then, group by
 # group, each of an instance's arrays for all of the group's instances in
 # turn, an array given as its matrices' successive one-matrix Ginibre draws.
+PAIR_ORDER = (lambda rng, n: rng.integers(2, 5, size=n).tolist(),
+              [lambda rng, d: [_ginibre_two_calls((d, d), rng) for _ in range(2)]])
 GINIBRE_ORDER = {
-    "pair": (lambda rng, n: rng.integers(2, 5, size=n).tolist(),
-             [lambda rng, d: [_ginibre_two_calls((d, d), rng) for _ in range(2)]]),
-    "bipartite": (lambda rng, n: [tuple(k) for k in rng.integers(2, 4, size=(n, 2)).tolist()],
-                  [lambda rng, k: [_ginibre_two_calls((k[0] * k[1],) * 2, rng)
-                                   for _ in range(2)]]),
-    "tripartite": (lambda rng, n: [(2, 2, 2)] * n,
-                   [lambda rng, _: [_ginibre_two_calls((8, 8), rng)]]),
+    "fvdg": PAIR_ORDER,
+    "pinsker": PAIR_ORDER,
+    "fannes": PAIR_ORDER,
+    "afw": (lambda rng, n: [tuple(k) for k in rng.integers(2, 4, size=(n, 2)).tolist()],
+            [lambda rng, k: [_ginibre_two_calls((k[0] * k[1],) * 2, rng) for _ in range(2)]]),
+    "ssa": (lambda rng, n: [(2, 2, 2)] * n, [lambda rng, _: [_ginibre_two_calls((8, 8), rng)]]),
     "purify": (_purify_keys, [lambda rng, k: [_ginibre_two_calls((k[0], k[1]), rng)],
                               lambda rng, k: [_ginibre_two_calls((k[0], k[0]), rng)]]),
 }
-DRAW = {"fvdg": "pair", "pinsker": "pair", "fannes": "pair", "afw": "bipartite",
-        "ssa": "tripartite", "purify": "purify"}
 
 
 def _by_group(groups: list) -> dict:
@@ -152,7 +151,7 @@ def test_suite_stacks_are_successive_ginibre_draws(monkeypatch, name):
     # the group keys first, then each group's instances in turn, the groups
     # in order of first appearance
     key, kind, _ = STACKED[name]
-    draw_keys, draw_arrays = GINIBRE_ORDER[DRAW[name]]
+    draw_keys, draw_arrays = GINIBRE_ORDER[name]
     rng = selftest._rng(3, key)
     members = _by_group(draw_keys(rng, 300))
     want = {i: (group, []) for group, index in members.items() for i in index}

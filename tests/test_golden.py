@@ -3,8 +3,9 @@
 The files under `tests/golden/` are the documents that the runs below
 produced; a change that alters any byte of them changes cqrate's numbers.
 The optimizer runs cover the pure-block search (`region`, `idelta
---emit-channels` with and without delta = 0 in the grid), the I(C:W) <=
-I(C:X) path behind the QSR point (`region`), the purified Y-conditioned
+--emit-channels` with and without delta = 0 in the grid, and at the
+default budget), the I(C:W) <= I(C:X) path behind the QSR point
+(`region`), the purified Y-conditioned
 blocks (`markov_interpolation`), the unassisted climb (`optimize_I0_minus`)
 and the brute-force oracle (`oracle_grid`).  The exact runs
 cover the entropic profile (`analyze`), the code evaluation at block lengths
@@ -134,6 +135,10 @@ DOCUMENTS = {
                                     "--delta-grid", "0,0.01,0.1", "--emit-channels", *BUDGET))
        for name, s in (("idelta_src_b_grid0.json", "src_b"),
                        ("idelta_mixed_example.json", "mixed_example"))},
+    **{f"idelta_default_{s}.json": (lambda tmp, s=s: _cli(
+        "idelta", "--source", _spec(s), "--delta-grid", "0,0.01,0.1", "--emit-channels",
+        "--seed", "0"))
+       for s in ("src_b", "mixed_example")},
     **{f"markov_{s}.json": (lambda tmp, s=s: _markov(s)) for s in ("src_b", "mixed_example")},
     "unassisted_oracle.json": lambda tmp: _unassisted_oracle(),
     **{f"analyze_{s}.json": (lambda tmp, s=s: _cli("analyze", "--source", _spec(s)))

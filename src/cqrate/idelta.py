@@ -184,16 +184,18 @@ class _Evaluator:
         """For a stack v of shape (n, |C||W|, |B|) whose row i acts on
         ensemble g[i], returns per matrix ixw = I(X:W), irwx = I(R:W|X) and,
         when requested, icw = I(C:W) and icx = I(C:X), each as an array of
-        length n.  Each run of rows on one ensemble is multiplied by each of
-        that ensemble's blocks in one (rows·|C||W|, |B|) product, so the
-        stack itself is neither gathered nor copied.  The products of all
-        blocks fill one array, each reduced density is one einsum over all
-        blocks, and the entropies of each matrix size come from one
-        eigensolve; the sums over blocks run in x order.  A row's result is
-        then bit-identical to the same row evaluated alone only if the BLAS
-        gemm gives each row of a product the same bits whatever the
-        product's row count; the stacked-grid, stacked-markov and row-by-row
-        tests of tests/test_idelta.py fail if a BLAS kernel breaks that."""
+        length n.  Each run of rows on one ensemble, as one (rows·|C||W|, |B|)
+        matrix, is multiplied by all of that ensemble's blocks in one
+        `np.matmul` broadcast over the blocks, so the stack itself is neither
+        gathered nor copied.  The products of all blocks fill one array, each
+        reduced density is one einsum over all blocks, and the entropies of
+        each matrix size come from one eigensolve; the sums over blocks run
+        in x order.  The broadcast product runs one gemm per block, so a
+        row's result is bit-identical to the same row evaluated alone only
+        if the BLAS gemm gives each row of a product the same bits whatever
+        the product's row count; the stacked-grid, stacked-markov and
+        row-by-row tests of tests/test_idelta.py fail if a BLAS kernel
+        breaks that."""
         c, w, r, e = self.c, self.w, self.dim_r, self.dim_e
         n, d = v.shape[0], c * w
         probs, s_r = self.probs.take(g, axis=0).T, self.s_r.take(g, axis=0).T  # per block and row
@@ -201,8 +203,7 @@ class _Evaluator:
         lo = 0
         for j, rows in itertools.groupby(g.tolist()):  # each run of rows on one ensemble
             hi = lo + len(list(rows))
-            for k, m in enumerate(self.mats[j]):
-                np.matmul(v[lo:hi].reshape(-1, self.dim_b), m, out=o[k, lo * d:hi * d])
+            np.matmul(v[lo:hi].reshape(-1, self.dim_b), self.mats[j], out=o[:, lo * d:hi * d])
             lo = hi
         o, oc = o.reshape(len(probs), n, c, w, -1), o.conj().reshape(len(probs), n, c, w, -1)
         rho_w = np.einsum("xncwk,xncvk->xnwv", o, oc)
@@ -297,6 +298,22 @@ def _random_direction(rng: np.random.Generator, d: int) -> np.ndarray:
     return a
 
 
+def _directions(rngs: list[np.random.Generator], d: int, steps: int):
+    """Yield each of `steps` steps' directions, one per generator of `rngs`,
+    scaled to unit operator norm.  They are drawn a chunk of steps at a
+    time: at most `qcore.STACK_ENTRIES` complex entries, and at least one
+    step.  Within a chunk each generator draws its steps in order, so each
+    stream is that of one draw per step, and the chunk is normalized by one
+    SVD call, which acts matrix by matrix."""
+    chunk = max(qcore.STACK_ENTRIES // max(len(rngs) * d * d, 1), 1)
+    for lo in range(0, steps, chunk):
+        k = min(chunk, steps - lo)
+        a = np.stack([[_random_direction(rng, d) for _ in range(k)] for rng in rngs], axis=1)
+        a /= np.maximum(np.linalg.svd(a, compute_uv=False)[..., 0],
+                        1e-12)[..., np.newaxis, np.newaxis]
+        yield from a
+
+
 def _start_points(dim_b: int, c_dim: int, w_dim: int) -> list[np.ndarray]:
     """Deterministic starts: the computational-basis embedding (c = 0, w = b
     when B fits into W, the identity channel to W), plus the embedding of B
@@ -347,14 +364,17 @@ def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
     variant.
 
     The starts and the directions depend neither on the ensemble nor on
-    delta, so each step draws one direction per restart for all problems:
-    the delta grid of a curve and the markov maps of an interpolation are
-    climbed in one stack.  Row r = g·n + i holds restart i of problem g, and
-    each step retracts and evaluates the three candidates of every row as
-    one stack.  A row takes its candidates in order and stops at the first
-    accepted one; the later ones change neither `best` nor the step size,
-    exactly as if they had not been evaluated, so its result depends
-    neither on the other restarts nor on the other problems."""
+    delta, nor on where the climb stands, so each step takes one direction
+    per restart for all problems, drawn by `_directions` a chunk of steps at
+    a time: the delta grid of a curve and the markov maps of an
+    interpolation are climbed in one stack.  Row r = g·n + i holds restart i
+    of problem g; each step applies the restarts' directions to every
+    problem in one broadcast product, and retracts and evaluates the three
+    candidates of every row as one stack.  A row takes its candidates in
+    order and stops at the first accepted one; the later ones change
+    neither `best` nor the step size, exactly as if they had not been
+    evaluated, so its result depends neither on the other restarts nor on
+    the other problems."""
 
     unassisted = ev.want_c
 
@@ -374,21 +394,19 @@ def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
     info = _per_row(ev.informations(v, ens_of))
     best = [(inf["ixw"], inf["irwx"], v[r].copy()) if _feasible(inf, delta[r], unassisted)
             else None for r, inf in enumerate(info)]
+    directions = _directions(rngs, d, len(PENALTY_SCHEDULE) * opts.iters_per_stage)
     for mu in PENALTY_SCHEDULE:
         f = [penalty(inf, mu, dl) for inf, dl in zip(info, delta)]
-        step = [STEP_INIT] * len(v)
+        step = np.full(len(v), STEP_INIT)
         for _ in range(opts.iters_per_stage):
-            a = np.stack([_random_direction(rng, d) for rng in rngs])
-            # unit operator norm, from one SVD call for all restarts
-            a /= np.maximum(np.linalg.svd(a, compute_uv=False)[:, 0],
-                            1e-12)[:, np.newaxis, np.newaxis]
-            eps = np.array([(s, s / 4.0, -s) for s in step])
+            a = next(directions)
+            eps = np.outer(step, (1.0, 0.25, -1.0))  # the trial steps s, s/4 and -s
+            av = (a @ v.reshape(n_prob, n, d, -1)).reshape(v.shape)
             cands = _qr_retract((v[:, np.newaxis] + eps[:, :, np.newaxis, np.newaxis]
-                                 * (np.tile(a, (n_prob, 1, 1)) @ v)[:, np.newaxis])
-                                .reshape(-1, d, v.shape[-1]))
+                                 * av[:, np.newaxis]).reshape(-1, d, v.shape[-1]))
             cinfo = _per_row(ev.informations(cands, np.repeat(ens_of, 3)))
+            improved = np.zeros(len(v), dtype=bool)
             for r in range(len(v)):
-                improved = False
                 for k in range(3 * r, 3 * r + 3):
                     ci = cinfo[k]
                     cf = penalty(ci, mu, delta[r])
@@ -397,9 +415,9 @@ def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
                         best[r] = (ci["ixw"], ci["irwx"], cands[k].copy())
                     if cf > f[r] + 1e-12:
                         v[r], info[r], f[r] = cands[k], ci, cf
-                        improved = True
+                        improved[r] = True
                         break
-                step[r] = min(step[r] * 1.3, 1.0) if improved else max(step[r] * 0.6, 1e-4)
+            step = np.where(improved, np.minimum(step * 1.3, 1.0), np.maximum(step * 0.6, 1e-4))
     return [best[g * n:(g + 1) * n] for g in range(n_prob)]
 
 
@@ -519,7 +537,7 @@ def idelta_curve(src: CqSource, deltas=(),
     the value at I0_TILDE_DELTA, one more delta of the stack; so the empty
     grid asks for the estimates alone.  Both are lower bounds."""
     deltas = sorted(float(d) + 0.0 for d in deltas)  # kill negative zero
-    ens = _Ensemble.from_source(src)  # one object: one product per block for all the grid's rows
+    ens = _Ensemble.from_source(src)  # one object: one product for all the grid's rows
     positive = [d for d in deltas if d > 0]
     stack = deltas + ([] if ens.generic or positive else [I0_TILDE_DELTA])
     stack += [] if 0.0 in deltas else [0.0]  # delta = 0 rides in the stack

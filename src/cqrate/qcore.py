@@ -30,6 +30,12 @@ TOL_SSA = 1e-8
 
 _LOG2 = math.log(2.0)
 
+# Entries drawn and held at once: the reals of a selftest stack, the complex
+# entries of a chunk of climb directions (32 of afw's 9x9 pairs).  Small
+# items stack deep, spreading numpy's per-call cost, and no stack raises the
+# peak memory.
+STACK_ENTRIES = 10_368
+
 
 def _labeled_dims(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The labels and dims of (label, dim) pairs such as [("B", 2), ("R", 2)];

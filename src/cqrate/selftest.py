@@ -5,10 +5,10 @@ Each suite is a pure function of its seed, so two runs with the same seed
 produce identical counts (and identical CLI output).  The inequality suites
 and the transfer suite share one loop, `_stacks`: it draws every instance's
 group (a dimension, or a source's |X|), then each group's instances whole, and
-hands them on in stacks of at most STACK_ENTRIES drawn entries; each stacked
-kernel gives an instance the bits of a lone evaluation.  A state that fails
-validation, or a source that fails a check on the way, is its instance's
-violation.
+hands them on in stacks of at most `qcore.STACK_ENTRIES` drawn reals; each
+stacked kernel gives an instance the bits of a lone evaluation.  A state that
+fails validation, or a source that fails a check on the way, is its
+instance's violation.
 """
 
 from __future__ import annotations
@@ -47,26 +47,21 @@ def _rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
-# Drawn entries per evaluated stack (32 of afw's 9x9 pairs): small groups stack
-# deep, spreading numpy's per-call cost, and no stack raises the peak memory.
-STACK_ENTRIES = 10_368
-
-
 def _stacks(rng: np.random.Generator, count: int, keys, draw):
     """Draw `count` instances in two phases and yield (group, instance
-    indices, one stack per array) in stacks of at most STACK_ENTRIES drawn
-    entries, and at least one instance.  First `keys(rng, count)` draws every
+    indices, one stack per array) in stacks of at most `qcore.STACK_ENTRIES`
+    drawn reals, and at least one instance.  First `keys(rng, count)` draws every
     instance's group at once; then, group by group in order of first
     appearance, `draw(rng, group, k)` draws the arrays of the group's k
     instances, one call per array with the instance on its first axis.  A
     group is drawn whole before it is cut into stacks, so no instance's bits
-    depend on STACK_ENTRIES."""
+    depend on the cap."""
     members: dict = {}  # group -> its instances, groups in order of first appearance
     for i, group in enumerate(keys(rng, count)):
         members.setdefault(group, []).append(i)
     for group, index in members.items():
         arrays = draw(rng, group, len(index))
-        depth = max(STACK_ENTRIES // sum(a[0].size for a in arrays), 1)
+        depth = max(qcore.STACK_ENTRIES // sum(a[0].size for a in arrays), 1)
         for start in range(0, len(index), depth):
             yield group, index[start:start + depth], [a[start:start + depth] for a in arrays]
 

@@ -279,6 +279,78 @@ def test_each_retraction_takes_three_rows_per_restart_and_problem(monkeypatch, s
     _assert_same_result(once, twice)
 
 
+def _chunked_climb(monkeypatch, ev, problems, opts, seeds, entries: int):
+    """`_climb` from the seeds' random starts with the direction chunks
+    capped at `entries`; returns its result, the (steps, restarts) shape of
+    every normalized chunk and the number of directions drawn."""
+    chunks, drawn = [], []
+    svd, draw = np.linalg.svd, idelta._random_direction
+
+    def spy_svd(a, *args, **kwargs):
+        chunks.append(a.shape[:-2])
+        return svd(a, *args, **kwargs)
+
+    def counted(rng, d):
+        drawn.append(d)
+        return draw(rng, d)
+
+    monkeypatch.setattr(qcore, "STACK_ENTRIES", entries)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    monkeypatch.setattr(idelta, "_random_direction", counted)
+    v0 = np.stack([qcore.random_isometry(ev.dim_v_out, ev.dim_b, np.random.default_rng(s))
+                   for s in seeds])
+    try:
+        out = idelta._climb(ev, v0, problems, opts, [np.random.default_rng(s) for s in seeds])
+    finally:
+        monkeypatch.undo()
+    return out, chunks, len(drawn)
+
+
+@pytest.mark.parametrize("unassisted", [False, True], ids=["assisted", "unassisted"])
+@pytest.mark.parametrize("kind", ["grid", "markov"])
+def test_the_chunk_size_changes_no_bit(monkeypatch, src_b, kind, unassisted):
+    """One-step chunks, the default cap (two chunks here) and one chunk for
+    the whole climb give the same results, bit for bit, from the same
+    number of draws; no chunk holds more than the cap unless one step alone
+    does."""
+    if kind == "grid":
+        ensembles = [idelta._Ensemble.from_source(src_b)]
+        problems = [(0, 0.0), (0, 0.01), (0, 0.1)]
+    else:
+        ensembles = [idelta._Ensemble.conditioned(src_b, np.array(cond)) for cond in
+                     ([[0.7, 0.2], [0.3, 0.8]], [[0.9, 0.4], [0.1, 0.6]])]
+        assert all(ens.dim_e > 1 for ens in ensembles)
+        problems = [(0, 0.0), (1, 0.0), (0, 0.05)]
+    ev = idelta._Evaluator(ensembles, 2, 2, want_c=unassisted)
+    opts = OptimizerOptions(restarts=8, iters_per_stage=30)
+    seeds = np.random.SeedSequence(11).spawn(opts.restarts)
+    steps = len(idelta.PENALTY_SCHEDULE) * opts.iters_per_stage
+    per_step = opts.restarts * ev.dim_v_out ** 2
+    assert per_step < qcore.STACK_ENTRIES < steps * per_step
+    results = []
+    for entries in (1, qcore.STACK_ENTRIES, steps * per_step):
+        out, chunks, drawn = _chunked_climb(monkeypatch, ev, problems, opts, seeds, entries)
+        assert drawn == steps * opts.restarts
+        assert sum(k for k, _ in chunks) == steps
+        assert all(n == opts.restarts and (k * per_step <= entries or k == 1)
+                   for k, n in chunks)
+        assert len(chunks) == -(-steps // max(entries // per_step, 1))  # as full as the cap allows
+        results.append([[None if o is None else (o[0], o[1], o[2].tobytes()) for o in outs]
+                        for outs in out])
+    assert any(o is not None for outs in results[0] for o in outs)
+    assert results[0] == results[1] == results[2]
+
+
+def test_a_climb_without_iterations_draws_no_direction(monkeypatch, src_b):
+    ev = idelta._Evaluator([idelta._Ensemble.from_source(src_b)], 2, 2)
+    opts = OptimizerOptions(restarts=3, iters_per_stage=0)
+    seeds = np.random.SeedSequence(5).spawn(opts.restarts)
+    out, chunks, drawn = _chunked_climb(monkeypatch, ev, [(0, 0.1)], opts, seeds,
+                                        qcore.STACK_ENTRIES)
+    assert chunks == [] and drawn == 0
+    assert len(out) == 1 and len(out[0]) == opts.restarts
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("1e400")],
                          ids=["nan", "inf", "1e400"])
 def test_non_finite_deltas_are_rejected(src_b, bad):
@@ -350,6 +422,26 @@ def test_informations_on_mixed_ensembles_act_row_by_row(
             v[i:i + 1], np.zeros(1, dtype=int))
         for key, vals in stacked.items():
             assert vals[i:i + 1].tobytes() == alone[key].tobytes(), (key, i)
+
+
+@pytest.mark.parametrize("want_c", [False, True])
+def test_interleaved_runs_on_several_ensembles_act_row_by_row(want_c):
+    """Each run of rows is multiplied by all of its ensemble's blocks in one
+    product, runs return to an earlier ensemble, and every row equals its
+    lone evaluation on its own ensemble, bit for bit."""
+    src = _load("mixed_example")
+    ensembles = [idelta._Ensemble.conditioned(src, np.array(cond)) for cond in
+                 ([[1.0, 0.0], [0.0, 1.0]], [[0.7, 0.2], [0.3, 0.8]], [[0.5, 0.9], [0.5, 0.1]])]
+    g = np.array([0, 0, 1, 1, 0, 2])
+    rng = np.random.default_rng(8)
+    for c, w in ((2, 2), (1, 2), (2, 4)):
+        v = np.stack([qcore.random_isometry(c * w, src.dim_b, rng) for _ in g])
+        stacked = idelta._Evaluator(ensembles, c, w, want_c=want_c).informations(v, g)
+        for i, j in enumerate(g):
+            alone = idelta._Evaluator([ensembles[j]], c, w, want_c=want_c).informations(
+                v[i:i + 1], np.zeros(1, dtype=int))
+            for key, vals in stacked.items():
+                assert vals[i:i + 1].tobytes() == alone[key].tobytes(), (key, c, w, i)
 
 
 def _per_block_informations(ev: idelta._Evaluator, v: np.ndarray,

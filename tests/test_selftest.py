@@ -130,7 +130,7 @@ def test_ginibre_draws_the_stream_of_two_calls():
 def _spy_stacks(monkeypatch, entries: int) -> list:
     """Cap the stacks at `entries` drawn entries and record the (group,
     instance indices, arrays) of every stack that `_stacks` hands on."""
-    monkeypatch.setattr(selftest, "STACK_ENTRIES", entries)
+    monkeypatch.setattr(qcore, "STACK_ENTRIES", entries)
     handed = []
 
     def spy(*args):
@@ -159,7 +159,7 @@ def test_suite_stacks_are_successive_ginibre_draws(monkeypatch, name):
         for draw in draw_arrays:
             for i in index:
                 want[i][1].extend(draw(rng, group))
-    for entries in (200, selftest.STACK_ENTRIES):
+    for entries in (200, qcore.STACK_ENTRIES):
         handed = _spy_stacks(monkeypatch, entries)
         seen = []
 
@@ -184,14 +184,14 @@ def test_suite_stacks_are_successive_ginibre_draws(monkeypatch, name):
 def test_no_instance_bit_depends_on_the_stack_cap(monkeypatch, name):
     count = 100 if name == "transfer" else 300
     bits = {}
-    for entries in (200, selftest.STACK_ENTRIES):
+    for entries in (200, qcore.STACK_ENTRIES):
         handed = _spy_stacks(monkeypatch, entries)
         assert selftest.SUITES[name](3, count).passed
         bits[entries] = {i: [a[row].tobytes() for a in arrays]
                          for _, index, arrays in handed for row, i in enumerate(index)}
         if entries == 200:
             assert _spans_several_stacks(handed)
-    assert len(bits[200]) == count and bits[200] == bits[selftest.STACK_ENTRIES]
+    assert len(bits[200]) == count and bits[200] == bits[qcore.STACK_ENTRIES]
 
 
 def _problems_by_instance(monkeypatch, name: str, entries: int, count: int = 300):
@@ -199,7 +199,7 @@ def _problems_by_instance(monkeypatch, name: str, entries: int, count: int = 300
     bits, with stacks of at most `entries` drawn reals; also the suite's result
     and the number of stacks of each group."""
     monkeypatch.setattr(selftest, "SLACK", -1e9)
-    monkeypatch.setattr(selftest, "STACK_ENTRIES", entries)
+    monkeypatch.setattr(qcore, "STACK_ENTRIES", entries)
     key, kind, evaluate = STACKED[name]
     problems = {}
     stacks_per_group = collections.Counter()
@@ -223,7 +223,7 @@ def test_stack_grouping_changes_no_bit(monkeypatch, name):
     lone, lone_res, lone_stacks = _problems_by_instance(monkeypatch, name, 1)
     assert lone_res.violations == len(lone) == sum(lone_stacks.values()) == 300
     assert all(lone.values())
-    for entries in (1_000, selftest.STACK_ENTRIES):
+    for entries in (1_000, qcore.STACK_ENTRIES):
         stacked, res, stacks = _problems_by_instance(monkeypatch, name, entries)
         assert stacked == lone and res == lone_res
         if entries == 1_000:
@@ -343,7 +343,7 @@ def test_the_transfer_suite_obeys_the_stack_cap(monkeypatch):
         return evaluate(probs, vecs)
 
     monkeypatch.setattr(selftest, "_transfer_stack", record)
-    monkeypatch.setattr(selftest, "STACK_ENTRIES", 60)
+    monkeypatch.setattr(qcore, "STACK_ENTRIES", 60)
     assert selftest.suite_transfer(0) == want
     # a source draws |X| probabilities and |X| amplitude vectors of length 4
     assert all(n <= 60 // (5 * nx) for nx, ns in sizes.items() for n in ns)

@@ -305,7 +305,7 @@ def _directions(rngs: list[np.random.Generator], d: int, steps: int):
     step.  Within a chunk each generator draws its steps in order, so each
     stream is that of one draw per step, and the chunk is normalized by one
     SVD call, which acts matrix by matrix."""
-    chunk = max(qcore.STACK_ENTRIES // max(len(rngs) * d * d, 1), 1)
+    chunk = max(qcore.STACK_ENTRIES // (len(rngs) * d * d), 1)
     for lo in range(0, steps, chunk):
         k = min(chunk, steps - lo)
         a = np.stack([[_random_direction(rng, d) for _ in range(k)] for rng in rngs], axis=1)
@@ -401,9 +401,10 @@ def _climb(ev: _Evaluator, v0: np.ndarray, problems: list[tuple[int, float]],
         for _ in range(opts.iters_per_stage):
             a = next(directions)
             eps = np.outer(step, (1.0, 0.25, -1.0))  # the trial steps s, s/4 and -s
-            av = (a @ v.reshape(n_prob, n, d, -1)).reshape(v.shape)
-            cands = _qr_retract((v[:, np.newaxis] + eps[:, :, np.newaxis, np.newaxis]
-                                 * av[:, np.newaxis]).reshape(-1, d, v.shape[-1]))
+            # a @ v stays unnamed, so it is freed before the candidates are evaluated
+            cands = v[:, np.newaxis] + eps[:, :, np.newaxis, np.newaxis] * (
+                a @ v.reshape(n_prob, n, d, -1)).reshape(v.shape)[:, np.newaxis]
+            cands = _qr_retract(cands.reshape(-1, d, v.shape[-1]))
             cinfo = _per_row(ev.informations(cands, np.repeat(ens_of, 3)))
             improved = np.zeros(len(v), dtype=bool)
             for r in range(len(v)):

@@ -81,6 +81,30 @@ def tensor_sources(s1: source.CqSource, s2: source.CqSource) -> source.CqSource:
                               name=f"{s1.name}x{s2.name}")
 
 
+def random_code_doc(src: source.CqSource, n: int, assisted: bool,
+                    rng: np.random.Generator) -> dict:
+    """The spec document of an explicit code with Haar-random isometries:
+    U_X a unitary on X^n, U_B compressing B^n by half, V decoding back with
+    |W_D| just large enough for an isometry; K = L = 2 when assisted.  The
+    entries are [re, im] pairs, which JSON carries bit for bit."""
+    k = l = 2 if assisted else 1
+    nxn, dbn = src.alphabet_size ** n, src.dim_b ** n
+    cb = max(dbn // 2, 1)
+    wb = -(-dbn * k // (cb * l))
+    wd = -(-cb * k // (dbn * l))
+
+    def matrix(out_dim, in_dim):
+        iso = qcore.random_isometry(out_dim, in_dim, rng)
+        return [[[float(z.real), float(z.imag)] for z in row] for row in iso]
+
+    return {"n": n, "K": k, "L": l, "mode": "assisted" if assisted else "unassisted",
+            "U_X": {"matrix": matrix(nxn, nxn), "dims": {"C_X": nxn, "W_X": 1}},  # Xn -> CX WX
+            "U_B": {"matrix": matrix(cb * l * wb, dbn * k),  # Bn B0 -> CB B0p WB
+                    "dims": {"C_B": cb, "W_B": wb}},
+            "V": {"matrix": matrix(nxn * dbn * l * wd, nxn * cb * k),  # CX CB D0 -> Xhat Bhat D0p WD
+                  "dims": {"W_D": wd}}}
+
+
 def source_doc(src: source.CqSource) -> dict:
     """Spec document for a source (inverse of load_source for pure inputs)."""
     states = []

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_source
-from cqrate import codes, qcore, source
+from conftest import random_code_doc, random_source
+from cqrate import codes, source
 from cqrate.errors import DimensionCapError, SpecError
-from cqrate.qcore import DensityOperator, Isometry, LabeledVector
+from cqrate.qcore import DensityOperator, LabeledVector
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -197,22 +197,8 @@ def test_builders_check_the_block_length_before_forming_it(src_b):
 
 
 def _random_code(src, n: int, assisted: bool, rng: np.random.Generator) -> codes.BlockCode:
-    """An explicit code with Haar-random isometries: U_X a unitary on X^n,
-    U_B compressing B^n by half, V decoding back with |W_D| just large
-    enough for an isometry; K = L = 2 when assisted."""
-    k = l = 2 if assisted else 1
-    nxn, dbn = src.alphabet_size ** n, src.dim_b ** n
-    cb = max(dbn // 2, 1)
-    wb = -(-dbn * k // (cb * l))
-    wd = -(-cb * k // (dbn * l))
-
-    def iso(ins, outs):
-        return Isometry(qcore.random_isometry(math.prod(outs), math.prod(ins), rng), ins, outs)
-
-    u_x = iso((nxn,), (nxn, 1))  # Xn -> CX WX
-    u_b = iso((dbn, k), (cb, l, wb))  # Bn B0 -> CB B0p WB
-    v = iso((nxn, cb, k), (nxn, dbn, l, wd))  # CX CB D0 -> Xhat Bhat D0p WD
-    return codes.BlockCode(n, u_x, u_b, v, k, l, "assisted" if assisted else "unassisted")
+    """The code of `random_code_doc`, loaded."""
+    return codes.load_code(random_code_doc(src, n, assisted, rng), src)
 
 
 @pytest.mark.parametrize("assisted", [False, True], ids=["unassisted", "assisted-k2"])

@@ -10,7 +10,9 @@ blocks (`markov_interpolation`), the unassisted climb (`optimize_I0_minus`)
 and the brute-force oracle (`oracle_grid`).  The exact runs
 cover the entropic profile (`analyze`), the code evaluation at block lengths
 1 and 2 (`verify-code`, the n = 2 code specs are written to a temporary
-directory) and of an explicit-matrix code whose entries mix [re, im] pairs,
+directory), of two seeded random explicit codes at n = 2 (assisted with
+K = L = 2 on src_c, unassisted on mixed_example, also written there) and of
+an explicit-matrix code whose entries mix [re, im] pairs,
 bare numbers and -0.0 (`specs/code_explicit.json`), the region geometry from given estimates (`region --i0
 --i0-tilde`, JSON and CSV), the closed forms at the default budget
 (`region` with no budget flags, where no problem is climbed: the generic
@@ -34,8 +36,10 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import random_code_doc
 from cqrate import cli, idelta, region, selftest, source
 from cqrate.idelta import OptimizerOptions
 
@@ -48,6 +52,10 @@ SOURCES = ("src_a", "src_b", "src_c", "mixed_example")
 # code specs written to the temporary directory next to the shipped ones
 N2_CODES = {"code_identity_n2": {"builder": "identity", "n": 2},
             "code_trunc1_n2": {"builder": "truncation", "n": 2, "rank": 1}}
+# seeded random explicit codes at n = 2, written there too: name -> (source,
+# assisted, seed of `random_code_doc`)
+RANDOM_CODES = {"code_random_assisted_n2": ("src_c", True, 0),
+                "code_random_n2": ("mixed_example", False, 1)}
 
 
 def _spec(name: str) -> str:
@@ -64,10 +72,15 @@ def _cli(*argv: str) -> str:
 
 
 def _code(name: str, tmp: Path) -> str:
-    if name not in N2_CODES:
+    if name in RANDOM_CODES:
+        s, assisted, seed = RANDOM_CODES[name]
+        doc = random_code_doc(_load(s), 2, assisted, np.random.default_rng(seed))
+    elif name in N2_CODES:
+        doc = N2_CODES[name]
+    else:
         return _spec(name)
     path = tmp / f"{name}.json"
-    path.write_text(json.dumps(N2_CODES[name]))
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -146,6 +159,9 @@ DOCUMENTS = {
     **{f"verify_{s}_{c}.json": (lambda tmp, s=s, c=c: _cli("verify-code", "--source", _spec(s),
                                                            "--code", _code(c, tmp)))
        for s in SOURCES for c in ("code_identity", "code_trunc1", *N2_CODES)},
+    **{f"verify_{s}_{c}.json": (lambda tmp, s=s, c=c: _cli("verify-code", "--source", _spec(s),
+                                                           "--code", _code(c, tmp)))
+       for c, (s, _, _) in RANDOM_CODES.items()},
     **{f"verify_{s}_code_explicit.json": (lambda tmp, s=s: _cli("verify-code", "--source", _spec(s),
                                                                 "--code", _spec("code_explicit")))
        for s in ("src_b", "mixed_example")},

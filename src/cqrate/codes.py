@@ -151,8 +151,23 @@ def _max_entangled(k: int) -> np.ndarray:
     return np.eye(k, dtype=complex).reshape(-1) / np.sqrt(k)
 
 
+def _sequence_kets(src: CqSource, seqs, start: int, phi: np.ndarray) -> np.ndarray:
+    """|x^n>|psi_{x^n}>|phi> of the sequences `seqs`, one row each, on
+    (X^n, B^n, R^n, phi's registers); seqs[0] is sequence `start` in basis
+    order.  Each entry is one product of products, as `qcore.kron` forms it."""
+    s, nxn = len(seqs), src.alphabet_size ** len(seqs[0])
+    kets = np.eye(s, nxn, start, dtype=complex)  # |x^n>, without an nxn × nxn identity
+    states = np.stack([sequence_state(src, xs) for xs in seqs])
+    out = (kets[:, :, np.newaxis] * states[:, np.newaxis, :]).reshape(s, -1)
+    return (out[:, :, np.newaxis] * phi).reshape(s, -1)
+
+
 def coded_outputs(src: CqSource, code: BlockCode):
-    """Yield (x^n, weight, output LabeledVector) for every source sequence.
+    """Yield (sequences, weights, output LabeledVector stack) for the source
+    sequences a chunk at a time, in `itertools.product` order (basis order,
+    x_1 most significant).  A chunk holds at most `qcore.STACK_ENTRIES`
+    output amplitudes, and at least one sequence; each map acts on a chunk
+    in one broadcast product.
 
     The output registers are, in order:
     Xhat, Bhat, D0p, WD, B0p, WB, WX, Rn.
@@ -167,11 +182,13 @@ def coded_outputs(src: CqSource, code: BlockCode):
     if code.v.out_dims[0] != nxn or code.v.out_dims[1] != dbn:
         raise SpecError("decoder output dims do not match the source block")
     phi_k = _max_entangled(code.k)
-    # itertools.product enumerates X^n in basis order, x_1 most significant
-    for i, xs in enumerate(itertools.product(range(src.alphabet_size), repeat=n)):
-        p = float(np.prod([src.probs[x] for x in xs]))
-        ket_x = np.eye(1, nxn, i, dtype=complex)[0]  # |x^n>, without an nxn × nxn identity
-        lv = LabeledVector(qcore.kron(qcore.kron(ket_x, sequence_state(src, xs)), phi_k),
+    seqs = list(itertools.product(range(src.alphabet_size), repeat=n))
+    amplitudes = nxn * dbn * drn * wx * code.l * code.l * wb * wd  # of one output
+    depth = max(qcore.STACK_ENTRIES // amplitudes, 1)
+    for start in range(0, nxn, depth):
+        chunk = seqs[start:start + depth]
+        weights = [float(np.prod([src.probs[x] for x in xs])) for xs in chunk]
+        lv = LabeledVector(_sequence_kets(src, chunk, start, phi_k),
                            [("Xn", nxn), ("Bn", dbn), ("Rn", drn), ("B0", code.k), ("D0", code.k)])
         lv = lv.apply_isometry(code.u_x.mat, ["Xn"],
                                [("CX", code.u_x.out_dims[0]), ("WX", wx)])
@@ -180,40 +197,45 @@ def coded_outputs(src: CqSource, code: BlockCode):
                                 ("WB", wb)])
         lv = lv.apply_isometry(code.v.mat, ["CX", "CB", "D0"],
                                [("Xhat", nxn), ("Bhat", dbn), ("D0p", code.l), ("WD", wd)])
-        yield xs, p, lv
+        yield chunk, weights, lv
 
 
 def _evaluate(src: CqSource, code: BlockCode) -> tuple[FidelityReport, float]:
-    """One walk over the coded outputs: the exact average fidelity and the
-    decoupling CMI.
+    """One walk over the coded outputs, a chunk of sequences at a time: the
+    exact average fidelity and the decoupling CMI.
 
     Sequence x^n's fidelity compares the ideal state t (reference spectated,
     target entanglement appended in assisted mode) with the coded output.
     F^2 = <t|rho|t> = <t|M M^dag|t>, where M is the output vector with t's
-    registers as rows and W_D W_B W_X as columns, so rho is never formed.
+    registers as rows and W_D W_B W_X as columns, so rho is never formed;
+    a chunk's M^dag t and M (M^dag t) are one batched product each, the
+    gemv of a lone sequence per sequence.
 
     The output state is block diagonal in the classical copy and each block
-    is pure, so the CMI is the p(x^n)-weighted sum of I(env : rest) = 2 S(env).
+    is pure, so the CMI is the p(x^n)-weighted sum of I(env : rest) = 2 S(env);
+    a chunk's environment states come from one stacked partial trace and
+    their entropies from one eigensolve.  Both sums run in x order.
     """
-    nxn = src.alphabet_size ** code.n
     phi_l = _max_entangled(code.l)
     rows = []
     avg = cmi = 0.0
-    for i, (xs, p, lv) in enumerate(coded_outputs(src, code)):
-        ket_x = np.eye(1, nxn, i, dtype=complex)[0]
-        t = qcore.kron(qcore.kron(ket_x, sequence_state(src, xs)), phi_l)  # Xhat Bhat Rn B0p D0p
-        m = lv.reorder(["Xhat", "Bhat", "Rn", "B0p", "D0p", "WD", "WB", "WX"]).vec
-        m = m.reshape(t.size, -1)
-        f2 = float(np.real(np.vdot(t, m @ (m.conj().T @ t))))
-        f2 = min(max(f2, 0.0), 1.0)
-        if f2 > 1.0 - 1e-12:  # snap float noise so perfect codes report 1 exactly
-            f2 = 1.0
-        f = float(np.sqrt(f2))
-        rows.append((xs, p, f))
-        avg += p * f
+    for chunk, weights, lv in coded_outputs(src, code):
+        t = _sequence_kets(src, chunk, len(rows), phi_l)  # Xhat Bhat Rn B0p D0p
+        m = lv.reorder(["Xhat", "Bhat", "Rn", "B0p", "D0p", "WD", "WB", "WX"]).vecs
+        m = m.reshape(t.shape + (-1,))
+        mmt = m @ (m.conj().swapaxes(-1, -2) @ t[:, :, np.newaxis])
         rho_env = lv.reduced(["WX", "WB", "WD", "B0p", "D0p"])
-        rho_env = rho_env / np.trace(rho_env).real
-        cmi += p * 2.0 * qcore.entropy_of_mat(rho_env)
+        rho_env = rho_env / np.trace(rho_env, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
+        s_env = qcore.entropy_of_stack(rho_env).tolist()
+        for xs, p, t_x, mmt_x, s_x in zip(chunk, weights, t, mmt[:, :, 0], s_env):
+            f2 = float(np.real(np.vdot(t_x, mmt_x)))
+            f2 = min(max(f2, 0.0), 1.0)
+            if f2 > 1.0 - 1e-12:  # snap float noise so perfect codes report 1 exactly
+                f2 = 1.0
+            f = float(np.sqrt(f2))
+            rows.append((xs, p, f))
+            avg += p * f
+            cmi += p * 2.0 * s_x
     avg = min(avg, 1.0)
     return FidelityReport(avg, tuple(rows), 1.0 - avg), cmi
 

@@ -189,49 +189,62 @@ def block_diagonal(probs: Sequence[float], blocks: Sequence[np.ndarray]) -> np.n
 
 def reduced_density_from_vec(vec: np.ndarray, dims: Sequence[int],
                              keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state vector, tracing the rest."""
+    """Reduced density matrix of a pure state vector, or of each vector of a
+    stack (..., d), tracing the rest."""
     row, col, out, d_keep = _trace_subscripts(dims, keep)
-    t = vec.reshape(tuple(dims))
-    return np.einsum(f"{row},{col}->{out}", t, t.conj()).reshape(d_keep, d_keep)
+    stack = vec.shape[:-1]
+    t = vec.reshape(stack + tuple(dims))
+    return np.einsum(f"...{row},...{col}->...{out}", t, t.conj()).reshape(
+        stack + (d_keep, d_keep))
 
 
 class LabeledVector:
-    """Pure-state vector with named tensor factors.  Its one use is the coded
-    outputs of `codes.coded_outputs`, whose registers are created and consumed."""
+    """A stack of s pure states on the same named tensor factors, held as an
+    (s, prod(dims)) array; a lone state is a stack of one.  Its one use is
+    the coded outputs of `codes.coded_outputs`, whose registers are created
+    and consumed."""
 
-    __slots__ = ("vec", "labels", "dims")
+    __slots__ = ("vecs", "labels", "dims")
 
-    def __init__(self, vec: np.ndarray, pairs: Iterable[tuple[str, int]]):
-        self.vec = np.asarray(vec, dtype=complex).reshape(-1)
+    def __init__(self, vecs: np.ndarray, pairs: Iterable[tuple[str, int]]):
+        vecs = np.asarray(vecs, dtype=complex)
         self.labels, self.dims = _labeled_dims(pairs)
-        if math.prod(self.dims) != self.vec.shape[0]:
-            raise ValueError(f"vector length {self.vec.shape[0]} != product of dims {self.dims}")
+        if vecs.ndim not in (1, 2) or vecs.shape[-1] != math.prod(self.dims):
+            raise ValueError(f"vector shape {vecs.shape} is not (d,) or (s, d) with d the "
+                             f"product of dims {self.dims}")
+        self.vecs = vecs.reshape(-1, vecs.shape[-1])
 
     def _pairs(self, positions: Sequence[int]) -> list[tuple[str, int]]:
         return [(self.labels[i], self.dims[i]) for i in positions]
+
+    def _tensor(self, perm: Sequence[int]) -> np.ndarray:
+        """Each state as a tensor, its factors permuted to `perm`."""
+        t = self.vecs.reshape((len(self.vecs),) + self.dims)
+        return t.transpose([0] + [1 + i for i in perm])
 
     def apply_isometry(self, mat: np.ndarray, in_labels: Sequence[str],
                        out_pairs: Sequence[tuple[str, int]]) -> "LabeledVector":
         """Consume registers `in_labels`, producing registers `out_pairs`.
 
         The produced registers come first, the remaining registers follow in
-        their original order."""
+        their original order.  One broadcast product: each state gets the
+        gemm of its lone product, (d_out, d_act) by (d_act, rest)."""
         acting = _positions(self.labels, in_labels)
         rest = [i for i in range(len(self.dims)) if i not in acting]
-        t = self.vec.reshape(self.dims).transpose(acting + rest)
         d_act = int(np.prod([self.dims[i] for i in acting], dtype=np.int64))
-        y = mat @ t.reshape(d_act, -1)
-        return LabeledVector(y.reshape(-1), list(out_pairs) + self._pairs(rest))
+        t = self._tensor(acting + rest).reshape(len(self.vecs), d_act, -1)
+        y = np.matmul(mat, t)
+        return LabeledVector(y.reshape(len(self.vecs), -1), list(out_pairs) + self._pairs(rest))
 
     def reduced(self, keep: Sequence[str]) -> np.ndarray:
-        return reduced_density_from_vec(self.vec, self.dims, _positions(self.labels, keep))
+        """The (s, d_keep, d_keep) reduced density matrices on `keep`."""
+        return reduced_density_from_vec(self.vecs, self.dims, _positions(self.labels, keep))
 
     def reorder(self, labels: Sequence[str]) -> "LabeledVector":
         perm = _positions(self.labels, labels)
         if sorted(perm) != list(range(len(self.dims))):
             raise ValueError("reorder must list every register exactly once")
-        t = self.vec.reshape(self.dims).transpose(perm)
-        return LabeledVector(t.reshape(-1), self._pairs(perm))
+        return LabeledVector(self._tensor(perm).reshape(len(self.vecs), -1), self._pairs(perm))
 
 
 # ---------------------------------------------------------------------------

@@ -47,23 +47,33 @@ def _rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
-def _stacks(rng: np.random.Generator, count: int, keys, draw):
+def _stacks(rng: np.random.Generator, count: int, keys, width, draw):
     """Draw `count` instances in two phases and yield (group, instance
     indices, one stack per array) in stacks of at most `qcore.STACK_ENTRIES`
-    drawn reals, and at least one instance.  First `keys(rng, count)` draws every
-    instance's group at once; then, group by group in order of first
-    appearance, `draw(rng, group, k)` draws the arrays of the group's k
-    instances, one call per array with the instance on its first axis.  A
-    group is drawn whole before it is cut into stacks, so no instance's bits
+    drawn entries, and at least one instance.  First `keys(rng, count)` draws
+    every instance's group at once; then, group by group in order of first
+    appearance, `draw(rng, group, sizes)` yields the arrays of successive
+    stacks of `sizes` instances, with the instance on each array's first
+    axis; `width(group)` is the entries drawn per instance.  A draw takes the
+    stream of one call per array for the whole group, so no instance's bits
     depend on the cap."""
     members: dict = {}  # group -> its instances, groups in order of first appearance
     for i, group in enumerate(keys(rng, count)):
         members.setdefault(group, []).append(i)
     for group, index in members.items():
-        arrays = draw(rng, group, len(index))
-        depth = max(qcore.STACK_ENTRIES // sum(a[0].size for a in arrays), 1)
-        for start in range(0, len(index), depth):
-            yield group, index[start:start + depth], [a[start:start + depth] for a in arrays]
+        depth = max(qcore.STACK_ENTRIES // width(group), 1)
+        starts = range(0, len(index), depth)
+        sizes = [len(index[start:start + depth]) for start in starts]
+        for start, arrays in zip(starts, draw(rng, group, sizes)):
+            yield group, index[start:start + depth], arrays
+
+
+def _cut(arrays: list, sizes: list):
+    """Successive stacks of `sizes` instances of a group's whole draw."""
+    start = 0
+    for k in sizes:
+        yield [a[start:start + k] for a in arrays]
+        start += k
 
 
 def _seeded_suite(name: str, key: int, kind, evaluate):
@@ -71,18 +81,28 @@ def _seeded_suite(name: str, key: int, kind, evaluate):
     `kind` = (keys, shapes) says: `keys(rng, count)` draws the instances'
     groups, and `shapes(group)` gives the shapes of an instance's normals in
     a group, each array's first axis the real then imaginary parts of
-    Ginibre matrices, drawn for the whole group with one `standard_normal`
-    call per array.  Each stack of `_stacks` goes to `evaluate(group,
-    *stacks)`, one complex stack per matrix, which returns each instance's
-    violation or None."""
+    Ginibre matrices.  A kind with one array per instance draws it stack by
+    stack with successive `standard_normal` calls, the stream of one call for
+    the whole group, so one stack's normals are live at a time; a kind with
+    more arrays draws each for the whole group with one call, array by array.
+    Each stack goes to `evaluate(group, *stacks)`, one complex stack per
+    matrix, which returns each instance's violation or None."""
     keys, shapes = kind
 
-    def draw(rng, group, k):
-        return [rng.standard_normal((k,) + shape) for shape in shapes(group)]
+    def width(group):
+        return sum(math.prod(shape) for shape in shapes(group))
+
+    def draw(rng, group, sizes):
+        if len(shapes(group)) == 1:
+            for k in sizes:
+                yield [rng.standard_normal((k,) + shapes(group)[0])]
+        else:
+            yield from _cut([rng.standard_normal((sum(sizes),) + shape)
+                             for shape in shapes(group)], sizes)
 
     def suite(seed: int, count: int = 1000) -> SuiteResult:
         problems: list[str | None] = [None] * count
-        for group, index, reals in _stacks(_rng(seed, key), count, keys, draw):
+        for group, index, reals in _stacks(_rng(seed, key), count, keys, width, draw):
             stacks = [x[:, j] + 1j * x[:, j + 1]  # the arithmetic of qcore.ginibre
                       for x in reals for j in range(0, x.shape[1], 2)]
             for i, problem in zip(index, evaluate(group, *stacks)):
@@ -233,12 +253,18 @@ def _alphabet_sizes(rng, count):
     return rng.integers(2, 4, size=count).tolist()
 
 
-def _draw_sources(rng, nx, k):
-    """k random sources of |X| = nx on |B| = |R| = 2: probabilities, every
-    one at least 0.1, then unit amplitude vectors from one Ginibre draw."""
+def _source_width(nx):
+    return nx + 4 * nx  # the probabilities, then the complex amplitudes
+
+
+def _draw_sources(rng, nx, sizes):
+    """Stacks of `sizes` random sources of |X| = nx on |B| = |R| = 2, drawn
+    together: probabilities, every one at least 0.1, then unit amplitude
+    vectors from one Ginibre draw."""
+    k = sum(sizes)
     probs = (1.0 - nx * 0.1) * rng.dirichlet(np.ones(nx), size=k) + 0.1
     vecs = qcore.ginibre((k, nx, 4), rng)
-    return [probs, vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)]
+    return _cut([probs, vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)], sizes)
 
 
 def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
@@ -250,7 +276,7 @@ def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
     found: list[list[str]] = [[] for _ in range(count)]
     checks = 0
     for nx, index, (probs, vecs) in _stacks(_rng(seed, 7), count, _alphabet_sizes,
-                                            _draw_sources):
+                                            _source_width, _draw_sources):
         checks += nx * len(index)
         problems, _, lam0, errs, nrms = _transfer_stack(probs, vecs)
         for i, problem, lam, errs_i, nrms_i in zip(index, problems, lam0.tolist(),

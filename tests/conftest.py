@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -101,8 +103,69 @@ def random_code_doc(src: source.CqSource, n: int, assisted: bool,
             "U_X": {"matrix": matrix(nxn, nxn), "dims": {"C_X": nxn, "W_X": 1}},  # Xn -> CX WX
             "U_B": {"matrix": matrix(cb * l * wb, dbn * k),  # Bn B0 -> CB B0p WB
                     "dims": {"C_B": cb, "W_B": wb}},
-            "V": {"matrix": matrix(nxn * dbn * l * wd, nxn * cb * k),  # CX CB D0 -> Xhat Bhat D0p WD
-                  "dims": {"W_D": wd}}}
+            "V": {"matrix": matrix(nxn * dbn * l * wd, nxn * cb * k),
+                  "dims": {"W_D": wd}}}  # CX CB D0 -> Xhat Bhat D0p WD
+
+
+def per_sequence_outputs(src: source.CqSource, code):
+    """The coded outputs one sequence at a time on plain arrays, as
+    `codes.coded_outputs` formed them before it stacked a chunk of sequences:
+    yield (x^n, weight, output vector, its labels, its dims) in
+    itertools.product order, the registers ordered as `coded_outputs`
+    orders them."""
+    nxn, dbn, drn = (d ** code.n for d in (src.alphabet_size, src.dim_b, src.dim_r))
+    wx, wb, wd = code.u_x.out_dims[1], code.u_b.out_dims[2], code.v.out_dims[3]
+    maps = ((code.u_x.mat, ["Xn"], [("CX", code.u_x.out_dims[0]), ("WX", wx)]),
+            (code.u_b.mat, ["Bn", "B0"], [("CB", code.u_b.out_dims[0]), ("B0p", code.l),
+                                          ("WB", wb)]),
+            (code.v.mat, ["CX", "CB", "D0"], [("Xhat", nxn), ("Bhat", dbn), ("D0p", code.l),
+                                              ("WD", wd)]))
+    phi_k = np.eye(code.k, dtype=complex).reshape(-1) / np.sqrt(code.k)
+    for i, xs in enumerate(itertools.product(range(src.alphabet_size), repeat=code.n)):
+        p = float(np.prod([src.probs[x] for x in xs]))
+        ket_x = np.eye(1, nxn, i, dtype=complex)[0]
+        vec = qcore.kron(qcore.kron(ket_x, source.sequence_state(src, xs)), phi_k)
+        labels, dims = ["Xn", "Bn", "Rn", "B0", "D0"], [nxn, dbn, drn, code.k, code.k]
+        for mat, ins, outs in maps:
+            acting = [labels.index(lbl) for lbl in ins]
+            rest = [j for j in range(len(dims)) if j not in acting]
+            t = vec.reshape(dims).transpose(acting + rest)
+            vec = (mat @ t.reshape(math.prod(dims[j] for j in acting), -1)).reshape(-1)
+            labels = [lbl for lbl, _ in outs] + [labels[j] for j in rest]
+            dims = [d for _, d in outs] + [dims[j] for j in rest]
+        yield xs, p, vec, labels, dims
+
+
+def per_sequence_evaluate(src: source.CqSource, code) -> tuple[list, float, float]:
+    """The per-sequence walk that `codes._evaluate` made before it took a
+    chunk of sequences at a time: the (x^n, weight, fidelity) rows, the
+    average fidelity and the decoupling CMI, each sequence's overlaps from
+    two lone gemv products, its environment state from its own einsum and
+    its entropy from `entropy_of_mat`."""
+    nxn = src.alphabet_size ** code.n
+    phi_l = np.eye(code.l, dtype=complex).reshape(-1) / np.sqrt(code.l)
+    rows = []
+    avg = cmi = 0.0
+    for i, (xs, p, vec, labels, dims) in enumerate(per_sequence_outputs(src, code)):
+        ket_x = np.eye(1, nxn, i, dtype=complex)[0]
+        t = qcore.kron(qcore.kron(ket_x, source.sequence_state(src, xs)), phi_l)
+        perm = [labels.index(lbl) for lbl in
+                ["Xhat", "Bhat", "Rn", "B0p", "D0p", "WD", "WB", "WX"]]
+        m = vec.reshape(dims).transpose(perm).reshape(t.size, -1)
+        f2 = float(np.real(np.vdot(t, m @ (m.conj().T @ t))))
+        f2 = min(max(f2, 0.0), 1.0)
+        if f2 > 1.0 - 1e-12:
+            f2 = 1.0
+        f = float(np.sqrt(f2))
+        rows.append((xs, p, f))
+        avg += p * f
+        keep = [labels.index(lbl) for lbl in ["WX", "WB", "WD", "B0p", "D0p"]]
+        row, col, out, d_keep = qcore._trace_subscripts(dims, keep)
+        tensor = vec.reshape(dims)
+        rho_env = np.einsum(f"{row},{col}->{out}", tensor, tensor.conj()).reshape(d_keep, d_keep)
+        rho_env = rho_env / np.trace(rho_env).real
+        cmi += p * 2.0 * qcore.entropy_of_mat(rho_env)
+    return rows, min(avg, 1.0), cmi
 
 
 def source_doc(src: source.CqSource) -> dict:

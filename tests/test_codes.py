@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_code_doc, random_source
-from cqrate import codes, source
+from conftest import per_sequence_evaluate, per_sequence_outputs, random_code_doc, random_source
+from cqrate import codes, qcore, source
 from cqrate.errors import DimensionCapError, SpecError
 from cqrate.qcore import DensityOperator, LabeledVector
 
@@ -201,6 +201,13 @@ def _random_code(src, n: int, assisted: bool, rng: np.random.Generator) -> codes
     return codes.load_code(random_code_doc(src, n, assisted, rng), src)
 
 
+def _sequences(outputs) -> list:
+    """(x^n, weight, the output states' LabeledVector stack, row) of every
+    sequence of the chunks that `coded_outputs` yielded, in order."""
+    return [(xs, p, lv, row) for chunk, weights, lv in outputs
+            for row, (xs, p) in enumerate(zip(chunk, weights))]
+
+
 @pytest.mark.parametrize("assisted", [False, True], ids=["unassisted", "assisted-k2"])
 def test_fidelity_matches_the_dense_reference(src_b, assisted):
     """Each per-sequence fidelity equals F(t, rho) with rho the dense reduced
@@ -213,19 +220,19 @@ def test_fidelity_matches_the_dense_reference(src_b, assisted):
         for n in (1, 2):
             code = _random_code(src, n, assisted, rng)
             rep = codes.average_fidelity(src, code)
-            outputs = list(codes.coded_outputs(src, code))
-            assert [xs for xs, _, _ in rep.per_sequence] == [xs for xs, _, _ in outputs]
+            outputs = _sequences(codes.coded_outputs(src, code))
+            assert [xs for xs, _, _ in rep.per_sequence] == [xs for xs, _, _, _ in outputs]
             nxn, dbn, drn = (d ** n for d in (src.alphabet_size, src.dim_b, src.dim_r))
             phi_l = np.eye(code.l, dtype=complex).reshape(-1) / np.sqrt(code.l)
-            for i, ((xs, _, f), (_, _, lv)) in enumerate(zip(rep.per_sequence, outputs)):
-                rho = DensityOperator(lv.reduced(kept), [(lbl, d) for lbl, d in
-                                                         zip(lv.labels, lv.dims) if lbl in kept])
+            for i, ((xs, _, f), (_, _, lv, row)) in enumerate(zip(rep.per_sequence, outputs)):
+                pairs = [(lbl, d) for lbl, d in zip(lv.labels, lv.dims) if lbl in kept]
+                rho = DensityOperator(lv.reduced(kept)[row], pairs)
                 ket_x = np.eye(1, nxn, i, dtype=complex)[0]
                 target = LabeledVector(
                     np.kron(np.kron(ket_x, source.sequence_state(src, xs)), phi_l),
                     [("Xhat", nxn), ("Bhat", dbn), ("Rn", drn), ("B0p", code.l), ("D0p", code.l)])
-                t = target.reorder(kept)
-                ref = math.sqrt(min(max(np.vdot(t.vec, rho.mat @ t.vec).real, 0.0), 1.0))
+                t = target.reorder(kept).vecs[0]
+                ref = math.sqrt(min(max(np.vdot(t, rho.mat @ t).real, 0.0), 1.0))
                 assert abs(f - ref) <= 1e-12, (src.name, n, xs)
 
 
@@ -233,12 +240,59 @@ def test_coded_outputs_enumerate_sequences_in_basis_order():
     """On a 3-symbol source at n = 2, the identity code's outputs come in
     itertools.product order, and the classical copy of x^n is |3·x_1 + x_2>."""
     src = random_source(np.random.default_rng(4), 3, 2, 2)
-    outputs = list(codes.coded_outputs(src, codes.identity_code(src, 2)))
-    assert [xs for xs, _, _ in outputs] == [(x1, x2) for x1 in range(3) for x2 in range(3)]
-    for xs, _, lv in outputs:
+    outputs = _sequences(codes.coded_outputs(src, codes.identity_code(src, 2)))
+    assert [xs for xs, _, _, _ in outputs] == [(x1, x2) for x1 in range(3) for x2 in range(3)]
+    for xs, _, lv, row in outputs:
         i = 3 * xs[0] + xs[1]
-        assert np.allclose(lv.reduced(["Xhat"]), np.outer(np.eye(9)[i], np.eye(9)[i]),
+        assert np.allclose(lv.reduced(["Xhat"])[row], np.outer(np.eye(9)[i], np.eye(9)[i]),
                            atol=1e-12), xs
+
+
+def _reference_sources() -> list:
+    """The four specs and a seeded 3-symbol random source (9 sequences at n = 2)."""
+    srcs = []
+    for name in ("src_a", "src_b", "src_c", "mixed_example"):
+        with open(SPECS / f"{name}.json") as fh:
+            srcs.append(source.load_source(json.load(fh)))
+    return srcs + [random_source(np.random.default_rng(5), 3, 2, 2)]
+
+
+# STACK_ENTRIES as a function of one output's amplitudes and |X|^n: one
+# sequence per chunk (a cap below one output), an uneven split (4 + 4 + 1 of
+# nine sequences, 3 + 1 of four, 2 + 1 of three) and the default.
+CHUNKINGS = {"one-per-chunk": lambda amps, nxn: 1,
+             "uneven": lambda amps, nxn: {2: 1, 3: 2, 4: 3, 9: 4}[nxn] * amps,
+             "default": lambda amps, nxn: qcore.STACK_ENTRIES}
+
+
+@pytest.mark.parametrize("chunking", list(CHUNKINGS))
+@pytest.mark.parametrize("assisted", [False, True], ids=["unassisted", "assisted-k2"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_chunked_walk_matches_the_per_sequence_walk(monkeypatch, n, assisted, chunking):
+    """The chunked coded outputs, fidelities, average fidelity and CMI equal
+    the per-sequence walk's bit for bit, whatever the chunks; no chunk holds
+    more than STACK_ENTRIES amplitudes unless it is one sequence."""
+    rng = np.random.default_rng(17)
+    for src in _reference_sources():
+        code = _random_code(src, n, assisted, rng)
+        nxn = src.alphabet_size ** n
+        reference = list(per_sequence_outputs(src, code))
+        cap = CHUNKINGS[chunking](reference[0][2].size, nxn)
+        monkeypatch.setattr(qcore, "STACK_ENTRIES", cap)
+        chunks = list(codes.coded_outputs(src, code))
+        for chunk, weights, lv in chunks:
+            assert len(chunk) == len(weights) == len(lv.vecs) >= 1
+            assert lv.vecs.size <= cap or len(chunk) == 1
+        if chunking != "default":
+            assert len(chunks) == -(-nxn // max(cap // reference[0][2].size, 1))
+        for (xs, p, lv, row), (xs_ref, p_ref, vec, labels, dims) in zip(
+                _sequences(chunks), reference, strict=True):
+            assert (xs, p, list(lv.labels), list(lv.dims)) == (xs_ref, p_ref, labels, dims)
+            assert lv.vecs[row].tobytes() == vec.tobytes(), (src.name, xs)
+        rows, avg, cmi = per_sequence_evaluate(src, code)
+        rep = codes.decoupling_cmi(src, code)
+        assert rep.fidelity.per_sequence == tuple(rows), src.name
+        assert (rep.fidelity.avg_fidelity, rep.cmi) == (avg, cmi), src.name
 
 
 def test_decoupling_cmi_memory_peak(src_c):

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,19 @@ def test_suite_stacks_are_successive_ginibre_draws(monkeypatch, name):
                 assert a.tobytes() == b.tobytes()
         if entries == 200:
             assert _spans_several_stacks(handed)
+
+
+def test_ssa_holds_one_stack_of_normals_at_a_time():
+    """The ssa suite draws its 1000 instances' 1000 x 2 x 8 x 8 normals (1 MB)
+    stack by stack, so its peak stays well below a whole group's draw."""
+    selftest.suite_ssa(41)  # first-call allocations are not the suite's
+    tracemalloc.start()
+    try:
+        selftest.suite_ssa(41)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("name", list(STACKED) + ["transfer"])

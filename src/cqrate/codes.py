@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +188,7 @@ def coded_outputs(src: CqSource, code: BlockCode):
     depth = max(qcore.STACK_ENTRIES // amplitudes, 1)
     for start in range(0, nxn, depth):
         chunk = seqs[start:start + depth]
-        weights = [float(np.prod([src.probs[x] for x in xs])) for xs in chunk]
+        weights = [float(math.prod(src.probs[x] for x in xs)) for xs in chunk]
         lv = LabeledVector(_sequence_kets(src, chunk, start, phi_k),
                            [("Xn", nxn), ("Bn", dbn), ("Rn", drn), ("B0", code.k), ("D0", code.k)])
         lv = lv.apply_isometry(code.u_x.mat, ["Xn"],

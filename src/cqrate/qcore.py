@@ -231,7 +231,7 @@ class LabeledVector:
         gemm of its lone product, (d_out, d_act) by (d_act, rest)."""
         acting = _positions(self.labels, in_labels)
         rest = [i for i in range(len(self.dims)) if i not in acting]
-        d_act = int(np.prod([self.dims[i] for i in acting], dtype=np.int64))
+        d_act = math.prod(self.dims[i] for i in acting)
         t = self._tensor(acting + rest).reshape(len(self.vecs), d_act, -1)
         y = np.matmul(mat, t)
         return LabeledVector(y.reshape(len(self.vecs), -1), list(out_pairs) + self._pairs(rest))

@@ -62,18 +62,14 @@ def _stacks(rng: np.random.Generator, count: int, keys, width, draw):
         members.setdefault(group, []).append(i)
     for group, index in members.items():
         depth = max(qcore.STACK_ENTRIES // width(group), 1)
-        starts = range(0, len(index), depth)
-        sizes = [len(index[start:start + depth]) for start in starts]
-        for start, arrays in zip(starts, draw(rng, group, sizes)):
-            yield group, index[start:start + depth], arrays
+        stacks = [index[start:start + depth] for start in range(0, len(index), depth)]
+        for stack, arrays in zip(stacks, draw(rng, group, [len(stack) for stack in stacks])):
+            yield group, stack, arrays
 
 
 def _cut(arrays: list, sizes: list):
-    """Successive stacks of `sizes` instances of a group's whole draw."""
-    start = 0
-    for k in sizes:
-        yield [a[start:start + k] for a in arrays]
-        start += k
+    """A group's whole draw, cut into successive stacks of `sizes` instances."""
+    return zip(*(np.split(a, np.cumsum(sizes)[:-1]) for a in arrays))
 
 
 def _seeded_suite(name: str, key: int, kind, evaluate):
@@ -93,12 +89,10 @@ def _seeded_suite(name: str, key: int, kind, evaluate):
         return sum(math.prod(shape) for shape in shapes(group))
 
     def draw(rng, group, sizes):
-        if len(shapes(group)) == 1:
-            for k in sizes:
-                yield [rng.standard_normal((k,) + shapes(group)[0])]
-        else:
-            yield from _cut([rng.standard_normal((sum(sizes),) + shape)
-                             for shape in shapes(group)], sizes)
+        if len(shapes(group)) > 1:
+            return _cut([rng.standard_normal((sum(sizes),) + shape)
+                         for shape in shapes(group)], sizes)
+        return ([rng.standard_normal((k,) + shapes(group)[0])] for k in sizes)
 
     def suite(seed: int, count: int = 1000) -> SuiteResult:
         problems: list[str | None] = [None] * count
@@ -253,10 +247,6 @@ def _alphabet_sizes(rng, count):
     return rng.integers(2, 4, size=count).tolist()
 
 
-def _source_width(nx):
-    return nx + 4 * nx  # the probabilities, then the complex amplitudes
-
-
 def _draw_sources(rng, nx, sizes):
     """Stacks of `sizes` random sources of |X| = nx on |B| = |R| = 2, drawn
     together: probabilities, every one at least 0.1, then unit amplitude
@@ -275,8 +265,9 @@ def suite_transfer(seed: int, count: int = 100) -> SuiteResult:
     density checks or whose witness lacks full support is its violation."""
     found: list[list[str]] = [[] for _ in range(count)]
     checks = 0
+    # an instance draws |X| probabilities and |X| x 4 complex amplitudes
     for nx, index, (probs, vecs) in _stacks(_rng(seed, 7), count, _alphabet_sizes,
-                                            _source_width, _draw_sources):
+                                            lambda nx: 5 * nx, _draw_sources):
         checks += nx * len(index)
         problems, _, lam0, errs, nrms = _transfer_stack(probs, vecs)
         for i, problem, lam, errs_i, nrms_i in zip(index, problems, lam0.tolist(),

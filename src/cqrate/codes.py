@@ -120,7 +120,8 @@ def truncation_code(src: CqSource, n: int, rank: int) -> BlockCode:
     return BlockCode(n, u_x, u_b, v)
 
 
-def _check_cap(src: CqSource, n: int, wx: int, l: int, wb: int, wd: int):
+def _check_cap(src: CqSource, n: int, wx: int, l: int, wb: int, wd: int) -> int:
+    """The amplitudes of one coded output; DimensionCapError over the cap."""
     if n < 1:
         raise SpecError(f"block length n must be >= 1, got {n}")
     if n > MAX_BLOCK_LENGTH:
@@ -131,6 +132,7 @@ def _check_cap(src: CqSource, n: int, wx: int, l: int, wb: int, wd: int):
     if total > XI_AMPLITUDE_CAP:
         raise DimensionCapError(
             f"coded output state needs {total} amplitudes, over the cap {XI_AMPLITUDE_CAP}")
+    return total
 
 
 def _check_builder_cap(src: CqSource, n: int):
@@ -179,12 +181,11 @@ def coded_outputs(src: CqSource, code: BlockCode):
     wx = code.u_x.out_dims[1]
     wb = code.u_b.out_dims[2]
     wd = code.v.out_dims[3]
-    _check_cap(src, n, wx=wx, l=code.l, wb=wb, wd=wd)
+    amplitudes = _check_cap(src, n, wx=wx, l=code.l, wb=wb, wd=wd)
     if code.v.out_dims[0] != nxn or code.v.out_dims[1] != dbn:
         raise SpecError("decoder output dims do not match the source block")
     phi_k = _max_entangled(code.k)
     seqs = list(itertools.product(range(src.alphabet_size), repeat=n))
-    amplitudes = nxn * dbn * drn * wx * code.l * code.l * wb * wd  # of one output
     depth = max(qcore.STACK_ENTRIES // amplitudes, 1)
     for start in range(0, nxn, depth):
         chunk = seqs[start:start + depth]

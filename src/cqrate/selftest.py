@@ -13,6 +13,7 @@ instance's violation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -69,7 +70,8 @@ def _stacks(rng: np.random.Generator, count: int, keys, width, draw):
 
 def _cut(arrays: list, sizes: list):
     """A group's whole draw, cut into successive stacks of `sizes` instances."""
-    return zip(*(np.split(a, np.cumsum(sizes)[:-1]) for a in arrays))
+    ends = itertools.accumulate(sizes)
+    return ([a[end - k:end] for a in arrays] for k, end in zip(sizes, ends))
 
 
 def _seeded_suite(name: str, key: int, kind, evaluate):

@@ -259,7 +259,7 @@ def _reference_sources() -> list:
 
 # STACK_ENTRIES as a function of one output's amplitudes and |X|^n: one
 # sequence per chunk (a cap below one output), an uneven split (4 + 4 + 1 of
-# nine sequences, 3 + 1 of four, 2 + 1 of three) and the default.
+# nine sequences, 3 + 1 of four, 2 + 1 of three, 1 + 1 of two) and the default.
 CHUNKINGS = {"one-per-chunk": lambda amps, nxn: 1,
              "uneven": lambda amps, nxn: {2: 1, 3: 2, 4: 3, 9: 4}[nxn] * amps,
              "default": lambda amps, nxn: qcore.STACK_ENTRIES}
@@ -277,14 +277,14 @@ def test_chunked_walk_matches_the_per_sequence_walk(monkeypatch, n, assisted, ch
         code = _random_code(src, n, assisted, rng)
         nxn = src.alphabet_size ** n
         reference = list(per_sequence_outputs(src, code))
-        cap = CHUNKINGS[chunking](reference[0][2].size, nxn)
+        amps = reference[0][2].size
+        cap = CHUNKINGS[chunking](amps, nxn)
         monkeypatch.setattr(qcore, "STACK_ENTRIES", cap)
         chunks = list(codes.coded_outputs(src, code))
         for chunk, weights, lv in chunks:
             assert len(chunk) == len(weights) == len(lv.vecs) >= 1
             assert lv.vecs.size <= cap or len(chunk) == 1
-        if chunking != "default":
-            assert len(chunks) == -(-nxn // max(cap // reference[0][2].size, 1))
+        assert len(chunks) == -(-nxn // max(cap // amps, 1))
         for (xs, p, lv, row), (xs_ref, p_ref, vec, labels, dims) in zip(
                 _sequences(chunks), reference, strict=True):
             assert (xs, p, list(lv.labels), list(lv.dims)) == (xs_ref, p_ref, labels, dims)
